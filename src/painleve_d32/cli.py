@@ -87,7 +87,7 @@ def cmd_group(args) -> int:
         for step in range(1, args.steps + 1):
             try:
                 point = weyl.apply_word_to_point(word, point)
-            except Exception as exc:
+            except weyl.SingularPointError as exc:
                 print(f"step {step}: singular ({exc})")
                 return EXIT_FAIL
             print(f"step {step}: {weyl.format_point(point, word.context)}")
@@ -122,6 +122,18 @@ def cmd_integrate(args) -> int:
     except ValueError as exc:
         print(f"bad numeric arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        system = models.load_model(args.system)
+    except models.UnknownModelError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    unknown = sorted(
+        set(params) - set(system.params) - set(system.table.names_of_kind("constant"))
+    )
+    if unknown:
+        print(f"usage error: {args.system} has no parameters {unknown}",
+              file=sys.stderr)
+        return EXIT_USAGE
     mode = "fixed" if args.fixed_step else "adaptive"
     try:
         traj = numeric.integrate(
@@ -132,7 +144,7 @@ def cmd_integrate(args) -> int:
     except numeric.DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (numeric.UsageError, models.UnknownModelError) as exc:
+    except numeric.UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

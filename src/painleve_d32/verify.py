@@ -29,6 +29,7 @@ from .ring import (
     Derivation,
     Poly,
     RatExpr,
+    RingError,
     SingularSubstitutionError,
     SymbolTable,
     differentiate,
@@ -45,6 +46,10 @@ from .syntax import render_poly, render_ratexpr
 HALF = Fraction(1, 2)
 
 WITNESS_SEED = 0xD32
+
+# specialization point of the rank certificate in _nullspace
+RANK_SEED = 0xD32
+RANK_PRIME = 2**61 - 1
 
 
 class CapacityError(Exception):
@@ -131,7 +136,7 @@ def _find_witness(
         try:
             if num.evaluate(point) != 0 and resid.den.evaluate(point) != 0:
                 return {n: point[n] for n in sorted(point)}
-        except Exception:
+        except RingError:
             continue
     return None
 
@@ -605,13 +610,6 @@ def resolve_disputed(map_id: str) -> VerificationReport:
     )
 
 
-def resolved_variant(map_id: str) -> str:
-    report = resolve_disputed(map_id)
-    if not report.passed:
-        raise ValueError(report.detail)
-    return report.detail.split(": ")[1]
-
-
 # -- first integral search -----------------------------------------------------------------
 
 
@@ -641,10 +639,82 @@ def _state_indep_monomials(
     return monos
 
 
+def _rank_mod_p(
+    rows: list[dict[int, RatExpr]], table: SymbolTable, rng: random.Random
+) -> Optional[int]:
+    """Rank of the matrix specialized at a random point of Z/p.
+
+    Every symbol gets a random nonzero residue.  Where no coefficient
+    denominator is divisible by p and no entry denominator vanishes at the
+    point, specialization is a ring homomorphism on the entries, so a nonzero
+    minor mod p is the image of a nonzero minor over Q(params): the result is
+    a lower bound on the exact rank.  None means the point is unusable.
+    """
+    p = RANK_PRIME
+    point = [rng.randrange(1, p) for _ in range(len(table))]
+
+    def image(poly: Poly) -> Optional[int]:
+        total = 0
+        for mono, c in poly.terms:
+            if c.denominator % p == 0:
+                return None
+            value = 1
+            for v, e in zip(point, mono):
+                if e:
+                    value = value * pow(v, e, p) % p
+            total += c.numerator * pow(c.denominator, -1, p) * value
+        return total % p
+
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec: dict[int, int] = {}
+        for c, entry in row.items():
+            num, den = image(entry.num), image(entry.den)
+            if num is None or den is None or den == 0:
+                return None
+            if num:
+                vec[c] = num * pow(den, -1, p) % p
+        while vec:
+            lead = min(vec)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(vec[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in vec.items()}
+                break
+            factor = vec[lead]
+            for c, v in prow.items():
+                acc = (vec.get(c, 0) - factor * v) % p
+                if acc:
+                    vec[c] = acc
+                else:
+                    vec.pop(c, None)
+    return len(pivots)
+
+
 def _nullspace(
     rows: list[dict[int, RatExpr]], ncols: int, one: RatExpr
 ) -> list[dict[int, RatExpr]]:
-    """Exact nullspace of a sparse matrix over the parameter function field."""
+    """Exact nullspace of a sparse matrix over the parameter function field.
+
+    Columns that no row touches always lie in the kernel.  When the rank at a
+    random specialization mod p (a lower bound) reaches the number of the
+    other columns, their unit vectors span the whole kernel, which is also
+    the basis the elimination would return; otherwise, after a second point,
+    the exact elimination decides.
+    """
+    used = {c for row in rows for c, v in row.items() if not v.is_zero}
+    zero_cols = [c for c in range(ncols) if c not in used]
+    rng = random.Random(RANK_SEED)
+    for _ in range(2):
+        if _rank_mod_p(rows, one.table, rng) == ncols - len(zero_cols):
+            return [{f: one} for f in zero_cols]
+    return _exact_nullspace(rows, ncols, one)
+
+
+def _exact_nullspace(
+    rows: list[dict[int, RatExpr]], ncols: int, one: RatExpr
+) -> list[dict[int, RatExpr]]:
+    """Gauss-Jordan nullspace over the parameter function field."""
     pivots: dict[int, dict[int, RatExpr]] = {}
     for row in rows:
         row = dict(row)
@@ -736,6 +806,10 @@ def first_integral_search(
         assert scale is not None
         cleared.append(d.num * scale)
         base.append(Poly(table, {m: Fraction(1)}) * common_den)
+    if sys_obj.relation:
+        # linear, so reducing once here equals reducing each lambda's residual
+        cleared = [reduce_relation(p) for p in cleared]
+        base = [reduce_relation(p) for p in base]
 
     param_idx = {
         i for i, kind in enumerate(table.kinds) if kind in ("parameter", "constant")
@@ -754,10 +828,7 @@ def first_integral_search(
         lam = Fraction(lam)
         rows_by_key: dict[tuple, dict[int, RatExpr]] = {}
         for col, (cl, bs) in enumerate(zip(cleared, base)):
-            resid = cl - bs.scaled(lam)
-            if sys_obj.relation:
-                resid = reduce_relation(resid)
-            split_rows(resid, col, rows_by_key)
+            split_rows(cl - bs.scaled(lam), col, rows_by_key)
         rows = [rows_by_key[k] for k in sorted(rows_by_key)]
         basis = _nullspace(rows, len(monos), one)
 

@@ -144,6 +144,15 @@ def test_integrate_usage_errors(capsys):
     assert main(["integrate", "linear_xz", "--init", "abc", "--span", "0,1"]) == 2
 
 
+def test_integrate_unknown_parameter_exits_2(capsys):
+    code = main([
+        "integrate", "linear_xz", "--params", "alpah0=9,alpha2=0.5,eta=1",
+        "--init", "0,1", "--span", "0,1",
+    ])
+    assert code == 2
+    assert "alpah0" in capsys.readouterr().err
+
+
 def test_dump_models_flag(capsys):
     assert main(["--dump-models"]) == 0
     out = capsys.readouterr().out

@@ -7,20 +7,30 @@ shares no code with the exact kernel.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
+from conftest import random_ratexpr
 from painleve_d32 import verify
 from painleve_d32.models import (
+    SYSTEM_IDS,
     Hamiltonian,
     VectorFieldSystem,
     load_integral,
     load_map,
     load_model,
 )
-from painleve_d32.ring import Derivation, is_identically_zero, syms
+from painleve_d32.ring import (
+    Derivation,
+    Poly,
+    RatExpr,
+    SymbolTable,
+    is_identically_zero,
+    syms,
+)
 from painleve_d32.verify import (
     CapacityError,
     check_chart,
@@ -335,6 +345,76 @@ def test_search_guards():
         first_integral_search(
             "ham_4d", 6, 4, (Fraction(0),), monomial_cap=50
         )
+
+
+SEARCH_LAMBDAS = (Fraction(0), Fraction(-1), Fraction(1))
+
+
+def _differential_nullspace(monkeypatch, seen):
+    """Route _nullspace through both paths and require identical bases."""
+    certified = verify._nullspace
+
+    def both(rows, ncols, one):
+        basis = certified(rows, ncols, one)
+        assert basis == verify._exact_nullspace(rows, ncols, one)
+        seen.append((ncols, len(basis)))
+        return basis
+
+    monkeypatch.setattr(verify, "_nullspace", both)
+
+
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound,lams",
+    [(s, 2, 1, SEARCH_LAMBDAS) for s in SYSTEM_IDS]
+    + [("five_dim", 3, 0, SEARCH_LAMBDAS), ("K1_sys", 8, 3, (Fraction(0),))],
+)
+def test_certified_nullspace_matches_exact_elimination(
+    monkeypatch, system_id, state_bound, indep_bound, lams
+):
+    seen: list = []
+    _differential_nullspace(monkeypatch, seen)
+    first_integral_search(system_id, state_bound, indep_bound, lams)
+    assert len(seen) == len(lams)
+
+
+def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
+    table = SymbolTable([("a", "parameter"), ("b", "parameter")])
+    one = RatExpr.const(table, 1)
+    rng = random.Random(7)
+    seen: list = []
+    _differential_nullspace(monkeypatch, seen)
+    for _ in range(20):
+        ncols = rng.randint(2, 4)
+        zero_col = rng.randrange(ncols)
+        rows = [
+            {c: random_ratexpr(rng, table) for c in range(ncols) if c != zero_col}
+            for _ in range(rng.randint(1, ncols + 1))
+        ]
+        verify._nullspace(rows, ncols, one)
+    # both outcomes occur: certified empty kernels and larger exact ones
+    assert {dim == 1 for _, dim in seen} == {True, False}
+
+
+def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
+    # alpha0^(p-1) - 1 is nonzero over Q but vanishes at every nonzero residue
+    table = load_model("five_dim").table
+    entry = RatExpr(
+        Poly.var(table, "alpha0", verify.RANK_PRIME - 1) - Poly.const(table, 1)
+    )
+    one = RatExpr.const(table, 1)
+    rows = [{0: entry}]
+    assert verify._rank_mod_p(rows, table, random.Random(verify.RANK_SEED)) == 0
+    calls = []
+    exact = verify._exact_nullspace
+    monkeypatch.setattr(
+        verify, "_exact_nullspace", lambda *args: calls.append(args) or exact(*args)
+    )
+    assert verify._nullspace(rows, 2, one) == [{1: one}]
+    assert len(calls) == 1
+
+
+def test_search_ham_4d_degree_4_is_empty():
+    assert first_integral_search("ham_4d", 4, 2, SEARCH_LAMBDAS) == []
 
 
 def test_variant_policy_in_run_scope():
