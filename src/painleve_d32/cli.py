@@ -134,7 +134,7 @@ def cmd_integrate(args) -> int:
         print(f"usage error: {args.system} has no parameters {unknown}",
               file=sys.stderr)
         return EXIT_USAGE
-    mode = "fixed" if args.fixed_step else "adaptive"
+    mode = "fixed" if args.fixed_step is not None else "adaptive"
     try:
         traj = numeric.integrate(
             args.system, params, init, (u0, u1),

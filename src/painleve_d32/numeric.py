@@ -1,11 +1,12 @@
 """Floating-point integration and trajectory-level certificates.
 
 An explicit embedded Runge-Kutta 5(4) pair (Dormand-Prince coefficients)
-with standard safety-factor step control integrates any registered system;
-fixed-step and prescribed-grid output modes exist for finite-difference
-residual checks, which need exactly uniform samples.  Conserved combinations
-are monitored along trajectories, and birational maps push trajectories
-forward pointwise, transforming parameters, eta and the time axis.
+with standard safety-factor step control integrates any registered system.
+Finite-difference residual checks need exactly uniform samples: fixed-step
+mode takes equal steps, and grid mode samples one adaptive run by the pair's
+4th-order dense output instead of restarting at each grid point.  Conserved
+combinations are monitored along trajectories, and birational maps push
+trajectories forward pointwise, transforming parameters, eta and the time axis.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 from .models import BirationalMap, VectorFieldSystem, load_integral, load_map, load_model
@@ -52,8 +53,7 @@ class Trajectory:
     steps_rejected: int = 0
 
     def __post_init__(self):
-        diffs = [b - a for a, b in zip(self.times, self.times[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        if not _strictly_monotone(self.times):
             raise ValueError("trajectory times must be strictly monotone")
 
     def write_csv(self, path: str) -> None:
@@ -80,6 +80,11 @@ class Trajectory:
         with open(path, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _strictly_monotone(times: Sequence[float]) -> bool:
+    diffs = [b - a for a, b in zip(times, times[1:])]
+    return all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
 
 
 # -- compilation of exact expressions to float callables ----------------------------
@@ -171,10 +176,18 @@ _DP_B4 = (
 )
 
 
+# 4th-order continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
+_DP_D = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+)
+
+
 def _rk_step(
     f: Callable, u: float, y: Sequence[float], h: float
-) -> tuple[list[float], float, float]:
-    """One embedded step: returns (y5, error_inf, max_state_norm)."""
+) -> tuple[list[float], float, float, list[list[float]]]:
+    """One embedded step: returns (y5, error_inf, max_state_norm, stages)."""
     k = []
     for stage in range(7):
         ys = list(y)
@@ -192,39 +205,59 @@ def _rk_step(
         e4 = sum((_DP_B5[j] - _DP_B4[j]) * k[j][i] for j in range(7))
         err = max(err, abs(h * e4))
     if not all(map(math.isfinite, y5)) or not math.isfinite(err):
-        return y5, math.inf, math.inf
-    return y5, err, max(abs(v) for v in y5)
+        return y5, math.inf, math.inf, k
+    return y5, err, max(abs(v) for v in y5), k
 
 
-def _integrate_adaptive_between(
-    f: Callable, u0: float, y0: list[float], u1: float,
-    abs_tol: float, rel_tol: float, stats: dict,
-) -> tuple[list[float], str]:
-    """Advance from u0 to exactly u1 with error control; y0 is not recorded."""
+def _interpolant(u: float, h: float, y: list, y5: list, k: list) -> Callable:
+    """Dense output of an accepted step: y5 at u + h, 4th order inside (u, u + h)."""
+    rows = []
+    for i, (a, b) in enumerate(zip(y, y5)):
+        diff = b - a
+        bspl = h * k[0][i] - diff
+        tail = h * sum(d * k[j][i] for j, d in enumerate(_DP_D) if d)
+        rows.append((a, diff, bspl, diff - h * k[6][i] - bspl, tail))
+
+    def at(t: float) -> list[float]:
+        if t == u + h:
+            return y5
+        s = (t - u) / h
+        return [a + s * (c2 + (1 - s) * (c3 + s * (c4 + (1 - s) * c5)))
+                for a, c2, c3, c4, c5 in rows]
+    return at
+
+
+def _adaptive_steps(f: Callable, u0: float, y0: list[float], u1: float,
+                    tolerances: tuple[float, float], stats: dict):
+    """Yield each accepted step (u, h, y, y5, stages) from u0 to exactly u1.
+
+    Counts steps in ``stats``; an early stop sets stats["termination"].
+    """
+    abs_tol, rel_tol = tolerances
     direction = 1.0 if u1 > u0 else -1.0
     u, y = u0, y0
-    h = direction * min(abs(u1 - u0), max(abs(u1 - u0) * 1e-2, 1e-6))
+    h = direction * min(abs(u1 - u0), 1e-3)
     while (u1 - u) * direction > 0:
         if abs(h) < MIN_STEP_FACTOR * max(1.0, abs(u)):
-            return y, "step_underflow"
+            stats["termination"] = "step_underflow"
+            return
         if (u + h - u1) * direction > 0:
             h = u1 - u
-        y5, err, norm = _rk_step(f, u, y, h)
-        scale = abs_tol + rel_tol * max(
-            max(abs(v) for v in y), max(abs(v) for v in y5) if y5 else 0.0
-        )
+        y5, err, norm, k = _rk_step(f, u, y, h)
+        scale = abs_tol + rel_tol * max(map(abs, y + y5))
         ratio = err / scale if scale > 0 else math.inf
         if ratio <= 1.0:
+            stats["accepted"] += 1
+            yield u, h, y, y5, k
             u += h
             y = y5
-            stats["accepted"] += 1
             if norm > BLOWUP_NORM:
-                return y, "blow_up"
+                stats["termination"] = "blow_up"
+                return
         else:
             stats["rejected"] += 1
         factor = SAFETY * (ratio ** -0.2) if ratio > 0 else GROW_MAX
         h *= min(GROW_MAX, max(GROW_MIN, factor))
-    return y, "completed"
 
 
 def integrate_system(
@@ -251,74 +284,48 @@ def integrate_system(
     _check_domain(system, u0, u1)
     f = _CompiledSystem(system, params)
 
-    times = [u0]
-    states = [list(map(float, init_state))]
-    stats = {"accepted": 0, "rejected": 0}
-    termination = "completed"
+    y = list(map(float, init_state))
+    times, states = [u0], [y]
+    stats = {"accepted": 0, "rejected": 0, "termination": "completed"}
 
     if mode == "adaptive":
-        direction = 1.0 if u1 > u0 else -1.0
-        u, y = u0, list(map(float, init_state))
-        h = direction * min(abs(u1 - u0), 1e-3)
-        while (u1 - u) * direction > 0:
-            if abs(h) < MIN_STEP_FACTOR * max(1.0, abs(u)):
-                termination = "step_underflow"
-                break
-            if (u + h - u1) * direction > 0:
-                h = u1 - u
-            y5, err, norm = _rk_step(f, u, y, h)
-            scale = abs_tol + rel_tol * max(
-                max(abs(v) for v in y), max(abs(v) for v in y5)
-            )
-            ratio = err / scale if scale > 0 else math.inf
-            if ratio <= 1.0:
-                u += h
-                y = y5
-                stats["accepted"] += 1
-                times.append(u)
-                states.append(list(y))
-                if norm > BLOWUP_NORM:
-                    termination = "blow_up"
-                    break
-            else:
-                stats["rejected"] += 1
-            factor = SAFETY * (ratio ** -0.2) if ratio > 0 else GROW_MAX
-            h *= min(GROW_MAX, max(GROW_MIN, factor))
+        for u, h, _, y5, _ in _adaptive_steps(f, u0, y, u1, tolerances, stats):
+            times.append(u + h)
+            states.append(y5)
     elif mode == "fixed":
         if step is None or step <= 0:
             raise UsageError("fixed mode needs a positive step")
         n = max(1, round(abs(u1 - u0) / step))
         h = (u1 - u0) / n
-        y = list(map(float, init_state))
         u = u0
         for i in range(n):
-            y, _, norm = _rk_step(f, u, y, h)
+            y, _, norm, _ = _rk_step(f, u, y, h)
             u = u0 + (i + 1) * h
             stats["accepted"] += 1
             if not math.isfinite(norm):
-                termination = "blow_up"
+                stats["termination"] = "blow_up"
                 break
             times.append(u)
-            states.append(list(y))
+            states.append(y)
             if norm > BLOWUP_NORM:
-                termination = "blow_up"
+                stats["termination"] = "blow_up"
                 break
     elif mode == "grid":
         if grid is None or len(grid) < 2:
             raise UsageError("grid mode needs at least two sample times")
         pts = [float(g) for g in grid]
+        if not all(map(math.isfinite, pts)) or not _strictly_monotone(pts):
+            raise UsageError("grid times must be finite and strictly monotone")
         _check_domain(system, pts[0], pts[-1])
         times = [pts[0]]
-        y = list(map(float, init_state))
-        for target in pts[1:]:
-            y, reason = _integrate_adaptive_between(
-                f, times[-1], y, target, abs_tol, rel_tol, stats
-            )
-            if reason != "completed":
-                termination = reason
-                break
-            times.append(target)
-            states.append(list(y))
+        i = 1
+        for accepted in _adaptive_steps(f, pts[0], y, pts[-1], tolerances, stats):
+            u, h = accepted[:2]
+            at = _interpolant(*accepted)
+            while i < len(pts) and (u + h - pts[i]) * h >= 0:
+                times.append(pts[i])
+                states.append(at(pts[i]))
+                i += 1
     else:
         raise UsageError(f"unknown output mode {mode!r}")
 
@@ -331,7 +338,7 @@ def integrate_system(
         abs_tol=abs_tol,
         rel_tol=rel_tol,
         mode=mode,
-        termination=termination,
+        termination=stats["termination"],
         steps_accepted=stats["accepted"],
         steps_rejected=stats["rejected"],
     )
@@ -351,8 +358,9 @@ def integrate(
 
     ``mode`` selects the output: "adaptive" records every accepted step,
     "fixed" takes equal fifth-order steps of size ``step`` (for
-    finite-difference residuals), "grid" lands exactly on prescribed times
-    with adaptive error control in between.
+    finite-difference residuals), "grid" samples one adaptive run at the
+    finite, strictly monotone times ``grid`` by its 4th-order dense output,
+    with no restart at each grid point.
     """
     return integrate_system(
         load_model(system_id), params, init_state, span, tolerances, mode, step, grid
@@ -448,18 +456,9 @@ def pushforward(
     if bmap.indep_sign < 0:
         new_times.reverse()
         new_states.reverse()
-    return Trajectory(
-        system_id=target.id,
-        params=_transform_params(bmap, traj.params),
-        state_names=target.state,
-        times=new_times,
-        states=new_states,
-        abs_tol=traj.abs_tol,
-        rel_tol=traj.rel_tol,
-        mode=traj.mode,
-        termination=traj.termination,
-        steps_accepted=traj.steps_accepted,
-        steps_rejected=traj.steps_rejected,
+    return replace(
+        traj, system_id=target.id, params=_transform_params(bmap, traj.params),
+        state_names=target.state, times=new_times, states=new_states,
     )
 
 
@@ -480,18 +479,9 @@ def _pushforward_reduction(traj: Trajectory, bmap: BirationalMap) -> Trajectory:
         x, z, w, q = state[idx["x"]], state[idx["z"]], state[idx["w"]], state[idx["q"]]
         new_times.append(s)
         new_states.append([w, x, q / s, z * s])
-    return Trajectory(
-        system_id=target.id,
-        params=dict(traj.params),
-        state_names=target.state,
-        times=new_times,
-        states=new_states,
-        abs_tol=traj.abs_tol,
-        rel_tol=traj.rel_tol,
-        mode=traj.mode,
-        termination=traj.termination,
-        steps_accepted=traj.steps_accepted,
-        steps_rejected=traj.steps_rejected,
+    return replace(
+        traj, system_id=target.id, params=dict(traj.params),
+        state_names=target.state, times=new_times, states=new_states,
     )
 
 

@@ -144,6 +144,16 @@ def test_integrate_usage_errors(capsys):
     assert main(["integrate", "linear_xz", "--init", "abc", "--span", "0,1"]) == 2
 
 
+def test_integrate_nonpositive_fixed_step_exits_2(capsys):
+    for step in ("0", "-0.1"):
+        code = main([
+            "integrate", "linear_xz", "--params", "alpha0=0.5,alpha2=0.5,eta=1",
+            "--init", "0,1", "--span", "0,1", f"--fixed-step={step}",
+        ])
+        assert code == 2
+        assert "fixed mode needs a positive step" in capsys.readouterr().err
+
+
 def test_integrate_unknown_parameter_exits_2(capsys):
     code = main([
         "integrate", "linear_xz", "--params", "alpah0=9,alpha2=0.5,eta=1",

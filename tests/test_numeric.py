@@ -150,6 +150,88 @@ def test_reduction_pushforward_consistency():
     assert dynamics_residual(reduced, "ham_4d", reduced.params) < 1e-4
 
 
+def test_grid_rejects_bad_grid_before_integrating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+    for grid in ([0.0, 0.5, 0.2, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, math.nan, 1.0],
+                 [0.0, 0.5, math.inf], [0.0]):
+        with pytest.raises(UsageError):
+            integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0),
+                      mode="grid", grid=grid)
+    assert calls == []
+
+
+@pytest.mark.parametrize("system_id, params, init, span, integral", [
+    ("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0), "ywq"),
+    ("five_dim", PARAMS_5D, INIT_5D, (1.0, 0.0), "ywq"),  # decreasing grid
+    ("ham_4d", PARAMS_5D, [0.1, 0.2, 0.3, 0.4], (0.5, 2.0), None),
+    ("K1_sys", {"alpha": 0.4}, [0.3, 0.5], (1.0, 2.0), "I1"),
+])
+def test_dense_output_matches_adaptive_runs(system_id, params, init, span, integral):
+    # five samples inside the span, each against a run that ends exactly there
+    u0, u1 = span
+    grid = [u0] + [u0 + f * (u1 - u0) for f in (0.137, 0.291, 0.503, 0.778, 0.961)]
+    traj = integrate(system_id, params, init, span, tolerances=(1e-10, 1e-10),
+                     mode="grid", grid=grid)
+    assert traj.termination == "completed" and traj.times == grid
+    whole = integrate(system_id, params, init, (u0, grid[-1]), tolerances=(1e-10, 1e-10))
+    assert not set(grid[1:-1]) & set(whole.times)  # interior samples interpolate
+    for t, state in zip(grid[1:], traj.states[1:]):
+        ref = integrate(system_id, params, init, (u0, t), tolerances=(1e-10, 1e-10))
+        assert ref.times[-1] == t
+        assert max(abs(a - b) for a, b in zip(state, ref.states[-1])) < 1e-8
+    if integral:
+        assert invariant_drift(traj, integral) < 1e-6
+
+
+def test_dense_output_matches_linear_closed_form():
+    a0, a2, eta = 0.55, 0.45, 1.1
+    x0, z0 = 0.2, 0.9
+    grid = [i / 100 for i in range(101)]
+    traj = integrate("linear_xz", {"alpha0": a0, "alpha2": a2, "eta": eta}, [x0, z0],
+                     (0.0, 1.0), tolerances=(1e-10, 1e-10), mode="grid", grid=grid)
+    assert traj.times == grid
+    for t, (x, z) in zip(traj.times, traj.states):
+        x_exact = (x0 + 1 / (2 * a2)) * math.exp(a2 * t) - 1 / (2 * a2)
+        z_exact = (z0 - eta / (2 * a0)) * math.exp(a0 * t) + eta / (2 * a0)
+        assert abs(x - x_exact) < 1e-8 and abs(z - z_exact) < 1e-8
+
+
+def test_grid_on_adaptive_step_ends_reproduces_the_run():
+    adaptive = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0))
+    grid = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0),
+                     mode="grid", grid=adaptive.times)
+    assert grid.times == adaptive.times
+    assert grid.states == adaptive.states
+    assert grid.steps_accepted == adaptive.steps_accepted
+    assert grid.steps_rejected == adaptive.steps_rejected
+
+
+def test_every_step_goes_through_rk_step(monkeypatch):
+    # the benchmark's layer trace wraps these two globals to count steps and
+    # right-hand-side evaluations
+    steps, rhs = [], []
+    rk_step, call = numeric._rk_step, numeric._CompiledSystem.__call__
+    monkeypatch.setattr(numeric, "_rk_step", lambda *a: steps.append(a[3]) or rk_step(*a))
+    monkeypatch.setattr(numeric._CompiledSystem, "__call__",
+                        lambda self, *a: rhs.append(a[0]) or call(self, *a))
+    blow = [200.0, 5.0, -200.0, 300.0, -300.0]
+    rejected = 0
+    for init, span, kwargs in (
+        (INIT_5D, (0.0, 1.0), {"tolerances": (1e-5, 1e-5)}),
+        (INIT_5D, (0.0, 1.0), {"mode": "fixed", "step": 1e-2}),
+        (INIT_5D, (0.0, 1.0), {"mode": "grid", "grid": [i / 50 for i in range(51)]}),
+        (blow, (0.0, 10.0), {"tolerances": (1e-8, 1e-8)}),
+        (blow, (0.0, 10.0), {"mode": "grid", "grid": [i / 10 for i in range(101)]}),
+    ):
+        del steps[:], rhs[:]
+        traj = integrate("five_dim", PARAMS_5D, init, span, **kwargs)
+        assert len(steps) == traj.steps_accepted + traj.steps_rejected > 0
+        assert len(rhs) == 7 * len(steps)
+        rejected += traj.steps_rejected
+    assert rejected > 0
+
+
 def test_ham_4d_domain_guard():
     params = dict(PARAMS_5D)
     with pytest.raises(DomainError):
