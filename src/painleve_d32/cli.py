@@ -51,6 +51,9 @@ def cmd_verify(args) -> int:
 
 def cmd_group(args) -> int:
     if args.action == "relations":
+        if args.samples < 1:
+            print("group relations needs --samples of at least 1", file=sys.stderr)
+            return EXIT_USAGE
         reports = weyl.verify_group_relations(
             sample_count=args.samples, seed=args.seed
         )
@@ -81,6 +84,9 @@ def cmd_group(args) -> int:
     if args.action == "orbit":
         import random
 
+        if args.steps < 1:
+            print("group orbit needs --steps of at least 1", file=sys.stderr)
+            return EXIT_USAGE
         point = weyl.random_point(random.Random(args.seed), word.context)
         print(f"word: {word} (context {word.context}, seed {args.seed})")
         print(f"step 0: {weyl.format_point(point, word.context)}")

@@ -316,7 +316,11 @@ def integrate_system(
         pts = [float(g) for g in grid]
         if not all(map(math.isfinite, pts)) or not _strictly_monotone(pts):
             raise UsageError("grid times must be finite and strictly monotone")
-        _check_domain(system, pts[0], pts[-1])
+        lo, hi = min(u0, u1), max(u0, u1)
+        if pts[0] != u0 or not all(lo <= g <= hi for g in pts):
+            raise UsageError(
+                "grid must start at the span's start and stay inside the span"
+            )
         times = [pts[0]]
         i = 1
         for accepted in _adaptive_steps(f, pts[0], y, pts[-1], tolerances, stats):

@@ -640,15 +640,15 @@ def _state_indep_monomials(
 
 
 def _rank_mod_p(
-    rows: list[dict[int, RatExpr]], table: SymbolTable, rng: random.Random
+    rows: list[dict[int, Poly]], table: SymbolTable, rng: random.Random
 ) -> Optional[int]:
     """Rank of the matrix specialized at a random point of Z/p.
 
     Every symbol gets a random nonzero residue.  Where no coefficient
-    denominator is divisible by p and no entry denominator vanishes at the
-    point, specialization is a ring homomorphism on the entries, so a nonzero
-    minor mod p is the image of a nonzero minor over Q(params): the result is
-    a lower bound on the exact rank.  None means the point is unusable.
+    denominator is divisible by p, specialization is a ring homomorphism on
+    the polynomial entries, so a nonzero minor mod p is the image of a
+    nonzero minor over Q(params): the result is a lower bound on the exact
+    rank.  None means the point is unusable.
     """
     p = RANK_PRIME
     point = [rng.randrange(1, p) for _ in range(len(table))]
@@ -669,11 +669,11 @@ def _rank_mod_p(
     for row in rows:
         vec: dict[int, int] = {}
         for c, entry in row.items():
-            num, den = image(entry.num), image(entry.den)
-            if num is None or den is None or den == 0:
+            value = image(entry)
+            if value is None:
                 return None
-            if num:
-                vec[c] = num * pow(den, -1, p) % p
+            if value:
+                vec[c] = value
         while vec:
             lead = min(vec)
             prow = pivots.get(lead)
@@ -692,14 +692,15 @@ def _rank_mod_p(
 
 
 def _nullspace(
-    rows: list[dict[int, RatExpr]], ncols: int, one: RatExpr
+    rows: list[dict[int, Poly]], ncols: int, one: RatExpr
 ) -> list[dict[int, RatExpr]]:
     """Exact nullspace of a sparse matrix over the parameter function field.
 
-    Columns that no row touches always lie in the kernel.  When the rank at a
-    random specialization mod p (a lower bound) reaches the number of the
-    other columns, their unit vectors span the whole kernel, which is also
-    the basis the elimination would return; otherwise, after a second point,
+    The entries are polynomials in the parameters.  Columns that no row
+    touches always lie in the kernel.  When the rank at a random
+    specialization mod p (a lower bound) reaches the number of the other
+    columns, their unit vectors span the whole kernel, which is also the
+    basis the elimination would return; otherwise, after a second point,
     the exact elimination decides.
     """
     used = {c for row in rows for c, v in row.items() if not v.is_zero}
@@ -712,12 +713,12 @@ def _nullspace(
 
 
 def _exact_nullspace(
-    rows: list[dict[int, RatExpr]], ncols: int, one: RatExpr
+    rows: list[dict[int, Poly]], ncols: int, one: RatExpr
 ) -> list[dict[int, RatExpr]]:
     """Gauss-Jordan nullspace over the parameter function field."""
     pivots: dict[int, dict[int, RatExpr]] = {}
     for row in rows:
-        row = dict(row)
+        row = {c: RatExpr(v) for c, v in row.items()}
         while True:
             cols = sorted(c for c in row if not row[c].is_zero)
             row = {c: row[c] for c in cols}
@@ -761,6 +762,90 @@ def _exact_nullspace(
     return basis
 
 
+# cells of a search matrix: row key (state and indep exponents) -> column ->
+# the entry, a polynomial in the parameters as {monomial: coefficient}
+_Cells = dict[tuple[int, ...], dict[int, dict[tuple[int, ...], Fraction]]]
+
+
+def _search_cells(
+    sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]
+) -> tuple[_Cells, _Cells]:
+    """Cells of the cleared derivatives C and the cleared ansatz B.
+
+    The rule denominators are cleared once, into their product L.  Each
+    cleared rule numerator N_i = rule_i*L and L itself are reduced by the
+    relation and split into (state and indep exponents, parameter part)
+    once.  The cleared derivative of an ansatz monomial is then a sum of
+    shifts, L*D(m) = sum_i e_i*(m/x_i)*N_i, and m*L is a shift of L.  The
+    ansatz holds no parameter, so the reduction commutes with the shifts.
+    Row keys drop the parameter positions, which keeps their order.
+    """
+    table = sys_obj.table
+    rules = {n: r for n, r in sys_obj.flow().rules.items() if not r.is_zero}
+    common_den = Poly.const(table, 1)
+    for den in dict.fromkeys(r.den for r in rules.values() if not r.den.is_const):
+        common_den = common_den * den
+    cleared = {
+        n: r.num * exact_polynomial_quotient(common_den, r.den)
+        for n, r in rules.items()
+    }
+    if sys_obj.relation:
+        cleared = {n: reduce_relation(p) for n, p in cleared.items()}
+        common_den = reduce_relation(common_den)
+    free = [
+        i for i, kind in enumerate(table.kinds) if kind not in ("parameter", "constant")
+    ]
+
+    def split(p: Poly) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+        return [
+            (
+                tuple(mono[i] for i in free),
+                tuple(0 if i in free else e for i, e in enumerate(mono)),
+                c,
+            )
+            for mono, c in p.terms
+        ]
+
+    parts = [(free.index(table.index(n)), split(p)) for n, p in cleared.items()]
+    base = split(common_den)
+    c_cells: _Cells = {}
+    b_cells: _Cells = {}
+
+    def add(cells: _Cells, terms, shift: list[int], scale: int, col: int) -> None:
+        for key, pmono, c in terms:
+            key = tuple(a + b for a, b in zip(key, shift))
+            cell = cells.setdefault(key, {}).setdefault(col, {})
+            cell[pmono] = cell.get(pmono, 0) + scale * c
+
+    for col, mono in enumerate(monos):
+        m = [mono[i] for i in free]
+        for j, terms in parts:
+            if m[j]:
+                add(c_cells, terms, m[:j] + [m[j] - 1] + m[j + 1:], m[j], col)
+        add(b_cells, base, m, 1, col)
+    return c_cells, b_cells
+
+
+def _search_rows(
+    table: SymbolTable, c_cells: _Cells, b_cells: _Cells, lam: Fraction
+) -> list[dict[int, Poly]]:
+    """Nonzero rows of C - lam*B in row-key order, entries as polynomials."""
+    rows = []
+    for key in sorted(c_cells.keys() | b_cells.keys()):
+        crow, brow = c_cells.get(key, {}), b_cells.get(key, {})
+        row = {}
+        for col in sorted(crow.keys() | brow.keys()):
+            terms = dict(crow.get(col, ()))
+            for pmono, c in brow.get(col, {}).items():
+                terms[pmono] = terms.get(pmono, 0) - lam * c
+            entry = Poly(table, terms)
+            if not entry.is_zero:
+                row[col] = entry
+        if row:
+            rows.append(row)
+    return rows
+
+
 def first_integral_search(
     system_id: str,
     state_degree_bound: int,
@@ -789,47 +874,13 @@ def first_integral_search(
         raise CapacityError(
             f"{len(monos)} ansatz monomials exceed the cap of {monomial_cap}"
         )
-    flow = sys_obj.flow()
     one = RatExpr.const(table, 1)
-
-    derivs = [flow.of_poly(Poly(table, {m: Fraction(1)})) for m in monos]
-    common_den = Poly.const(table, 1)
-    seen: set = set()
-    for d in derivs:
-        if not d.den.is_const and d.den not in seen:
-            seen.add(d.den)
-            common_den = common_den * d.den
-    cleared: list[Poly] = []
-    base: list[Poly] = []
-    for m, d in zip(monos, derivs):
-        scale = exact_polynomial_quotient(common_den, d.den)
-        assert scale is not None
-        cleared.append(d.num * scale)
-        base.append(Poly(table, {m: Fraction(1)}) * common_den)
-    if sys_obj.relation:
-        # linear, so reducing once here equals reducing each lambda's residual
-        cleared = [reduce_relation(p) for p in cleared]
-        base = [reduce_relation(p) for p in base]
-
-    param_idx = {
-        i for i, kind in enumerate(table.kinds) if kind in ("parameter", "constant")
-    }
-
-    def split_rows(p: Poly, col: int, rows: dict) -> None:
-        for mono, coeff in p.terms:
-            key = tuple(e if i not in param_idx else 0 for i, e in enumerate(mono))
-            entry = tuple(e if i in param_idx else 0 for i, e in enumerate(mono))
-            cell = rows.setdefault(key, {})
-            add = RatExpr(Poly(table, {entry: coeff}))
-            cell[col] = cell[col] + add if col in cell else add
+    c_cells, b_cells = _search_cells(sys_obj, monos)
 
     results: list[FirstIntegral] = []
     for lam in lambda_candidates:
         lam = Fraction(lam)
-        rows_by_key: dict[tuple, dict[int, RatExpr]] = {}
-        for col, (cl, bs) in enumerate(zip(cleared, base)):
-            split_rows(cl - bs.scaled(lam), col, rows_by_key)
-        rows = [rows_by_key[k] for k in sorted(rows_by_key)]
+        rows = _search_rows(table, c_cells, b_cells, lam)
         basis = _nullspace(rows, len(monos), one)
 
         const_col = next(

@@ -104,6 +104,18 @@ def test_group_relations_deterministic(capsys):
     assert strip_millis(first) == strip_millis(second)
 
 
+def test_group_relations_needs_a_sample(capsys):
+    assert main(["group", "relations", "--samples", "0"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_group_orbit_needs_a_step(capsys):
+    assert main(["group", "orbit", "s1 s2", "--steps", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert "--steps" in captured.err
+    assert "step 0" not in captured.out
+
+
 def test_integrate_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "lin.csv"
     code = main([

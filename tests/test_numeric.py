@@ -161,6 +161,18 @@ def test_grid_rejects_bad_grid_before_integrating(monkeypatch):
     assert calls == []
 
 
+def test_grid_must_start_at_span_start_and_stay_inside(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+    for span, grid in (((0.0, 5.0), [2.0, 2.5, 3.0]),   # init state is at u = 0
+                       ((0.0, 1.0), [0.0, 0.5, 1.5]),
+                       ((1.0, 0.0), [1.0, 0.5, -0.5]),
+                       ((1.0, 0.0), [1.0, 1.5])):
+        with pytest.raises(UsageError):
+            integrate("five_dim", PARAMS_5D, INIT_5D, span, mode="grid", grid=grid)
+    assert calls == []
+
+
 @pytest.mark.parametrize("system_id, params, init, span, integral", [
     ("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0), "ywq"),
     ("five_dim", PARAMS_5D, INIT_5D, (1.0, 0.0), "ywq"),  # decreasing grid

@@ -28,7 +28,9 @@ from painleve_d32.ring import (
     Poly,
     RatExpr,
     SymbolTable,
+    exact_polynomial_quotient,
     is_identically_zero,
+    reduce_relation,
     syms,
 )
 from painleve_d32.verify import (
@@ -377,6 +379,15 @@ def test_certified_nullspace_matches_exact_elimination(
     assert len(seen) == len(lams)
 
 
+def _cleared(row: dict) -> dict:
+    """The row times the product of its entry denominators: polynomial
+    entries and the same kernel."""
+    den = Poly.const(next(iter(row.values())).table, 1)
+    for v in row.values():
+        den = den * v.den
+    return {c: v.num * exact_polynomial_quotient(den, v.den) for c, v in row.items()}
+
+
 def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
     table = SymbolTable([("a", "parameter"), ("b", "parameter")])
     one = RatExpr.const(table, 1)
@@ -387,7 +398,9 @@ def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
         ncols = rng.randint(2, 4)
         zero_col = rng.randrange(ncols)
         rows = [
-            {c: random_ratexpr(rng, table) for c in range(ncols) if c != zero_col}
+            _cleared({
+                c: random_ratexpr(rng, table) for c in range(ncols) if c != zero_col
+            })
             for _ in range(rng.randint(1, ncols + 1))
         ]
         verify._nullspace(rows, ncols, one)
@@ -398,9 +411,7 @@ def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
 def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
     # alpha0^(p-1) - 1 is nonzero over Q but vanishes at every nonzero residue
     table = load_model("five_dim").table
-    entry = RatExpr(
-        Poly.var(table, "alpha0", verify.RANK_PRIME - 1) - Poly.const(table, 1)
-    )
+    entry = Poly.var(table, "alpha0", verify.RANK_PRIME - 1) - Poly.const(table, 1)
     one = RatExpr.const(table, 1)
     rows = [{0: entry}]
     assert verify._rank_mod_p(rows, table, random.Random(verify.RANK_SEED)) == 0
@@ -415,6 +426,95 @@ def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
 
 def test_search_ham_4d_degree_4_is_empty():
     assert first_integral_search("ham_4d", 4, 2, SEARCH_LAMBDAS) == []
+
+
+def _reference_rows(system_id, state_bound, indep_bound, lam):
+    """Search rows built term by term: one derivation per ansatz monomial,
+    cleared by the product of the distinct derivative denominators through an
+    exact quotient, then reduced by the relation and split per term."""
+    sys_obj = load_model(system_id)
+    table = sys_obj.table
+    monos = verify._state_indep_monomials(
+        table, sys_obj.state, sys_obj.indep, state_bound, indep_bound
+    )
+    flow = sys_obj.flow()
+    derivs = [flow.of_poly(Poly(table, {m: Fraction(1)})) for m in monos]
+    common_den = Poly.const(table, 1)
+    for den in dict.fromkeys(d.den for d in derivs if not d.den.is_const):
+        common_den = common_den * den
+    param_idx = {
+        i for i, kind in enumerate(table.kinds) if kind in ("parameter", "constant")
+    }
+    rows_by_key: dict = {}
+    for col, (m, d) in enumerate(zip(monos, derivs)):
+        cleared = d.num * exact_polynomial_quotient(common_den, d.den)
+        base = Poly(table, {m: Fraction(1)}) * common_den
+        if sys_obj.relation:
+            cleared, base = reduce_relation(cleared), reduce_relation(base)
+        for mono, coeff in (cleared - base.scaled(lam)).terms:
+            key = tuple(0 if i in param_idx else e for i, e in enumerate(mono))
+            entry = tuple(e if i in param_idx else 0 for i, e in enumerate(mono))
+            cell = rows_by_key.setdefault(key, {})
+            add = RatExpr(Poly(table, {entry: coeff}))
+            cell[col] = cell[col] + add if col in cell else add
+    return sys_obj, monos, [rows_by_key[k] for k in sorted(rows_by_key)]
+
+
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound",
+    [(s, 2, 1) for s in SYSTEM_IDS] + [("five_dim", 3, 0), ("K1_sys", 8, 3)],
+)
+def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bound):
+    for lam in SEARCH_LAMBDAS:
+        sys_obj, monos, expected = _reference_rows(
+            system_id, state_bound, indep_bound, lam
+        )
+        rows = verify._search_rows(
+            sys_obj.table, *verify._search_cells(sys_obj, monos), lam
+        )
+        assert len(rows) == len(expected)
+        for row, ref in zip(rows, expected):
+            assert list(row) == list(ref)
+            assert all(RatExpr(row[c]) == ref[c] for c in ref)
+
+
+def _sympy_of(e, names):
+    """A Poly or RatExpr rebuilt in sympy term by term."""
+    def poly(p):
+        return sum(
+            (sp.Rational(c.numerator, c.denominator)
+             * sp.Mul(*(names[i] ** k for i, k in enumerate(mono) if k))
+             for mono, c in p.terms),
+            sp.Integer(0),
+        )
+
+    return poly(e.num) / poly(e.den) if isinstance(e, RatExpr) else poly(e)
+
+
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound,lam,count",
+    [("five_dim", 3, 0, Fraction(-1), 1), ("K1_sys", 8, 3, Fraction(0), 2)],
+)
+def test_search_hits_satisfy_sympy_expansion(
+    system_id, state_bound, indep_bound, lam, count
+):
+    # independent route: D(P) - lam*P expanded in sympy from the registry
+    # right-hand sides, with alpha1 = 1 - alpha0 - alpha2
+    sys_obj = load_model(system_id)
+    names = [sp.Symbol(n) for n in sys_obj.table.symbols]
+    by_name = dict(zip(sys_obj.table.symbols, names))
+    rhs = {by_name[n]: _sympy_of(r, names) for n, r in sys_obj.rhs.items()}
+    rhs[by_name[sys_obj.indep]] = sp.Integer(1)
+    relation = {}
+    if sys_obj.relation:
+        relation = {by_name["alpha1"]: 1 - by_name["alpha0"] - by_name["alpha2"]}
+    found = first_integral_search(system_id, state_bound, indep_bound, (lam,))
+    assert len(found) == count
+    for integral in found:
+        P = _sympy_of(integral.expr, names)
+        residual = sum(sp.diff(P, v) * f for v, f in rhs.items()) - lam * P
+        numerator = sp.numer(sp.together(residual.subs(relation)))
+        assert sp.expand(numerator) == 0
 
 
 def test_variant_policy_in_run_scope():
