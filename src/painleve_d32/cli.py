@@ -51,6 +51,9 @@ def cmd_verify(args) -> int:
 
 def cmd_group(args) -> int:
     if args.action == "relations":
+        if args.word is not None:
+            print(f"group relations takes no word, got {args.word!r}", file=sys.stderr)
+            return EXIT_USAGE
         if args.samples < 1:
             print("group relations needs --samples of at least 1", file=sys.stderr)
             return EXIT_USAGE
@@ -61,13 +64,12 @@ def cmd_group(args) -> int:
         _emit_reports(reports, args.format, args.out)
         return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
-    if not args.word:
+    if args.word is None or not args.word.split():
         print("group action/shift/orbit needs a word, e.g. \"s1 s2 s1 s0\"",
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        context = args.context or ("th2" if "pi" in args.word.split() else "th1")
-        word = weyl.parse_word(args.word, context)
+        word = weyl.parse_word(args.word, args.context)
         action = weyl.parameter_action(word)
     except weyl.WordError as exc:
         print(f"unparsable word: {exc}", file=sys.stderr)

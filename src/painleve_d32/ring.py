@@ -16,6 +16,7 @@ to a polynomial when the denominator divides the numerator exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -273,23 +274,7 @@ class Poly:
 
     def evaluate(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Exact value at a rational point; every occurring symbol must be bound."""
-        vals: dict[int, Fraction] = {}
-        for name, v in point.items():
-            if name in self.table:
-                vals[self.table.index(name)] = Fraction(v)
-        total = Fraction(0)
-        for m, c in self.terms:
-            term = c
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i not in vals:
-                    raise RingError(
-                        f"symbol {self.table.symbols[i]!r} unbound in evaluation"
-                    )
-                term *= vals[i] ** e
-            total += term
-        return total
+        return _evaluate_at(self, point)
 
     # -- structure ---------------------------------------------------------
 
@@ -690,10 +675,118 @@ def evaluate(e: RatExpr, point: Mapping[str, RationalLike]) -> Fraction:
     Raises :class:`SingularPointError` when the denominator vanishes at the
     point (a resampling signal, distinct from an identically-zero divisor).
     """
-    den = e.den.evaluate(point)
-    if den == 0:
-        raise SingularPointError("denominator vanishes at the evaluation point")
-    return e.num.evaluate(point) / den
+    return _evaluate_at(e, point)
+
+
+# -- exact point evaluation ---------------------------------------------------------
+
+
+def _evaluate_at(
+    e: Union[RatExpr, Poly], point: Mapping[str, RationalLike]
+) -> Fraction:
+    names = [n for n in point if n in e.table]
+    return PointMap([e], names)([point[n] for n in names])[0]
+
+
+class PointMap:
+    """Rational expressions compiled for exact evaluation at rational points.
+
+    Each output num/den is scaled by the lcm of its coefficient denominators
+    and homogenised in every input v_k = n_k/d_k to the largest exponent D_k
+    of v_k in that output: a term c*prod v_k^e_k becomes
+    c*prod n_k^e_k * d_k^(D_k - e_k).  Numerator and denominator then carry
+    the same factor prod d_k^D_k, which cancels, so each value is
+    ``Fraction(N, M)`` of two integer sums: one gcd per output and no
+    ``Fraction`` arithmetic per term.  An output that is a single input or
+    its negative is read off directly.
+
+    ``names`` orders the inputs; every symbol occurring in an output must be
+    among them.  Calling with a vanishing denominator raises
+    :class:`SingularPointError`.
+    """
+
+    __slots__ = ("_top", "_outputs")
+
+    def __init__(self, exprs: Sequence[Union[RatExpr, Poly]], names: Sequence[str]):
+        top = [0] * len(names)
+        outputs = []
+        for e in exprs:
+            num, den = (e.num, e.den) if isinstance(e, RatExpr) else (e, None)
+            table = num.table
+            where = {table.index(n): k for k, n in enumerate(names) if n in table}
+            outputs.append(_compile_output(num, den, where, top))
+        self._top = tuple(top)
+        self._outputs = tuple(outputs)
+
+    def __call__(self, values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+        npow: list[list[int]] = []
+        dpow: list[list[int]] = []
+        for v, deg in zip(values, self._top, strict=True):
+            n, d = v.numerator, v.denominator
+            ns, ds = [1], [1]
+            for _ in range(deg):
+                ns.append(ns[-1] * n)
+                ds.append(ds[-1] * d)
+            npow.append(ns)
+            dpow.append(ds)
+        out = []
+        for sign, k, num_terms, den_terms in self._outputs:
+            if sign:
+                v = values[k]
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                out.append(v if sign > 0 else -v)
+                continue
+            sums = []
+            for terms in (num_terms, den_terms):
+                total = 0
+                for c, factors in terms:
+                    for i, e, r in factors:
+                        c *= npow[i][e] * dpow[i][r]
+                    total += c
+                sums.append(total)
+            if not sums[1]:
+                raise SingularPointError("denominator vanishes at the evaluation point")
+            out.append(Fraction(sums[0], sums[1]))
+        return tuple(out)
+
+
+def _compile_output(
+    num: Poly, den: Optional[Poly], where: Mapping[int, int], top: list[int]
+) -> tuple:
+    """One output of a :class:`PointMap`: (sign, k, num terms, den terms).
+
+    A nonzero sign means the output is sign * (input k); otherwise the term
+    lists hold (integer coefficient, ((k, e_k, D_k - e_k), ...)) entries.
+    """
+    if den is None:
+        den = Poly.const(num.table, 1)
+    if den.is_const and den.const_value() == 1 and len(num.terms) == 1:
+        mono, c = num.terms[0]
+        used = [i for i, e in enumerate(mono) if e]
+        if len(used) == 1 and mono[used[0]] == 1 and c in (1, -1) and used[0] in where:
+            return (int(c), where[used[0]], (), ())
+    degree: dict[int, int] = {}
+    scale = 1
+    for mono, c in num.terms + den.terms:
+        scale = math.lcm(scale, c.denominator)
+        for i, e in enumerate(mono):
+            if e > degree.get(i, 0):
+                degree[i] = e
+    for i in degree:
+        if i not in where:
+            raise RingError(f"symbol {num.table.symbols[i]!r} unbound in evaluation")
+    slots = [(i, where[i], d) for i, d in sorted(degree.items())]
+    for _, k, d in slots:
+        top[k] = max(top[k], d)
+
+    def compiled(terms):
+        return tuple(
+            (int(c * scale), tuple((k, mono[i], d - mono[i]) for i, k, d in slots))
+            for mono, c in terms
+        )
+
+    return (0, 0, compiled(num.terms), compiled(den.terms))
 
 
 class Derivation:

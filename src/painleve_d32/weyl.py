@@ -18,13 +18,14 @@ diagram; the relation list itself is an assumption recorded in reports.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .models import load_map, load_model
-from .ring import SingularPointError, evaluate
+from .ring import PointMap, RatExpr, SingularPointError
 from .verify import VerificationReport, _Timer
 
 Matrix3 = tuple[tuple[int, int, int], ...]
@@ -71,12 +72,15 @@ class GroupWord:
         return " ".join(self.letters) if self.letters else "(empty)"
 
 
-def parse_word(text: str, context: str = "th1") -> GroupWord:
-    letters = []
-    for raw in text.split():
-        letter = {"π": "pi"}.get(raw, raw)
-        letters.append(letter)
-    return GroupWord(tuple(letters), context)
+def parse_word(text: str, context: Optional[str] = None) -> GroupWord:
+    """Word from space-separated letters (``π`` is read as ``pi``).
+
+    Without a context the word lives in th2 when it uses pi, else in th1.
+    """
+    letters = tuple({"π": "pi"}.get(raw, raw) for raw in text.split())
+    if context is None:
+        context = "th2" if "pi" in letters else "th1"
+    return GroupWord(letters, context)
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class ParameterAction:
 
     def apply(self, alphas: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(
-            sum((Fraction(c) * a for c, a in zip(row, alphas)), Fraction(off))
+            sum((c * a for c, a in zip(row, alphas) if c), Fraction(off))
             for row, off in zip(self.matrix, self.offset)
         )
 
@@ -235,32 +239,43 @@ class PhasePoint:
     eta: Fraction
     indep: Fraction
 
-    def as_bindings(self, indep_name: str) -> dict[str, Fraction]:
-        values = dict(self.state)
-        values["alpha0"], values["alpha1"], values["alpha2"] = self.alphas
-        values["eta"] = self.eta
-        values[indep_name] = self.indep
-        return values
+
+@functools.cache
+def _generator_kernel(letter: str, context: str) -> tuple[tuple[str, ...], PointMap]:
+    """State names and one generator compiled as a map of (state, alpha0..2,
+    eta, indep).
+
+    The outputs come in the same order: the state components, the integer
+    affine images of the parameters and the sign multiples of eta and of
+    the independent variable.
+    """
+    bmap = load_map(_GENERATOR_MAPS[context][letter], variant="resolved")
+    system = load_model(_SYSTEM_OF_CONTEXT[context])
+    table = system.table
+    images = bmap.param_images(table)
+    outputs = [bmap.var_map[n] for n in system.state]
+    outputs += [images[n] for n in bmap.param_names]
+    outputs.append(bmap.eta_sign * RatExpr.sym(table, "eta"))
+    outputs.append(bmap.indep_sign * RatExpr.sym(table, system.indep))
+    return system.state, PointMap(
+        outputs, system.state + bmap.param_names + ("eta", system.indep)
+    )
 
 
 def _apply_generator(point: PhasePoint, letter: str, context: str) -> PhasePoint:
-    bmap = load_map(_GENERATOR_MAPS[context][letter], variant="resolved")
-    system = load_model(_SYSTEM_OF_CONTEXT[context])
-    bindings = point.as_bindings(system.indep)
+    state, kernel = _generator_kernel(letter, context)
     try:
-        new_state = {
-            name: evaluate(expr, bindings) for name, expr in bmap.var_map.items()
-        }
+        values = kernel(
+            [point.state[n] for n in state] + [*point.alphas, point.eta, point.indep]
+        )
     except SingularPointError as exc:
         raise SingularPointError(f"generator {letter}: {exc}") from exc
-    action = ParameterAction(
-        bmap.param_matrix, bmap.param_offset, bmap.eta_sign, bmap.indep_sign
-    )
+    n = len(state)
     return PhasePoint(
-        state=new_state,
-        alphas=action.apply(point.alphas),
-        eta=point.eta * bmap.eta_sign,
-        indep=point.indep * bmap.indep_sign,
+        state=dict(zip(state, values)),
+        alphas=values[n:n + 3],
+        eta=values[n + 3],
+        indep=values[n + 4],
     )
 
 
@@ -364,7 +379,11 @@ def _relation_holds_at_samples(
     sample_count: int,
     rng: random.Random,
     max_resamples: int = 100,
-) -> bool:
+) -> tuple[bool, int]:
+    """Whether both words agree at ``sample_count`` nonsingular random points.
+
+    Also returns the number of singular points that were drawn and skipped.
+    """
     lword = GroupWord(left, context)
     rword = GroupWord(right, context)
     done = 0
@@ -382,9 +401,9 @@ def _relation_holds_at_samples(
                 )
             continue
         if not _points_agree(li, ri):
-            return False
+            return False, failures
         done += 1
-    return True
+    return True, failures
 
 
 def verify_group_relations(
@@ -405,8 +424,9 @@ def verify_group_relations(
         for name, left, right in RELATIONS[context]:
             with _Timer() as tm:
                 exact = _relation_holds_on_parameters(left, right, context)
-                sampled = exact and _relation_holds_at_samples(
-                    left, right, context, sample_count, rng
+                sampled, resamples = (
+                    _relation_holds_at_samples(left, right, context, sample_count, rng)
+                    if exact else (False, 0)
                 )
             reports.append(
                 VerificationReport(
@@ -417,7 +437,8 @@ def verify_group_relations(
                         ("map_samples", "zero" if sampled else "mismatch"),
                     ],
                     duration_ms=tm.ms,
-                    detail=f"{sample_count} samples, seed {seed}, {convention}",
+                    detail=f"{sample_count} samples, seed {seed}, {convention}, "
+                           f"{resamples} resamples",
                     sampled=True,
                     seed=seed,
                 )

@@ -116,6 +116,30 @@ def test_group_orbit_needs_a_step(capsys):
     assert "step 0" not in captured.out
 
 
+def test_group_pi_letter_selects_th2(capsys):
+    # the context comes from the parsed letters, so the symbol π counts as pi
+    for action in ("action", "orbit"):
+        assert main(["group", action, "π s1 π"]) == 0
+        assert "(context th2" in capsys.readouterr().out
+    assert main(["group", "shift", "π s1 π"]) == 1
+    assert "is not a pure parameter translation" in capsys.readouterr().out
+
+
+def test_group_relations_refuses_a_word(capsys):
+    assert main(["group", "relations", "s0 s1"]) == 2
+    captured = capsys.readouterr()
+    assert "takes no word" in captured.err
+    assert "relation:" not in captured.out
+
+
+@pytest.mark.parametrize("word", ["", "   "])
+def test_group_orbit_refuses_an_empty_word(word, capsys):
+    assert main(["group", "orbit", word]) == 2
+    captured = capsys.readouterr()
+    assert "needs a word" in captured.err
+    assert "step 0" not in captured.out
+
+
 def test_integrate_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "lin.csv"
     code = main([

@@ -1,0 +1,255 @@
+"""Exact point evaluation: the compiled integer kernel against a per-term
+``Fraction`` reference, over the whole map registry and along orbits."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from painleve_d32 import weyl
+from painleve_d32.models import DISPUTED_MAP_IDS, MAP_IDS, load_map
+from painleve_d32.ring import (
+    PointMap,
+    Poly,
+    RatExpr,
+    RingError,
+    SingularPointError,
+    SymbolTable,
+    evaluate,
+    syms,
+)
+from painleve_d32.weyl import (
+    GroupWord,
+    ParameterAction,
+    PhasePoint,
+    apply_word_to_point,
+    calibrate_convention,
+    parameter_action,
+    parse_word,
+    random_point,
+)
+
+POINTS_PER_MAP = 60
+
+
+# -- the reference: term by term in Fraction arithmetic ------------------------------
+
+
+def _reference_poly(p: Poly, point) -> Fraction:
+    vals = {}
+    for name, v in point.items():
+        if name in p.table:
+            vals[p.table.index(name)] = Fraction(v)
+    total = Fraction(0)
+    for m, c in p.terms:
+        term = c
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            if i not in vals:
+                raise RingError(f"symbol {p.table.symbols[i]!r} unbound in evaluation")
+            term *= vals[i] ** e
+        total += term
+    return total
+
+
+def _reference(e: RatExpr, point) -> Fraction:
+    den = _reference_poly(e.den, point)
+    if den == 0:
+        raise SingularPointError("denominator vanishes at the evaluation point")
+    return _reference_poly(e.num, point) / den
+
+
+def _reference_map(exprs, point):
+    """Values of every component, or None when some denominator vanishes."""
+    try:
+        return tuple(_reference(e, point) for e in exprs)
+    except SingularPointError:
+        return None
+
+
+def _registered_maps():
+    for mid in MAP_IDS:
+        variants = ("printed", "corrected") if mid in DISPUTED_MAP_IDS else ("printed",)
+        for variant in variants:
+            yield load_map(mid, variant)
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+
+
+def _vanishing_point(den: Poly, point: dict) -> dict | None:
+    """The point moved along one symbol until ``den`` vanishes there, if it can.
+
+    A symbol dividing every term of ``den`` is set to zero; a symbol of
+    degree one is solved for.
+    """
+    table = den.table
+    for name in den.occurring_names():
+        i = table.index(name)
+        moved = dict(point)
+        if all(m[i] for m, _ in den.terms):
+            moved[name] = Fraction(0)
+            return moved
+        if max(m[i] for m, _ in den.terms) == 1:
+            slope = Poly(table, {m: c for m, c in den.terms if m[i]}).partial(name)
+            rest = Poly(table, {m: c for m, c in den.terms if not m[i]})
+            a, b = _reference_poly(slope, point), _reference_poly(rest, point)
+            if a:
+                moved[name] = -b / a
+                return moved
+    return None
+
+
+# -- registry-wide differential test -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bmap", list(_registered_maps()), ids=lambda m: f"{m.id}:{m.variant}"
+)
+def test_kernel_matches_reference_on_every_map(bmap):
+    exprs = list(bmap.var_map.values())
+    table = exprs[0].table
+    names = table.symbols
+    kernel = PointMap(exprs, names)
+    rng = random.Random(f"{bmap.id}:{bmap.variant}")
+    compared = 0
+    for _ in range(POINTS_PER_MAP):
+        point = {n: _rational(rng) for n in names}
+        expected = _reference_map(exprs, point)
+        if expected is None:
+            with pytest.raises(SingularPointError):
+                kernel([point[n] for n in names])
+            continue
+        got = kernel([point[n] for n in names])
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)
+        for e, want in zip(exprs, expected):
+            assert evaluate(e, point) == want
+            assert e.num.evaluate(point) == _reference_poly(e.num, point)
+        compared += 1
+    assert compared >= POINTS_PER_MAP // 2
+
+    for e in exprs:
+        if e.den.is_const:
+            continue
+        singular = 0
+        for _ in range(5):
+            start = {n: _rational(rng) for n in names}
+            point = _vanishing_point(e.den, start)
+            if point is None:
+                continue
+            assert _reference_poly(e.den, point) == 0
+            with pytest.raises(SingularPointError):
+                _reference(e, point)
+            with pytest.raises(SingularPointError):
+                evaluate(e, point)
+            with pytest.raises(SingularPointError):
+                kernel([point[n] for n in names])
+            singular += 1
+        assert singular, f"no vanishing point built for a component of {bmap.id}"
+
+
+def test_kernel_reads_single_inputs_and_checks_bindings():
+    t = SymbolTable([("x", "state"), ("z", "state"), ("a", "parameter")])
+    x, z, a = syms(t, "x z a")
+    kernel = PointMap([x, -z, a * x / (z - 1), RatExpr.const(t, Fraction(3, 4))],
+                      ("z", "x", "a"))
+    got = kernel((2, Fraction(-1, 3), Fraction(5, 7)))
+    assert got == (Fraction(-1, 3), Fraction(-2), Fraction(-5, 21), Fraction(3, 4))
+    assert all(type(v) is Fraction for v in got)
+    with pytest.raises(SingularPointError):
+        kernel((1, 1, 1))
+    with pytest.raises(ValueError):
+        kernel((1, 1))
+    with pytest.raises(RingError):
+        PointMap([x * a], ("x",))
+    assert evaluate(RatExpr(Poly.zero(t)), {}) == 0
+
+
+# -- generators along orbits ----------------------------------------------------------
+
+
+def _reference_generator(point: PhasePoint, letter: str, context: str) -> PhasePoint:
+    bmap = load_map(weyl._GENERATOR_MAPS[context][letter], "resolved")
+    indep = next(iter(bmap.var_map.values())).table.indep_name
+    bindings = dict(point.state)
+    bindings.update(zip(("alpha0", "alpha1", "alpha2"), point.alphas))
+    bindings["eta"] = point.eta
+    bindings[indep] = point.indep
+    alphas = tuple(
+        sum((Fraction(c) * a for c, a in zip(row, point.alphas)), Fraction(off))
+        for row, off in zip(bmap.param_matrix, bmap.param_offset)
+    )
+    return PhasePoint(
+        state={n: _reference(e, bindings) for n, e in bmap.var_map.items()},
+        alphas=alphas,
+        eta=point.eta * bmap.eta_sign,
+        indep=point.indep * bmap.indep_sign,
+    )
+
+
+def _reference_word(word: GroupWord, point: PhasePoint) -> PhasePoint:
+    assert calibrate_convention() == "left-to-right"
+    for letter in word.letters:
+        point = _reference_generator(point, letter, word.context)
+    return point
+
+
+@pytest.mark.parametrize("context", ["th1", "th2"])
+@pytest.mark.parametrize("text", ["s1 s2 s1 s0", "s1 s1 s2 s1 s0 s1"])
+def test_translation_orbits_match_reference(text, context):
+    word = parse_word(text, context)
+    rng = random.Random(f"{text}:{context}")
+    full_orbits = 0
+    for _ in range(6):
+        point = random_point(rng, context)
+        for _ in range(8):
+            try:
+                expected = _reference_word(word, point)
+            except SingularPointError:
+                with pytest.raises(SingularPointError):
+                    apply_word_to_point(word, point)
+                break
+            point = apply_word_to_point(word, point)
+            assert point == expected
+        else:
+            full_orbits += 1
+    assert full_orbits >= 3
+
+
+def test_pi_words_match_reference():
+    rng = random.Random(41)
+    word = parse_word("π s1 π s0 s2 pi")
+    assert word.context == "th2"
+    for _ in range(10):
+        point = random_point(rng, "th2")
+        try:
+            expected = _reference_word(word, point)
+        except SingularPointError:
+            continue
+        assert apply_word_to_point(word, point) == expected
+
+
+def test_parameter_action_apply_matches_matrix_product():
+    rng = random.Random(13)
+    actions = [ParameterAction(((0, 0, 0), (0, 1, 0), (1, 0, 1)), (2, 0, -2), 1, 1)]
+    for _ in range(30):
+        letters = tuple(
+            rng.choice(("s0", "s1", "s2", "pi")) for _ in range(rng.randint(0, 6))
+        )
+        actions.append(parameter_action(GroupWord(letters, "th2")))
+    with_zeros = [a for a in actions if any(0 in row for row in a.matrix)]
+    assert len(with_zeros) >= 10
+    for action in actions:
+        alphas = (_rational(rng), _rational(rng), _rational(rng))
+        expected = tuple(
+            sum((Fraction(c) * a for c, a in zip(row, alphas)), Fraction(0)) + off
+            for row, off in zip(action.matrix, action.offset)
+        )
+        got = action.apply(alphas)
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)

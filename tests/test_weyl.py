@@ -80,6 +80,9 @@ def test_word_context_validation():
         parse_word("s3", "th1")
     assert parse_word("pi", "th2").letters == ("pi",)
     assert parse_word("π", "th2").letters == ("pi",)
+    # without a context, a word that uses pi lives in th2
+    assert parse_word("π s1 π").context == "th2"
+    assert parse_word("s1 s0").context == "th1"
 
 
 def test_relations_all_pass():
@@ -88,6 +91,25 @@ def test_relations_all_pass():
     for r in reports:
         assert r.passed, r.check_id
         assert r.sampled and r.seed == 20321
+
+
+def test_relation_detail_counts_resamples(monkeypatch):
+    drawn = []
+
+    def first_on_pole(rng, context):
+        point = random_point(rng, context)
+        if not drawn:
+            # the first 5d reflection divides by z
+            point = PhasePoint({**point.state, "z": Fraction(0)}, point.alphas,
+                               point.eta, point.indep)
+        drawn.append(point)
+        return point
+
+    monkeypatch.setattr(weyl, "random_point", first_on_pole)
+    reports = verify_group_relations(sample_count=3, seed=1)
+    assert reports[0].check_id == "relation:th1:s0^2" and reports[0].passed
+    assert reports[0].detail == "3 samples, seed 1, left-to-right, 1 resamples"
+    assert all(r.detail.endswith(", 0 resamples") for r in reports[1:])
 
 
 def test_translation_report():
