@@ -19,6 +19,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+DEFAULT_ORBIT_STEPS = 4
+
 
 def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> None:
     if fmt == "records":
@@ -49,19 +51,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
+# the options each group action takes; the others default to None and are
+# refused when given
+GROUP_OPTIONS = {
+    "relations": ("samples", "seed", "format", "out"),
+    "action": ("context",),
+    "shift": ("context",),
+    "orbit": ("context", "seed", "steps"),
+}
+
+
 def cmd_group(args) -> int:
+    takes = GROUP_OPTIONS[args.action]
+    for name in ("context", "samples", "seed", "steps", "format", "out"):
+        if getattr(args, name) is not None and name not in takes:
+            print(f"group {args.action} takes no --{name}", file=sys.stderr)
+            return EXIT_USAGE
+    seed = weyl.DEFAULT_SEED if args.seed is None else args.seed
     if args.action == "relations":
         if args.word is not None:
             print(f"group relations takes no word, got {args.word!r}", file=sys.stderr)
             return EXIT_USAGE
-        if args.samples < 1:
+        samples = weyl.DEFAULT_SAMPLES if args.samples is None else args.samples
+        if samples < 1:
             print("group relations needs --samples of at least 1", file=sys.stderr)
             return EXIT_USAGE
-        reports = weyl.verify_group_relations(
-            sample_count=args.samples, seed=args.seed
-        )
+        reports = weyl.verify_group_relations(sample_count=samples, seed=seed)
         reports.append(weyl.translation_report())
-        _emit_reports(reports, args.format, args.out)
+        _emit_reports(reports, args.format or "text", args.out)
         return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
     if args.word is None or not args.word.split():
@@ -86,13 +103,14 @@ def cmd_group(args) -> int:
     if args.action == "orbit":
         import random
 
-        if args.steps < 1:
+        steps = DEFAULT_ORBIT_STEPS if args.steps is None else args.steps
+        if steps < 1:
             print("group orbit needs --steps of at least 1", file=sys.stderr)
             return EXIT_USAGE
-        point = weyl.random_point(random.Random(args.seed), word.context)
-        print(f"word: {word} (context {word.context}, seed {args.seed})")
+        point = weyl.random_point(random.Random(seed), word.context)
+        print(f"word: {word} (context {word.context}, seed {seed})")
         print(f"step 0: {weyl.format_point(point, word.context)}")
-        for step in range(1, args.steps + 1):
+        for step in range(1, steps + 1):
             try:
                 point = weyl.apply_word_to_point(word, point)
             except weyl.SingularPointError as exc:
@@ -201,12 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("word", nargs="?", default=None,
                          help='generator word like "s1 s2 s1 s0"')
     p_group.add_argument("--context", default=None, choices=("th1", "th2"))
-    p_group.add_argument("--samples", type=int, default=weyl.DEFAULT_SAMPLES)
-    p_group.add_argument("--seed", type=int, default=weyl.DEFAULT_SEED)
-    p_group.add_argument("--steps", type=int, default=4,
-                         help="orbit length for the orbit action")
-    p_group.add_argument("--format", default="text", choices=("text", "records"))
-    p_group.add_argument("--out", default=None)
+    p_group.add_argument("--samples", type=int, default=None,
+                         help=f"relations only (default {weyl.DEFAULT_SAMPLES})")
+    p_group.add_argument("--seed", type=int, default=None,
+                         help=f"relations and orbit (default {weyl.DEFAULT_SEED})")
+    p_group.add_argument("--steps", type=int, default=None,
+                         help=f"orbit length (default {DEFAULT_ORBIT_STEPS})")
+    p_group.add_argument("--format", default=None, choices=("text", "records"),
+                         help="relations only (default text)")
+    p_group.add_argument("--out", default=None, help="relations only")
 
     p_int = sub.add_parser("integrate", help="numerically integrate a system")
     p_int.add_argument("system")

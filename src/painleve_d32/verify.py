@@ -13,7 +13,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence, Sized, Union
 
 from . import models
 from .models import (
@@ -639,127 +640,281 @@ def _state_indep_monomials(
     return monos
 
 
-def _rank_mod_p(
-    rows: list[dict[int, Poly]], table: SymbolTable, rng: random.Random
-) -> Optional[int]:
-    """Rank of the matrix specialized at a random point of Z/p.
+def _specialize(
+    rows: list[dict[int, Poly]], table: SymbolTable
+) -> Optional[list[dict[int, int]]]:
+    """The rows at the seeded point of Z/p, zero entries dropped.
 
     Every symbol gets a random nonzero residue.  Where no coefficient
     denominator is divisible by p, specialization is a ring homomorphism on
     the polynomial entries, so a nonzero minor mod p is the image of a
-    nonzero minor over Q(params): the result is a lower bound on the exact
-    rank.  None means the point is unusable.
+    nonzero minor over Q(params).  None means the point is unusable.
     """
     p = RANK_PRIME
+    rng = random.Random(RANK_SEED)
     point = [rng.randrange(1, p) for _ in range(len(table))]
+    monomials: dict[tuple[int, ...], int] = {}
 
     def image(poly: Poly) -> Optional[int]:
         total = 0
         for mono, c in poly.terms:
-            if c.denominator % p == 0:
-                return None
-            value = 1
-            for v, e in zip(point, mono):
-                if e:
-                    value = value * pow(v, e, p) % p
-            total += c.numerator * pow(c.denominator, -1, p) * value
+            value = monomials.get(mono)
+            if value is None:
+                value = 1
+                for v, e in zip(point, mono):
+                    if e:
+                        value = value * pow(v, e, p) % p
+                monomials[mono] = value
+            num, den = c.numerator, c.denominator
+            if den != 1:
+                if den % p == 0:
+                    return None
+                num *= pow(den, -1, p)
+            total += num * value
         return total % p
 
-    pivots: dict[int, dict[int, int]] = {}
+    out = []
     for row in rows:
-        vec: dict[int, int] = {}
+        vec = {}
         for c, entry in row.items():
             value = image(entry)
             if value is None:
                 return None
             if value:
                 vec[c] = value
-        while vec:
-            lead = min(vec)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(vec[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in vec.items()}
-                break
-            factor = vec[lead]
-            for c, v in prow.items():
-                acc = (vec.get(c, 0) - factor * v) % p
-                if acc:
-                    vec[c] = acc
+        out.append(vec)
+    return out
+
+
+class _Lines:
+    """Rows or columns bucketed by their number of live entries."""
+
+    def __init__(self, lines: dict[int, Sized]):
+        self.count: dict[int, int] = {}
+        self.buckets: dict[int, set[int]] = {}
+        for i, line in lines.items():
+            self.update(i, len(line))
+
+    def update(self, i: int, n: int) -> None:
+        old = self.count.pop(i, 0)
+        if old:
+            self.buckets[old].discard(i)
+        if n:
+            self.count[i] = n
+            self.buckets.setdefault(n, set()).add(i)
+
+
+def _markowitz(
+    live: dict[int, dict], cols: dict[int, set[int]],
+    row_lines: _Lines, col_lines: _Lines, weight: Optional[Callable],
+) -> tuple[int, int]:
+    """The live entry of least fill bound (row count - 1)*(column count - 1).
+
+    Columns and rows are scanned by increasing count k: an entry not yet seen
+    lies in a row and a column of count at least k, so it costs at least
+    (k - 1)^2, which ends the scan.  Ties go to the least ``weight``; without
+    one, the first entry that meets the bound is taken.
+    """
+    best: Optional[tuple] = None
+    rcount, ccount = row_lines.count, col_lines.count
+    for k in sorted(col_lines.buckets.keys() | row_lines.buckets.keys()):
+        floor = (k - 1) ** 2
+        if best is not None and best[0] <= floor:
+            break
+        cells = chain(
+            ((r, c, rcount[r]) for c in col_lines.buckets.get(k, ()) for r in cols[c]),
+            ((r, c, ccount[c]) for r in row_lines.buckets.get(k, ()) for c in live[r]),
+        )
+        for r, c, other in cells:
+            cost = (k - 1) * (other - 1)
+            if weight is None and cost == floor:
+                return r, c
+            if best is None or cost <= best[0]:
+                key = (cost, weight(live[r][c]) if weight else 0, r, c)
+                best = key if best is None else min(best, key)
+    return best[2], best[3]
+
+
+def _eliminate(
+    rows: list[dict],
+    reduce: Callable,
+    inverse: Callable,
+    weight: Optional[Callable] = None,
+    replay: Iterable[tuple[int, int]] = (),
+) -> list[tuple[int, int, dict]]:
+    """Sparse elimination in one field; the pivots in order.
+
+    Each pivot (row, column) eliminates its column from every other live
+    row; ``reduce`` maps a computed entry to its canonical form, or to None
+    when it vanishes, and ``inverse`` inverts a pivot.  Pivots come from
+    ``replay`` while it lasts, then from :func:`_markowitz`, until no live
+    entry remains.  Each pivot is returned with its row as it stood when it
+    was chosen: an upper triangular factor whose free columns span the
+    kernel.
+    """
+    live = {r: dict(row) for r, row in enumerate(rows) if row}
+    cols: dict[int, set[int]] = {}
+    for r, row in live.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    row_lines, col_lines = _Lines(live), _Lines(cols)
+    pivots = []
+    replay = iter(replay)
+    while cols:
+        step = next(replay, None)
+        r, c = step or _markowitz(live, cols, row_lines, col_lines, weight)
+        prow = live.pop(r)
+        if c not in prow:
+            raise RingError(f"replayed pivot ({r}, {c}) vanished in exact arithmetic")
+        row_lines.update(r, 0)
+        for j in prow:
+            cols[j].discard(r)
+        inv = inverse(prow[c])
+        others = [j for j in prow if j != c]
+        for s in cols.pop(c):
+            srow = live[s]
+            _subtract(srow, reduce(srow.pop(c) * inv), prow, c, reduce)
+            for j in others:
+                if j in srow:
+                    cols[j].add(s)
                 else:
-                    vec.pop(c, None)
-    return len(pivots)
+                    cols[j].discard(s)
+            row_lines.update(s, len(srow))
+        col_lines.update(c, 0)
+        for j in others:
+            col_lines.update(j, len(cols[j]))
+            if not cols[j]:
+                del cols[j]
+        pivots.append((r, c, prow))
+    return pivots
+
+
+def _subtract(row: dict, factor, prow: dict, skip: int, reduce: Callable) -> None:
+    """row -= factor*prow in place, over the columns of prow but ``skip``."""
+    for j, v in prow.items():
+        if j != skip:
+            old = row.get(j)
+            new = reduce(-(factor * v) if old is None else old - factor * v)
+            if new is None:
+                row.pop(j, None)
+            else:
+                row[j] = new
+
+
+# an exact entry of the elimination over Q(params): a Fraction when it is
+# parameter-free, else a RatExpr; the two mix freely in the arithmetic
+_Exact = Union[Fraction, RatExpr]
+
+
+def _exact(e: _Exact) -> Optional[_Exact]:
+    """The canonical form of an exact entry, or None when it vanishes."""
+    if not isinstance(e, RatExpr):
+        return e or None
+    if e.is_zero:
+        return None
+    if e.num.is_const and e.den.is_const:
+        return e.num.const_value() / e.den.const_value()
+    return e
+
+
+def _simplicity(e: _Exact) -> tuple[int, int]:
+    # parameter-free entries first, then fewer terms
+    if isinstance(e, RatExpr):
+        return 1, len(e.num.terms) + len(e.den.terms)
+    return 0, 1
+
+
+def _total(terms: list[_Exact]) -> Optional[_Exact]:
+    """The canonical form of the sum, or None when it vanishes."""
+    return _exact(sum(terms[1:], terms[0])) if terms else None
 
 
 def _nullspace(
     rows: list[dict[int, Poly]], ncols: int, one: RatExpr
 ) -> list[dict[int, RatExpr]]:
-    """Exact nullspace of a sparse matrix over the parameter function field.
+    """Certified nullspace of a sparse matrix over the parameter function field.
 
-    The entries are polynomials in the parameters.  Columns that no row
-    touches always lie in the kernel.  When the rank at a random
-    specialization mod p (a lower bound) reaches the number of the other
-    columns, their unit vectors span the whole kernel, which is also the
-    basis the elimination would return; otherwise, after a second point,
-    the exact elimination decides.
+    The entries are polynomials in the parameters.  One Markowitz
+    elimination at a random point mod p gives a rank r, a lower bound on the
+    exact rank.  When r reaches the number of touched columns, the unit
+    vectors of the untouched ones span the kernel.  Otherwise the same pivots
+    are replayed over Q(params) (each is nonzero there, since its image mod p
+    is), and any row still live afterwards is eliminated exactly in the same
+    loop.  Back-substitution gives one vector per free column; they are
+    brought to the reduced form Gauss-Jordan returns.  Every vector is then
+    plugged back into the rows: C*v = 0 exactly bounds the kernel dimension
+    from below, the elimination bounds it from above, and a failed plug-back
+    raises :class:`RingError`.
     """
     used = {c for row in rows for c, v in row.items() if not v.is_zero}
     zero_cols = [c for c in range(ncols) if c not in used]
-    rng = random.Random(RANK_SEED)
-    for _ in range(2):
-        if _rank_mod_p(rows, one.table, rng) == ncols - len(zero_cols):
+    p = RANK_PRIME
+    special = _specialize(rows, one.table)
+    replay: list[tuple[int, int]] = []
+    if special is not None:
+        mod_p = _eliminate(special, lambda v: v % p or None, lambda v: pow(v, -1, p))
+        replay = [(r, c) for r, c, _ in mod_p]
+        if len(replay) == len(used):
             return [{f: one} for f in zero_cols]
-    return _exact_nullspace(rows, ncols, one)
+    exact = [
+        {c: v.const_value() if v.is_const else RatExpr(v)
+         for c, v in row.items() if not v.is_zero}
+        for row in rows
+    ]
+    pivots = _eliminate(exact, _exact, lambda v: 1 / v, _simplicity, replay)
+    basis = _reduced(_back_substitute(pivots, ncols))
+    for vec in basis:
+        for row in exact:
+            if _total([v * vec[c] for c, v in row.items() if c in vec]) is not None:
+                raise RingError("a kernel vector failed the plug-back certificate")
+    return [
+        {c: v if isinstance(v, RatExpr) else RatExpr.const(one.table, v)
+         for c, v in vec.items()}
+        for vec in basis
+    ]
 
 
-def _exact_nullspace(
-    rows: list[dict[int, Poly]], ncols: int, one: RatExpr
-) -> list[dict[int, RatExpr]]:
-    """Gauss-Jordan nullspace over the parameter function field."""
-    pivots: dict[int, dict[int, RatExpr]] = {}
-    for row in rows:
-        row = {c: RatExpr(v) for c, v in row.items()}
-        while True:
-            cols = sorted(c for c in row if not row[c].is_zero)
-            row = {c: row[c] for c in cols}
-            if not row:
-                break
-            hit = next((c for c in cols if c in pivots), None)
-            if hit is None:
-                break
-            factor = row[hit]
-            for c, v in pivots[hit].items():
-                acc = row.get(c, None)
-                newv = (acc - factor * v) if acc is not None else (-factor * v)
-                if newv.is_zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = newv
-        if not row:
-            continue
-        lead = min(row)
-        inv = row[lead]
-        norm = {c: v / inv for c, v in row.items()}
-        for prow in pivots.values():
-            if lead in prow:
-                f = prow[lead]
-                for c, v in norm.items():
-                    acc = prow.get(c, None)
-                    newv = (acc - f * v) if acc is not None else (-f * v)
-                    if newv.is_zero:
-                        prow.pop(c, None)
-                    else:
-                        prow[c] = newv
-        pivots[lead] = norm
-    free_cols = [c for c in range(ncols) if c not in pivots]
+def _back_substitute(
+    pivots: list[tuple[int, int, dict]], ncols: int
+) -> list[dict[int, _Exact]]:
+    """One kernel vector per free column: one there, zero on the others."""
+    pivot_cols = {c for _, c, _ in pivots}
     basis = []
-    for f in free_cols:
-        vec: dict[int, RatExpr] = {f: one}
-        for lead, prow in pivots.items():
-            if f in prow:
-                vec[lead] = -prow[f]
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec: dict[int, _Exact] = {f: Fraction(1)}
+        for _, c, prow in reversed(pivots):
+            total = _total([v * vec[j] for j, v in prow.items() if j != c and j in vec])
+            if total is not None:
+                vec[c] = _exact(-total / prow[c])
         basis.append(vec)
     return basis
+
+
+def _reduced(basis: list[dict[int, _Exact]]) -> list[dict[int, _Exact]]:
+    """The kernel basis in reduced echelon form, pivots from the right.
+
+    This form is unique: one vector per column of the greedy rightmost set
+    on which the basis is independent, equal to one there and zero on the
+    others.  Gauss-Jordan on the rows, which pivots on the leftmost columns,
+    returns the same vectors.
+    """
+    todo = [dict(v) for v in basis]
+    done: dict[int, dict[int, _Exact]] = {}
+    while todo:
+        lead = max(c for vec in todo for c in vec)
+        vec = todo.pop(next(i for i, v in enumerate(todo) if lead in v))
+        if vec[lead] != 1:
+            inv = 1 / vec[lead]
+            vec = {c: _exact(v * inv) for c, v in vec.items()}
+        for other in todo + list(done.values()):
+            if lead in other:
+                _subtract(other, other.pop(lead), vec, lead, _exact)
+        if not all(todo):
+            raise RingError("kernel vectors are linearly dependent")
+        done[lead] = vec
+    return [done[c] for c in sorted(done)]
 
 
 # cells of a search matrix: row key (state and indep exponents) -> column ->
@@ -861,10 +1016,18 @@ def first_integral_search(
     eliminated).  For each candidate eigenvalue the condition is an exact
     linear system; its solution space is returned as a basis, with the
     trivial constant solutions removed and each generator normalized so its
-    leading coefficient is one.
+    leading coefficient is one.  A bound below its minimum, and an empty or
+    repeated list of eigenvalues, raise ValueError.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")
+    if indep_degree_bound < 0:
+        raise ValueError("independent-variable degree bound must be at least 0")
+    lams = [Fraction(lam) for lam in lambda_candidates]
+    if not lams:
+        raise ValueError("no eigenvalue candidates given")
+    if len(set(lams)) < len(lams):
+        raise ValueError(f"repeated eigenvalue candidates in {', '.join(map(str, lams))}")
     sys_obj = load_model(system_id)
     table = sys_obj.table
     monos = _state_indep_monomials(
@@ -878,8 +1041,7 @@ def first_integral_search(
     c_cells, b_cells = _search_cells(sys_obj, monos)
 
     results: list[FirstIntegral] = []
-    for lam in lambda_candidates:
-        lam = Fraction(lam)
+    for lam in lams:
         rows = _search_rows(table, c_cells, b_cells, lam)
         basis = _nullspace(rows, len(monos), one)
 

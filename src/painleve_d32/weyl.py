@@ -5,9 +5,10 @@ the sign actions on eta and the independent variable.  The composition-order
 convention for words is not assumed: it is calibrated against the printed
 parameter shift of the translation word t1 = s1 s2 s1 s0 and recorded in the
 report.  Relations between the generators are certified exactly on
-parameters and probabilistically (exact rational sampling, Schwartz-Zippel
-style) on the birational actions themselves, where symbolic composition
-would swell without bound.
+parameters.  On the birational actions themselves they are still only
+sampled (exact rational points, Schwartz-Zippel style), although the
+involutions compose symbolically in a few hundredths of a second; exact
+certificates of the map-level relations are not written yet.
 
 Relation list: the three generators are involutions with braid orders 4, 4
 between adjacent pairs and 2 between the ends (two double bonds, ends

@@ -208,3 +208,28 @@ def test_dump_models_flag(capsys):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,refused",
+    [
+        (["relations", "--samples", "2", "--context", "th1", "--steps", "9"], "--context"),
+        (["relations", "--steps", "9"], "--steps"),
+        (["action", "s0", "--samples", "0", "--steps", "0"], "--samples"),
+        (["action", "s0", "--steps", "3"], "--steps"),
+        (["shift", "s1 s2 s1 s0", "--seed", "5"], "--seed"),
+        (["orbit", "s1 s2", "--format", "records"], "--format"),
+        (["orbit", "s1 s2", "--samples", "3"], "--samples"),
+    ],
+)
+def test_group_refuses_options_the_action_does_not_take(argv, refused, capsys):
+    assert main(["group", *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"takes no {refused}" in captured.err
+    assert captured.out == ""
+
+
+def test_group_orbit_defaults_to_four_steps(capsys):
+    assert main(["group", "orbit", "s1 s2 s1 s0", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "step 4:" in out and "step 5:" not in out

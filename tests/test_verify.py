@@ -27,12 +27,14 @@ from painleve_d32.ring import (
     Derivation,
     Poly,
     RatExpr,
+    RingError,
     SymbolTable,
     exact_polynomial_quotient,
     is_identically_zero,
     reduce_relation,
     syms,
 )
+from painleve_d32.syntax import render_ratexpr
 from painleve_d32.verify import (
     CapacityError,
     check_chart,
@@ -347,18 +349,101 @@ def test_search_guards():
         first_integral_search(
             "ham_4d", 6, 4, (Fraction(0),), monomial_cap=50
         )
+    # each of these would otherwise read as a certified empty search or
+    # return the same integral twice
+    with pytest.raises(ValueError):
+        first_integral_search("five_dim", 2, -1, (Fraction(-1),))
+    with pytest.raises(ValueError):
+        first_integral_search("five_dim", 2, 0, ())
+    with pytest.raises(ValueError):
+        first_integral_search("five_dim", 2, 0, (Fraction(-1), Fraction(-1)))
+
+
+@pytest.mark.parametrize("state_bound,indep_bound", [(3, 1), (4, 0)])
+def test_search_five_dim_former_cliffs_find_only_ywq(state_bound, indep_bound):
+    # regression guard: dense Gauss-Jordan over RatExpr needs seconds at
+    # (3, 1) and does not finish in 200 s at (4, 0)
+    found = first_integral_search("five_dim", state_bound, indep_bound, (Fraction(-1),))
+    assert [render_ratexpr(f.expr) for f in found] == ["w*q - y"]
+    assert found[0].expr.equals(-load_integral("ywq").expr)
+
+
+def test_search_five_dim_degree_4_finds_the_square_of_ywq():
+    # positive control: lambda = -2 is the eigenvalue of (y - w*q)^2
+    found = first_integral_search("five_dim", 4, 0, (Fraction(-2),))
+    ywq = load_integral("ywq").expr
+    assert len(found) == 1
+    assert found[0].expr.equals(ywq * ywq)
 
 
 SEARCH_LAMBDAS = (Fraction(0), Fraction(-1), Fraction(1))
 
 
-def _differential_nullspace(monkeypatch, seen):
-    """Route _nullspace through both paths and require identical bases."""
+def _gauss_jordan_nullspace(rows, ncols, one):
+    """Reference kernel: Gauss-Jordan over the parameter function field, each
+    new row reduced by the pivot rows and pivoting on its leftmost entry."""
+    pivots: dict[int, dict[int, RatExpr]] = {}
+    for row in rows:
+        row = {c: RatExpr(v) for c, v in row.items()}
+        while True:
+            cols = sorted(c for c in row if not row[c].is_zero)
+            row = {c: row[c] for c in cols}
+            if not row:
+                break
+            hit = next((c for c in cols if c in pivots), None)
+            if hit is None:
+                break
+            factor = row[hit]
+            for c, v in pivots[hit].items():
+                acc = row.get(c, None)
+                newv = (acc - factor * v) if acc is not None else (-factor * v)
+                if newv.is_zero:
+                    row.pop(c, None)
+                else:
+                    row[c] = newv
+        if not row:
+            continue
+        lead = min(row)
+        inv = row[lead]
+        norm = {c: v / inv for c, v in row.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                f = prow[lead]
+                for c, v in norm.items():
+                    acc = prow.get(c, None)
+                    newv = (acc - f * v) if acc is not None else (-f * v)
+                    if newv.is_zero:
+                        prow.pop(c, None)
+                    else:
+                        prow[c] = newv
+        pivots[lead] = norm
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec: dict[int, RatExpr] = {f: one}
+        for lead, prow in pivots.items():
+            if f in prow:
+                vec[lead] = -prow[f]
+        basis.append(vec)
+    return basis
+
+
+def _differential_nullspace(monkeypatch, seen, structural=True):
+    """Route _nullspace through Gauss-Jordan as well and require the same
+    basis: structurally identical entries, or, where RatExpr arithmetic
+    leaves no canonical form, entries equal as rational functions."""
     certified = verify._nullspace
 
     def both(rows, ncols, one):
         basis = certified(rows, ncols, one)
-        assert basis == verify._exact_nullspace(rows, ncols, one)
+        reference = _gauss_jordan_nullspace(rows, ncols, one)
+        if structural:
+            assert basis == reference
+        else:
+            assert [vec.keys() for vec in basis] == [ref.keys() for ref in reference]
+            for vec, ref in zip(basis, reference):
+                assert all(vec[c].equals(ref[c]) for c in ref)
         seen.append((ncols, len(basis)))
         return basis
 
@@ -393,7 +478,7 @@ def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
     one = RatExpr.const(table, 1)
     rng = random.Random(7)
     seen: list = []
-    _differential_nullspace(monkeypatch, seen)
+    _differential_nullspace(monkeypatch, seen, structural=False)
     for _ in range(20):
         ncols = rng.randint(2, 4)
         zero_col = rng.randrange(ncols)
@@ -414,14 +499,52 @@ def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
     entry = Poly.var(table, "alpha0", verify.RANK_PRIME - 1) - Poly.const(table, 1)
     one = RatExpr.const(table, 1)
     rows = [{0: entry}]
-    assert verify._rank_mod_p(rows, table, random.Random(verify.RANK_SEED)) == 0
-    calls = []
-    exact = verify._exact_nullspace
+    assert verify._specialize(rows, table) == [{}]
+    runs = []
+    eliminate = verify._eliminate
     monkeypatch.setattr(
-        verify, "_exact_nullspace", lambda *args: calls.append(args) or exact(*args)
+        verify, "_eliminate", lambda *args: runs.append(eliminate(*args)) or runs[-1]
     )
     assert verify._nullspace(rows, 2, one) == [{1: one}]
-    assert len(calls) == 1
+    # no pivot mod p; the exact continuation finds the pivot itself
+    assert [[(r, c) for r, c, _ in pivots] for pivots in runs] == [[], [(0, 0)]]
+
+
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound",
+    [("five_dim", 2, 1), ("K1_sys", 4, 0), ("ham_4d", 2, 1)],
+)
+def test_exact_markowitz_alone_matches_gauss_jordan(
+    monkeypatch, system_id, state_bound, indep_bound
+):
+    # an unusable point mod p leaves every pivot to the exact pass
+    monkeypatch.setattr(verify, "_specialize", lambda rows, table: None)
+    seen: list = []
+    _differential_nullspace(monkeypatch, seen)
+    first_integral_search(system_id, state_bound, indep_bound, SEARCH_LAMBDAS)
+    assert len(seen) == len(SEARCH_LAMBDAS)
+
+
+def test_nullspace_refuses_a_basis_that_fails_plug_back(monkeypatch):
+    back_substitute = verify._back_substitute
+
+    def corrupt(pivots, ncols):
+        basis = back_substitute(pivots, ncols)
+        vec = basis[0]
+        vec[max(vec)] *= 2
+        return basis
+
+    monkeypatch.setattr(verify, "_back_substitute", corrupt)
+    with pytest.raises(RingError, match="plug-back"):
+        first_integral_search("five_dim", 2, 0, (Fraction(-1),))
+
+
+def test_replayed_pivot_that_vanishes_exactly_is_refused():
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3)}]
+    with pytest.raises(RingError, match="vanished"):
+        verify._eliminate(
+            rows, verify._exact, lambda v: 1 / v, verify._simplicity, [(1, 1)]
+        )
 
 
 def test_search_ham_4d_degree_4_is_empty():
