@@ -8,9 +8,19 @@ mode takes equal steps, and grid mode samples one adaptive run by the pair's
 combinations are monitored along trajectories, and birational maps push
 trajectories forward pointwise, transforming parameters, eta and the time axis.
 
+Every vector field, integral and map is compiled into one float kernel
+f(indep, state) by :func:`compile_ratexpr`.  The step is written out stage by
+stage instead of looping over the tableau, but in the loop's summation order:
+stage values add (h*a_ij)*k_j left to right, skipping zero weights; the
+solution is y + h*(0.0 + sum b_j*k_j), the order of ``sum`` on floats; and
+the error estimate keeps all seven (b5_j - b4_j)*k_j terms, so that a NaN in
+any stage reaches it.  Trajectories are therefore bit-identical to the
+per-symbol loop.
+
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
-not an error.
+not an error.  Non-finite input is refused with :class:`UsageError` before
+any step.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .models import BirationalMap, VectorFieldSystem, load_integral, load_map, load_model
 from .ring import Poly, RatExpr
@@ -51,6 +61,10 @@ class Trajectory:
     termination: str  # completed | blow_up | step_underflow
     steps_accepted: int = 0
     steps_rejected: int = 0
+    # cost of the run that produced the samples; a pushforward keeps its source's
+    rhs_evals: int = 0
+    h_min: Optional[float] = None  # smallest and largest |h| of an accepted step
+    h_max: Optional[float] = None
 
     def __post_init__(self):
         if not _strictly_monotone(self.times):
@@ -76,6 +90,10 @@ class Trajectory:
             "steps_accepted": self.steps_accepted,
             "steps_rejected": self.steps_rejected,
             "samples": len(self.times),
+            "rhs_evals": self.rhs_evals,
+            "h_min": self.h_min,
+            "h_max": self.h_max,
+            "u_end": self.times[-1],
         }
         with open(path, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -105,49 +123,71 @@ def _poly_source(p: Poly) -> str:
     return " + ".join(chunks)
 
 
-def compile_ratexpr(expr: RatExpr) -> Callable[..., float]:
-    """Compile to a positional function of all table symbols (table order)."""
-    args = ", ".join(expr.table.symbols)
+def _source(expr: Union[RatExpr, Poly]) -> str:
+    if isinstance(expr, Poly):
+        return _poly_source(expr)
     num_src = _poly_source(expr.num)
     if expr.den.is_const:
-        body = num_src
-    else:
-        body = f"({num_src}) / ({_poly_source(expr.den)})"
+        return num_src
+    return f"({num_src}) / ({_poly_source(expr.den)})"
+
+
+def compile_ratexpr(
+    exprs: Sequence[Union[RatExpr, Poly]],
+    state_names: Sequence[str],
+    values: Mapping[str, float],
+) -> Callable[[float, Sequence[float]], list[float]]:
+    """Compile expressions over one table to one float kernel f(indep, state).
+
+    The kernel returns the list of expression values.  ``state`` is unpacked
+    positionally in ``state_names`` order; every other table symbol is a
+    default argument bound to float(values[name]), or 0.0 when absent.
+    """
+    table = exprs[0].table
+    indep = table.indep_name or "_indep"
+    fixed = [n for n in table.symbols if n != indep and n not in state_names]
     namespace: dict = {}
-    exec(f"def _compiled({args}):\n    return {body}\n", namespace)
-    return namespace["_compiled"]
+    exec(
+        f"def _kernel({', '.join([indep, '_state', *fixed])}):\n"
+        f"    {''.join(n + ', ' for n in state_names)}= _state\n"
+        f"    return [{', '.join(map(_source, exprs))}]\n",
+        namespace,
+    )
+    kernel = namespace["_kernel"]
+    kernel.__defaults__ = tuple(float(values.get(n, 0.0)) for n in fixed)
+    return kernel
 
 
 class _CompiledSystem:
-    """Vector field as a float callable f(u, state) -> list of derivatives."""
+    """Vector field as a float callable f(u, state) -> list of derivatives.
+
+    ``evals`` counts the calls.
+    """
 
     def __init__(self, system: VectorFieldSystem, params: Mapping[str, float]):
-        self.system = system
         table = system.table
-        self.state_names = system.state
-        self.indep = system.indep
         missing = [
             n for n in table.symbols
             if table.kind_of(n) in ("parameter", "constant") and n not in params
         ]
         if missing:
             raise UsageError(f"missing numeric parameters: {missing}")
-        self._fixed = {n: float(params[n]) for n in params if n in table}
-        self._fns = [compile_ratexpr(system.rhs[n]) for n in self.state_names]
-        self._arg_names = table.symbols
+        bad = [n for n in params if n in table and not math.isfinite(float(params[n]))]
+        if bad:
+            raise UsageError(f"non-finite parameter values: {bad}")
+        self._kernel = compile_ratexpr(
+            [system.rhs[n] for n in system.state], system.state, params
+        )
+        self.evals = 0
 
     def __call__(self, u: float, state: Sequence[float]) -> list[float]:
-        values = dict(self._fixed)
-        values[self.indep] = u
-        for name, v in zip(self.state_names, state):
-            values[name] = v
-        args = [values.get(n, 0.0) for n in self._arg_names]
+        self.evals += 1
         try:
-            return [fn(*args) for fn in self._fns]
+            return self._kernel(u, state)
         except OverflowError:
             # treated as an infinite local error: the step gets rejected and
             # the blow-up guard decides once values are representable
-            return [math.inf] * len(self._fns)
+            return [math.inf] * len(state)
 
 
 def _check_domain(system: VectorFieldSystem, u0: float, u1: float) -> None:
@@ -184,29 +224,40 @@ _DP_D = (
 )
 
 
+# the tableau unpacked for the written-out step; stages are numbered from 1
+_C2, _C3, _C4, _C5 = _DP_C[1:5]
+_B1, _B3, _B4, _B5, _B6 = (b for b in _DP_B5 if b)
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+
+
 def _rk_step(
     f: Callable, u: float, y: Sequence[float], h: float
 ) -> tuple[list[float], float, float, list[list[float]]]:
     """One embedded step: returns (y5, error_inf, max_state_norm, stages)."""
-    k = []
-    for stage in range(7):
-        ys = list(y)
-        for j, a in enumerate(_DP_A[stage]):
-            if a:
-                for i in range(len(ys)):
-                    ys[i] += h * a * k[j][i]
-        k.append(f(u + _DP_C[stage] * h, ys))
-    y5 = [
-        yi + h * sum(b * k[j][i] for j, b in enumerate(_DP_B5) if b)
-        for i, yi in enumerate(y)
-    ]
+    (h21,), (h31, h32), (h41, h42, h43), (h51, h52, h53, h54), \
+        (h61, h62, h63, h64, h65), (h71, _, h73, h74, h75, h76) = (
+            [h * a for a in row] for row in _DP_A[1:])
+    k1 = f(u + 0.0 * h, y)
+    k2 = f(u + _C2 * h, [yi + h21 * a for yi, a in zip(y, k1)])
+    k3 = f(u + _C3 * h, [yi + h31 * a + h32 * b for yi, a, b in zip(y, k1, k2)])
+    k4 = f(u + _C4 * h, [yi + h41 * a + h42 * b + h43 * c
+                         for yi, a, b, c in zip(y, k1, k2, k3)])
+    k5 = f(u + _C5 * h, [yi + h51 * a + h52 * b + h53 * c + h54 * d
+                         for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = f(u + h, [yi + h61 * a + h62 * b + h63 * c + h64 * d + h65 * e
+                   for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    k7 = f(u + h, [yi + h71 * a + h73 * c + h74 * d + h75 * e + h76 * g
+                   for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
+    y5 = [yi + h * (0.0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+          for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
     err = 0.0
-    for i in range(len(y)):
-        e4 = sum((_DP_B5[j] - _DP_B4[j]) * k[j][i] for j in range(7))
-        err = max(err, abs(h * e4))
+    for a, b, c, d, e, g, m in zip(k1, k2, k3, k4, k5, k6, k7):
+        err = max(err, abs(h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d
+                                + _E5 * e + _E6 * g + _E7 * m)))
+    k = [k1, k2, k3, k4, k5, k6, k7]
     if not all(map(math.isfinite, y5)) or not math.isfinite(err):
         return y5, math.inf, math.inf, k
-    return y5, err, max(abs(v) for v in y5), k
+    return y5, err, max(map(abs, y5)), k
 
 
 def _interpolant(u: float, h: float, y: list, y5: list, k: list) -> Callable:
@@ -245,9 +296,12 @@ def _adaptive_steps(f: Callable, u0: float, y0: list[float], u1: float,
             h = u1 - u
         y5, err, norm, k = _rk_step(f, u, y, h)
         scale = abs_tol + rel_tol * max(map(abs, y + y5))
-        ratio = err / scale if scale > 0 else math.inf
+        # a non-finite trial step must shrink h, never grow it
+        ratio = err / scale if scale > 0 and err < math.inf else math.inf
         if ratio <= 1.0:
             stats["accepted"] += 1
+            stats["h_min"] = min(stats["h_min"], abs(h))
+            stats["h_max"] = max(stats["h_max"], abs(h))
             yield u, h, y, y5, k
             u += h
             y = y5
@@ -272,31 +326,35 @@ def integrate_system(
 ) -> Trajectory:
     """Integrate a (possibly ad-hoc) system object; see :func:`integrate`."""
     abs_tol, rel_tol = tolerances
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise UsageError("tolerances must be positive")
+    if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
+        raise UsageError("tolerances must be positive and finite")
     if len(init_state) != len(system.state):
         raise UsageError(
             f"init state has {len(init_state)} entries, expected {len(system.state)}"
         )
+    y = list(map(float, init_state))
     u0, u1 = float(span[0]), float(span[1])
+    if not all(map(math.isfinite, [*y, u0, u1])):
+        raise UsageError("init state and span must be finite")
     if u0 == u1:
         raise UsageError("empty integration span")
     _check_domain(system, u0, u1)
     f = _CompiledSystem(system, params)
 
-    y = list(map(float, init_state))
     times, states = [u0], [y]
-    stats = {"accepted": 0, "rejected": 0, "termination": "completed"}
+    stats = {"accepted": 0, "rejected": 0, "termination": "completed",
+             "h_min": math.inf, "h_max": 0.0}
 
     if mode == "adaptive":
         for u, h, _, y5, _ in _adaptive_steps(f, u0, y, u1, tolerances, stats):
             times.append(u + h)
             states.append(y5)
     elif mode == "fixed":
-        if step is None or step <= 0:
-            raise UsageError("fixed mode needs a positive step")
+        if step is None or not 0 < step < math.inf:
+            raise UsageError(f"fixed mode needs a positive step, not {step}")
         n = max(1, round(abs(u1 - u0) / step))
         h = (u1 - u0) / n
+        stats["h_min"] = stats["h_max"] = abs(h)
         u = u0
         for i in range(n):
             y, _, norm, _ = _rk_step(f, u, y, h)
@@ -345,6 +403,9 @@ def integrate_system(
         termination=stats["termination"],
         steps_accepted=stats["accepted"],
         steps_rejected=stats["rejected"],
+        rhs_evals=f.evals,
+        h_min=stats["h_min"] if stats["accepted"] else None,
+        h_max=stats["h_max"] if stats["accepted"] else None,
     )
 
 
@@ -385,17 +446,12 @@ def invariant_drift(traj: Trajectory, integral_id: str) -> float:
         raise UsageError(
             f"integral {integral_id!r} is for system {integral.system_id!r}"
         )
-    system = load_model(integral.system_id)
-    fn = compile_ratexpr(integral.expr)
-    arg_names = integral.expr.table.symbols
+    kernel = compile_ratexpr([integral.expr], traj.state_names, traj.params)
     lam = float(integral.lam)
-    values = []
-    for u, state in zip(traj.times, traj.states):
-        bind = dict(traj.params)
-        bind[system.indep] = u
-        bind.update(zip(traj.state_names, state))
-        raw = fn(*[bind.get(n, 0.0) for n in arg_names])
-        values.append(raw * math.exp(-lam * u))
+    values = [
+        kernel(u, state)[0] * math.exp(-lam * u)
+        for u, state in zip(traj.times, traj.states)
+    ]
     v0 = values[0]
     return max(abs(v - v0) for v in values) / max(abs(v0), 1e-12)
 
@@ -432,29 +488,23 @@ def pushforward(
         return _pushforward_reduction(traj, bmap)
     if bmap.source != traj.system_id:
         raise UsageError(f"map {map_id!r} acts on {bmap.source!r}, not this trajectory")
-    source = load_model(bmap.source)
     target = load_model(bmap.target)
-    compiled = {
-        name: (compile_ratexpr(RatExpr(expr.num)), compile_ratexpr(RatExpr(expr.den)))
-        for name, expr in bmap.var_map.items()
-    }
-    arg_names = source.table.symbols
+    kernel = compile_ratexpr(
+        [part for name in target.state
+         for part in (bmap.var_map[name].num, bmap.var_map[name].den)],
+        traj.state_names, traj.params,
+    )
     new_states = []
     for idx, (u, state) in enumerate(zip(traj.times, traj.states)):
-        bind = dict(traj.params)
-        bind[source.indep] = u
-        bind.update(zip(traj.state_names, state))
-        args = [bind.get(n, 0.0) for n in arg_names]
+        parts = kernel(u, state)
         row = []
-        for name in target.state:
-            fn_num, fn_den = compiled[name]
-            den = fn_den(*args)
+        for name, num, den in zip(target.state, parts[::2], parts[1::2]):
             if abs(den) < DENOMINATOR_FLOOR:
                 raise DomainError(
-                    f"map {map_id!r} nearly singular at sample {idx} "
-                    f"(|denominator| = {abs(den):.3e})"
+                    f"map {map_id!r} nearly singular at sample {idx} in component "
+                    f"{name} (|denominator| = {abs(den):.3e})"
                 )
-            row.append(fn_num(*args) / den)
+            row.append(num / den)
         new_states.append(row)
     new_times = [bmap.indep_sign * u for u in traj.times]
     if bmap.indep_sign < 0:
@@ -507,10 +557,9 @@ def dynamics_residual(
         if abs((b - a) - h) > 1e-9 * abs(h):
             raise UsageError("dynamics_residual needs uniform sample spacing")
     f = _CompiledSystem(load_model(system_id), params)
+    states = traj.states
     worst = 0.0
-    for i in range(1, len(traj.times) - 1):
-        derivs = f(traj.times[i], traj.states[i])
-        for c in range(len(derivs)):
-            fd = (traj.states[i + 1][c] - traj.states[i - 1][c]) / (2 * h)
-            worst = max(worst, abs(fd - derivs[c]))
+    for u, before, state, after in zip(traj.times[1:-1], states, states[1:], states[2:]):
+        for a, b, d in zip(before, after, f(u, state)):
+            worst = max(worst, abs((b - a) / (2 * h) - d))
     return worst

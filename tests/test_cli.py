@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from painleve_d32 import numeric
 from painleve_d32.cli import main
+
+FIVE_PARAMS = "alpha0=0.3,alpha1=0.25,alpha2=0.45,eta=0.7"
 
 
 def test_verify_all_passes(capsys):
@@ -188,6 +191,58 @@ def test_integrate_nonpositive_fixed_step_exits_2(capsys):
         ])
         assert code == 2
         assert "fixed mode needs a positive step" in capsys.readouterr().err
+
+
+def test_integrate_metadata_reports_the_run_cost(tmp_path, capsys):
+    out = tmp_path / "five.csv"
+    assert main([
+        "integrate", "five_dim", "--params", FIVE_PARAMS,
+        "--init", "0.4,0.8,-0.3,0.5,-0.2", "--span", "0,1", "--out", str(out),
+    ]) == 0
+    meta = json.loads((tmp_path / "five.csv.json").read_text())
+    steps = meta["steps_accepted"] + meta["steps_rejected"]
+    assert meta["rhs_evals"] == 7 * steps > 0
+    assert 0 < meta["h_min"] <= meta["h_max"] <= 1.0
+    assert meta["u_end"] == 1.0
+    assert meta["samples"] == meta["steps_accepted"] + 1
+
+
+def test_integrate_overflowing_start_terminates(monkeypatch, capsys):
+    calls = []
+    rk_step = numeric._rk_step
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 10_000, "the stepper is not converging"
+        return rk_step(*args)
+    monkeypatch.setattr(numeric, "_rk_step", counted)
+    assert main([
+        "integrate", "five_dim", "--params", FIVE_PARAMS,
+        "--init", "1000,1,-1000,1000,-1000", "--span", "0,1",
+    ]) == 0
+    assert "termination blow_up" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [
+    ["--init", "nan,0.8,-0.3,0.5,-0.2"],
+    ["--init", "inf,0.8,-0.3,0.5,-0.2"],
+    ["--span", "0,nan"],
+    ["--span", "-inf,1"],
+    ["--fixed-step", "nan"],
+    ["--fixed-step", "inf"],
+    ["--abs-tol", "nan"],
+    ["--rel-tol", "inf"],
+    ["--params", "alpha0=nan,alpha1=0.25,alpha2=0.45,eta=0.7"],
+])
+def test_integrate_non_finite_input_exits_2(bad, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+    args = {"--params": FIVE_PARAMS, "--init": "0.4,0.8,-0.3,0.5,-0.2", "--span": "0,1"}
+    args.update(zip(bad[::2], bad[1::2]))
+    argv = ["integrate", "five_dim"] + [f"{k}={v}" for k, v in args.items()]
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_integrate_unknown_parameter_exits_2(capsys):

@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from painleve_d32 import numeric
-from painleve_d32.models import VectorFieldSystem, load_model
+from painleve_d32.models import (
+    INTEGRAL_IDS,
+    MAP_IDS,
+    SYSTEM_IDS,
+    VectorFieldSystem,
+    load_integral,
+    load_map,
+    load_model,
+)
+from painleve_d32.ring import RatExpr, SingularPointError, evaluate
 from painleve_d32.numeric import (
     DomainError,
     Trajectory,
@@ -239,7 +251,7 @@ def test_every_step_goes_through_rk_step(monkeypatch):
         del steps[:], rhs[:]
         traj = integrate("five_dim", PARAMS_5D, init, span, **kwargs)
         assert len(steps) == traj.steps_accepted + traj.steps_rejected > 0
-        assert len(rhs) == 7 * len(steps)
+        assert len(rhs) == 7 * len(steps) == traj.rhs_evals
         rejected += traj.steps_rejected
     assert rejected > 0
 
@@ -274,7 +286,7 @@ def test_pushforward_singularity_reports_sample():
     )
     with pytest.raises(DomainError) as err:
         pushforward(traj, "s1_5d")
-    assert "sample 1" in str(err.value)
+    assert "sample 1 in component x" in str(err.value)
 
 
 def test_trajectory_monotonicity_enforced():
@@ -312,6 +324,9 @@ def test_csv_and_json_export(tmp_path):
     assert meta["system_id"] == "linear_xz"
     assert meta["termination"] == "completed"
     assert meta["samples"] == len(traj.times)
+    assert meta["rhs_evals"] == 7 * (traj.steps_accepted + traj.steps_rejected)
+    assert 0 < meta["h_min"] <= meta["h_max"] <= 1.0
+    assert meta["u_end"] == 1.0
 
 
 def test_missing_parameters_is_usage_error():
@@ -322,3 +337,316 @@ def test_missing_parameters_is_usage_error():
     with pytest.raises(UsageError):
         integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0),
                   tolerances=(0.0, 1e-9))
+
+
+def test_fixed_mode_reports_its_step():
+    traj = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.5), mode="fixed", step=1e-2)
+    assert traj.h_min == traj.h_max == 0.5 / 50
+    assert traj.rhs_evals == 7 * traj.steps_accepted == 7 * 50
+
+
+# -- overflowing steps and non-finite input ----------------------------------------------
+
+OVERFLOW_5D = [1e3, 1.0, -1e3, 1e3, -1e3]
+
+
+def _budgeted(rk_step, calls):
+    """``rk_step`` that fails, instead of hanging, after 10 000 steps."""
+    def counted(*args):
+        calls.append(args[3])
+        assert len(calls) <= 10_000, "the stepper is not converging"
+        return rk_step(*args)
+    return counted
+
+
+@pytest.fixture
+def step_budget(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numeric, "_rk_step", _budgeted(numeric._rk_step, calls))
+    return calls
+
+
+def test_overflowing_trial_steps_shrink_h(step_budget):
+    # a non-finite trial step once read as ratio nan and grew h forever
+    traj = integrate("five_dim", PARAMS_5D, OVERFLOW_5D, (0.0, 1.0),
+                     tolerances=(1e-8, 1e-8))
+    assert traj.termination == "blow_up"
+    assert 0.0 < traj.times[-1] < 0.01
+    assert traj.steps_rejected > 0
+    assert len(step_budget) == traj.steps_accepted + traj.steps_rejected
+
+
+@pytest.mark.parametrize("init, span, tolerances, params, kwargs", [
+    ([math.nan, 0.8, -0.3, 0.5, -0.2], (0.0, 1.0), (1e-8, 1e-8), {}, {}),
+    ([0.4, math.inf, -0.3, 0.5, -0.2], (0.0, 1.0), (1e-8, 1e-8), {}, {}),
+    (INIT_5D, (0.0, math.nan), (1e-8, 1e-8), {}, {}),
+    (INIT_5D, (-math.inf, 1.0), (1e-8, 1e-8), {}, {}),
+    (INIT_5D, (0.0, 1.0), (math.nan, 1e-8), {}, {}),
+    (INIT_5D, (0.0, 1.0), (1e-8, math.inf), {}, {}),
+    (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {"alpha1": math.nan}, {}),
+    (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {"eta": -math.inf}, {}),
+    (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {}, {"mode": "fixed", "step": math.nan}),
+    (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {}, {"mode": "fixed", "step": math.inf}),
+])
+def test_non_finite_input_is_refused_before_any_step(
+    monkeypatch, init, span, tolerances, params, kwargs
+):
+    calls = []
+    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+    with pytest.raises(UsageError):
+        integrate("five_dim", {**PARAMS_5D, **params}, init, span,
+                  tolerances=tolerances, **kwargs)
+    assert calls == []
+
+
+# -- differential tests: the parent's per-symbol path as the reference -----------------
+
+
+def _parent_compile(expr):
+    """One positional function of all table symbols per expression."""
+    num_src = numeric._poly_source(expr.num)
+    if not expr.den.is_const:
+        num_src = f"({num_src}) / ({numeric._poly_source(expr.den)})"
+    namespace = {}
+    exec(f"def _compiled({', '.join(expr.table.symbols)}):\n    return {num_src}\n",
+         namespace)
+    return namespace["_compiled"]
+
+
+class _ParentSystem:
+    """The right-hand side bound through one dict per call."""
+
+    def __init__(self, system, params):
+        self.evals = 0
+        self.indep, self.state_names = system.indep, system.state
+        self.fixed = {n: float(params[n]) for n in params if n in system.table}
+        self.fns = [_parent_compile(system.rhs[n]) for n in system.state]
+        self.arg_names = system.table.symbols
+
+    def __call__(self, u, state):
+        self.evals += 1
+        values = dict(self.fixed)
+        values[self.indep] = u
+        for name, v in zip(self.state_names, state):
+            values[name] = v
+        args = [values.get(n, 0.0) for n in self.arg_names]
+        try:
+            return [fn(*args) for fn in self.fns]
+        except OverflowError:
+            return [math.inf] * len(self.fns)
+
+
+def _parent_rk_step(f, u, y, h):
+    k = []
+    for stage in range(7):
+        ys = list(y)
+        for j, a in enumerate(numeric._DP_A[stage]):
+            if a:
+                for i in range(len(ys)):
+                    ys[i] += h * a * k[j][i]
+        k.append(f(u + numeric._DP_C[stage] * h, ys))
+    y5 = [
+        yi + h * sum(b * k[j][i] for j, b in enumerate(numeric._DP_B5) if b)
+        for i, yi in enumerate(y)
+    ]
+    err = 0.0
+    for i in range(len(y)):
+        e4 = sum((numeric._DP_B5[j] - numeric._DP_B4[j]) * k[j][i] for j in range(7))
+        err = max(err, abs(h * e4))
+    if not all(map(math.isfinite, y5)) or not math.isfinite(err):
+        return y5, math.inf, math.inf, k
+    return y5, err, max(abs(v) for v in y5), k
+
+
+def _parent_drift(traj, integral_id):
+    integral = load_integral(integral_id)
+    indep = load_model(integral.system_id).indep
+    fn = _parent_compile(integral.expr)
+    values = []
+    for u, state in zip(traj.times, traj.states):
+        bind = dict(traj.params)
+        bind[indep] = u
+        bind.update(zip(traj.state_names, state))
+        raw = fn(*[bind.get(n, 0.0) for n in integral.expr.table.symbols])
+        values.append(raw * math.exp(-float(integral.lam) * u))
+    return max(abs(v - values[0]) for v in values) / max(abs(values[0]), 1e-12)
+
+
+def _parent_pushforward(traj, map_id):
+    bmap = load_map(map_id, "resolved")
+    if map_id == "reduce_5d_4d":  # no compiled code on this path
+        return pushforward(traj, map_id)
+    source, target = load_model(bmap.source), load_model(bmap.target)
+    compiled = {
+        name: (_parent_compile(RatExpr(e.num)), _parent_compile(RatExpr(e.den)))
+        for name, e in bmap.var_map.items()
+    }
+    new_states = []
+    for u, state in zip(traj.times, traj.states):
+        bind = dict(traj.params)
+        bind[source.indep] = u
+        bind.update(zip(traj.state_names, state))
+        args = [bind.get(n, 0.0) for n in source.table.symbols]
+        new_states.append(
+            [compiled[n][0](*args) / compiled[n][1](*args) for n in target.state]
+        )
+    new_times = [bmap.indep_sign * u for u in traj.times]
+    if bmap.indep_sign < 0:
+        new_times.reverse()
+        new_states.reverse()
+    return replace(traj, system_id=target.id, state_names=target.state,
+                   params=numeric._transform_params(bmap, traj.params),
+                   times=new_times, states=new_states)
+
+
+def _parent_residual(traj, system_id, params):
+    h = traj.times[1] - traj.times[0]
+    f = _ParentSystem(load_model(system_id), params)
+    worst = 0.0
+    for i in range(1, len(traj.times) - 1):
+        derivs = f(traj.times[i], traj.states[i])
+        for c in range(len(derivs)):
+            fd = (traj.states[i + 1][c] - traj.states[i - 1][c]) / (2 * h)
+            worst = max(worst, abs(fd - derivs[c]))
+    return worst
+
+
+def _both_paths(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_rk_step", _budgeted(numeric._rk_step, []))
+        fast = integrate(*args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_rk_step", _budgeted(_parent_rk_step, []))
+        m.setattr(numeric, "_CompiledSystem", _ParentSystem)
+        slow = integrate(*args, **kwargs)
+    return fast, slow
+
+
+PARAMS_LIN = {"alpha0": 0.5, "alpha2": 0.45, "eta": 1.0}
+RUNS = [
+    ("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0)),
+    ("five_dim", PARAMS_5D, INIT_5D, (1.0, 0.0)),
+    ("ham_4d", PARAMS_5D, [0.1, 0.2, 0.3, 0.4], (0.5, 2.0)),
+    ("K1_sys", {"alpha": 0.4}, [0.3, 0.5], (1.0, 2.0)),
+    ("linear_xz", PARAMS_LIN, [0.2, 0.9], (0.0, 1.0)),
+]
+MODES = [
+    {"tolerances": (1e-10, 1e-10)},
+    {"mode": "fixed", "step": 2e-3},
+    {"mode": "grid", "tolerances": (1e-9, 1e-9)},
+]
+
+
+@pytest.mark.parametrize("kwargs", MODES, ids=["adaptive", "fixed", "grid"])
+@pytest.mark.parametrize("system_id, params, init, span", RUNS,
+                         ids=["five_dim", "five_dim_back", "ham_4d", "K1_sys", "linear_xz"])
+def test_trajectories_bit_identical_to_per_symbol_path(
+    monkeypatch, system_id, params, init, span, kwargs
+):
+    if kwargs.get("mode") == "grid":
+        u0, u1 = span
+        kwargs = {**kwargs, "grid": [u0 + i * (u1 - u0) / 200 for i in range(201)]}
+    fast, slow = _both_paths(monkeypatch, system_id, params, init, span, **kwargs)
+    assert repr(fast) == repr(slow)  # bit-equal: repr tells -0.0 from 0.0
+    assert fast.steps_accepted > 0 and fast.rhs_evals > 0
+
+
+@pytest.mark.parametrize("init, span, tol", [
+    ([200.0, 5.0, -200.0, 300.0, -300.0], (0.0, 10.0), (1e-8, 1e-8)),
+    (OVERFLOW_5D, (0.0, 1.0), (1e-8, 1e-8)),
+])
+def test_blow_up_runs_bit_identical_to_per_symbol_path(monkeypatch, init, span, tol):
+    fast, slow = _both_paths(monkeypatch, "five_dim", PARAMS_5D, init, span, tolerances=tol)
+    assert fast.termination == "blow_up"
+    assert repr(fast) == repr(slow)
+
+
+def test_certificates_equal_to_per_symbol_path():
+    grid = [i / 200 for i in range(201)]
+    five = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0), mode="grid", grid=grid)
+    four = integrate("ham_4d", PARAMS_5D, [0.1, 0.2, 0.3, 0.4], (0.5, 2.0),
+                     mode="fixed", step=1e-2)
+    k1 = integrate("K1_sys", {"alpha": 0.4}, [0.3, 0.5], (1.0, 2.0))
+    n, s_lo = 200, math.exp(-0.9)
+    t_grid = [-math.log(1.0 - i * (1.0 - s_lo) / n) for i in range(n + 1)]
+    init = [0.4, 0.5 * (-0.2) + 1.0, -0.3, 0.5, -0.2]
+    matched = integrate("five_dim", PARAMS_5D, init, (t_grid[0], t_grid[-1]),
+                        mode="grid", grid=t_grid)
+    assert invariant_drift(five, "ywq") == _parent_drift(five, "ywq")
+    assert invariant_drift(k1, "I1") == _parent_drift(k1, "I1")
+    for traj, system_id in ((five, "five_dim"), (four, "ham_4d")):
+        assert (dynamics_residual(traj, system_id, traj.params)
+                == _parent_residual(traj, system_id, traj.params))
+    for traj, map_id in ((five, "s1_5d"), (four, "s1_4d"), (matched, "reduce_5d_4d")):
+        pushed = pushforward(traj, map_id)
+        assert repr(pushed) == repr(_parent_pushforward(traj, map_id))
+        system_id = pushed.system_id
+        assert (dynamics_residual(pushed, system_id, pushed.params)
+                == _parent_residual(pushed, system_id, pushed.params))
+
+
+def test_kernel_binds_state_by_position_and_absent_symbols_to_zero():
+    table = load_model("five_dim").table
+    x, y, t, a0, eta = (RatExpr.sym(table, n) for n in ("x", "y", "t", "alpha0", "eta"))
+    kernel = numeric.compile_ratexpr([x - 2 * y, t * a0, eta + 1], ("y", "x"), {"alpha0": 3})
+    assert kernel(0.5, [1.0, 4.0]) == [2.0, 1.5, 1.0]
+
+
+# -- oracle: every compiled kernel against exact evaluation -------------------------------
+
+ORACLE_POINTS = 20
+
+
+def _oracle_points(table, seed):
+    """Seeded rational points (float-exact dyadic values) for every table symbol."""
+    rng = random.Random(seed)
+    return [
+        {n: Fraction(rng.choice([-1, 1]) * rng.randint(1, 96), 32) for n in table.symbols}
+        for _ in range(ORACLE_POINTS)
+    ]
+
+
+def _assert_kernel_matches(kernel, exprs, state_names, point):
+    try:
+        exact = [evaluate(e if isinstance(e, RatExpr) else RatExpr(e), point) for e in exprs]
+    except SingularPointError:
+        return 0
+    indep = exprs[0].table.indep_name
+    got = kernel(float(point[indep]), [float(point[n]) for n in state_names])
+    for g, e in zip(got, exact):
+        assert g == pytest.approx(float(e), rel=1e-12, abs=0.0)
+    return 1
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_compiled_rhs_matches_exact_evaluation(system_id):
+    system = load_model(system_id)
+    exprs = [system.rhs[n] for n in system.state]
+    checked = 0
+    for point in _oracle_points(system.table, 1):
+        f = numeric._CompiledSystem(system, {n: float(v) for n, v in point.items()})
+        checked += _assert_kernel_matches(lambda u, y: f(u, y), exprs, system.state, point)
+    assert checked >= ORACLE_POINTS // 2
+
+
+@pytest.mark.parametrize("integral_id", INTEGRAL_IDS)
+def test_compiled_integral_matches_exact_evaluation(integral_id):
+    expr = load_integral(integral_id).expr
+    state = expr.table.state_names
+    for point in _oracle_points(expr.table, 2):
+        values = {n: float(v) for n, v in point.items()}
+        kernel = numeric.compile_ratexpr([expr], state, values)
+        assert _assert_kernel_matches(kernel, [expr], state, point)
+
+
+@pytest.mark.parametrize("map_id", MAP_IDS)
+def test_compiled_map_matches_exact_evaluation(map_id):
+    for variant in ("printed", "resolved"):
+        bmap = load_map(map_id, variant)
+        names = list(bmap.var_map)
+        parts = [p for n in names for p in (bmap.var_map[n].num, bmap.var_map[n].den)]
+        table = parts[0].table
+        for point in _oracle_points(table, 3):
+            values = {n: float(v) for n, v in point.items()}
+            kernel = numeric.compile_ratexpr(parts, table.state_names, values)
+            assert _assert_kernel_matches(kernel, parts, table.state_names, point)
