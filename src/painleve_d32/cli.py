@@ -37,13 +37,15 @@ def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> None:
 
 
 def cmd_verify(args) -> int:
-    variant = None if args.variant == "resolved" else args.variant
-    reports = verify.run_scope(args.scope, variant=variant)
+    if args.map_id is not None and args.map_id not in models.MAP_IDS:
+        print(f"unknown map {args.map_id!r}", file=sys.stderr)
+        return EXIT_USAGE
+    reports = verify.run_scope(args.scope, variant=args.variant)
     for r in reports:
         if r.seed is None:
             r.seed = args.seed
     if args.map_id:
-        reports = [r for r in reports if args.map_id in r.check_id]
+        reports = [r for r in reports if args.map_id in r.check_id.split(":")]
         if not reports:
             print(f"no checks match map {args.map_id!r}", file=sys.stderr)
             return EXIT_USAGE
@@ -148,18 +150,6 @@ def cmd_integrate(args) -> int:
     except ValueError as exc:
         print(f"bad numeric arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        system = models.load_model(args.system)
-    except models.UnknownModelError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    unknown = sorted(
-        set(params) - set(system.params) - set(system.table.names_of_kind("constant"))
-    )
-    if unknown:
-        print(f"usage error: {args.system} has no parameters {unknown}",
-              file=sys.stderr)
-        return EXIT_USAGE
     mode = "fixed" if args.fixed_step is not None else "adaptive"
     try:
         traj = numeric.integrate(
@@ -170,7 +160,7 @@ def cmd_integrate(args) -> int:
     except numeric.DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except numeric.UsageError as exc:
+    except (numeric.UsageError, models.UnknownModelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -203,11 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("scope", nargs="?", default="all", choices=verify.SCOPES)
-    p_verify.add_argument("--variant", default="resolved",
-                          choices=("resolved", "printed", "corrected", "both"),
+    p_verify.add_argument("--variant", default="resolved", choices=tuple(verify.VARIANTS),
                           help="disputed-object policy (default: resolve both)")
     p_verify.add_argument("--map", dest="map_id", default=None,
-                          help="only checks mentioning this map id")
+                          help="only checks of this map id")
     p_verify.add_argument("--seed", type=int, default=verify.WITNESS_SEED,
                           help="recorded in structured reports (checks are "
                                "sampling-free and deterministic)")

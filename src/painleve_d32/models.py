@@ -579,11 +579,10 @@ class _Registry:
             sys_obj = build()
             self.systems[sys_obj.id] = sys_obj
 
-        self.reduction_table = reduction_table()
         self.maps: dict[tuple[str, str], BirationalMap] = {}
         self.maps.update(_maps_5d(self.systems["five_dim"].table))
         self.maps.update(_maps_4d(self.systems["ham_4d"].table))
-        self.maps[("reduce_5d_4d", "printed")] = _map_reduce(self.reduction_table)
+        self.maps[("reduce_5d_4d", "printed")] = _map_reduce(reduction_table())
         self.maps[("scale_step", "printed")] = _map_scale(
             self.systems["K2_sys"].table
         )
@@ -664,7 +663,8 @@ def _dump_system(sys_obj: VectorFieldSystem) -> list[str]:
     return lines
 
 
-def _dump_map(m: BirationalMap, table: SymbolTable) -> list[str]:
+def _dump_map(m: BirationalMap) -> list[str]:
+    table = next(iter(m.var_map.values())).table  # the table the map is written over
     lines = [f"[map {m.id} variant={m.variant}]"]
     lines.append(f"context: {m.context or 'none'}")
     lines.append(f"source: {m.source}")
@@ -683,13 +683,6 @@ def _dump_map(m: BirationalMap, table: SymbolTable) -> list[str]:
     return lines
 
 
-def _map_source_table(m: BirationalMap) -> SymbolTable:
-    reg = _registry()
-    if m.id == "reduce_5d_4d":
-        return reg.reduction_table
-    return reg.systems[m.source].table
-
-
 def dump_models() -> str:
     """Serialize the whole registry to the canonical structured text form."""
     reg = _registry()
@@ -700,7 +693,7 @@ def dump_models() -> str:
         variants = ["printed", "corrected"] if mid in DISPUTED_MAP_IDS else ["printed"]
         for variant in variants:
             m = reg.maps[(mid, variant)]
-            lines.extend(_dump_map(m, _map_source_table(m)))
+            lines.extend(_dump_map(m))
     for iid in INTEGRAL_IDS:
         integral = reg.integrals[iid]
         lines.append(f"[integral {integral.id}]")

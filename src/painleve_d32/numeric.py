@@ -19,8 +19,9 @@ per-symbol loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
-not an error.  Non-finite input is refused with :class:`UsageError` before
-any step.
+not an error.  Non-finite input, and a step, grid or parameter that does not
+apply to the mode or system, is refused with :class:`UsageError` before any
+step.
 """
 
 from __future__ import annotations
@@ -325,6 +326,15 @@ def integrate_system(
     grid: Optional[Sequence[float]] = None,
 ) -> Trajectory:
     """Integrate a (possibly ad-hoc) system object; see :func:`integrate`."""
+    if step is not None and mode != "fixed":
+        raise UsageError(f"a step applies only to fixed mode, not {mode!r}")
+    if grid is not None and mode != "grid":
+        raise UsageError(f"a grid applies only to grid mode, not {mode!r}")
+    unknown = sorted(
+        set(params) - set(system.params) - set(system.table.names_of_kind("constant"))
+    )
+    if unknown:
+        raise UsageError(f"{system.id} has no parameters {unknown}")
     abs_tol, rel_tol = tolerances
     if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
         raise UsageError("tolerances must be positive and finite")

@@ -5,6 +5,10 @@ backed by identically-zero residuals (after reduction by the parameter
 normalization where the system carries it), never by sampling.  Failing
 checks report the fully expanded residual numerator and, when one exists, a
 rational witness point where it is nonzero.
+
+The suite is the table :data:`SUITE`, one row (scope, check id, check, *args)
+per check, and a new check is a new row.  Scopes, dispute resolutions and the
+raw variant checks of :func:`run_scope` are all derived from the rows.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence, Sized, Union
 
@@ -172,16 +177,12 @@ def _finish(
 
 # -- degree / polynomiality -----------------------------------------------------
 
-EXPECTED_STATE_DEGREE = {"five_dim": 3}
-
 
 def check_vector_field_degree(
     system_id: str, expected: Optional[int] = None
 ) -> VerificationReport:
     """Total state-degree of the right-hand sides (they must be polynomial)."""
     sys_obj = load_model(system_id)
-    if expected is None:
-        expected = EXPECTED_STATE_DEGREE.get(system_id)
     with _Timer() as tm:
         degrees = {}
         for name in sys_obj.state:
@@ -577,21 +578,17 @@ def check_invariant_divisor() -> VerificationReport:
 # -- dispute resolution ------------------------------------------------------------------
 
 
-def _disputed_check(map_id: str, variant: str) -> VerificationReport:
-    if map_id == "chart2":
-        return check_chart("five_dim", "chart2", variant)
-    if map_id == "s2_5d":
-        return check_symmetry("five_dim", "s2_5d", variant)
-    if map_id == "s2_4d":
-        return check_symmetry("ham_4d", "s2_4d", variant)
-    raise ValueError(f"map {map_id!r} is not disputed")
-
-
 def resolve_disputed(map_id: str) -> VerificationReport:
-    """Run both variants of a disputed object; exactly one must verify."""
+    """Run both variants of a disputed object; exactly one must verify.
+
+    The check and its arguments come from the map's row of :data:`SUITE`.
+    """
+    if map_id not in models.DISPUTED_MAP_IDS:
+        raise ValueError(f"map {map_id!r} is not disputed")
+    check, args = next((check, args) for _, _, check, *args in SUITE if map_id in args)
     with _Timer() as tm:
-        printed = _disputed_check(map_id, "printed")
-        corrected = _disputed_check(map_id, "corrected")
+        printed = check(*args, "printed")
+        corrected = check(*args, "corrected")
     winners = [v for v, r in (("printed", printed), ("corrected", corrected)) if r.passed]
     ok = len(winners) == 1
     detail = (
@@ -1077,7 +1074,6 @@ def first_integral_search(
 
 
 def _search_report(
-    check_id: str,
     system_id: str,
     state_bound: int,
     indep_bound: int,
@@ -1101,7 +1097,7 @@ def _search_report(
             else f"expected span of {expected_integral}, found {len(found)}"
         )
     return VerificationReport(
-        check_id=check_id,
+        check_id=f"search:{system_id}",
         status="pass" if ok else "fail",
         residuals=[(f.id, render_ratexpr(f.expr)) for f in found],
         duration_ms=tm.ms,
@@ -1109,86 +1105,86 @@ def _search_report(
     )
 
 
+# The suite in report order, one row (scope, check id, check, *args) per check.
+# A row whose arguments name a disputed map runs as resolve_disputed(map),
+# reported under the row's id; under a raw variant policy it runs
+# check(*args, variant) once per variant instead.
+SUITE = (
+    ("symmetry", "symmetry:five_dim:s0_5d", check_symmetry, "five_dim", "s0_5d"),
+    ("symmetry", "symmetry:five_dim:s1_5d", check_symmetry, "five_dim", "s1_5d"),
+    ("symmetry", "resolve:s2_5d", check_symmetry, "five_dim", "s2_5d"),
+    ("symmetry", "symmetry:ham_4d:s0_4d", check_symmetry, "ham_4d", "s0_4d"),
+    ("symmetry", "symmetry:ham_4d:s1_4d", check_symmetry, "ham_4d", "s1_4d"),
+    ("symmetry", "resolve:s2_4d", check_symmetry, "ham_4d", "s2_4d"),
+    ("symmetry", "symmetry:ham_4d:pi_4d", check_symmetry, "ham_4d", "pi_4d"),
+    ("charts", "degree:five_dim", check_vector_field_degree, "five_dim", 3),
+    ("charts", "chart:five_dim:chart0", check_chart, "five_dim", "chart0"),
+    ("charts", "chart:five_dim:chart1", check_chart, "five_dim", "chart1"),
+    ("charts", "resolve:chart2", check_chart, "five_dim", "chart2"),
+    ("integrals", "integral:five_dim:ywq", check_first_integral, "five_dim", "ywq"),
+    ("integrals", "integral:K1_sys:I1", check_first_integral, "K1_sys", "I1"),
+    ("integrals", "integral:tildeK2_sys:I2", check_first_integral, "tildeK2_sys", "I2"),
+    ("hamiltonian", "hamiltonian:ham_4d", check_hamiltonian_consistency, "ham_4d"),
+    ("hamiltonian", "hamiltonian:K1_sys", check_hamiltonian_consistency, "K1_sys"),
+    ("hamiltonian", "hamiltonian:K2_sys", check_hamiltonian_consistency, "K2_sys"),
+    ("hamiltonian", "hamiltonian:tildeK2_sys", check_hamiltonian_consistency, "tildeK2_sys"),
+    ("reduction", "reduction:5d_to_4d", check_reduction_5d_to_4d),
+    ("reduction", "symmetry:K2_sys:scale_step", check_symmetry, "K2_sys", "scale_step"),
+    ("reduction", "second_order_forms", check_second_order_forms),
+    ("solutions", "solution:linear_xz_sol", check_particular_solution, "linear_xz_sol"),
+    ("solutions", "solution:second_order_sol_a", check_particular_solution,
+     "second_order_sol_a"),
+    ("solutions", "solution:second_order_sol_b", check_particular_solution,
+     "second_order_sol_b"),
+    ("solutions", "solution:rest_wq_zero", check_particular_solution, "rest_wq_zero"),
+    ("solutions", "invariant_divisor", check_invariant_divisor),
+    ("search", "search:five_dim", _search_report, "five_dim", 2, 0, (Fraction(-1),), "ywq"),
+    ("search", "search:K1_sys", _search_report, "K1_sys", 4, 0, (Fraction(0),), "I1"),
+    ("search", "search:ham_4d", _search_report, "ham_4d", 3, 2,
+     (Fraction(0), Fraction(-1), Fraction(1)), None),
+)
+
+SCOPES = ("all", *dict.fromkeys(scope for scope, *_ in SUITE))
+
+# the disputed-object policies of run_scope: the raw variants each one runs
+# in place of a dispute resolution, none for "resolved"
+VARIANTS = {"resolved": (), "printed": ("printed",), "corrected": ("corrected",),
+            "both": ("printed", "corrected")}
+
+
+def _disputed_map(args: Sequence) -> Optional[str]:
+    return next((a for a in args if a in models.DISPUTED_MAP_IDS), None)
+
+
+def _resolved(check: Callable[..., VerificationReport], *args) -> VerificationReport:
+    """A row's report, with a disputed map resolved."""
+    disputed = _disputed_map(args)
+    return resolve_disputed(disputed) if disputed else check(*args)
+
+
 def _suite() -> list[tuple[str, str, Callable[[], VerificationReport]]]:
-    lam0 = Fraction(0)
-    lam1 = Fraction(1)
-    checks: list[tuple[str, str, Callable[[], VerificationReport]]] = [
-        ("symmetry", "symmetry:five_dim:s0_5d",
-         lambda: check_symmetry("five_dim", "s0_5d")),
-        ("symmetry", "symmetry:five_dim:s1_5d",
-         lambda: check_symmetry("five_dim", "s1_5d")),
-        ("symmetry", "resolve:s2_5d", lambda: resolve_disputed("s2_5d")),
-        ("symmetry", "symmetry:ham_4d:s0_4d",
-         lambda: check_symmetry("ham_4d", "s0_4d")),
-        ("symmetry", "symmetry:ham_4d:s1_4d",
-         lambda: check_symmetry("ham_4d", "s1_4d")),
-        ("symmetry", "resolve:s2_4d", lambda: resolve_disputed("s2_4d")),
-        ("symmetry", "symmetry:ham_4d:pi_4d",
-         lambda: check_symmetry("ham_4d", "pi_4d")),
-        ("charts", "degree:five_dim", lambda: check_vector_field_degree("five_dim")),
-        ("charts", "chart:five_dim:chart0", lambda: check_chart("five_dim", "chart0")),
-        ("charts", "chart:five_dim:chart1", lambda: check_chart("five_dim", "chart1")),
-        ("charts", "resolve:chart2", lambda: resolve_disputed("chart2")),
-        ("integrals", "integral:five_dim:ywq",
-         lambda: check_first_integral("five_dim", "ywq")),
-        ("integrals", "integral:K1_sys:I1",
-         lambda: check_first_integral("K1_sys", "I1")),
-        ("integrals", "integral:tildeK2_sys:I2",
-         lambda: check_first_integral("tildeK2_sys", "I2")),
-        ("hamiltonian", "hamiltonian:ham_4d",
-         lambda: check_hamiltonian_consistency("ham_4d")),
-        ("hamiltonian", "hamiltonian:K1_sys",
-         lambda: check_hamiltonian_consistency("K1_sys")),
-        ("hamiltonian", "hamiltonian:K2_sys",
-         lambda: check_hamiltonian_consistency("K2_sys")),
-        ("hamiltonian", "hamiltonian:tildeK2_sys",
-         lambda: check_hamiltonian_consistency("tildeK2_sys")),
-        ("reduction", "reduction:5d_to_4d", check_reduction_5d_to_4d),
-        ("reduction", "symmetry:K2_sys:scale_step",
-         lambda: check_symmetry("K2_sys", "scale_step")),
-        ("reduction", "second_order_forms", check_second_order_forms),
-        ("solutions", "solution:linear_xz_sol",
-         lambda: check_particular_solution("linear_xz_sol")),
-        ("solutions", "solution:second_order_sol_a",
-         lambda: check_particular_solution("second_order_sol_a")),
-        ("solutions", "solution:second_order_sol_b",
-         lambda: check_particular_solution("second_order_sol_b")),
-        ("solutions", "solution:rest_wq_zero",
-         lambda: check_particular_solution("rest_wq_zero")),
-        ("solutions", "invariant_divisor", check_invariant_divisor),
-        ("search", "search:five_dim",
-         lambda: _search_report("search:five_dim", "five_dim", 2, 0,
-                                (Fraction(-1),), "ywq")),
-        ("search", "search:K1_sys",
-         lambda: _search_report("search:K1_sys", "K1_sys", 4, 0, (lam0,), "I1")),
-        ("search", "search:ham_4d",
-         lambda: _search_report("search:ham_4d", "ham_4d", 3, 2,
-                                (lam0, -lam1, lam1), None)),
-    ]
-    return checks
+    """(scope, check id, zero-argument check) for each row of :data:`SUITE`."""
+    return [(scope, cid, partial(_resolved, check, *args)) for scope, cid, check, *args in SUITE]
 
 
-SCOPES = ("all", "symmetry", "charts", "integrals", "hamiltonian",
-          "reduction", "solutions", "search")
-
-
-def run_scope(scope: str = "all", variant: Optional[str] = None) -> list[VerificationReport]:
+def run_scope(scope: str = "all", variant: str = "resolved") -> list[VerificationReport]:
     """Run all checks in a scope, in deterministic registry order.
 
-    ``variant`` replaces the dispute-resolution composites by raw checks of
-    the requested variant ("printed", "corrected" or "both").
+    ``variant`` is a disputed-object policy of :data:`VARIANTS`: "resolved"
+    runs each dispute resolution, and "printed", "corrected" or "both"
+    replace it by raw checks of those variants.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
+    raw = VARIANTS[variant]
     reports = []
-    for check_scope, check_id, fn in _suite():
-        if scope != "all" and check_scope != scope:
+    for check_scope, _, check, *args in SUITE:
+        if scope not in ("all", check_scope):
             continue
-        if variant is not None and check_id.startswith("resolve:"):
-            map_id = check_id.split(":", 1)[1]
-            variants = ["printed", "corrected"] if variant == "both" else [variant]
-            for v in variants:
-                reports.append(_disputed_check(map_id, v))
-            continue
-        reports.append(fn())
+        if raw and _disputed_map(args):
+            reports.extend(check(*args, v) for v in raw)
+        else:
+            reports.append(_resolved(check, *args))
     return reports

@@ -51,6 +51,16 @@ def test_verify_unknown_map_is_usage_error(capsys):
     assert main(["verify", "symmetry", "--map", "nonexistent"]) == 2
 
 
+def test_verify_map_takes_only_whole_map_ids(capsys):
+    # a prefix of two map ids, and a system id, are not map ids
+    assert main(["verify", "all", "--map", "s2"]) == 2
+    assert main(["verify", "all", "--map", "five_dim"]) == 2
+    assert "unknown map 's2'" in capsys.readouterr().err
+    assert main(["verify", "all", "--map", "s2_5d", "--format", "records"]) == 0
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["check_id"] for r in records] == ["resolve:s2_5d"]
+
+
 def test_verify_bad_scope_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["verify", "everything"])

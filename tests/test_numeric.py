@@ -399,6 +399,24 @@ def test_non_finite_input_is_refused_before_any_step(
     assert calls == []
 
 
+@pytest.mark.parametrize("system_id, params, init, kwargs", [
+    ("five_dim", PARAMS_5D, INIT_5D, {"step": math.nan}),
+    ("five_dim", PARAMS_5D, INIT_5D, {"mode": "fixed", "step": 1e-2, "grid": [5, 3, 9]}),
+    ("linear_xz", {"alpha0": 0.5, "alpha2": 0.5, "eta": 1.0, "alpha1": math.nan},
+     [0.0, 1.0], {}),
+])
+def test_inapplicable_arguments_are_refused_before_any_step(
+    monkeypatch, system_id, params, init, kwargs
+):
+    # a step outside fixed mode, a grid outside grid mode, a parameter the
+    # system does not have
+    calls = []
+    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+    with pytest.raises(UsageError):
+        integrate(system_id, params, init, (0.0, 1.0), **kwargs)
+    assert calls == []
+
+
 # -- differential tests: the parent's per-symbol path as the reference -----------------
 
 

@@ -56,11 +56,49 @@ from painleve_d32.verify import (
 # -- the whole suite -------------------------------------------------------------------
 
 
+SUITE_PAIRS = [
+    ("symmetry", "symmetry:five_dim:s0_5d"),
+    ("symmetry", "symmetry:five_dim:s1_5d"),
+    ("symmetry", "resolve:s2_5d"),
+    ("symmetry", "symmetry:ham_4d:s0_4d"),
+    ("symmetry", "symmetry:ham_4d:s1_4d"),
+    ("symmetry", "resolve:s2_4d"),
+    ("symmetry", "symmetry:ham_4d:pi_4d"),
+    ("charts", "degree:five_dim"),
+    ("charts", "chart:five_dim:chart0"),
+    ("charts", "chart:five_dim:chart1"),
+    ("charts", "resolve:chart2"),
+    ("integrals", "integral:five_dim:ywq"),
+    ("integrals", "integral:K1_sys:I1"),
+    ("integrals", "integral:tildeK2_sys:I2"),
+    ("hamiltonian", "hamiltonian:ham_4d"),
+    ("hamiltonian", "hamiltonian:K1_sys"),
+    ("hamiltonian", "hamiltonian:K2_sys"),
+    ("hamiltonian", "hamiltonian:tildeK2_sys"),
+    ("reduction", "reduction:5d_to_4d"),
+    ("reduction", "symmetry:K2_sys:scale_step"),
+    ("reduction", "second_order_forms"),
+    ("solutions", "solution:linear_xz_sol"),
+    ("solutions", "solution:second_order_sol_a"),
+    ("solutions", "solution:second_order_sol_b"),
+    ("solutions", "solution:rest_wq_zero"),
+    ("solutions", "invariant_divisor"),
+    ("search", "search:five_dim"),
+    ("search", "search:K1_sys"),
+    ("search", "search:ham_4d"),
+]
+
+
 def test_full_suite_passes():
     reports = run_scope("all")
     failing = [r.check_id for r in reports if not r.passed]
     assert not failing, f"failing checks: {failing}"
     assert len(reports) >= 14
+    # the id written in each row is the id its check computes
+    suite = verify._suite()
+    assert [(scope, cid) for scope, cid, _ in suite] == SUITE_PAIRS
+    assert [r.check_id for r in reports] == [cid for _, cid in SUITE_PAIRS]
+    assert [fn().check_id for _, _, fn in suite] == [cid for _, cid in SUITE_PAIRS]
 
 
 def test_scope_filtering():
@@ -70,6 +108,8 @@ def test_scope_filtering():
     ]
     with pytest.raises(ValueError):
         run_scope("everything")
+    with pytest.raises(ValueError):
+        run_scope("all", variant="bogus")
 
 
 def test_reports_are_idempotent():
@@ -87,7 +127,7 @@ def test_reports_are_idempotent():
 
 
 def test_degrees():
-    assert check_vector_field_degree("five_dim").passed
+    assert check_vector_field_degree("five_dim", expected=3).passed
     assert check_vector_field_degree("linear_xz", expected=1).passed
     # by inspection the subsystem right-hand sides contain q1*p1^2
     assert check_vector_field_degree("K1_sys", expected=3).passed
@@ -111,7 +151,7 @@ def test_disputed_resolutions_agree():
     for mid in ("s2_5d", "chart2", "s2_4d"):
         report = resolve_disputed(mid)
         assert report.passed, report.detail
-        winners[mid] = report.detail.split(": ")[1]
+        (winners[mid],) = [v for v, status in report.residuals if status == "pass"]
     assert winners == {
         "s2_5d": "corrected", "chart2": "corrected", "s2_4d": "corrected"
     }
@@ -649,3 +689,11 @@ def test_variant_policy_in_run_scope():
     assert all(r.passed for r in reports)
     reports = run_scope("symmetry", variant="both")
     assert sum(not r.passed for r in reports) == 2
+    # each resolution gives way to its two raw checks, in row order
+    ids = [r.check_id for r in run_scope("all", variant="both")]
+    assert len(ids) == 32
+    assert [i for i in ids if i.endswith(("printed", "corrected"))] == [
+        "symmetry:five_dim:s2_5d:printed", "symmetry:five_dim:s2_5d:corrected",
+        "symmetry:ham_4d:s2_4d:printed", "symmetry:ham_4d:s2_4d:corrected",
+        "chart:five_dim:chart2:printed", "chart:five_dim:chart2:corrected",
+    ]
