@@ -40,15 +40,13 @@ def cmd_verify(args) -> int:
     if args.map_id is not None and args.map_id not in models.MAP_IDS:
         print(f"unknown map {args.map_id!r}", file=sys.stderr)
         return EXIT_USAGE
-    reports = verify.run_scope(args.scope, variant=args.variant)
+    reports = verify.run_scope(args.scope, variant=args.variant, map_id=args.map_id)
+    if not reports:
+        print(f"no checks match map {args.map_id!r}", file=sys.stderr)
+        return EXIT_USAGE
     for r in reports:
         if r.seed is None:
             r.seed = args.seed
-    if args.map_id:
-        reports = [r for r in reports if args.map_id in r.check_id.split(":")]
-        if not reports:
-            print(f"no checks match map {args.map_id!r}", file=sys.stderr)
-            return EXIT_USAGE
     _emit_reports(reports, args.format, args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 

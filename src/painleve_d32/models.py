@@ -85,6 +85,13 @@ class BirationalMap:
     eta_sign: int
     indep_sign: int
     context: Optional[str] = None  # th1 | th2 | None
+    eliminated: Mapping[str, RatExpr] = field(default_factory=dict)  # source state -> binding
+    rules: Mapping[str, RatExpr] = field(default_factory=dict)  # generator -> derivative
+
+    @property
+    def table(self) -> SymbolTable:
+        """The table the map is written over."""
+        return next(iter(self.var_map.values())).table
 
     def param_images(self, table: SymbolTable) -> dict[str, RatExpr]:
         """Images of the parameters as expressions over ``table``."""
@@ -106,7 +113,8 @@ class BirationalMap:
         Used to evaluate the target vector field on the image of the map:
         states go to the map components, parameters to their affine images,
         eta and the independent variable to their sign multiples, anything
-        else passes through by name.
+        else passes through by name.  The target's time goes to the map's
+        image of time: +-t for a symmetry, the generator s for the reduction.
         """
         bindings: dict[str, RatExpr] = {n: e for n, e in self.var_map.items()}
         bindings.update(self.param_images(source_table))
@@ -214,14 +222,6 @@ def _table_coupled() -> SymbolTable:
         [("y", "state"), ("ydot", "state"), ("w", "state"), ("wdot", "state"),
          ("s", "independent"),
          ("alpha0", "parameter"), ("alpha2", "parameter")] + _ETA
-    )
-
-
-def reduction_table() -> SymbolTable:
-    """Ring for the 5d -> 4d reduction: y eliminated, s adjoined with dS/dt = -s."""
-    return SymbolTable(
-        [("x", "state"), ("z", "state"), ("w", "state"), ("q", "state"),
-         ("t", "independent")] + _ALPHAS + _ETA + [("s", "generator")]
     )
 
 
@@ -459,12 +459,18 @@ def _maps_4d(T: SymbolTable) -> dict[tuple[str, str], BirationalMap]:
     return out
 
 
-def _map_reduce(TR: SymbolTable) -> BirationalMap:
+def _map_reduce() -> BirationalMap:
+    # y is eliminated on the integral y - w*q = s; the generator s = exp(-t) is the new time
+    TR = SymbolTable(
+        [("x", "state"), ("z", "state"), ("w", "state"), ("q", "state"),
+         ("t", "independent")] + _ALPHAS + _ETA + [("s", "generator")]
+    )
     x, z, w, q, s = syms(TR, "x z w q s")
     return BirationalMap(
         "reduce_5d_4d", "printed", "five_dim", "ham_4d",
         {"q1": w, "p1": x, "q2": q / s, "p2": z * s},
         _ALPHA_NAMES, _MID, _ZERO3, +1, +1, None,
+        eliminated={"y": w * q + s}, rules={"s": -s},
     )
 
 
@@ -582,7 +588,7 @@ class _Registry:
         self.maps: dict[tuple[str, str], BirationalMap] = {}
         self.maps.update(_maps_5d(self.systems["five_dim"].table))
         self.maps.update(_maps_4d(self.systems["ham_4d"].table))
-        self.maps[("reduce_5d_4d", "printed")] = _map_reduce(reduction_table())
+        self.maps[("reduce_5d_4d", "printed")] = _map_reduce()
         self.maps[("scale_step", "printed")] = _map_scale(
             self.systems["K2_sys"].table
         )
@@ -664,12 +670,11 @@ def _dump_system(sys_obj: VectorFieldSystem) -> list[str]:
 
 
 def _dump_map(m: BirationalMap) -> list[str]:
-    table = next(iter(m.var_map.values())).table  # the table the map is written over
     lines = [f"[map {m.id} variant={m.variant}]"]
     lines.append(f"context: {m.context or 'none'}")
     lines.append(f"source: {m.source}")
     lines.append(f"target: {m.target}")
-    lines.append(f"symbols: {_render_symbols(table)}")
+    lines.append(f"symbols: {_render_symbols(m.table)}")
     for name in sorted(m.var_map):
         lines.append(f"vars {name}: {render_ratexpr(m.var_map[name])}")
     lines.append(f"params: {' '.join(m.param_names)}")

@@ -8,14 +8,16 @@ mode takes equal steps, and grid mode samples one adaptive run by the pair's
 combinations are monitored along trajectories, and birational maps push
 trajectories forward pointwise, transforming parameters, eta and the time axis.
 
-Every vector field, integral and map is compiled into one float kernel
-f(indep, state) by :func:`compile_ratexpr`.  The step is written out stage by
-stage instead of looping over the tableau, but in the loop's summation order:
-stage values add (h*a_ij)*k_j left to right, skipping zero weights; the
-solution is y + h*(0.0 + sum b_j*k_j), the order of ``sum`` on floats; and
-the error estimate keeps all seven (b5_j - b4_j)*k_j terms, so that a NaN in
-any stage reaches it.  Trajectories are therefore bit-identical to the
-per-symbol loop.
+Every vector field and integral is compiled into one float kernel
+f(indep, state) by :func:`compile_ratexpr`.  Every map, the 5d -> 4d
+reduction included, takes one pushforward path: a kernel from the same
+sources loops over all samples and evaluates generators as exponentials.
+The step is written out stage by stage instead of looping over the tableau,
+but in the loop's summation order: stage values add (h*a_ij)*k_j left to
+right, skipping zero weights; the solution is y + h*(0.0 + sum b_j*k_j), the
+order of ``sum`` on floats; and the error estimate keeps all seven
+(b5_j - b4_j)*k_j terms, so that a NaN in any stage reaches it.
+Trajectories are therefore bit-identical to the per-symbol loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
@@ -29,10 +31,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Union
+from functools import cache
+from types import FunctionType
+from typing import Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .models import BirationalMap, VectorFieldSystem, load_integral, load_map, load_model
-from .ring import Poly, RatExpr
+from .ring import Poly, RatExpr, SymbolTable
 
 BLOWUP_NORM = 1e8
 MIN_STEP_FACTOR = 1e-14
@@ -114,7 +118,8 @@ def _poly_source(p: Poly) -> str:
         return "0.0"
     chunks = []
     for mono, coeff in p.terms:
-        factors = [repr(float(coeff))]
+        # 1.0*x is x exactly, so a unit coefficient is left out
+        factors = [] if coeff == 1 and any(mono) else [repr(float(coeff))]
         for i, e in enumerate(mono):
             if not e:
                 continue
@@ -133,6 +138,22 @@ def _source(expr: Union[RatExpr, Poly]) -> str:
     return f"({num_src}) / ({_poly_source(expr.den)})"
 
 
+def _define(table: SymbolTable, head: Sequence[str], bound: Collection[str], body: str,
+            namespace: dict) -> Callable[[Mapping[str, float]], Callable]:
+    """Define ``_kernel(*head, *fixed)`` in ``namespace`` from the indented ``body``.
+
+    ``fixed`` are the table symbols outside ``bound``.  Returns bind(values):
+    the kernel with each fixed symbol a default argument bound to
+    float(values[name]), or 0.0 when absent.
+    """
+    fixed = [n for n in table.symbols if n not in bound]
+    exec(f"def _kernel({', '.join([*head, *fixed])}):\n{body}", namespace)
+    code = namespace["_kernel"].__code__
+    return lambda values: FunctionType(
+        code, namespace, "_kernel", tuple(float(values.get(n, 0.0)) for n in fixed)
+    )
+
+
 def compile_ratexpr(
     exprs: Sequence[Union[RatExpr, Poly]],
     state_names: Sequence[str],
@@ -146,17 +167,11 @@ def compile_ratexpr(
     """
     table = exprs[0].table
     indep = table.indep_name or "_indep"
-    fixed = [n for n in table.symbols if n != indep and n not in state_names]
-    namespace: dict = {}
-    exec(
-        f"def _kernel({', '.join([indep, '_state', *fixed])}):\n"
+    return _define(
+        table, [indep, "_state"], {indep, *state_names},
         f"    {''.join(n + ', ' for n in state_names)}= _state\n"
-        f"    return [{', '.join(map(_source, exprs))}]\n",
-        namespace,
-    )
-    kernel = namespace["_kernel"]
-    kernel.__defaults__ = tuple(float(values.get(n, 0.0)) for n in fixed)
-    return kernel
+        f"    return [{', '.join(map(_source, exprs))}]\n", {},
+    )(values)
 
 
 class _CompiledSystem:
@@ -483,68 +498,64 @@ def _transform_params(bmap: BirationalMap, params: Mapping[str, float]) -> dict:
     return out
 
 
+@cache
+def _compile_map(map_id: str, variant: str, state_names: tuple[str, ...]) -> Callable:
+    """Compile a map once into a kernel over a whole sample list; see :func:`_define`.
+
+    kernel(times, states) returns the new times, the map's image of the
+    target's time at each sample, and the new states.  A generator with the
+    rule c*E is evaluated as exp(c*u).  Each denominator is checked against
+    the floor.
+    """
+    bmap = load_map(map_id, variant)
+    target = load_model(bmap.target)
+    table, indep = bmap.table, bmap.table.indep_name
+    tau = bmap.pullback_bindings(table, target.table)[target.indep]
+    exprs = [bmap.var_map[n] for n in target.state]
+    lines = [f"{''.join(n + ', ' for n in state_names)}= _state"]
+    lines += [f"{n} = _exp(({_source(rule / RatExpr.sym(table, n))}) * {indep})"
+              for n, rule in bmap.rules.items()]
+    lines.append(", ".join(f"_n{i}, _d{i}" for i in range(len(exprs))) + " = "
+                 + ", ".join(_poly_source(p) for e in exprs for p in (e.num, e.den)))
+    # a constant denominator is 1: it needs neither the floor nor the division
+    lines += [f"if abs(_d{i}) < _FLOOR: raise _DomainError(_MSG.format(_i, {n!r}, abs(_d{i})))"
+              for i, (n, e) in enumerate(zip(target.state, exprs)) if not e.den.is_const]
+    row = [f"_n{i}" if e.den.is_const else f"_n{i} / _d{i}" for i, e in enumerate(exprs)]
+    lines += [f"_times_out.append({_source(tau)})", f"_states_out.append([{', '.join(row)}])"]
+    return _define(
+        table, ["_times", "_states"], {indep, *state_names, *bmap.rules},
+        "    _times_out, _states_out = [], []\n"
+        f"    for _i, ({indep}, _state) in enumerate(zip(_times, _states)):\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + "    return _times_out, _states_out\n",
+        {"_exp": math.exp, "_FLOOR": DENOMINATOR_FLOOR, "_DomainError": DomainError,
+         "_MSG": f"map {map_id!r} nearly singular at sample {{}} in component {{}} "
+                 "(|denominator| = {:.3e})"},
+    )
+
+
 def pushforward(
     traj: Trajectory, map_id: str, variant: str = "resolved"
 ) -> Trajectory:
-    """Apply a birational map pointwise to a trajectory.
+    """Apply a birational map pointwise to a trajectory, by its compiled kernel.
 
-    Parameters, eta and the time axis transform along; a time-axis sign flip
-    reverses the sample order so the result stays monotone.  A denominator
-    smaller than 1e-12 in magnitude at some sample is an error naming the
-    sample index.
+    Parameters, eta and the time axis transform along: the new time is the
+    map's image of the target's time, +-u for a symmetry and s = exp(-u) for
+    the 5d -> 4d reduction.  A time-axis sign flip reverses the sample order.
+    A denominator smaller than 1e-12 in magnitude at some sample is an error
+    naming the sample index and the component.
     """
     bmap = load_map(map_id, variant)
-    if map_id == "reduce_5d_4d":
-        return _pushforward_reduction(traj, bmap)
     if bmap.source != traj.system_id:
         raise UsageError(f"map {map_id!r} acts on {bmap.source!r}, not this trajectory")
     target = load_model(bmap.target)
-    kernel = compile_ratexpr(
-        [part for name in target.state
-         for part in (bmap.var_map[name].num, bmap.var_map[name].den)],
-        traj.state_names, traj.params,
-    )
-    new_states = []
-    for idx, (u, state) in enumerate(zip(traj.times, traj.states)):
-        parts = kernel(u, state)
-        row = []
-        for name, num, den in zip(target.state, parts[::2], parts[1::2]):
-            if abs(den) < DENOMINATOR_FLOOR:
-                raise DomainError(
-                    f"map {map_id!r} nearly singular at sample {idx} in component "
-                    f"{name} (|denominator| = {abs(den):.3e})"
-                )
-            row.append(num / den)
-        new_states.append(row)
-    new_times = [bmap.indep_sign * u for u in traj.times]
+    kernel = _compile_map(map_id, variant, tuple(traj.state_names))(traj.params)
+    new_times, new_states = kernel(traj.times, traj.states)
     if bmap.indep_sign < 0:
         new_times.reverse()
         new_states.reverse()
     return replace(
         traj, system_id=target.id, params=_transform_params(bmap, traj.params),
-        state_names=target.state, times=new_times, states=new_states,
-    )
-
-
-def _pushforward_reduction(traj: Trajectory, bmap: BirationalMap) -> Trajectory:
-    """Five-dimensional trajectory to the coupled Hamiltonian chart.
-
-    The new time is s = exp(-t); the map assumes the conserved combination
-    was matched at the initial point (y - w*q = exp(-t)).
-    """
-    if traj.system_id != "five_dim":
-        raise UsageError("reduction pushforward expects a five_dim trajectory")
-    target = load_model("ham_4d")
-    idx = {n: i for i, n in enumerate(traj.state_names)}
-    new_times = []
-    new_states = []
-    for u, state in zip(traj.times, traj.states):
-        s = math.exp(-u)
-        x, z, w, q = state[idx["x"]], state[idx["z"]], state[idx["w"]], state[idx["q"]]
-        new_times.append(s)
-        new_states.append([w, x, q / s, z * s])
-    return replace(
-        traj, system_id=target.id, params=dict(traj.params),
         state_names=target.state, times=new_times, states=new_states,
     )
 

@@ -7,8 +7,11 @@ checks report the fully expanded residual numerator and, when one exists, a
 rational witness point where it is nonzero.
 
 The suite is the table :data:`SUITE`, one row (scope, check id, check, *args)
-per check, and a new check is a new row.  Scopes, dispute resolutions and the
-raw variant checks of :func:`run_scope` are all derived from the rows.
+per check, and a new check is a new row.  Scopes, dispute resolutions, the
+raw variant checks of :func:`run_scope` and its selection by map are all
+derived from the rows.  Symmetries and the 5d -> 4d reduction share one map
+residual D(phi_i)/D(tau) - F_i(pullback), tau the map's image of time; the
+exponential generator s is a symbol with the rule dS/dt = -s.
 """
 
 from __future__ import annotations
@@ -209,14 +212,19 @@ def check_vector_field_degree(
 
 
 def _symmetry_residuals(
-    source: VectorFieldSystem, target: VectorFieldSystem, bmap: BirationalMap
+    flow: Derivation, target: VectorFieldSystem, bmap: BirationalMap
 ) -> list[tuple[str, RatExpr]]:
-    flow = source.flow()
-    bindings = bmap.pullback_bindings(source.table, target.table)
+    """The map residuals D(phi_i)/D(tau) - F_i(pullback), one per target state.
+
+    ``flow`` is the source flow over the map's table, and tau is the map's
+    image of the target's time, read from the pullback bindings.
+    """
+    bindings = bmap.pullback_bindings(flow.table, target.table)
+    rate = differentiate(bindings[target.indep], flow)
     entries = []
     for name in target.state:
-        lhs = bmap.indep_sign * differentiate(bmap.var_map[name], flow)
-        rhs = substitute(target.rhs[name], bindings, table=source.table)
+        lhs = differentiate(bmap.var_map[name], flow) / rate
+        rhs = substitute(target.rhs[name], bindings, table=flow.table)
         entries.append((name, lhs - rhs))
     return entries
 
@@ -227,7 +235,7 @@ def check_symmetry(
     """Does the map send solutions to solutions of the transformed system?
 
     For each target component the residual is
-    ``indep_sign * d(phi_i)/du - F_i(phi(X), sign*u; transformed parameters)``
+    ``d(phi_i)/d(sign*u) - F_i(phi(X), sign*u; transformed parameters)``
     which must vanish identically after reduction by the parameter relation.
     """
     bmap = load_map(map_id, variant)
@@ -241,7 +249,7 @@ def check_symmetry(
     relation = source.relation or target.relation
     with _Timer() as tm:
         try:
-            entries = _symmetry_residuals(source, target, bmap)
+            entries = _symmetry_residuals(source.flow(), target, bmap)
         except SingularSubstitutionError as exc:
             return VerificationReport(
                 check_id=check_id,
@@ -397,45 +405,23 @@ def check_hamiltonian_consistency(system_id: str) -> VerificationReport:
 # -- dimension reduction ---------------------------------------------------------------
 
 
-def _reduction_entries(drop_exponential: bool = False) -> list[tuple[str, RatExpr]]:
-    """Residuals of the 5d -> 4d elimination.
+def check_reduction_5d_to_4d(map_id: str) -> VerificationReport:
+    """Eliminating y on the integral and rescaling time yields the 4d system.
 
-    The eliminated variable is replaced by y = w*q + s where the adjoined
-    generator s tracks the decaying exponential of the integral (dS/dt = -s);
-    ``drop_exponential`` replaces it by y = w*q, which must break the check.
+    The map's data restrict the five-dimensional flow to its table: y is
+    bound to w*q + s and the generator s follows dS/dt = -s.  The residual is
+    the map residual of :func:`check_symmetry`, with the new time s.
     """
-    five = load_model("five_dim")
-    ham = load_model("ham_4d")
-    red = load_map("reduce_5d_4d")
-    TR = red.var_map["p1"].table
-    x, z, w, q, s = syms(TR, "x z w q s")
-    y_binding = w * q + (0 if drop_exponential else s)
-    base = {n: RatExpr.sym(TR, n) for n in ("x", "z", "w", "q", "t",
-                                            "alpha0", "alpha1", "alpha2", "eta")}
-    bind5 = {**base, "y": y_binding}
-    rules = {
-        n: substitute(five.rhs[n], bind5, table=TR) for n in ("x", "z", "w", "q")
-    }
-    rules["s"] = -s
-    rules["t"] = RatExpr.const(TR, 1)
-    flow_t = Derivation(TR, rules)
-
-    bind4 = {**{k: v for k, v in red.var_map.items()}, "s": s,
-             "alpha0": base["alpha0"], "alpha1": base["alpha1"],
-             "alpha2": base["alpha2"], "eta": base["eta"]}
-    entries = []
-    for name in ham.state:
-        lhs = (-1 / s) * flow_t.of(red.var_map[name])
-        rhs = substitute(ham.rhs[name], bind4, table=TR)
-        entries.append((name, lhs - rhs))
-    return entries
-
-
-def check_reduction_5d_to_4d() -> VerificationReport:
-    """Eliminating y and rescaling by the exponential yields the 4d system."""
+    bmap = load_map(map_id)
+    source, target = load_model(bmap.source), load_model(bmap.target)
     with _Timer() as tm:
-        entries = _reduction_entries()
-    return _finish("reduction:5d_to_4d", entries, relation=True, timer=tm)
+        rules: dict[str, object] = {
+            n: substitute(source.rhs[n], bmap.eliminated, table=bmap.table)
+            for n in source.state if n not in bmap.eliminated
+        }
+        flow = Derivation(bmap.table, {**rules, **bmap.rules, source.indep: 1})
+        entries = _symmetry_residuals(flow, target, bmap)
+    return _finish("reduction:5d_to_4d", entries, source.relation or target.relation, tm)
 
 
 # -- second order forms ------------------------------------------------------------------
@@ -1128,7 +1114,7 @@ SUITE = (
     ("hamiltonian", "hamiltonian:K1_sys", check_hamiltonian_consistency, "K1_sys"),
     ("hamiltonian", "hamiltonian:K2_sys", check_hamiltonian_consistency, "K2_sys"),
     ("hamiltonian", "hamiltonian:tildeK2_sys", check_hamiltonian_consistency, "tildeK2_sys"),
-    ("reduction", "reduction:5d_to_4d", check_reduction_5d_to_4d),
+    ("reduction", "reduction:5d_to_4d", check_reduction_5d_to_4d, "reduce_5d_4d"),
     ("reduction", "symmetry:K2_sys:scale_step", check_symmetry, "K2_sys", "scale_step"),
     ("reduction", "second_order_forms", check_second_order_forms),
     ("solutions", "solution:linear_xz_sol", check_particular_solution, "linear_xz_sol"),
@@ -1167,12 +1153,15 @@ def _suite() -> list[tuple[str, str, Callable[[], VerificationReport]]]:
     return [(scope, cid, partial(_resolved, check, *args)) for scope, cid, check, *args in SUITE]
 
 
-def run_scope(scope: str = "all", variant: str = "resolved") -> list[VerificationReport]:
+def run_scope(
+    scope: str = "all", variant: str = "resolved", map_id: Optional[str] = None
+) -> list[VerificationReport]:
     """Run all checks in a scope, in deterministic registry order.
 
     ``variant`` is a disputed-object policy of :data:`VARIANTS`: "resolved"
     runs each dispute resolution, and "printed", "corrected" or "both"
-    replace it by raw checks of those variants.
+    replace it by raw checks of those variants.  With ``map_id`` only the
+    rows whose arguments name that map run.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
@@ -1181,7 +1170,7 @@ def run_scope(scope: str = "all", variant: str = "resolved") -> list[Verificatio
     raw = VARIANTS[variant]
     reports = []
     for check_scope, _, check, *args in SUITE:
-        if scope not in ("all", check_scope):
+        if scope not in ("all", check_scope) or (map_id and map_id not in args):
             continue
         if raw and _disputed_map(args):
             reports.extend(check(*args, v) for v in raw)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .models import load_map, load_model
-from .ring import PointMap, RatExpr, SingularPointError
+from .ring import PointMap, SingularPointError
 from .verify import VerificationReport, _Timer
 
 Matrix3 = tuple[tuple[int, int, int], ...]
@@ -246,21 +246,14 @@ def _generator_kernel(letter: str, context: str) -> tuple[tuple[str, ...], Point
     """State names and one generator compiled as a map of (state, alpha0..2,
     eta, indep).
 
-    The outputs come in the same order: the state components, the integer
-    affine images of the parameters and the sign multiples of eta and of
-    the independent variable.
+    The outputs are the map's pullback bindings of the same names, in the
+    same order.
     """
     bmap = load_map(_GENERATOR_MAPS[context][letter], variant="resolved")
     system = load_model(_SYSTEM_OF_CONTEXT[context])
-    table = system.table
-    images = bmap.param_images(table)
-    outputs = [bmap.var_map[n] for n in system.state]
-    outputs += [images[n] for n in bmap.param_names]
-    outputs.append(bmap.eta_sign * RatExpr.sym(table, "eta"))
-    outputs.append(bmap.indep_sign * RatExpr.sym(table, system.indep))
-    return system.state, PointMap(
-        outputs, system.state + bmap.param_names + ("eta", system.indep)
-    )
+    names = system.state + bmap.param_names + ("eta", system.indep)
+    images = bmap.pullback_bindings(system.table, system.table)
+    return system.state, PointMap([images[n] for n in names], names)
 
 
 def _apply_generator(point: PhasePoint, letter: str, context: str) -> PhasePoint:

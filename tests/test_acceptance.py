@@ -91,7 +91,7 @@ def test_criterion_2_typo_resolution():
     five = load_model("five_dim")
     x, a0, a2 = syms(five.table, "x alpha0 alpha2")
     printed = dict(
-        verify._symmetry_residuals(five, five, load_map("s2_5d", "printed"))
+        verify._symmetry_residuals(five.flow(), five, load_map("s2_5d", "printed"))
     )
     hand_ok = printed["x"].equals(2 * (a0 - a2) * x, relation=True)
     ok = same and winners["s2_5d"] == "corrected" and hand_ok

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from painleve_d32 import numeric
+from painleve_d32 import numeric, verify
 from painleve_d32.cli import main
+from painleve_d32.models import MAP_IDS
 
 FIVE_PARAMS = "alpha0=0.3,alpha1=0.25,alpha2=0.45,eta=0.7"
 
@@ -59,6 +60,32 @@ def test_verify_map_takes_only_whole_map_ids(capsys):
     assert main(["verify", "all", "--map", "s2_5d", "--format", "records"]) == 0
     records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [r["check_id"] for r in records] == ["resolve:s2_5d"]
+
+
+def test_verify_map_runs_only_the_rows_naming_it(monkeypatch, capsys):
+    called = []
+
+    def spy(check):
+        def run(*args):
+            called.append(args)
+            return check(*args)
+        return run
+
+    monkeypatch.setattr(verify, "SUITE", tuple(
+        (scope, check_id, spy(check), *args) for scope, check_id, check, *args in verify.SUITE
+    ))
+    assert main(["verify", "all", "--map", "s0_5d"]) == 0
+    assert called == [("five_dim", "s0_5d")]
+
+
+@pytest.mark.parametrize("map_id", MAP_IDS)
+def test_every_map_selects_a_suite_check(capsys, map_id):
+    # reduce_5d_4d selects reduction:5d_to_4d, whose id does not name the map
+    rows = [check_id for _, check_id, _, *args in verify.SUITE if map_id in args]
+    assert main(["verify", "all", "--map", map_id, "--format", "records"]) == 0
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert rows and [r["check_id"] for r in records] == rows
+    assert all(r["status"] == "pass" for r in records)
 
 
 def test_verify_bad_scope_exits_2():

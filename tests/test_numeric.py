@@ -289,6 +289,25 @@ def test_pushforward_singularity_reports_sample():
     assert "sample 1 in component x" in str(err.value)
 
 
+def test_reduction_pushforward_floors_the_exponential():
+    # s = exp(-u) < 1e-12 once u > 27.6: the q2 = q/s component is refused
+    traj = Trajectory(
+        system_id="five_dim", params=dict(PARAMS_5D),
+        state_names=("x", "y", "z", "w", "q"),
+        times=[29.0, 30.0], states=[[1, 1, 1, 1, 1]] * 2,
+        abs_tol=1e-10, rel_tol=1e-10, mode="fixed", termination="completed",
+    )
+    with pytest.raises(DomainError) as err:
+        pushforward(traj, "reduce_5d_4d")
+    assert "sample 0 in component q2" in str(err.value)
+
+
+def test_reduction_pushforward_refuses_a_four_dimensional_trajectory():
+    traj = integrate("ham_4d", PARAMS_5D, [0.1, 0.2, 0.3, 0.4], (0.5, 0.6))
+    with pytest.raises(UsageError):
+        pushforward(traj, "reduce_5d_4d")
+
+
 def test_trajectory_monotonicity_enforced():
     with pytest.raises(ValueError):
         Trajectory(
@@ -490,10 +509,24 @@ def _parent_drift(traj, integral_id):
     return max(abs(v - values[0]) for v in values) / max(abs(values[0]), 1e-12)
 
 
+def _parent_reduction(traj):
+    """The reduction's former special path: s = exp(-t), [w, x, q/s, z*s]."""
+    idx = {n: i for i, n in enumerate(traj.state_names)}
+    new_times, new_states = [], []
+    for u, state in zip(traj.times, traj.states):
+        s = math.exp(-u)
+        x, z, w, q = state[idx["x"]], state[idx["z"]], state[idx["w"]], state[idx["q"]]
+        new_times.append(s)
+        new_states.append([w, x, q / s, z * s])
+    return replace(traj, system_id="ham_4d", params=dict(traj.params),
+                   state_names=load_model("ham_4d").state,
+                   times=new_times, states=new_states)
+
+
 def _parent_pushforward(traj, map_id):
     bmap = load_map(map_id, "resolved")
-    if map_id == "reduce_5d_4d":  # no compiled code on this path
-        return pushforward(traj, map_id)
+    if map_id == "reduce_5d_4d":
+        return _parent_reduction(traj)
     source, target = load_model(bmap.source), load_model(bmap.target)
     compiled = {
         name: (_parent_compile(RatExpr(e.num)), _parent_compile(RatExpr(e.den)))

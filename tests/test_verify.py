@@ -7,6 +7,7 @@ shares no code with the exact kernel.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -171,12 +172,12 @@ def test_s2_5d_residual_matches_hand_expansion():
     five = load_model("five_dim")
     x, q, a0, a2 = syms(five.table, "x q alpha0 alpha2")
     printed = dict(verify._symmetry_residuals(
-        five, five, load_map("s2_5d", "printed")
+        five.flow(), five, load_map("s2_5d", "printed")
     ))
     assert printed["x"].equals(2 * (a0 - a2) * x, relation=True)
     assert printed["q"].equals(2 * (a0 - a2) * q, relation=True)
     corrected = dict(verify._symmetry_residuals(
-        five, five, load_map("s2_5d", "corrected")
+        five.flow(), five, load_map("s2_5d", "corrected")
     ))
     for name, resid in corrected.items():
         assert is_identically_zero(resid, relation=True), name
@@ -303,13 +304,17 @@ def test_hamiltonian_consistency():
         check_hamiltonian_consistency("five_dim")
 
 
-def test_reduction():
-    assert check_reduction_5d_to_4d().passed
-    # dropping the exponential from the eliminated variable must break it
-    entries = verify._reduction_entries(drop_exponential=True)
-    assert any(
-        not is_identically_zero(resid, relation=True) for _, resid in entries
-    )
+def test_reduction(monkeypatch):
+    assert check_reduction_5d_to_4d("reduce_5d_4d").passed
+    # the registry map with the exponential dropped from the eliminated
+    # variable, y = w*q instead of y = w*q + s, must fail
+    red = load_map("reduce_5d_4d")
+    w, q = syms(red.table, "w q")
+    mutant = dataclasses.replace(red, eliminated={"y": w * q})
+    monkeypatch.setattr(verify, "load_map", lambda map_id, variant="printed": mutant)
+    report = check_reduction_5d_to_4d("reduce_5d_4d")
+    assert not report.passed
+    assert report.witness_point is not None
 
 
 def test_second_order_forms():
