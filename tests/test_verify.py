@@ -8,8 +8,10 @@ shares no code with the exact kernel.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -111,6 +113,24 @@ def test_scope_filtering():
         run_scope("everything")
     with pytest.raises(ValueError):
         run_scope("all", variant="bogus")
+
+
+GOLDEN_RECORDS = Path(__file__).parent / "golden_records.jsonl"
+
+
+def _golden_lines() -> list[str]:
+    """`run_scope("all")` records under the resolved and both policies, untimed."""
+    lines = []
+    for variant in ("resolved", "both"):
+        for report in run_scope("all", variant):
+            record = report.to_record()
+            record.pop("millis")
+            lines.append(json.dumps({"variant": variant, **record}))
+    return lines
+
+
+def test_records_match_golden():
+    assert _golden_lines() == GOLDEN_RECORDS.read_text().splitlines()
 
 
 def test_reports_are_idempotent():
