@@ -1,9 +1,9 @@
 """Command-line entry point: verification suite, group explorer, integrator.
 
 Exit codes: 0 all requested checks pass, 1 verification or domain failure,
-2 usage error.  ``--format records`` emits line-delimited JSON records, one
-per check, suitable for golden files; text output is deterministic for a
-fixed seed apart from the timing fields.
+2 usage error or an unwritable ``--out``.  ``--format records`` emits
+line-delimited JSON records, one per check, suitable for golden files; text
+output is deterministic for a fixed seed apart from the timing fields.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ EXIT_USAGE = 2
 DEFAULT_ORBIT_STEPS = 4
 
 
-def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> None:
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> int:
+    """Print the reports (and write them to ``out_path``); the exit code."""
     if fmt == "records":
         lines = [json.dumps(r.to_record(), sort_keys=True) for r in reports]
     else:
@@ -31,9 +37,13 @@ def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> None:
         lines.append(f"{npass}/{len(reports)} checks passed")
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _cannot_write(out_path, exc)
     sys.stdout.write(text)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def cmd_verify(args) -> int:
@@ -47,8 +57,7 @@ def cmd_verify(args) -> int:
     for r in reports:
         if r.seed is None:
             r.seed = args.seed
-    _emit_reports(reports, args.format, args.out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+    return _emit_reports(reports, args.format, args.out)
 
 
 # the options each group action takes; the others default to None and are
@@ -78,8 +87,7 @@ def cmd_group(args) -> int:
             return EXIT_USAGE
         reports = weyl.verify_group_relations(sample_count=samples, seed=seed)
         reports.append(weyl.translation_report())
-        _emit_reports(reports, args.format or "text", args.out)
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+        return _emit_reports(reports, args.format or "text", args.out)
 
     if args.word is None or not args.word.split():
         print("group action/shift/orbit needs a word, e.g. \"s1 s2 s1 s0\"",
@@ -163,8 +171,11 @@ def cmd_integrate(args) -> int:
         return EXIT_USAGE
 
     if args.out:
-        traj.write_csv(args.out)
-        traj.write_metadata(args.out + ".json")
+        try:
+            traj.write_csv(args.out)
+            traj.write_metadata(args.out + ".json")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
         print(f"wrote {args.out} and {args.out}.json")
     print(f"system {traj.system_id}: {len(traj.times)} samples, "
           f"termination {traj.termination}")

@@ -3,7 +3,9 @@
 Every object is addressable by a stable string id.  Where a printed
 coefficient is disputed, both a ``printed`` and a ``corrected`` variant ship;
 the verifier decides empirically which one satisfies the identities, and the
-registry never silently fixes anything.
+registry never silently fixes anything.  The parameter normalization
+alpha0 + alpha1 + alpha2 = 1 applies wherever a table carries all three
+alphas; no object carries a flag for it.
 
 Disputed objects:
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .ring import Derivation, Poly, RatExpr, SymbolTable, syms
+from .ring import Derivation, Poly, RatExpr, SymbolTable, has_relation_symbols, syms
 from .syntax import parse_expr, render_ratexpr
 
 HALF = Fraction(1, 2)
@@ -47,7 +49,6 @@ class VectorFieldSystem:
     id: str
     table: SymbolTable
     rhs: Mapping[str, RatExpr]
-    relation: bool = False
     hamiltonian: Optional[Hamiltonian] = None
     singular_at_zero_indep: bool = False
 
@@ -238,7 +239,7 @@ def _build_five_dim() -> VectorFieldSystem:
         "w": (x * w - z * q - a2) * w + y * z,
         "q": (z * q - x * w - a0) * q + x * y,
     }
-    return VectorFieldSystem("five_dim", T, rhs, relation=True)
+    return VectorFieldSystem("five_dim", T, rhs)
 
 
 def _build_reduced() -> VectorFieldSystem:
@@ -298,7 +299,7 @@ def _build_ham_4d() -> VectorFieldSystem:
         - p1 * p2 / s
     )
     return VectorFieldSystem(
-        "ham_4d", T, rhs, relation=True,
+        "ham_4d", T, rhs,
         hamiltonian=Hamiltonian(H, (("q1", "p1"), ("q2", "p2"))),
         singular_at_zero_indep=True,
     )
@@ -655,7 +656,8 @@ def _render_symbols(table: SymbolTable) -> str:
 def _dump_system(sys_obj: VectorFieldSystem) -> list[str]:
     lines = [f"[system {sys_obj.id}]"]
     lines.append(f"symbols: {_render_symbols(sys_obj.table)}")
-    lines.append(f"relation: {'alpha0+alpha1+alpha2=1' if sys_obj.relation else 'none'}")
+    normalized = has_relation_symbols(sys_obj.table)
+    lines.append(f"relation: {'alpha0+alpha1+alpha2=1' if normalized else 'none'}")
     for name in sys_obj.state:
         lines.append(f"rhs {name}: {render_ratexpr(sys_obj.rhs[name])}")
     if sys_obj.hamiltonian is not None:

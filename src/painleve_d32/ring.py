@@ -494,11 +494,11 @@ class RatExpr:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def equals(self, other: object, relation: bool = False) -> bool:
+    def equals(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare RatExpr with {type(other)!r}")
-        return is_identically_zero(self - o, relation=relation)
+        return is_identically_zero(self - o)
 
     def __repr__(self) -> str:
         from .syntax import render_ratexpr
@@ -531,11 +531,12 @@ _RELATION_KEEP = ("alpha0", "alpha2")
 
 
 def has_relation_symbols(table: SymbolTable) -> bool:
+    """Whether the normalization applies: the table carries all three alphas."""
     return all(n in table for n in (RELATION_ELIMINATED,) + _RELATION_KEEP)
 
 
 def reduce_relation(p: Poly) -> Poly:
-    """Eliminate alpha1 := 1 - alpha0 - alpha2 (the parameter normalization)."""
+    """Eliminate alpha1 := 1 - alpha0 - alpha2 where the table carries all three."""
     if not has_relation_symbols(p.table) or not p.involves(RELATION_ELIMINATED):
         return p
     t = p.table
@@ -546,14 +547,14 @@ def reduce_relation(p: Poly) -> Poly:
     return res.as_poly()
 
 
-def is_identically_zero(e: RatExpr, relation: bool = False) -> bool:
+def is_identically_zero(e: RatExpr) -> bool:
     """True iff the expression is the zero function.
 
-    With ``relation=True`` the numerator is first reduced by the parameter
-    normalization alpha0 + alpha1 + alpha2 = 1 (alpha1 eliminated).
+    Wherever the table carries alpha0, alpha1 and alpha2, the numerator is
+    first reduced by the normalization alpha0 + alpha1 + alpha2 = 1 (alpha1
+    eliminated).  A structural zero test is ``e.is_zero``.
     """
-    num = reduce_relation(e.num) if relation else e.num
-    return num.is_zero
+    return reduce_relation(e.num).is_zero
 
 
 # -- substitution ---------------------------------------------------------------

@@ -306,15 +306,6 @@ def random_point(rng: random.Random, context: str) -> PhasePoint:
     )
 
 
-def _points_agree(a: PhasePoint, b: PhasePoint) -> bool:
-    return (
-        a.state == b.state
-        and a.alphas == b.alphas
-        and a.eta == b.eta
-        and a.indep == b.indep
-    )
-
-
 def _frac(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
@@ -394,7 +385,7 @@ def _relation_holds_at_samples(
                     f"persistent singular sampling for relation over {context}"
                 )
             continue
-        if not _points_agree(li, ri):
+        if li != ri:
             return False, failures
         done += 1
     return True, failures

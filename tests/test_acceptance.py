@@ -93,7 +93,7 @@ def test_criterion_2_typo_resolution():
     printed = dict(
         verify._symmetry_residuals(five.flow(), five, load_map("s2_5d", "printed"))
     )
-    hand_ok = printed["x"].equals(2 * (a0 - a2) * x, relation=True)
+    hand_ok = printed["x"].equals(2 * (a0 - a2) * x)
     ok = same and winners["s2_5d"] == "corrected" and hand_ok
     _report(
         "2 typo-resolution", ok,

@@ -193,6 +193,35 @@ def test_integrate_writes_artifacts(tmp_path, capsys):
     assert header == "u,x,z"
 
 
+def _assert_cannot_write(path, capsys):
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"cannot write {path}: ")
+    assert not path.exists()
+
+
+def test_verify_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.txt"
+    assert main(["verify", "integrals", "--out", str(path)]) == 2
+    _assert_cannot_write(path, capsys)
+
+
+def test_group_relations_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.txt"
+    assert main(["group", "relations", "--samples", "1", "--out", str(path)]) == 2
+    _assert_cannot_write(path, capsys)
+
+
+def test_integrate_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    assert main([
+        "integrate", "linear_xz",
+        "--params", "alpha0=0.5,alpha2=0.5,eta=1",
+        "--init", "0,1", "--span", "0,1", "--out", str(path),
+    ]) == 2
+    _assert_cannot_write(path, capsys)
+
+
 def test_integrate_reports_drift(capsys):
     code = main([
         "integrate", "five_dim",

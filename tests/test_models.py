@@ -17,7 +17,7 @@ from painleve_d32.models import (
     load_particular_solution,
     reserialize_dump,
 )
-from painleve_d32.ring import RatExpr, substitute, syms
+from painleve_d32.ring import RatExpr, has_relation_symbols, substitute, syms
 
 GOLDEN = Path(__file__).parent / "golden_models.txt"
 
@@ -57,7 +57,7 @@ def test_five_dim_shape():
     five = load_model("five_dim")
     assert five.state == ("x", "y", "z", "w", "q")
     assert five.indep == "t"
-    assert five.relation
+    assert has_relation_symbols(five.table)
     allowed = set(five.state) | {"t", "alpha0", "alpha1", "alpha2", "eta"}
     for name in five.state:
         rhs = five.rhs[name]

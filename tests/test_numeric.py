@@ -74,7 +74,7 @@ def test_perturbed_rhs_breaks_conservation():
     five = load_model("five_dim")
     rhs = dict(five.rhs)
     rhs["y"] = rhs["y"] + Fraction(1, 100)
-    broken = VectorFieldSystem("five_dim", five.table, rhs, relation=True)
+    broken = VectorFieldSystem("five_dim", five.table, rhs)
     traj = integrate_system(broken, PARAMS_5D, INIT_5D, (0.0, 1.0),
                             tolerances=(1e-10, 1e-10))
     assert invariant_drift(traj, "ywq") > 1e-3

@@ -90,14 +90,26 @@ def test_differentiate_examples():
     y5, w5, q5 = syms(five.table, "y w q")
     expr = y5 - w5 * q5
     resid = differentiate(expr, five.flow()) + expr
-    assert is_identically_zero(resid, relation=True)
-    assert not is_identically_zero(resid)
+    assert is_identically_zero(resid)
+    assert not resid.is_zero
 
 
 def test_is_identically_zero_relation():
     r = a0 + a1 + a2 - 1
-    assert is_identically_zero(r, relation=True)
-    assert not is_identically_zero(r)
+    assert is_identically_zero(r)
+    assert not r.is_zero
+
+
+def test_normalization_applies_from_the_five_dim_table():
+    b0, b1, b2 = syms(load_model("five_dim").table, "alpha0 alpha1 alpha2")
+    assert is_identically_zero(b0 + b1 + b2 - 1)
+    assert (b0 + b1 + b2).equals(1)
+
+
+def test_normalization_needs_all_three_alphas():
+    # the alpha1 = 0 reduction carries alpha0 and alpha2 only
+    b0, b2 = syms(load_model("reduced_alpha1_zero").table, "alpha0 alpha2")
+    assert not is_identically_zero(b0 + b2 - 1)
 
 
 def test_exact_polynomial_quotient_examples():

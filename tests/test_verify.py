@@ -33,6 +33,7 @@ from painleve_d32.ring import (
     RingError,
     SymbolTable,
     exact_polynomial_quotient,
+    has_relation_symbols,
     is_identically_zero,
     reduce_relation,
     syms,
@@ -185,6 +186,16 @@ def test_printed_s2_5d_fails_with_witness():
     assert any(text != "zero" for _, text in report.residuals)
 
 
+def test_failed_witness_search_reports_its_attempts(monkeypatch):
+    monkeypatch.setattr(verify, "WITNESS_ATTEMPTS", 0)
+    report = check_symmetry("five_dim", "s2_5d", "printed")
+    assert not report.passed
+    assert report.witness_point is None
+    assert report.detail == "no witness in 0 attempts"
+    # the search runs only where a residual is nonzero
+    assert "witness" not in check_symmetry("five_dim", "s2_5d", "corrected").detail
+
+
 def test_s2_5d_residual_matches_hand_expansion():
     # frozen by hand: with the printed coefficient c = alpha0 in the
     # w-component, the x-residual is 2*(alpha0 - alpha2)*x and the q-residual
@@ -194,13 +205,13 @@ def test_s2_5d_residual_matches_hand_expansion():
     printed = dict(verify._symmetry_residuals(
         five.flow(), five, load_map("s2_5d", "printed")
     ))
-    assert printed["x"].equals(2 * (a0 - a2) * x, relation=True)
-    assert printed["q"].equals(2 * (a0 - a2) * q, relation=True)
+    assert printed["x"].equals(2 * (a0 - a2) * x)
+    assert printed["q"].equals(2 * (a0 - a2) * q)
     corrected = dict(verify._symmetry_residuals(
         five.flow(), five, load_map("s2_5d", "corrected")
     ))
     for name, resid in corrected.items():
-        assert is_identically_zero(resid, relation=True), name
+        assert is_identically_zero(resid), name
 
 
 def _sympy_five_dim(X, Y, Z, W, Q, A0, A1, A2, ETA):
@@ -292,7 +303,7 @@ def test_chart_fields_equal_transformed_family():
             expected = substitute(five.rhs[name], param_bind)
             if signs:
                 expected = signs[name] * expected
-            assert in_chart.equals(expected, relation=True), (chart_id, name)
+            assert in_chart.equals(expected), (chart_id, name)
 
 
 # -- integrals -------------------------------------------------------------------------------
@@ -350,13 +361,13 @@ def test_second_order_fails_without_coupling():
         rhs[coord] = Derivation(T, {mom: 1}).of(H_uncoupled)
         rhs[mom] = -Derivation(T, {coord: 1}).of(H_uncoupled)
     perturbed = VectorFieldSystem(
-        "ham_4d", T, rhs, relation=True,
+        "ham_4d", T, rhs,
         hamiltonian=Hamiltonian(H_uncoupled, ham.hamiltonian.pairing),
         singular_at_zero_indep=True,
     )
     entries = verify._second_order_entries(perturbed)
     assert any(
-        not is_identically_zero(resid, relation=True)
+        not is_identically_zero(resid)
         for label, resid in entries if label.startswith("coupled")
     )
 
@@ -637,7 +648,7 @@ def _reference_rows(system_id, state_bound, indep_bound, lam):
     for col, (m, d) in enumerate(zip(monos, derivs)):
         cleared = d.num * exact_polynomial_quotient(common_den, d.den)
         base = Poly(table, {m: Fraction(1)}) * common_den
-        if sys_obj.relation:
+        if has_relation_symbols(table):
             cleared, base = reduce_relation(cleared), reduce_relation(base)
         for mono, coeff in (cleared - base.scaled(lam)).terms:
             key = tuple(0 if i in param_idx else e for i, e in enumerate(mono))
@@ -694,7 +705,7 @@ def test_search_hits_satisfy_sympy_expansion(
     rhs = {by_name[n]: _sympy_of(r, names) for n, r in sys_obj.rhs.items()}
     rhs[by_name[sys_obj.indep]] = sp.Integer(1)
     relation = {}
-    if sys_obj.relation:
+    if has_relation_symbols(sys_obj.table):
         relation = {by_name["alpha1"]: 1 - by_name["alpha0"] - by_name["alpha2"]}
     found = first_integral_search(system_id, state_bound, indep_bound, (lam,))
     assert len(found) == count

@@ -219,7 +219,7 @@ def test_conjugation_identity_holds_symbolically():
     s2 = load_map("s2_4d", "resolved")
     table = load_model("ham_4d").table
     for name, expr in s2.var_map.items():
-        assert state[name].equals(expr, relation=True), name
+        assert state[name].equals(expr), name
     for p, img in s2.param_images(table).items():
         assert params[p].equals(img), p
     assert eta_sign == s2.eta_sign
