@@ -4,8 +4,8 @@ Each check returns a :class:`VerificationReport`: a pass verdict is always
 backed by identically-zero residuals, never by sampling.  Each residual
 numerator is reduced once by the parameter normalization alpha0 + alpha1 +
 alpha2 = 1, which applies wherever its table carries all three alphas.
-Failing checks report the reduced numerator and, when one exists, a rational
-witness point where it is nonzero, or else how many points were tried.
+A failing residual is reported as its reduced numerator, with a rational
+witness point where it is nonzero or else the number of points tried.
 
 The suite is the table :data:`SUITE`, one row (scope, check id, check, *args)
 per check, and a new check is a new row.  Scopes, dispute resolutions, the
