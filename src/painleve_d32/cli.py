@@ -28,7 +28,7 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 
 def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> int:
-    """Print the reports (and write them to ``out_path``); the exit code."""
+    """Print the reports, then write them to ``out_path``; the exit code."""
     if fmt == "records":
         lines = [json.dumps(r.to_record(), sort_keys=True) for r in reports]
     else:
@@ -36,13 +36,13 @@ def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> int:
         npass = sum(r.passed for r in reports)
         lines.append(f"{npass}/{len(reports)} checks passed")
     text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             return _cannot_write(out_path, exc)
-    sys.stdout.write(text)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 

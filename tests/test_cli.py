@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -194,22 +195,39 @@ def test_integrate_writes_artifacts(tmp_path, capsys):
 
 
 def _assert_cannot_write(path, capsys):
-    err = capsys.readouterr().err
+    """Check the one stderr line of an unwritable ``--out``; the stdout."""
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.splitlines() == [err.strip()]
     assert err.startswith(f"cannot write {path}: ")
     assert not path.exists()
+    return captured.out
 
 
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "r.txt"
     assert main(["verify", "integrals", "--out", str(path)]) == 2
-    _assert_cannot_write(path, capsys)
+    # the reports are still printed, verdict line included
+    out = _assert_cannot_write(path, capsys)
+    assert re.search(r"^\d+/\d+ checks passed$", out, re.M)
+
+
+def test_verify_unwritable_out_still_prints_a_failure(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.txt"
+    assert main([
+        "verify", "symmetry", "--variant", "printed", "--map", "s2_5d",
+        "--out", str(path),
+    ]) == 2
+    out = _assert_cannot_write(path, capsys).splitlines()
+    assert out[0].split()[:2] == ["symmetry:five_dim:s2_5d:printed", "FAIL"]
+    assert out[1:] == ["0/1 checks passed"]
 
 
 def test_group_relations_unwritable_out_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "r.txt"
     assert main(["group", "relations", "--samples", "1", "--out", str(path)]) == 2
-    _assert_cannot_write(path, capsys)
+    out = _assert_cannot_write(path, capsys)
+    assert re.search(r"^\d+/\d+ checks passed$", out, re.M)
 
 
 def test_integrate_unwritable_out_exits_2(tmp_path, capsys):

@@ -45,7 +45,7 @@ x, z, a0, a1, a2, eta = syms(T, "x z alpha0 alpha1 alpha2 eta")
 
 def test_ring_ops_examples():
     assert ring_ops(x, x, "sub").is_zero
-    assert ring_ops(1 / x, 1 / x, "add").equals(2 / x)
+    assert (ring_ops(1 / x, 1 / x, "add") - 2 / x).is_zero
     assert ring_ops((x**2 - 1) / (x - 1), x + 1, "sub").is_zero
 
 
@@ -66,7 +66,7 @@ def test_substitute_examples():
     T5 = load_model("five_dim").table
     z5, q5, a05, eta5 = syms(T5, "z q alpha0 eta")
     image = substitute(z5 * q5, {"q": q5 - 2 * a05 / z5 + eta5 / z5**2})
-    assert image.equals((z5**2 * q5 - 2 * a05 * z5 + eta5) / z5)
+    assert (image - (z5**2 * q5 - 2 * a05 * z5 + eta5) / z5).is_zero
 
 
 def test_substitute_singular_denominator_names_binding():
@@ -77,7 +77,7 @@ def test_substitute_singular_denominator_names_binding():
 
 def test_differentiate_examples():
     D = Derivation(T, {"x": 1})
-    assert differentiate(x**2, D).equals(2 * x)
+    assert (differentiate(x**2, D) - 2 * x).is_zero
 
     gen_table = SymbolTable(
         [("t", "independent"), ("alpha2", "parameter"), ("E", "generator")]
@@ -125,11 +125,11 @@ def test_jacobian_examples():
     five = load_model("five_dim")
     names = list(five.state)
     ident = [RatExpr.sym(five.table, n) for n in names]
-    assert jacobian_determinant(ident, names).equals(1)
+    assert (jacobian_determinant(ident, names) - 1).is_zero
     for chart_id in ("chart0", "chart1"):
         m = load_map(chart_id)
         det = jacobian_determinant([m.var_map[n] for n in names], names)
-        assert det.equals(1)
+        assert (det - 1).is_zero
 
 
 def test_evaluate_examples():
@@ -160,7 +160,7 @@ def test_render_parse_roundtrip():
         text = render_ratexpr(e)
         back = parse_expr(text, T)
         assert render_ratexpr(back) == text
-        assert back.equals(e)
+        assert (back - e).is_zero
 
 
 # -- randomized ring properties (hypothesis) -------------------------------------------
