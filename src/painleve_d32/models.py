@@ -3,7 +3,10 @@
 Every object is addressable by a stable string id.  Where a printed
 coefficient is disputed, both a ``printed`` and a ``corrected`` variant ship;
 the verifier decides empirically which one satisfies the identities, and the
-registry never silently fixes anything.  The parameter normalization
+registry never silently fixes anything.  Symmetries, charts, the 5d -> 4d
+reduction ``reduce_5d_4d`` and the second-order forms ``order2_xzw`` and
+``order2_ham_4d`` are all registry maps; :mod:`.verify` certifies every one
+but the charts by the same map residual.  The parameter normalization
 alpha0 + alpha1 + alpha2 = 1 applies wherever a table carries all three
 alphas; no object carries a flag for it.
 
@@ -475,6 +478,27 @@ def _map_reduce() -> BirationalMap:
     )
 
 
+def _maps_second_order(reg: "_Registry") -> dict[tuple[str, str], BirationalMap]:
+    # each velocity image is the source's own right-hand side, linear in the
+    # eliminated conjugate: a second-order identity holds in (position,
+    # velocity) exactly when it holds in the source coordinates
+    xzw, ham = reg.systems["xzw"], reg.systems["ham_4d"]
+    (x,), (p1, p2) = syms(xzw.table, "x"), syms(ham.table, "p1 p2")
+    out = {}
+    for mid, source, target, var_map in (
+        ("order2_xzw", xzw, "second_order_x", {"x": x, "xdot": xzw.rhs["x"]}),
+        ("order2_ham_4d", ham, "coupled_second_order",
+         {"y": p1, "ydot": ham.rhs["p1"], "w": p2, "wdot": ham.rhs["p2"]}),
+    ):
+        params = reg.systems[target].params
+        identity = tuple(tuple(int(a == b) for b in params) for a in params)
+        out[(mid, "printed")] = BirationalMap(
+            mid, "printed", source.id, target, var_map,
+            params, identity, (0,) * len(params), +1, +1, None,
+        )
+    return out
+
+
 def _map_scale(TK2: SymbolTable) -> BirationalMap:
     q2, p2, s = syms(TK2, "q2 p2 s")
     return BirationalMap(
@@ -568,6 +592,7 @@ SYSTEM_IDS = (
 MAP_IDS = (
     "s0_5d", "s1_5d", "s2_5d", "chart0", "chart1", "chart2",
     "s0_4d", "s1_4d", "s2_4d", "pi_4d", "reduce_5d_4d", "scale_step",
+    "order2_xzw", "order2_ham_4d",
 )
 INTEGRAL_IDS = ("ywq", "I1", "I2")
 SOLUTION_IDS = (
@@ -593,6 +618,7 @@ class _Registry:
         self.maps[("scale_step", "printed")] = _map_scale(
             self.systems["K2_sys"].table
         )
+        self.maps.update(_maps_second_order(self))
         self.integrals = _build_integrals(self)
         self.solutions = _build_solutions(self)
 

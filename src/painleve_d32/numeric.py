@@ -21,9 +21,9 @@ Trajectories are therefore bit-identical to the per-symbol loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
-not an error.  Non-finite input, and a step, grid or parameter that does not
-apply to the mode or system, is refused with :class:`UsageError` before any
-step.
+not an error.  Non-finite input, alphas off alpha0 + alpha1 + alpha2 = 1,
+and a step, grid or parameter that does not apply to the mode or system, are
+refused with :class:`UsageError` before any step.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from types import FunctionType
 from typing import Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .models import BirationalMap, VectorFieldSystem, load_integral, load_map, load_model
-from .ring import Poly, RatExpr, SymbolTable
+from .ring import Poly, RatExpr, SymbolTable, has_relation_symbols
 
 BLOWUP_NORM = 1e8
 MIN_STEP_FACTOR = 1e-14
@@ -365,6 +365,10 @@ def integrate_system(
         raise UsageError("empty integration span")
     _check_domain(system, u0, u1)
     f = _CompiledSystem(system, params)
+    if has_relation_symbols(system.table):
+        total = sum(float(params[n]) for n in ("alpha0", "alpha1", "alpha2"))
+        if abs(total - 1) > 1e-9:
+            raise UsageError(f"{system.id} needs alpha0 + alpha1 + alpha2 = 1, got {total!r}")
 
     times, states = [u0], [y]
     stats = {"accepted": 0, "rejected": 0, "termination": "completed",
@@ -485,7 +489,8 @@ def invariant_drift(traj: Trajectory, integral_id: str) -> float:
 
 
 def _transform_params(bmap: BirationalMap, params: Mapping[str, float]) -> dict:
-    out = dict(params)
+    """The parameter values on the map's image, for the target's symbols only."""
+    out = {n: v for n, v in params.items() if n in load_model(bmap.target).table}
     names = bmap.param_names
     vec = [float(params[n]) for n in names]
     for i, name in enumerate(names):
@@ -493,7 +498,7 @@ def _transform_params(bmap: BirationalMap, params: Mapping[str, float]) -> dict:
             sum(bmap.param_matrix[i][j] * vec[j] for j in range(len(names)))
             + bmap.param_offset[i]
         )
-    if "eta" in params:
+    if "eta" in out:
         out["eta"] = bmap.eta_sign * float(params["eta"])
     return out
 

@@ -10,9 +10,11 @@ witness point where it is nonzero or else the number of points tried.
 The suite is the table :data:`SUITE`, one row (scope, check id, check, *args)
 per check, and a new check is a new row.  Scopes, dispute resolutions, the
 raw variant checks of :func:`run_scope` and its selection by map are all
-derived from the rows.  Symmetries and the 5d -> 4d reduction share one map
-residual D(phi_i)/D(tau) - F_i(pullback), tau the map's image of time; the
-exponential generator s is a symbol with the rule dS/dt = -s.
+derived from the rows.  The symmetries, the 5d -> 4d reduction and the two
+second-order forms are registry maps and share one map residual
+D(phi_i)/D(tau) - F_i(pullback), tau the map's image of time, along a flow
+derived from the map's own data; the reduction's exponential generator s is
+a symbol with the rule dS/dt = -s.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ from .ring import (
     syms,
 )
 from .syntax import render_poly, render_ratexpr
-
-HALF = Fraction(1, 2)
 
 WITNESS_SEED = 0xD32
 WITNESS_ATTEMPTS = 400
@@ -222,6 +222,24 @@ def _symmetry_residuals(
     return entries
 
 
+def _map_residuals(bmap: BirationalMap) -> list[tuple[str, RatExpr]]:
+    """The map residuals of ``bmap`` along the flow it is certified against.
+
+    That flow comes from the map's own data: the source flow, restricted by
+    the ``eliminated`` bindings onto the map's table and extended by the
+    generator ``rules``.
+    """
+    source = load_model(bmap.source)
+    flow = source.flow()
+    if bmap.eliminated or bmap.rules:
+        rules = {
+            n: substitute(source.rhs[n], bmap.eliminated, table=bmap.table)
+            for n in source.state if n not in bmap.eliminated
+        }
+        flow = Derivation(bmap.table, {**rules, **bmap.rules, source.indep: 1})
+    return _symmetry_residuals(flow, load_model(bmap.target), bmap)
+
+
 def check_symmetry(
     system_id: str, map_id: str, variant: str = "printed"
 ) -> VerificationReport:
@@ -234,14 +252,12 @@ def check_symmetry(
     bmap = load_map(map_id, variant)
     if bmap.source != system_id:
         raise ValueError(f"map {map_id!r} does not act on system {system_id!r}")
-    source = load_model(bmap.source)
-    target = load_model(bmap.target)
     check_id = f"symmetry:{system_id}:{map_id}"
     if map_id in models.DISPUTED_MAP_IDS:
         check_id += f":{variant}"
     with _Timer() as tm:
         try:
-            entries = _symmetry_residuals(source.flow(), target, bmap)
+            entries = _map_residuals(bmap)
         except SingularSubstitutionError as exc:
             return VerificationReport(
                 check_id=check_id,
@@ -343,11 +359,12 @@ def check_chart(
         for name in sys_obj.state:
             transported = differentiate(bmap.var_map[name], flow)
             in_chart = substitute(transported, inverse)
-            quotient = exact_polynomial_quotient(reduce_relation(in_chart.num), in_chart.den)
+            num = reduce_relation(in_chart.num)
+            quotient = exact_polynomial_quotient(num, in_chart.den)
             if quotient is None:
                 poly_ok = False
                 poly_labels.append(
-                    (f"polynomial:{name}", render_ratexpr(in_chart))
+                    (f"polynomial:{name}", render_ratexpr(RatExpr(num, in_chart.den)))
                 )
             else:
                 poly_labels.append((f"polynomial:{name}", "zero"))
@@ -399,83 +416,31 @@ def check_hamiltonian_consistency(system_id: str) -> VerificationReport:
 def check_reduction_5d_to_4d(map_id: str) -> VerificationReport:
     """Eliminating y on the integral and rescaling time yields the 4d system.
 
-    The map's data restrict the five-dimensional flow to its table: y is
-    bound to w*q + s and the generator s follows dS/dt = -s.  The residual is
-    the map residual of :func:`check_symmetry`, with the new time s.
+    The map binds y to w*q + s, and its generator s follows dS/dt = -s, the
+    new time of the map residual.
     """
-    bmap = load_map(map_id)
-    source, target = load_model(bmap.source), load_model(bmap.target)
     with _Timer() as tm:
-        rules: dict[str, object] = {
-            n: substitute(source.rhs[n], bmap.eliminated, table=bmap.table)
-            for n in source.state if n not in bmap.eliminated
-        }
-        flow = Derivation(bmap.table, {**rules, **bmap.rules, source.indep: 1})
-        entries = _symmetry_residuals(flow, target, bmap)
+        entries = _map_residuals(load_map(map_id))
     return _finish("reduction:5d_to_4d", entries, tm)
 
 
 # -- second order forms ------------------------------------------------------------------
 
 
-def _second_order_entries(
-    ham: Optional[VectorFieldSystem] = None,
-) -> list[tuple[str, RatExpr]]:
-    entries: list[tuple[str, RatExpr]] = []
-
-    # (a) eliminate w from the x/w pair of the three-variable subsystem
-    xzw = load_model("xzw")
-    TA = xzw.table.extend([("xdot", "constant")])
-    ident_a = {n: RatExpr.sym(TA, n) for n in xzw.table.symbols}
-    rhs_a = {n: substitute(xzw.rhs[n], ident_a, table=TA) for n in xzw.state}
-    flow_a = Derivation(TA, {**rhs_a, "t": RatExpr.const(TA, 1)})
-    x, xdot, a2 = syms(TA, "x xdot alpha2")
-    second = flow_a.of(rhs_a["x"])
-    w_solved = (a2 * x + HALF - xdot) / x**2
-    second_in_v = substitute(second, {"w": w_solved})
-    target_sys = load_model("second_order_x")
-    target_a = substitute(
-        target_sys.rhs["xdot"],
-        {"x": x, "xdot": xdot, "alpha2": a2, "t": RatExpr.sym(TA, "t")},
-        table=TA,
-    )
-    entries.append(("xzw", second_in_v - target_a))
-
-    # (b) eliminate q1, q2 from the coupled Hamiltonian system
-    if ham is None:
-        ham = load_model("ham_4d")
-    TB = ham.table.extend([("v1", "constant"), ("v2", "constant")])
-    ident_b = {n: RatExpr.sym(TB, n) for n in ham.table.symbols}
-    rhs_b = {n: substitute(ham.rhs[n], ident_b, table=TB) for n in ham.state}
-    flow_b = Derivation(TB, {**rhs_b, "s": RatExpr.const(TB, 1)})
-    p1, p2, s, v1, v2, a1, a2b, eta = syms(TB, "p1 p2 s v1 v2 alpha1 alpha2 eta")
-    coupled = load_model("coupled_second_order")
-    bind_target = {
-        "y": p1, "ydot": v1, "w": p2, "wdot": v2, "s": s,
-        "alpha0": RatExpr.sym(TB, "alpha0"), "alpha2": a2b, "eta": eta,
-    }
-
-    q1_solved = (s * v1 + a2b * p1 + HALF) / p1**2
-    acc1 = substitute(flow_b.of(rhs_b["p1"]), {"q1": q1_solved})
-    target1 = substitute(coupled.rhs["ydot"], bind_target, table=TB)
-    entries.append(("coupled:y", acc1 - target1))
-
-    q2_solved = (s * v2 - (a1 + a2b) * p2 - eta * s * HALF) / p2**2
-    acc2 = substitute(flow_b.of(rhs_b["p2"]), {"q2": q2_solved})
-    target2 = substitute(coupled.rhs["wdot"], bind_target, table=TB)
-    entries.append(("coupled:w", acc2 - target2))
-    return entries
-
-
-def check_second_order_forms() -> VerificationReport:
+def check_second_order_forms(*map_ids: str) -> VerificationReport:
     """The scalar second-order forms obtained by eliminating the conjugates.
 
-    (a) from the three-variable subsystem, eliminating w against dx/dt;
-    (b) from the coupled Hamiltonian system, eliminating q1 and q2 against
-    dp1/ds and dp2/ds.  Both must reproduce the stored second-order systems.
+    Each map sends a position to itself and its velocity to the source's
+    right-hand side; the map residuals are labelled ``<map>:<state>``.
     """
+    if not map_ids:
+        raise ValueError("second-order forms need at least one map")
     with _Timer() as tm:
-        entries = _second_order_entries()
+        entries = [
+            (f"{map_id}:{name}", resid)
+            for map_id in map_ids
+            for name, resid in _map_residuals(load_map(map_id))
+        ]
     return _finish("second_order_forms", entries, tm)
 
 
@@ -1105,7 +1070,8 @@ SUITE = (
     ("hamiltonian", "hamiltonian:tildeK2_sys", check_hamiltonian_consistency, "tildeK2_sys"),
     ("reduction", "reduction:5d_to_4d", check_reduction_5d_to_4d, "reduce_5d_4d"),
     ("reduction", "symmetry:K2_sys:scale_step", check_symmetry, "K2_sys", "scale_step"),
-    ("reduction", "second_order_forms", check_second_order_forms),
+    ("reduction", "second_order_forms", check_second_order_forms,
+     "order2_xzw", "order2_ham_4d"),
     ("solutions", "solution:linear_xz_sol", check_particular_solution, "linear_xz_sol"),
     ("solutions", "solution:second_order_sol_a", check_particular_solution,
      "second_order_sol_a"),

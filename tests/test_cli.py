@@ -252,6 +252,19 @@ def test_integrate_reports_drift(capsys):
     assert float(drift_line.split(":")[1]) < 1e-6
 
 
+def test_integrate_off_the_normalization_exits_2(capsys):
+    # alpha0 + alpha1 + alpha2 = 1.65
+    code = main([
+        "integrate", "five_dim",
+        "--params", "alpha0=0.3,alpha1=0.9,alpha2=0.45,eta=0.7",
+        "--init", "0.1,0.8,0.3,0.4,0.5", "--span", "0,1",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "alpha0 + alpha1 + alpha2 = 1" in captured.err
+    assert "drift" not in captured.out
+
+
 def test_integrate_domain_error_exit_1(capsys):
     code = main([
         "integrate", "ham_4d",

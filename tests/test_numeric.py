@@ -162,6 +162,27 @@ def test_reduction_pushforward_consistency():
     assert dynamics_residual(reduced, "ham_4d", reduced.params) < 1e-4
 
 
+@pytest.mark.parametrize("map_id, params, init, span", [
+    ("order2_ham_4d", PARAMS_5D, [0.1, 0.2, 0.3, 0.4], (0.5, 2.0)),
+    ("order2_xzw", {"alpha0": 0.3, "alpha2": 0.45, "eta": 0.7}, [0.4, -0.3, 0.5],
+     (0.0, 1.0)),
+])
+def test_second_order_pushforward_satisfies_the_second_order_form(
+    map_id, params, init, span
+):
+    bmap = load_map(map_id)
+    traj = integrate(bmap.source, params, init, span, mode="fixed", step=1e-3)
+    pushed = pushforward(traj, map_id)
+    assert pushed.system_id == bmap.target
+    assert pushed.times == traj.times
+    # the pushed run can be continued in the target system
+    assert integrate(bmap.target, pushed.params, pushed.states[-1],
+                     (span[1], span[1] + 0.1)).termination == "completed"
+    assert dynamics_residual(pushed, bmap.target, pushed.params) < 1e-4
+    wrong = {**pushed.params, "alpha2": pushed.params["alpha2"] + 0.5}
+    assert dynamics_residual(pushed, bmap.target, wrong) > 1e-2
+
+
 def test_grid_rejects_bad_grid_before_integrating(monkeypatch):
     calls = []
     monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
@@ -356,6 +377,16 @@ def test_missing_parameters_is_usage_error():
     with pytest.raises(UsageError):
         integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0),
                   tolerances=(0.0, 1e-9))
+
+
+def test_parameters_off_the_normalization_are_refused_before_any_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+    off = {**PARAMS_5D, "alpha1": 0.9}
+    for system_id, init in (("five_dim", INIT_5D), ("ham_4d", [0.1, 0.2, 0.3, 0.4])):
+        with pytest.raises(UsageError, match="alpha0 \\+ alpha1 \\+ alpha2 = 1"):
+            integrate(system_id, off, init, (0.5, 1.0))
+    assert calls == []
 
 
 def test_fixed_mode_reports_its_step():

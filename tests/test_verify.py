@@ -349,7 +349,50 @@ def test_reduction(monkeypatch):
 
 
 def test_second_order_forms():
-    assert check_second_order_forms().passed
+    report = check_second_order_forms("order2_xzw", "order2_ham_4d")
+    assert report.passed
+    assert [label for label, _ in report.residuals] == [
+        "order2_xzw:x", "order2_xzw:xdot", "order2_ham_4d:y",
+        "order2_ham_4d:ydot", "order2_ham_4d:w", "order2_ham_4d:wdot",
+    ]
+    # no map is not a vacuous pass
+    with pytest.raises(ValueError):
+        check_second_order_forms()
+
+
+@pytest.mark.parametrize("source_id, target_id, positions", [
+    ("xzw", "second_order_x", {"x": ("x", "w", "xdot")}),
+    ("ham_4d", "coupled_second_order",
+     {"p1": ("y", "q1", "ydot"), "p2": ("w", "q2", "wdot")}),
+])
+def test_second_order_forms_match_a_sympy_elimination(source_id, target_id, positions):
+    # independent route: solve rhs[position] = velocity for the conjugate,
+    # substitute it into the second derivative of the position and compare
+    # with the stored second-order right-hand side; positions maps each source
+    # position to its target name, its conjugate and its velocity
+    source, target = load_model(source_id), load_model(target_id)
+    sym = sp.Symbol
+    rhs = {
+        sym(n): _sympy_of(r, [sym(m) for m in source.table.symbols])
+        for n, r in source.rhs.items()
+    }
+    rhs[sym(source.indep)] = sp.Integer(1)
+    solved = sp.solve(
+        [rhs[sym(pos)] - sym(vel) for pos, (_, _, vel) in positions.items()],
+        [sym(conj) for _, conj, _ in positions.values()], dict=True,
+    )
+    assert len(solved) == 1
+    rename = {sym(name): sym(pos) for pos, (name, _, _) in positions.items()}
+    relation = {}
+    if source_id in NORMALIZED_SYSTEMS:
+        relation = {sym("alpha1"): 1 - sym("alpha0") - sym("alpha2")}
+    for pos, (_, _, vel) in positions.items():
+        second = sum(sp.diff(rhs[sym(pos)], v) * f for v, f in rhs.items())
+        stored = _sympy_of(
+            target.rhs[vel], [sym(m) for m in target.table.symbols]
+        ).subs(rename, simultaneous=True)
+        residual = (second.subs(solved[0]) - stored).subs(relation)
+        assert sp.expand(sp.numer(sp.together(residual))) == 0, vel
 
 
 def test_second_order_fails_without_coupling():
@@ -365,11 +408,11 @@ def test_second_order_fails_without_coupling():
         hamiltonian=Hamiltonian(H_uncoupled, ham.hamiltonian.pairing),
         singular_at_zero_indep=True,
     )
-    entries = verify._second_order_entries(perturbed)
-    assert any(
-        not is_identically_zero(resid)
-        for label, resid in entries if label.startswith("coupled")
-    )
+    entries = dict(verify._symmetry_residuals(
+        perturbed.flow(), load_model("coupled_second_order"), load_map("order2_ham_4d")
+    ))
+    assert not is_identically_zero(entries["ydot"])
+    assert not is_identically_zero(entries["wdot"])
 
 
 # -- solutions and the invariant divisor ---------------------------------------------------------
@@ -379,6 +422,16 @@ def test_particular_solutions():
     for pid in ("linear_xz_sol", "second_order_sol_a", "second_order_sol_b",
                 "rest_wq_zero"):
         assert check_particular_solution(pid).passed, pid
+
+
+def test_rest_wq_zero_solves_five_dim_for_every_alpha1(monkeypatch):
+    # with y = w = q = 0 both y' = (x*w + z*q - 1)*y + alpha1*w*q and w'
+    # vanish whatever alpha1 is, so the binding alpha1 = 0 is not needed
+    sol = verify.load_particular_solution("rest_wq_zero")
+    assert set(sol.param_bindings) == {"alpha1"}
+    free = dataclasses.replace(sol, param_bindings={})
+    monkeypatch.setattr(verify, "load_particular_solution", lambda solution_id: free)
+    assert check_particular_solution("rest_wq_zero").passed
 
 
 def test_invariant_divisor():
