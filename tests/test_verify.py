@@ -17,7 +17,7 @@ import pytest
 import sympy as sp
 
 from conftest import random_ratexpr
-from painleve_d32 import verify
+from painleve_d32 import verify, weyl
 from painleve_d32.models import (
     SYSTEM_IDS,
     Hamiltonian,
@@ -120,13 +120,25 @@ GOLDEN_RECORDS = Path(__file__).parent / "golden_records.jsonl"
 
 
 def _golden_lines() -> list[str]:
-    """`run_scope("all")` records under the resolved and both policies, untimed."""
-    lines = []
-    for variant in ("resolved", "both"):
-        for report in run_scope("all", variant):
-            record = report.to_record()
-            record.pop("millis")
-            lines.append(json.dumps({"variant": variant, **record}))
+    """Untimed records of `run_scope("all")` under the resolved and both
+    policies, of the group relations and of the translations; then the
+    parameter action of every generator in both contexts."""
+    records = [
+        {"variant": variant, **report.to_record()}
+        for variant in ("resolved", "both")
+        for report in run_scope("all", variant)
+    ]
+    records += [r.to_record() for r in weyl.verify_group_relations(20, 20321)]
+    records.append(weyl.translation_report().to_record())
+    for record in records:
+        record.pop("millis")
+    lines = [json.dumps(record) for record in records]
+    for context, letters in weyl._GENERATOR_MAPS.items():
+        for letter in letters:
+            action = weyl.parameter_action(weyl.parse_word(letter, context))
+            lines.append(json.dumps(
+                {"context": context, "letter": letter, **dataclasses.asdict(action)}
+            ))
     return lines
 
 
