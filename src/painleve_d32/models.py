@@ -6,9 +6,11 @@ the verifier decides empirically which one satisfies the identities, and the
 registry never silently fixes anything.  Symmetries, charts, the 5d -> 4d
 reduction ``reduce_5d_4d`` and the second-order forms ``order2_xzw`` and
 ``order2_ham_4d`` are all registry maps; :mod:`.verify` certifies every one
-but the charts by the same map residual.  The parameter normalization
-alpha0 + alpha1 + alpha2 = 1 applies wherever a table carries all three
-alphas; no object carries a flag for it.
+but the charts by the same map residual.  A map's action on the parameters,
+eta and time is one :class:`ParameterAction`, ``BirationalMap.action``,
+which the residuals, :mod:`.weyl` and :mod:`.numeric` all apply.  The
+parameter normalization alpha0 + alpha1 + alpha2 = 1 applies wherever a
+table carries all three alphas; no object carries a flag for it.
 
 Disputed objects:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .ring import Derivation, Poly, RatExpr, SymbolTable, has_relation_symbols, syms
 from .syntax import parse_expr, render_ratexpr
@@ -77,6 +79,61 @@ class VectorFieldSystem:
 
 
 @dataclass(frozen=True)
+class ParameterAction:
+    """Integer affine action alpha -> M*alpha + v, with signs on eta and time."""
+
+    matrix: tuple[tuple[int, ...], ...]
+    offset: tuple[int, ...]
+    eta_sign: int = +1
+    indep_sign: int = +1
+
+    @staticmethod
+    def identity(n: int) -> "ParameterAction":
+        return ParameterAction(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n
+        )
+
+    def apply(self, values: Sequence) -> tuple:
+        """M*values + v, for Fractions, floats or RatExprs alike.
+
+        Zero coefficients are skipped; each sum starts from 0*values[0] + v,
+        so that even a zero row has the type of the values.
+        """
+        zero = 0 * values[0]
+        return tuple(
+            sum((c * a for c, a in zip(row, values) if c), zero + off)
+            for row, off in zip(self.matrix, self.offset)
+        )
+
+    def then(self, after: "ParameterAction") -> "ParameterAction":
+        """Composite action: first self, then ``after``.
+
+        Matrix and offset are the integer products; the signs multiply.
+        """
+        n = range(len(self.offset))
+        matrix = tuple(
+            tuple(sum(after.matrix[i][k] * self.matrix[k][j] for k in n) for j in n)
+            for i in n
+        )
+        offset = tuple(
+            sum(after.matrix[i][k] * self.offset[k] for k in n) + after.offset[i]
+            for i in n
+        )
+        return ParameterAction(
+            matrix, offset,
+            self.eta_sign * after.eta_sign,
+            self.indep_sign * after.indep_sign,
+        )
+
+    def is_identity(self) -> bool:
+        return self == ParameterAction.identity(len(self.offset))
+
+    def preserves_normalization(self) -> bool:
+        """Column sums 1 and zero offset sum keep alpha0+alpha1+alpha2 = 1."""
+        return all(sum(col) == 1 for col in zip(*self.matrix)) and sum(self.offset) == 0
+
+
+@dataclass(frozen=True)
 class BirationalMap:
     id: str
     variant: str
@@ -84,10 +141,7 @@ class BirationalMap:
     target: str
     var_map: Mapping[str, RatExpr]  # target state name -> expression over source table
     param_names: tuple[str, ...]
-    param_matrix: tuple[tuple[int, ...], ...]
-    param_offset: tuple[int, ...]
-    eta_sign: int
-    indep_sign: int
+    action: ParameterAction  # on param_names, eta and the independent variable
     context: Optional[str] = None  # th1 | th2 | None
     eliminated: Mapping[str, RatExpr] = field(default_factory=dict)  # source state -> binding
     rules: Mapping[str, RatExpr] = field(default_factory=dict)  # generator -> derivative
@@ -99,15 +153,8 @@ class BirationalMap:
 
     def param_images(self, table: SymbolTable) -> dict[str, RatExpr]:
         """Images of the parameters as expressions over ``table``."""
-        images: dict[str, RatExpr] = {}
-        for i, name in enumerate(self.param_names):
-            total = RatExpr.const(table, self.param_offset[i])
-            for j, other in enumerate(self.param_names):
-                coeff = self.param_matrix[i][j]
-                if coeff:
-                    total = total + coeff * RatExpr.sym(table, other)
-            images[name] = total
-        return images
+        params = [RatExpr.sym(table, name) for name in self.param_names]
+        return dict(zip(self.param_names, self.action.apply(params)))
 
     def pullback_bindings(
         self, source_table: SymbolTable, target_table: SymbolTable
@@ -123,10 +170,10 @@ class BirationalMap:
         bindings: dict[str, RatExpr] = {n: e for n, e in self.var_map.items()}
         bindings.update(self.param_images(source_table))
         if "eta" in target_table:
-            bindings["eta"] = self.eta_sign * RatExpr.sym(source_table, "eta")
+            bindings["eta"] = self.action.eta_sign * RatExpr.sym(source_table, "eta")
         indep = target_table.indep_name
         if indep is not None and indep in source_table:
-            bindings[indep] = self.indep_sign * RatExpr.sym(source_table, indep)
+            bindings[indep] = self.action.indep_sign * RatExpr.sym(source_table, indep)
         for name in target_table.symbols:
             if name not in bindings and name in source_table:
                 bindings[name] = RatExpr.sym(source_table, name)
@@ -388,7 +435,8 @@ def _maps_5d(T: SymbolTable) -> dict[tuple[str, str], BirationalMap]:
     def mk(mid, variant, var_map, matrix, eta_sign, indep_sign=1, context="th1"):
         return BirationalMap(
             mid, variant, "five_dim", "five_dim", {**ident, **var_map},
-            _ALPHA_NAMES, matrix, _ZERO3, eta_sign, indep_sign, context,
+            _ALPHA_NAMES, ParameterAction(matrix, _ZERO3, eta_sign, indep_sign),
+            context,
         )
 
     s0_vars = {
@@ -434,7 +482,7 @@ def _maps_4d(T: SymbolTable) -> dict[tuple[str, str], BirationalMap]:
     def mk(mid, variant, var_map, matrix, eta_sign, indep_sign):
         return BirationalMap(
             mid, variant, "ham_4d", "ham_4d", {**ident, **var_map},
-            _ALPHA_NAMES, matrix, _ZERO3, eta_sign, indep_sign, "th2",
+            _ALPHA_NAMES, ParameterAction(matrix, _ZERO3, eta_sign, indep_sign), "th2",
         )
 
     out = {}
@@ -473,7 +521,7 @@ def _map_reduce() -> BirationalMap:
     return BirationalMap(
         "reduce_5d_4d", "printed", "five_dim", "ham_4d",
         {"q1": w, "p1": x, "q2": q / s, "p2": z * s},
-        _ALPHA_NAMES, _MID, _ZERO3, +1, +1, None,
+        _ALPHA_NAMES, ParameterAction.identity(3), None,
         eliminated={"y": w * q + s}, rules={"s": -s},
     )
 
@@ -491,10 +539,9 @@ def _maps_second_order(reg: "_Registry") -> dict[tuple[str, str], BirationalMap]
          {"y": p1, "ydot": ham.rhs["p1"], "w": p2, "wdot": ham.rhs["p2"]}),
     ):
         params = reg.systems[target].params
-        identity = tuple(tuple(int(a == b) for b in params) for a in params)
         out[(mid, "printed")] = BirationalMap(
             mid, "printed", source.id, target, var_map,
-            params, identity, (0,) * len(params), +1, +1, None,
+            params, ParameterAction.identity(len(params)), None,
         )
     return out
 
@@ -504,7 +551,7 @@ def _map_scale(TK2: SymbolTable) -> BirationalMap:
     return BirationalMap(
         "scale_step", "printed", "K2_sys", "tildeK2_sys",
         {"x1": s * q2, "y1": p2 / s},
-        ("alpha",), ((1,),), (0,), +1, +1, None,
+        ("alpha",), ParameterAction.identity(1), None,
     )
 
 
@@ -706,12 +753,13 @@ def _dump_map(m: BirationalMap) -> list[str]:
     for name in sorted(m.var_map):
         lines.append(f"vars {name}: {render_ratexpr(m.var_map[name])}")
     lines.append(f"params: {' '.join(m.param_names)}")
+    a = m.action
     lines.append(
-        "matrix: " + " / ".join(" ".join(str(c) for c in row) for row in m.param_matrix)
+        "matrix: " + " / ".join(" ".join(str(c) for c in row) for row in a.matrix)
     )
-    lines.append("offset: " + " ".join(str(c) for c in m.param_offset))
-    lines.append(f"eta_sign: {m.eta_sign}")
-    lines.append(f"indep_sign: {m.indep_sign}")
+    lines.append("offset: " + " ".join(str(c) for c in a.offset))
+    lines.append(f"eta_sign: {a.eta_sign}")
+    lines.append(f"indep_sign: {a.indep_sign}")
     lines.append("[end]")
     return lines
 

@@ -6,7 +6,8 @@ Finite-difference residual checks need exactly uniform samples: fixed-step
 mode takes equal steps, and grid mode samples one adaptive run by the pair's
 4th-order dense output instead of restarting at each grid point.  Conserved
 combinations are monitored along trajectories, and birational maps push
-trajectories forward pointwise, transforming parameters, eta and the time axis.
+trajectories forward pointwise, transforming parameters, eta and the time axis
+by the map's own ``action``.
 
 Every vector field and integral is compiled into one float kernel
 f(indep, state) by :func:`compile_ratexpr`.  Every map, the 5d -> 4d
@@ -206,6 +207,16 @@ class _CompiledSystem:
             return [math.inf] * len(state)
 
 
+def _refuse_unknown_params(
+    system: VectorFieldSystem, params: Mapping[str, float]
+) -> None:
+    unknown = sorted(
+        set(params) - set(system.params) - set(system.table.names_of_kind("constant"))
+    )
+    if unknown:
+        raise UsageError(f"{system.id} has no parameters {unknown}")
+
+
 def _check_domain(system: VectorFieldSystem, u0: float, u1: float) -> None:
     if system.singular_at_zero_indep:
         if u0 == 0.0 or u1 == 0.0 or (u0 < 0.0) != (u1 < 0.0):
@@ -345,11 +356,7 @@ def integrate_system(
         raise UsageError(f"a step applies only to fixed mode, not {mode!r}")
     if grid is not None and mode != "grid":
         raise UsageError(f"a grid applies only to grid mode, not {mode!r}")
-    unknown = sorted(
-        set(params) - set(system.params) - set(system.table.names_of_kind("constant"))
-    )
-    if unknown:
-        raise UsageError(f"{system.id} has no parameters {unknown}")
+    _refuse_unknown_params(system, params)
     abs_tol, rel_tol = tolerances
     if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
         raise UsageError("tolerances must be positive and finite")
@@ -492,14 +499,9 @@ def _transform_params(bmap: BirationalMap, params: Mapping[str, float]) -> dict:
     """The parameter values on the map's image, for the target's symbols only."""
     out = {n: v for n, v in params.items() if n in load_model(bmap.target).table}
     names = bmap.param_names
-    vec = [float(params[n]) for n in names]
-    for i, name in enumerate(names):
-        out[name] = (
-            sum(bmap.param_matrix[i][j] * vec[j] for j in range(len(names)))
-            + bmap.param_offset[i]
-        )
+    out.update(zip(names, bmap.action.apply([float(params[n]) for n in names])))
     if "eta" in out:
-        out["eta"] = bmap.eta_sign * float(params["eta"])
+        out["eta"] = bmap.action.eta_sign * float(params["eta"])
     return out
 
 
@@ -556,7 +558,7 @@ def pushforward(
     target = load_model(bmap.target)
     kernel = _compile_map(map_id, variant, tuple(traj.state_names))(traj.params)
     new_times, new_states = kernel(traj.times, traj.states)
-    if bmap.indep_sign < 0:
+    if bmap.action.indep_sign < 0:
         new_times.reverse()
         new_states.reverse()
     return replace(
@@ -576,13 +578,15 @@ def dynamics_residual(
     Requires uniformly spaced samples (fixed-step or uniform-grid output);
     second-order accurate, so thresholds should scale like h^2.
     """
+    system = load_model(system_id)
+    _refuse_unknown_params(system, params)
     if len(traj.times) < 5:
         raise UsageError("need at least 5 samples for a residual certificate")
     h = traj.times[1] - traj.times[0]
     for a, b in zip(traj.times, traj.times[1:]):
         if abs((b - a) - h) > 1e-9 * abs(h):
             raise UsageError("dynamics_residual needs uniform sample spacing")
-    f = _CompiledSystem(load_model(system_id), params)
+    f = _CompiledSystem(system, params)
     states = traj.states
     worst = 0.0
     for u, before, state, after in zip(traj.times[1:-1], states, states[1:], states[2:]):

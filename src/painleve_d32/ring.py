@@ -600,6 +600,8 @@ def substitute_poly(
                 maxexp[i] = m[i]
     # drop bindings of symbols that do not occur
     bound = {i: b for i, b in bound.items() if maxexp.get(i, 0) > 0}
+    if not bound and out is p.table:
+        return RatExpr(p)
 
     num_pows: dict[int, list[Poly]] = {}
     den_pows: dict[int, list[Poly]] = {}

@@ -230,13 +230,11 @@ def _map_residuals(bmap: BirationalMap) -> list[tuple[str, RatExpr]]:
     generator ``rules``.
     """
     source = load_model(bmap.source)
-    flow = source.flow()
-    if bmap.eliminated or bmap.rules:
-        rules = {
-            n: substitute(source.rhs[n], bmap.eliminated, table=bmap.table)
-            for n in source.state if n not in bmap.eliminated
-        }
-        flow = Derivation(bmap.table, {**rules, **bmap.rules, source.indep: 1})
+    rules = {
+        n: substitute(source.rhs[n], bmap.eliminated, table=bmap.table)
+        for n in source.state if n not in bmap.eliminated
+    }
+    flow = Derivation(bmap.table, {**rules, **bmap.rules, source.indep: 1})
     return _symmetry_residuals(flow, load_model(bmap.target), bmap)
 
 

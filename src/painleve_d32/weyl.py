@@ -1,14 +1,16 @@
 """Group-theoretic layer: words in the generators and their exact actions.
 
-Parameter-level actions are exact integer affine maps carried together with
-the sign actions on eta and the independent variable.  The composition-order
-convention for words is not assumed: it is calibrated against the printed
-parameter shift of the translation word t1 = s1 s2 s1 s0 and recorded in the
-report.  Relations between the generators are certified exactly on
-parameters.  On the birational actions themselves they are still only
-sampled (exact rational points, Schwartz-Zippel style), although the
-involutions compose symbolically in a few hundredths of a second; exact
-certificates of the map-level relations are not written yet.
+The parameter action of each generator is its registry map's ``action``
+(:class:`.models.ParameterAction`): an exact integer affine map with signs
+on eta and the independent variable.  A word's action composes those values
+in integer arithmetic.  The composition-order convention for words is not
+assumed: it is calibrated against the printed parameter shift of the
+translation word t1 = s1 s2 s1 s0 and recorded in the report.  Relations
+between the generators are certified exactly on parameters.  On the
+birational actions themselves they are still only sampled (exact rational
+points, Schwartz-Zippel style), although the involutions compose
+symbolically in a few hundredths of a second; exact certificates of the
+map-level relations are not written yet.
 
 Relation list: the three generators are involutions with braid orders 4, 4
 between adjacent pairs and 2 between the ends (two double bonds, ends
@@ -23,17 +25,13 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from .models import load_map, load_model
+from .models import ParameterAction, load_map, load_model
 from .ring import PointMap, SingularPointError
 from .verify import VerificationReport, _Timer
 
-Matrix3 = tuple[tuple[int, int, int], ...]
 Vec3 = tuple[int, int, int]
-
-_IDENTITY3: Matrix3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_ZERO3: Vec3 = (0, 0, 0)
 
 CONTEXTS = ("th1", "th2")
 _GENERATOR_MAPS = {
@@ -44,6 +42,7 @@ _SYSTEM_OF_CONTEXT = {"th1": "five_dim", "th2": "ham_4d"}
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 20321
+MAX_RESAMPLES = 100  # singular draws tolerated per relation before giving up
 
 
 class CalibrationError(Exception):
@@ -84,67 +83,6 @@ def parse_word(text: str, context: Optional[str] = None) -> GroupWord:
     return GroupWord(letters, context)
 
 
-@dataclass(frozen=True)
-class ParameterAction:
-    """Affine action alpha -> M*alpha + v with sign actions on eta and time."""
-
-    matrix: Matrix3
-    offset: Vec3
-    eta_sign: int
-    indep_sign: int
-
-    @staticmethod
-    def identity() -> "ParameterAction":
-        return ParameterAction(_IDENTITY3, _ZERO3, +1, +1)
-
-    def apply(self, alphas: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((c * a for c, a in zip(row, alphas) if c), Fraction(off))
-            for row, off in zip(self.matrix, self.offset)
-        )
-
-    def then(self, after: "ParameterAction") -> "ParameterAction":
-        """Composite action: first self, then ``after``."""
-        matrix = tuple(
-            tuple(
-                sum(after.matrix[i][k] * self.matrix[k][j] for k in range(3))
-                for j in range(3)
-            )
-            for i in range(3)
-        )
-        offset = tuple(
-            sum(after.matrix[i][k] * self.offset[k] for k in range(3))
-            + after.offset[i]
-            for i in range(3)
-        )
-        return ParameterAction(
-            matrix, offset,
-            self.eta_sign * after.eta_sign,
-            self.indep_sign * after.indep_sign,
-        )
-
-    def is_identity(self) -> bool:
-        return (
-            self.matrix == _IDENTITY3
-            and self.offset == _ZERO3
-            and self.eta_sign == 1
-            and self.indep_sign == 1
-        )
-
-    def preserves_normalization(self) -> bool:
-        """Column sums 1 and zero offset sum keep alpha0+alpha1+alpha2 = 1."""
-        return all(
-            sum(self.matrix[i][j] for i in range(3)) == 1 for j in range(3)
-        ) and sum(self.offset) == 0
-
-
-def generator_action(letter: str, context: str) -> ParameterAction:
-    bmap = load_map(_GENERATOR_MAPS[context][letter], variant="resolved")
-    return ParameterAction(
-        bmap.param_matrix, bmap.param_offset, bmap.eta_sign, bmap.indep_sign
-    )
-
-
 _T1_WORD = ("s1", "s2", "s1", "s0")
 _T1_SHIFT: Vec3 = (-2, 2, 0)
 _T2_SHIFT: Vec3 = (0, -2, 2)
@@ -156,9 +94,10 @@ def _compose(letters: Iterable[str], context: str, order: str) -> ParameterActio
     seq = list(letters)
     if order == "right-to-left":
         seq = seq[::-1]
-    action = ParameterAction.identity()
+    action = ParameterAction.identity(3)
     for letter in seq:
-        action = action.then(generator_action(letter, context))
+        bmap = load_map(_GENERATOR_MAPS[context][letter], "resolved")
+        action = action.then(bmap.action)
     return action
 
 
@@ -172,9 +111,7 @@ def _shift_on_hyperplane(action: ParameterAction) -> Optional[Vec3]:
     if not action.preserves_normalization():
         return None
     for delta in ((1, -1, 0), (0, 1, -1)):
-        image = tuple(
-            sum(action.matrix[i][j] * delta[j] for j in range(3)) for i in range(3)
-        )
+        image = tuple(a - v for a, v in zip(action.apply(delta), action.offset))
         if image != delta:
             return None
     base = (Fraction(1), Fraction(0), Fraction(0))
@@ -363,7 +300,6 @@ def _relation_holds_at_samples(
     context: str,
     sample_count: int,
     rng: random.Random,
-    max_resamples: int = 100,
 ) -> tuple[bool, int]:
     """Whether both words agree at ``sample_count`` nonsingular random points.
 
@@ -380,7 +316,7 @@ def _relation_holds_at_samples(
             ri = apply_word_to_point(rword, point)
         except SingularPointError:
             failures += 1
-            if failures >= max_resamples:
+            if failures >= MAX_RESAMPLES:
                 raise SingularPointError(
                     f"persistent singular sampling for relation over {context}"
                 )

@@ -111,14 +111,14 @@ def test_disputed_variants_differ_in_one_place():
         delta = printed.var_map["w"] - corrected.var_map["w"]
         sign = 1 if mid == "s2_5d" else -1
         assert (delta - sign * 2 * (a0 - a2) / x).is_zero
-        assert (printed.eta_sign, printed.indep_sign) == (
-            corrected.eta_sign, corrected.indep_sign
+        assert (printed.action.eta_sign, printed.action.indep_sign) == (
+            corrected.action.eta_sign, corrected.action.indep_sign
         )
     printed = load_map("s2_4d", "printed")
     corrected = load_map("s2_4d", "corrected")
     assert printed.var_map == corrected.var_map
-    assert printed.eta_sign == -1 and corrected.eta_sign == +1
-    assert printed.indep_sign == corrected.indep_sign == -1
+    assert printed.action.eta_sign == -1 and corrected.action.eta_sign == +1
+    assert printed.action.indep_sign == corrected.action.indep_sign == -1
 
 
 def test_param_actions_preserve_normalization():
@@ -127,8 +127,8 @@ def test_param_actions_preserve_normalization():
         m = load_map(mid)
         n = len(m.param_names)
         for j in range(n):
-            assert sum(m.param_matrix[i][j] for i in range(n)) == 1, mid
-        assert sum(m.param_offset) == 0, mid
+            assert sum(m.action.matrix[i][j] for i in range(n)) == 1, mid
+        assert sum(m.action.offset) == 0, mid
 
 
 def test_map_denominators_are_monomials_or_printed():
@@ -146,17 +146,17 @@ def test_map_denominators_are_monomials_or_printed():
 
 
 def test_generator_signs():
-    assert load_map("s0_5d").eta_sign == -1
-    assert load_map("s0_5d").indep_sign == +1
-    assert load_map("s1_5d").eta_sign == +1
-    assert load_map("s2_5d").eta_sign == -1
-    assert load_map("s0_4d").indep_sign == -1
-    assert load_map("s0_4d").eta_sign == +1
-    assert load_map("s2_4d").indep_sign == -1
-    assert load_map("pi_4d").eta_sign == +1
-    assert load_map("pi_4d").indep_sign == +1
+    assert load_map("s0_5d").action.eta_sign == -1
+    assert load_map("s0_5d").action.indep_sign == +1
+    assert load_map("s1_5d").action.eta_sign == +1
+    assert load_map("s2_5d").action.eta_sign == -1
+    assert load_map("s0_4d").action.indep_sign == -1
+    assert load_map("s0_4d").action.eta_sign == +1
+    assert load_map("s2_4d").action.indep_sign == -1
+    assert load_map("pi_4d").action.eta_sign == +1
+    assert load_map("pi_4d").action.indep_sign == +1
     # the diagram automorphism swaps the outer parameters
-    assert load_map("pi_4d").param_matrix == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert load_map("pi_4d").action.matrix == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_s1_var_map_printed_form():

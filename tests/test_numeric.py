@@ -348,6 +348,13 @@ def test_dynamics_residual_usage_guards():
         dynamics_residual(short, "five_dim", PARAMS_5D)  # fewer than 5 samples
 
 
+def test_dynamics_residual_refuses_unknown_parameter():
+    traj = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.01),
+                     mode="fixed", step=1e-3)
+    with pytest.raises(UsageError, match="alpah0"):
+        dynamics_residual(traj, "five_dim", {**traj.params, "alpah0": 1})
+
+
 def test_csv_and_json_export(tmp_path):
     traj = integrate("linear_xz", {"alpha0": 0.5, "alpha2": 0.5, "eta": 1.0},
                      [0.0, 1.0], (0.0, 1.0))
@@ -572,8 +579,8 @@ def _parent_pushforward(traj, map_id):
         new_states.append(
             [compiled[n][0](*args) / compiled[n][1](*args) for n in target.state]
         )
-    new_times = [bmap.indep_sign * u for u in traj.times]
-    if bmap.indep_sign < 0:
+    new_times = [bmap.action.indep_sign * u for u in traj.times]
+    if bmap.action.indep_sign < 0:
         new_times.reverse()
         new_states.reverse()
     return replace(traj, system_id=target.id, state_names=target.state,

@@ -182,13 +182,13 @@ def _reference_generator(point: PhasePoint, letter: str, context: str) -> PhaseP
     bindings[indep] = point.indep
     alphas = tuple(
         sum((Fraction(c) * a for c, a in zip(row, point.alphas)), Fraction(off))
-        for row, off in zip(bmap.param_matrix, bmap.param_offset)
+        for row, off in zip(bmap.action.matrix, bmap.action.offset)
     )
     return PhasePoint(
         state={n: _reference(e, bindings) for n, e in bmap.var_map.items()},
         alphas=alphas,
-        eta=point.eta * bmap.eta_sign,
-        indep=point.indep * bmap.indep_sign,
+        eta=point.eta * bmap.action.eta_sign,
+        indep=point.indep * bmap.action.indep_sign,
     )
 
 
@@ -253,3 +253,24 @@ def test_parameter_action_apply_matches_matrix_product():
         got = action.apply(alphas)
         assert got == expected
         assert all(type(v) is Fraction for v in got)
+    # the one apply on every number type, also for the maps' 1- and
+    # 2-parameter actions; dyadic values keep the float sums exact
+    actions += [load_map(mid).action
+                for mid in ("scale_step", "order2_xzw", "order2_ham_4d")]
+    table = SymbolTable([(f"a{i}", "parameter") for i in range(3)])
+    for action in actions:
+        n = len(action.offset)
+        point = [Fraction(rng.randint(-640, 640), 64) for _ in range(n)]
+        exact = action.apply(point)
+        floats = action.apply([float(v) for v in point])
+        assert floats == tuple(map(float, exact))
+        assert all(type(v) is float for v in floats)
+        images = action.apply([RatExpr.sym(table, f"a{i}") for i in range(n)])
+        assert all(type(e) is RatExpr for e in images)
+        at = dict(zip(table.symbols, point))
+        assert tuple(evaluate(e, at) for e in images) == exact
+    assert {len(a.offset) for a in actions} == {1, 2, 3}
+    for bmap in _registered_maps():
+        a = bmap.action
+        identity = ParameterAction.identity(len(a.offset))
+        assert a.then(identity) == a == identity.then(a)

@@ -305,7 +305,7 @@ def test_chart_fields_equal_transformed_family():
             n: syms(T, n)[0] - corrections[n] for n in five.state
         }
         param_bind = smap.param_images(T)
-        param_bind["eta"] = smap.eta_sign * syms(T, "eta")[0]
+        param_bind["eta"] = smap.action.eta_sign * syms(T, "eta")[0]
         if signs:
             param_bind.update(
                 {n: signs[n] * syms(T, n)[0] for n in five.state}

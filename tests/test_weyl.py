@@ -195,7 +195,7 @@ def _compose_symbolically(map_ids):
     table = load_model(maps[0].source).table
     state = dict(maps[0].var_map)
     params = maps[0].param_images(table)
-    eta_sign, indep_sign = maps[0].eta_sign, maps[0].indep_sign
+    eta_sign, indep_sign = maps[0].action.eta_sign, maps[0].action.indep_sign
     indep = load_model(maps[0].source).indep
     for m in maps[1:]:
         bind = dict(state)
@@ -204,8 +204,8 @@ def _compose_symbolically(map_ids):
         bind[indep] = indep_sign * RatExpr.sym(table, indep)
         state = {n: substitute(e, bind) for n, e in m.var_map.items()}
         params = {p: substitute(img, params) for p, img in m.param_images(table).items()}
-        eta_sign *= m.eta_sign
-        indep_sign *= m.indep_sign
+        eta_sign *= m.action.eta_sign
+        indep_sign *= m.action.indep_sign
     return state, params, eta_sign, indep_sign
 
 
@@ -222,8 +222,8 @@ def test_conjugation_identity_holds_symbolically():
         assert state[name].equals(expr), name
     for p, img in s2.param_images(table).items():
         assert (params[p] - img).is_zero, p
-    assert eta_sign == s2.eta_sign
-    assert indep_sign == s2.indep_sign
+    assert eta_sign == s2.action.eta_sign
+    assert indep_sign == s2.action.indep_sign
 
 
 def test_parameter_and_map_level_verdicts_consistent():
