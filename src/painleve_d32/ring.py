@@ -600,8 +600,6 @@ def substitute_poly(
                 maxexp[i] = m[i]
     # drop bindings of symbols that do not occur
     bound = {i: b for i, b in bound.items() if maxexp.get(i, 0) > 0}
-    if not bound and out is p.table:
-        return RatExpr(p)
 
     num_pows: dict[int, list[Poly]] = {}
     den_pows: dict[int, list[Poly]] = {}
@@ -659,8 +657,13 @@ def substitute(
     """Simultaneous substitution into a rational expression.
 
     Raises :class:`SingularSubstitutionError` if the substituted denominator
-    is identically zero, naming the bindings involved.
+    is identically zero, naming the bindings involved.  With no bound symbol
+    in ``e`` and no other output table, ``e`` itself is the result.
     """
+    if (table is None or table is e.table) and bindings.keys().isdisjoint(
+        e.num.occurring_names() + e.den.occurring_names()
+    ):
+        return e
     num = substitute_poly(e.num, bindings, table)
     den = substitute_poly(e.den, bindings, table)
     if den.is_zero:

@@ -25,10 +25,11 @@ from painleve_d32.ring import (
     reduce_relation,
     ring_ops,
     substitute,
+    substitute_poly,
     syms,
 )
 from painleve_d32.syntax import parse_expr, render_ratexpr
-from painleve_d32.models import load_map, load_model
+from painleve_d32.models import MAP_IDS, SYSTEM_IDS, load_map, load_model
 
 from conftest import random_poly, random_ratexpr
 
@@ -62,6 +63,14 @@ def test_substitute_examples():
     )
     # identity: empty bindings pass symbols through
     assert substitute(xv, {}) == xv
+    # with no bound symbol occurring, substitute returns its argument: the
+    # same expression the full substitution builds, over the whole registry
+    exprs = [e for sid in SYSTEM_IDS for e in load_model(sid).rhs.values()]
+    exprs += [e for mid in MAP_IDS for e in load_map(mid).var_map.values()]
+    for e in exprs:
+        full = substitute_poly(e.num, {}) / substitute_poly(e.den, {})
+        assert substitute(e, {"no_such_symbol": 1}) is e
+        assert full == e
 
     T5 = load_model("five_dim").table
     z5, q5, a05, eta5 = syms(T5, "z q alpha0 eta")
