@@ -657,12 +657,10 @@ def substitute(
     """Simultaneous substitution into a rational expression.
 
     Raises :class:`SingularSubstitutionError` if the substituted denominator
-    is identically zero, naming the bindings involved.  With no bound symbol
-    in ``e`` and no other output table, ``e`` itself is the result.
+    is identically zero, naming the bindings involved.  With no bindings and
+    no other output table, ``e`` itself is the result.
     """
-    if (table is None or table is e.table) and bindings.keys().isdisjoint(
-        e.num.occurring_names() + e.den.occurring_names()
-    ):
+    if not bindings and (table is None or table is e.table):
         return e
     num = substitute_poly(e.num, bindings, table)
     den = substitute_poly(e.den, bindings, table)

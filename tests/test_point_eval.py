@@ -261,7 +261,11 @@ def test_parameter_action_apply_matches_matrix_product():
     for action in actions:
         n = len(action.offset)
         point = [Fraction(rng.randint(-640, 640), 64) for _ in range(n)]
-        exact = action.apply(point)
+        exact = tuple(
+            sum((c * v for c, v in zip(row, point)), Fraction(off))
+            for row, off in zip(action.matrix, action.offset)
+        )
+        assert action.apply(point) == exact
         floats = action.apply([float(v) for v in point])
         assert floats == tuple(map(float, exact))
         assert all(type(v) is float for v in floats)

@@ -63,19 +63,21 @@ def test_substitute_examples():
     )
     # identity: empty bindings pass symbols through
     assert substitute(xv, {}) == xv
-    # with no bound symbol occurring, substitute returns its argument: the
-    # same expression the full substitution builds, over the whole registry
+    # with no bindings, substitute returns its argument: the same expression
+    # the full substitution builds, over the whole registry
     exprs = [e for sid in SYSTEM_IDS for e in load_model(sid).rhs.values()]
     exprs += [e for mid in MAP_IDS for e in load_map(mid).var_map.values()]
     for e in exprs:
         full = substitute_poly(e.num, {}) / substitute_poly(e.den, {})
-        assert substitute(e, {"no_such_symbol": 1}) is e
+        assert substitute(e, {}) is e
         assert full == e
 
     T5 = load_model("five_dim").table
     z5, q5, a05, eta5 = syms(T5, "z q alpha0 eta")
     image = substitute(z5 * q5, {"q": q5 - 2 * a05 / z5 + eta5 / z5**2})
     assert (image - (z5**2 * q5 - 2 * a05 * z5 + eta5) / z5).is_zero
+    wide = T5.extend([("s", "generator")])
+    assert substitute(z5 * q5, {}, table=wide).table is wide
 
 
 def test_substitute_singular_denominator_names_binding():
