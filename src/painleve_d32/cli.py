@@ -144,7 +144,10 @@ def _parse_params(text: str) -> dict[str, float]:
         name, _, value = chunk.partition("=")
         if not _:
             raise ValueError(f"malformed parameter binding {chunk!r}")
-        params[name.strip()] = float(value)
+        name = name.strip()
+        if name in params:
+            raise ValueError(f"parameter {name!r} given twice")
+        params[name] = float(value)
     return params
 
 

@@ -19,13 +19,14 @@ a symbol with the rule dS/dt = -s.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence, Sized, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Sized, Union
 
 from . import models
 from .models import (
@@ -577,24 +578,25 @@ def _state_indep_monomials(
     return monos
 
 
-def _specialize(
-    rows: list[dict[int, Poly]], table: SymbolTable
-) -> Optional[list[dict[int, int]]]:
-    """The rows at the seeded point of Z/p, zero entries dropped.
+def _point_images(
+    table: SymbolTable,
+) -> Callable[[Iterable[tuple[tuple[int, ...], Fraction]]], Optional[int]]:
+    """The image at the seeded point of Z/p of a polynomial given by its terms.
 
     Every symbol gets a random nonzero residue.  Where no coefficient
-    denominator is divisible by p, specialization is a ring homomorphism on
-    the polynomial entries, so a nonzero minor mod p is the image of a
-    nonzero minor over Q(params).  None means the point is unusable.
+    denominator is divisible by p, taking the image is a ring homomorphism
+    on polynomials, so a nonzero minor mod p is the image of a nonzero minor
+    over Q(params).  The image is None when a coefficient denominator is
+    divisible by p.
     """
     p = RANK_PRIME
     rng = random.Random(RANK_SEED)
     point = [rng.randrange(1, p) for _ in range(len(table))]
     monomials: dict[tuple[int, ...], int] = {}
 
-    def image(poly: Poly) -> Optional[int]:
+    def image(terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> Optional[int]:
         total = 0
-        for mono, c in poly.terms:
+        for mono, c in terms:
             value = monomials.get(mono)
             if value is None:
                 value = 1
@@ -610,11 +612,20 @@ def _specialize(
             total += num * value
         return total % p
 
+    return image
+
+
+def _specialize(
+    rows: list[dict[int, Poly]], table: SymbolTable
+) -> Optional[list[dict[int, int]]]:
+    """The rows at the seeded point of Z/p (:func:`_point_images`), zero
+    entries dropped.  None means the point is unusable."""
+    image = _point_images(table)
     out = []
     for row in rows:
         vec = {}
         for c, entry in row.items():
-            value = image(entry)
+            value = image(entry.terms)
             if value is None:
                 return None
             if value:
@@ -726,6 +737,12 @@ def _eliminate(
     return pivots
 
 
+def _eliminate_mod_p(rows: list[dict[int, int]]) -> list[tuple[int, int, dict]]:
+    """:func:`_eliminate` over Z/p: its pivots, as many as the rank mod p."""
+    p = RANK_PRIME
+    return _eliminate(rows, lambda v: v % p or None, lambda v: pow(v, -1, p))
+
+
 def _subtract(row: dict, factor, prow: dict, skip: int, reduce: Callable) -> None:
     """row -= factor*prow in place, over the columns of prow but ``skip``."""
     for j, v in prow.items():
@@ -785,11 +802,10 @@ def _nullspace(
     """
     used = {c for row in rows for c, v in row.items() if not v.is_zero}
     zero_cols = [c for c in range(ncols) if c not in used]
-    p = RANK_PRIME
     special = _specialize(rows, one.table)
     replay: list[tuple[int, int]] = []
     if special is not None:
-        mod_p = _eliminate(special, lambda v: v % p or None, lambda v: pow(v, -1, p))
+        mod_p = _eliminate_mod_p(special)
         replay = [(r, c) for r, c, _ in mod_p]
         if len(replay) == len(used):
             return [{f: one} for f in zero_cols]
@@ -854,23 +870,24 @@ def _reduced(basis: list[dict[int, _Exact]]) -> list[dict[int, _Exact]]:
     return [done[c] for c in sorted(done)]
 
 
-# cells of a search matrix: row key (state and indep exponents) -> column ->
-# the entry, a polynomial in the parameters as {monomial: coefficient}
-_Cells = dict[tuple[int, ...], dict[int, dict[tuple[int, ...], Fraction]]]
+# a cleared polynomial split by row key (state and indep exponents), each key
+# holding its part in the parameters as {monomial: coefficient}
+_Split = dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]
+# cells of a search matrix: row key -> column -> the entry, as {monomial:
+# coefficient} in the parameters over Q, or as an int that is its image mod p
+_Cells = dict[tuple[int, ...], dict[int, Union[dict[tuple[int, ...], Fraction], int]]]
 
 
-def _search_cells(
-    sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]
-) -> tuple[_Cells, _Cells]:
-    """Cells of the cleared derivatives C and the cleared ansatz B.
+def _search_parts(
+    sys_obj: VectorFieldSystem,
+) -> tuple[list[tuple[int, _Split]], _Split, list[int]]:
+    """The cleared rule numerators N_i and their common denominator L, split.
 
     The rule denominators are cleared once, into their product L.  Each
-    cleared rule numerator N_i = rule_i*L and L itself are reduced by the
-    normalization and split into (state and indep exponents, parameter part)
-    once.  The cleared derivative of an ansatz monomial is then a sum of
-    shifts, L*D(m) = sum_i e_i*(m/x_i)*N_i, and m*L is a shift of L.  The
-    ansatz holds no parameter, so the reduction commutes with the shifts.
-    Row keys drop the parameter positions, which keeps their order.
+    N_i = rule_i*L and L itself are reduced by the normalization and split by
+    row key; each N_i comes with the key position of its variable.  The
+    positions of the non-parameter symbols, whose exponents make up a row
+    key, are returned last.
     """
     table = sys_obj.table
     rules = {n: r for n, r in sys_obj.flow().rules.items() if not r.is_zero}
@@ -878,63 +895,176 @@ def _search_cells(
     for den in dict.fromkeys(r.den for r in rules.values() if not r.den.is_const):
         common_den = common_den * den
     cleared = {
-        n: r.num * exact_polynomial_quotient(common_den, r.den)
+        n: reduce_relation(r.num * exact_polynomial_quotient(common_den, r.den))
         for n, r in rules.items()
     }
-    cleared = {n: reduce_relation(p) for n, p in cleared.items()}
-    common_den = reduce_relation(common_den)
     free = [
         i for i, kind in enumerate(table.kinds) if kind not in ("parameter", "constant")
     ]
 
-    def split(p: Poly) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-        return [
-            (
-                tuple(mono[i] for i in free),
-                tuple(0 if i in free else e for i, e in enumerate(mono)),
-                c,
-            )
-            for mono, c in p.terms
-        ]
+    def split(p: Poly) -> _Split:
+        out: _Split = {}
+        for mono, c in p.terms:
+            key = tuple(mono[i] for i in free)
+            pmono = tuple(0 if i in free else e for i, e in enumerate(mono))
+            out.setdefault(key, {})[pmono] = c
+        return out
 
     parts = [(free.index(table.index(n)), split(p)) for n, p in cleared.items()]
-    base = split(common_den)
+    return parts, split(reduce_relation(common_den)), free
+
+
+def _assemble(
+    parts: list[tuple[int, dict]], base: dict, shifts: list[list[int]],
+    add: Callable[[dict, int, int, Any], None],
+) -> tuple[_Cells, _Cells]:
+    """Cells of the cleared derivatives C and the cleared ansatz B.
+
+    Column ``col`` is the ansatz monomial m = shifts[col] (its row key).  Its
+    cleared derivative is a sum of shifts, L*D(m) = sum_i e_i*(m/x_i)*N_i,
+    and m*L is a shift of L; ``add(row, col, scale, value)`` adds scale times
+    a part's value to row[col].  The ansatz holds no parameter, so the
+    normalization commutes with the shifts.
+    """
     c_cells: _Cells = {}
     b_cells: _Cells = {}
 
-    def add(cells: _Cells, terms, shift: list[int], scale: int, col: int) -> None:
-        for key, pmono, c in terms:
-            key = tuple(a + b for a, b in zip(key, shift))
-            cell = cells.setdefault(key, {}).setdefault(col, {})
-            cell[pmono] = cell.get(pmono, 0) + scale * c
+    def place(cells: _Cells, part: dict, shift: list[int], scale: int, col: int) -> None:
+        for key, value in part.items():
+            add(cells.setdefault(tuple(map(operator.add, key, shift)), {}), col, scale, value)
 
-    for col, mono in enumerate(monos):
-        m = [mono[i] for i in free]
-        for j, terms in parts:
+    for col, m in enumerate(shifts):
+        for j, part in parts:
             if m[j]:
-                add(c_cells, terms, m[:j] + [m[j] - 1] + m[j + 1:], m[j], col)
-        add(b_cells, base, m, 1, col)
+                place(c_cells, part, m[:j] + [m[j] - 1] + m[j + 1:], m[j], col)
+        place(b_cells, base, m, 1, col)
     return c_cells, b_cells
+
+
+def _add_terms(row: dict, col: int, scale: int, terms: dict) -> None:
+    cell = row.setdefault(col, {})
+    for pmono, c in terms.items():
+        if scale != 1:
+            c = scale * c
+        old = cell.get(pmono)
+        cell[pmono] = c if old is None else old + c
+
+
+def _add_int(row: dict, col: int, scale: int, value: int) -> None:
+    row[col] = row.get(col, 0) + scale * value
+
+
+def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> list[dict]:
+    """Nonzero rows of C - lam*B in row-key order: ``entry(c, b)`` is the
+    value of a cell from its C and B cells (None where absent), or None when
+    it vanishes."""
+    rows = []
+    for key in sorted(c_cells.keys() | b_cells.keys()):
+        crow, brow = c_cells.get(key, {}), b_cells.get(key, {})
+        row = {}
+        for col in sorted(crow.keys() | brow.keys()):
+            value = entry(crow.get(col), brow.get(col))
+            if value is not None:
+                row[col] = value
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _difference(lam: Fraction, c: Optional[dict], b: Optional[dict]) -> dict:
+    """The terms of an exact cell of C - lam*B, zero coefficients kept."""
+    terms = dict(c or {})
+    if lam and b:
+        for pmono, v in b.items():
+            old = terms.get(pmono)
+            terms[pmono] = -lam * v if old is None else old - lam * v
+    return terms
 
 
 def _search_rows(
     table: SymbolTable, c_cells: _Cells, b_cells: _Cells, lam: Fraction
 ) -> list[dict[int, Poly]]:
     """Nonzero rows of C - lam*B in row-key order, entries as polynomials."""
-    rows = []
-    for key in sorted(c_cells.keys() | b_cells.keys()):
-        crow, brow = c_cells.get(key, {}), b_cells.get(key, {})
-        row = {}
-        for col in sorted(crow.keys() | brow.keys()):
-            terms = dict(crow.get(col, ()))
-            for pmono, c in brow.get(col, {}).items():
-                terms[pmono] = terms.get(pmono, 0) - lam * c
-            entry = Poly(table, terms)
-            if not entry.is_zero:
-                row[col] = entry
-        if row:
-            rows.append(row)
-    return rows
+
+    def entry(c: Optional[dict], b: Optional[dict]) -> Optional[Poly]:
+        poly = Poly(table, _difference(lam, c, b))
+        return None if poly.is_zero else poly
+
+    return _rows(c_cells, b_cells, entry)
+
+
+class _SearchMatrix:
+    """The matrices C and B of one search, with integer images mod p.
+
+    The cleared rules are split once, and their images at the seeded point
+    of Z/p (:func:`_point_images`) are assembled into integer cells C_p and
+    B_p once.  The exact cells are built only when an eigenvalue needs them.
+    """
+
+    def __init__(self, sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]):
+        self.sys_obj = sys_obj
+        self.monos = monos
+        self.one = RatExpr.const(sys_obj.table, 1)
+        self.parts, self.base, free = _search_parts(sys_obj)
+        self.shifts = [[m[i] for i in free] for m in monos]
+        image = _point_images(sys_obj.table)
+        splits = [part for _, part in self.parts] + [self.base]
+        images = [{key: image(terms.items()) for key, terms in s.items()} for s in splits]
+        self.mod_p: Optional[tuple[_Cells, _Cells]] = None
+        if all(None not in s.values() for s in images):
+            *parts_p, base_p = images
+            parts_p = [(j, s) for (j, _), s in zip(self.parts, parts_p)]
+            self.mod_p = _assemble(parts_p, base_p, self.shifts, _add_int)
+
+    @cached_property
+    def exact(self) -> tuple[_Cells, _Cells]:
+        return _assemble(self.parts, self.base, self.shifts, _add_terms)
+
+    def rows_mod_p(self, lam: Fraction) -> Optional[list[dict[int, int]]]:
+        """Nonzero rows of C_p - lam*B_p in row-key order; None when the
+        images are unusable or p divides the denominator of ``lam``."""
+        p = RANK_PRIME
+        if self.mod_p is None or lam.denominator % p == 0:
+            return None
+        lam_p = lam.numerator * pow(lam.denominator, -1, p) % p
+        return _rows(*self.mod_p, lambda c, b: ((c or 0) - lam_p * (b or 0)) % p or None)
+
+    def kernel(self, lam: Fraction) -> list[dict[int, RatExpr]]:
+        """Certified kernel of C - lam*B over Q(params).
+
+        The rank of the rows mod p is a lower bound on the exact rank.  When
+        it equals the number of columns that are nonzero over Q(params), the
+        unit vectors of the others span the kernel.  A column with no nonzero
+        image mod p counts as zero only after its exact cells vanish.  An
+        eigenvalue this does not settle takes the exact rows through
+        :func:`_nullspace`.
+        """
+        rows = self.rows_mod_p(lam)
+        if rows is not None:
+            touched = {c for row in rows for c in row}
+            if len(_eliminate_mod_p(rows)) == len(touched):
+                untouched = [c for c in range(len(self.monos)) if c not in touched]
+                if all(self._vanishes(c, lam) for c in untouched):
+                    return [{c: self.one} for c in untouched]
+        rows = _search_rows(self.sys_obj.table, *self.exact, lam)
+        return _nullspace(rows, len(self.monos), self.one)
+
+    def _vanishes(self, col: int, lam: Fraction) -> bool:
+        """Whether column ``col`` of C - lam*B is zero over Q(params)."""
+        cells = _assemble(self.parts, self.base, [self.shifts[col]], _add_terms)
+        return not _rows(*cells, lambda c, b: any(_difference(lam, c, b).values()) or None)
+
+
+def _search_cells(
+    sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]
+) -> tuple[_Cells, _Cells]:
+    """Exact cells of C and B for the ansatz monomials.
+
+    A search certifies each kernel mod p from integer images of these cells
+    first, and builds the exact cells only for an eigenvalue that the rank
+    mod p cannot settle (:class:`_SearchMatrix`).
+    """
+    return _SearchMatrix(sys_obj, monos).exact
 
 
 def first_integral_search(
@@ -952,8 +1082,12 @@ def first_integral_search(
     already applied).  For each candidate eigenvalue the condition is an exact
     linear system; its solution space is returned as a basis, with the
     trivial constant solutions removed and each generator normalized so its
-    leading coefficient is one.  A bound below its minimum, and an empty or
-    repeated list of eigenvalues, raise ValueError.
+    leading coefficient is one.  The kernel is certified in two stages: first
+    by the rank mod p of integer cells, which settles an eigenvalue whose
+    kernel is spanned by unit vectors of zero columns; then, only for an
+    eigenvalue this cannot settle, such as one with an integral, by exact
+    polynomial rows.  A bound below its minimum, and an empty or repeated
+    list of eigenvalues, raise ValueError.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")
@@ -973,13 +1107,11 @@ def first_integral_search(
         raise CapacityError(
             f"{len(monos)} ansatz monomials exceed the cap of {monomial_cap}"
         )
-    one = RatExpr.const(table, 1)
-    c_cells, b_cells = _search_cells(sys_obj, monos)
+    matrix = _SearchMatrix(sys_obj, monos)
 
     results: list[FirstIntegral] = []
     for lam in lams:
-        rows = _search_rows(table, c_cells, b_cells, lam)
-        basis = _nullspace(rows, len(monos), one)
+        basis = matrix.kernel(lam)
 
         const_col = next(
             (i for i, m in enumerate(monos) if not any(m)), None

@@ -278,6 +278,13 @@ def test_integrate_domain_error_exit_1(capsys):
 def test_integrate_usage_errors(capsys):
     assert main(["integrate", "no_such_system", "--init", "0", "--span", "0,1"]) == 2
     assert main(["integrate", "linear_xz", "--init", "abc", "--span", "0,1"]) == 2
+    capsys.readouterr()
+    assert main([
+        "integrate", "five_dim",
+        "--params", "alpha0=0.9,alpha0=0.3,alpha1=0.25,alpha2=0.45,eta=0.7",
+        "--init", "0.1,0.8,0.3,0.4,0.5", "--span", "0,1",
+    ]) == 2
+    assert "'alpha0' given twice" in capsys.readouterr().err
 
 
 def test_integrate_nonpositive_fixed_step_exits_2(capsys):

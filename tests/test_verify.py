@@ -570,25 +570,42 @@ def _gauss_jordan_nullspace(rows, ncols, one):
     return basis
 
 
-def _differential_nullspace(monkeypatch, seen, structural=True):
+def _differential_nullspace(monkeypatch, seen):
     """Route _nullspace through Gauss-Jordan as well and require the same
-    basis: structurally identical entries, or, where RatExpr arithmetic
-    leaves no canonical form, entries equal as rational functions."""
+    basis, with entries equal as rational functions (RatExpr arithmetic
+    leaves no canonical form)."""
     certified = verify._nullspace
 
     def both(rows, ncols, one):
         basis = certified(rows, ncols, one)
         reference = _gauss_jordan_nullspace(rows, ncols, one)
-        if structural:
-            assert basis == reference
-        else:
-            assert [vec.keys() for vec in basis] == [ref.keys() for ref in reference]
-            for vec, ref in zip(basis, reference):
-                assert all(vec[c].equals(ref[c]) for c in ref)
+        assert [vec.keys() for vec in basis] == [ref.keys() for ref in reference]
+        for vec, ref in zip(basis, reference):
+            assert all(vec[c].equals(ref[c]) for c in ref)
         seen.append((ncols, len(basis)))
         return basis
 
     monkeypatch.setattr(verify, "_nullspace", both)
+
+
+def _differential_kernel(monkeypatch, seen):
+    """Route each eigenvalue's kernel step, certified mod p or not, through
+    Gauss-Jordan on the exact rows as well and require a structurally
+    identical basis."""
+    certified = verify._SearchMatrix.kernel
+
+    def both(matrix, lam):
+        basis = certified(matrix, lam)
+        sys_obj, monos = matrix.sys_obj, matrix.monos
+        rows = verify._search_rows(
+            sys_obj.table, *verify._search_cells(sys_obj, monos), lam
+        )
+        one = RatExpr.const(sys_obj.table, 1)
+        assert basis == _gauss_jordan_nullspace(rows, len(monos), one)
+        seen.append((len(monos), len(basis)))
+        return basis
+
+    monkeypatch.setattr(verify._SearchMatrix, "kernel", both)
 
 
 @pytest.mark.parametrize(
@@ -600,7 +617,7 @@ def test_certified_nullspace_matches_exact_elimination(
     monkeypatch, system_id, state_bound, indep_bound, lams
 ):
     seen: list = []
-    _differential_nullspace(monkeypatch, seen)
+    _differential_kernel(monkeypatch, seen)
     first_integral_search(system_id, state_bound, indep_bound, lams)
     assert len(seen) == len(lams)
 
@@ -619,7 +636,7 @@ def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
     one = RatExpr.const(table, 1)
     rng = random.Random(7)
     seen: list = []
-    _differential_nullspace(monkeypatch, seen, structural=False)
+    _differential_nullspace(monkeypatch, seen)
     for _ in range(20):
         ncols = rng.randint(2, 4)
         zero_col = rng.randrange(ncols)
@@ -658,12 +675,18 @@ def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
 def test_exact_markowitz_alone_matches_gauss_jordan(
     monkeypatch, system_id, state_bound, indep_bound
 ):
-    # an unusable point mod p leaves every pivot to the exact pass
-    monkeypatch.setattr(verify, "_specialize", lambda rows, table: None)
+    # an unusable point mod p leaves every eigenvalue and every pivot to the
+    # exact pass
+    monkeypatch.setattr(verify, "_point_images", lambda table: lambda terms: None)
+    calls = []
+    nullspace = verify._nullspace
+    monkeypatch.setattr(
+        verify, "_nullspace", lambda *args: calls.append(args) or nullspace(*args)
+    )
     seen: list = []
-    _differential_nullspace(monkeypatch, seen)
+    _differential_kernel(monkeypatch, seen)
     first_integral_search(system_id, state_bound, indep_bound, SEARCH_LAMBDAS)
-    assert len(seen) == len(SEARCH_LAMBDAS)
+    assert len(seen) == len(calls) == len(SEARCH_LAMBDAS)
 
 
 def test_nullspace_refuses_a_basis_that_fails_plug_back(monkeypatch):
@@ -690,6 +713,34 @@ def test_replayed_pivot_that_vanishes_exactly_is_refused():
 
 def test_search_ham_4d_degree_4_is_empty():
     assert first_integral_search("ham_4d", 4, 2, SEARCH_LAMBDAS) == []
+
+
+@pytest.mark.parametrize("system_id", ["five_dim", "ham_4d", "K1_sys"])
+def test_search_checks_columns_that_vanish_mod_p_exactly(monkeypatch, system_id):
+    # at lambda = 0 mod p the constant column's entry -lambda*L vanishes mod p
+    # but not over Q, so the constant 1 is no integral
+    p = verify.RANK_PRIME
+    for lam in (Fraction(p), Fraction(2 * p)):
+        assert first_integral_search(system_id, 2, 1, (lam,)) == []
+    # p divides the denominator: lambda has no image mod p
+    calls = []
+    nullspace = verify._nullspace
+    monkeypatch.setattr(
+        verify, "_nullspace", lambda *args: calls.append(args) or nullspace(*args)
+    )
+    assert first_integral_search(system_id, 2, 1, (Fraction(1, p),)) == []
+    assert len(calls) == 1
+
+
+def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
+    # the ladder up to the 175-column cliff builds no exact row
+    def refuse(*args):
+        raise AssertionError("exact rows built for an empty kernel")
+
+    monkeypatch.setattr(verify, "_search_rows", refuse)
+    monkeypatch.setattr(verify, "_nullspace", refuse)
+    for indep_bound in range(5):
+        assert first_integral_search("ham_4d", 3, indep_bound, SEARCH_LAMBDAS) == []
 
 
 # the systems on the normalization alpha0 + alpha1 + alpha2 = 1, stated here
@@ -751,6 +802,10 @@ def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bo
         for row, ref in zip(rows, expected):
             assert list(row) == list(ref)
             assert all(RatExpr(row[c]) == ref[c] for c in ref)
+        # the integer cells are the exact ones mod p
+        special = verify._specialize(rows, sys_obj.table)
+        rows_mod_p = verify._SearchMatrix(sys_obj, monos).rows_mod_p(lam)
+        assert rows_mod_p == [r for r in special if r]
 
 
 def _sympy_of(e, names):
