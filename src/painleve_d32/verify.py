@@ -973,11 +973,12 @@ def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> list[dict]:
 
 def _difference(lam: Fraction, c: Optional[dict], b: Optional[dict]) -> dict:
     """The terms of an exact cell of C - lam*B, zero coefficients kept."""
+    if not (lam and b):
+        return c or {}
     terms = dict(c or {})
-    if lam and b:
-        for pmono, v in b.items():
-            old = terms.get(pmono)
-            terms[pmono] = -lam * v if old is None else old - lam * v
+    for pmono, v in b.items():
+        old = terms.get(pmono)
+        terms[pmono] = -lam * v if old is None else old - lam * v
     return terms
 
 
