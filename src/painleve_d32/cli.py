@@ -247,6 +247,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.dump_models:
+        if args.command is not None:
+            parser.print_usage(sys.stderr)
+            print(f"--dump-models takes no command, got {args.command!r}", file=sys.stderr)
+            return EXIT_USAGE
         sys.stdout.write(models.dump_models())
         return EXIT_OK
     if args.command == "verify":

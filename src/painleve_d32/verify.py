@@ -59,7 +59,7 @@ from .syntax import render_poly, render_ratexpr
 WITNESS_SEED = 0xD32
 WITNESS_ATTEMPTS = 400
 
-# specialization point of the rank certificate in _nullspace
+# the point mod p at which a search eliminates its integer cells
 RANK_SEED = 0xD32
 RANK_PRIME = 2**61 - 1
 
@@ -615,25 +615,6 @@ def _point_images(
     return image
 
 
-def _specialize(
-    rows: list[dict[int, Poly]], table: SymbolTable
-) -> Optional[list[dict[int, int]]]:
-    """The rows at the seeded point of Z/p (:func:`_point_images`), zero
-    entries dropped.  None means the point is unusable."""
-    image = _point_images(table)
-    out = []
-    for row in rows:
-        vec = {}
-        for c, entry in row.items():
-            value = image(entry.terms)
-            if value is None:
-                return None
-            if value:
-                vec[c] = value
-        out.append(vec)
-    return out
-
-
 class _Lines:
     """Rows or columns bucketed by their number of live entries."""
 
@@ -784,31 +765,21 @@ def _total(terms: list[_Exact]) -> Optional[_Exact]:
 
 
 def _nullspace(
-    rows: list[dict[int, Poly]], ncols: int, one: RatExpr
+    rows: list[dict[int, Poly]], ncols: int, one: RatExpr,
+    replay: Iterable[tuple[int, int]],
 ) -> list[dict[int, RatExpr]]:
-    """Certified nullspace of a sparse matrix over the parameter function field.
+    """Exact nullspace of a sparse matrix over the parameter function field.
 
-    The entries are polynomials in the parameters.  One Markowitz
-    elimination at a random point mod p gives a rank r, a lower bound on the
-    exact rank.  When r reaches the number of touched columns, the unit
-    vectors of the untouched ones span the kernel.  Otherwise the same pivots
-    are replayed over Q(params) (each is nonzero there, since its image mod p
-    is), and any row still live afterwards is eliminated exactly in the same
-    loop.  Back-substitution gives one vector per free column; they are
-    brought to the reduced form Gauss-Jordan returns.  Every vector is then
-    plugged back into the rows: C*v = 0 exactly bounds the kernel dimension
-    from below, the elimination bounds it from above, and a failed plug-back
-    raises :class:`RingError`.
+    The entries are polynomials in the parameters.  The pivots ``replay``
+    names, (row index, column) pairs of an elimination of the same rows at a
+    point mod p, are taken first over Q(params) (each is nonzero there,
+    since its image mod p is); any row still live afterwards is eliminated
+    exactly in the same loop.  Back-substitution gives one vector per free
+    column; they are brought to the reduced form Gauss-Jordan returns.
+    Every vector is then plugged back into the rows: C*v = 0 exactly bounds
+    the kernel dimension from below, the elimination bounds it from above,
+    and a failed plug-back raises :class:`RingError`.
     """
-    used = {c for row in rows for c, v in row.items() if not v.is_zero}
-    zero_cols = [c for c in range(ncols) if c not in used]
-    special = _specialize(rows, one.table)
-    replay: list[tuple[int, int]] = []
-    if special is not None:
-        mod_p = _eliminate_mod_p(special)
-        replay = [(r, c) for r, c, _ in mod_p]
-        if len(replay) == len(used):
-            return [{f: one} for f in zero_cols]
     exact = [
         {c: v.const_value() if v.is_const else RatExpr(v)
          for c, v in row.items() if not v.is_zero}
@@ -954,11 +925,11 @@ def _add_int(row: dict, col: int, scale: int, value: int) -> None:
     row[col] = row.get(col, 0) + scale * value
 
 
-def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> list[dict]:
-    """Nonzero rows of C - lam*B in row-key order: ``entry(c, b)`` is the
-    value of a cell from its C and B cells (None where absent), or None when
-    it vanishes."""
-    rows = []
+def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> dict[tuple, dict]:
+    """Nonzero rows of C - lam*B by row key, in key order: ``entry(c, b)``
+    is the value of a cell from its C and B cells (None where absent), or
+    None when it vanishes."""
+    rows = {}
     for key in sorted(c_cells.keys() | b_cells.keys()):
         crow, brow = c_cells.get(key, {}), b_cells.get(key, {})
         row = {}
@@ -967,7 +938,7 @@ def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> list[dict]:
             if value is not None:
                 row[col] = value
         if row:
-            rows.append(row)
+            rows[key] = row
     return rows
 
 
@@ -984,8 +955,8 @@ def _difference(lam: Fraction, c: Optional[dict], b: Optional[dict]) -> dict:
 
 def _search_rows(
     table: SymbolTable, c_cells: _Cells, b_cells: _Cells, lam: Fraction
-) -> list[dict[int, Poly]]:
-    """Nonzero rows of C - lam*B in row-key order, entries as polynomials."""
+) -> dict[tuple, dict[int, Poly]]:
+    """Nonzero rows of C - lam*B by row key, entries as polynomials."""
 
     def entry(c: Optional[dict], b: Optional[dict]) -> Optional[Poly]:
         poly = Poly(table, _difference(lam, c, b))
@@ -1021,9 +992,9 @@ class _SearchMatrix:
     def exact(self) -> tuple[_Cells, _Cells]:
         return _assemble(self.parts, self.base, self.shifts, _add_terms)
 
-    def rows_mod_p(self, lam: Fraction) -> Optional[list[dict[int, int]]]:
-        """Nonzero rows of C_p - lam*B_p in row-key order; None when the
-        images are unusable or p divides the denominator of ``lam``."""
+    def rows_mod_p(self, lam: Fraction) -> Optional[dict[tuple, dict[int, int]]]:
+        """Nonzero rows of C_p - lam*B_p by row key; None when the images are
+        unusable or p divides the denominator of ``lam``."""
         p = RANK_PRIME
         if self.mod_p is None or lam.denominator % p == 0:
             return None
@@ -1033,39 +1004,33 @@ class _SearchMatrix:
     def kernel(self, lam: Fraction) -> list[dict[int, RatExpr]]:
         """Certified kernel of C - lam*B over Q(params).
 
-        The rank of the rows mod p is a lower bound on the exact rank.  When
-        it equals the number of columns that are nonzero over Q(params), the
-        unit vectors of the others span the kernel.  A column with no nonzero
-        image mod p counts as zero only after its exact cells vanish.  An
-        eigenvalue this does not settle takes the exact rows through
-        :func:`_nullspace`.
+        The rows mod p are eliminated once.  Their rank is a lower bound on
+        the exact rank; when it equals the number of columns that are nonzero
+        over Q(params), the unit vectors of the others span the kernel.  A
+        column with no nonzero image mod p counts as zero only after its
+        exact cells vanish.  An eigenvalue this does not settle takes the
+        exact rows through :func:`_nullspace`, which replays the pivots of
+        that elimination.  The mod p rows omit the rows that vanish mod p
+        but not exactly, so a pivot is carried over by its row key.
         """
+        keys, pivots = [], []
         rows = self.rows_mod_p(lam)
         if rows is not None:
-            touched = {c for row in rows for c in row}
-            if len(_eliminate_mod_p(rows)) == len(touched):
+            keys, pivots = list(rows), _eliminate_mod_p(list(rows.values()))
+            touched = {c for row in rows.values() for c in row}
+            if len(pivots) == len(touched):
                 untouched = [c for c in range(len(self.monos)) if c not in touched]
                 if all(self._vanishes(c, lam) for c in untouched):
                     return [{c: self.one} for c in untouched]
-        rows = _search_rows(self.sys_obj.table, *self.exact, lam)
-        return _nullspace(rows, len(self.monos), self.one)
+        exact = _search_rows(self.sys_obj.table, *self.exact, lam)
+        index = {key: r for r, key in enumerate(exact)}
+        replay = [(index[keys[r]], c) for r, c, _ in pivots]
+        return _nullspace(list(exact.values()), len(self.monos), self.one, replay)
 
     def _vanishes(self, col: int, lam: Fraction) -> bool:
         """Whether column ``col`` of C - lam*B is zero over Q(params)."""
         cells = _assemble(self.parts, self.base, [self.shifts[col]], _add_terms)
         return not _rows(*cells, lambda c, b: any(_difference(lam, c, b).values()) or None)
-
-
-def _search_cells(
-    sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]
-) -> tuple[_Cells, _Cells]:
-    """Exact cells of C and B for the ansatz monomials.
-
-    A search certifies each kernel mod p from integer images of these cells
-    first, and builds the exact cells only for an eigenvalue that the rank
-    mod p cannot settle (:class:`_SearchMatrix`).
-    """
-    return _SearchMatrix(sys_obj, monos).exact
 
 
 def first_integral_search(
@@ -1083,12 +1048,12 @@ def first_integral_search(
     already applied).  For each candidate eigenvalue the condition is an exact
     linear system; its solution space is returned as a basis, with the
     trivial constant solutions removed and each generator normalized so its
-    leading coefficient is one.  The kernel is certified in two stages: first
-    by the rank mod p of integer cells, which settles an eigenvalue whose
-    kernel is spanned by unit vectors of zero columns; then, only for an
-    eigenvalue this cannot settle, such as one with an integral, by exact
-    polynomial rows.  A bound below its minimum, and an empty or repeated
-    list of eigenvalues, raise ValueError.
+    leading coefficient is one.  Each eigenvalue's integer cells are
+    eliminated once mod p.  That rank settles an eigenvalue whose kernel is
+    spanned by unit vectors of zero columns.  Only an eigenvalue it cannot
+    settle, such as one with an integral, builds exact polynomial rows, which
+    replay the pivots mod p and are then plugged back in.  A bound below its
+    minimum, and an empty or repeated list of eigenvalues, raise ValueError.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")

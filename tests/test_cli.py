@@ -365,6 +365,14 @@ def test_dump_models_flag(capsys):
     assert "[map s2_5d variant=corrected]" in out
 
 
+def test_dump_models_refuses_a_command(capsys):
+    assert main(["--dump-models", "verify", "symmetry"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert "--dump-models takes no command, got 'verify'" in captured.err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
 

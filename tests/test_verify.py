@@ -576,8 +576,8 @@ def _differential_nullspace(monkeypatch, seen):
     leaves no canonical form)."""
     certified = verify._nullspace
 
-    def both(rows, ncols, one):
-        basis = certified(rows, ncols, one)
+    def both(rows, ncols, one, replay):
+        basis = certified(rows, ncols, one, replay)
         reference = _gauss_jordan_nullspace(rows, ncols, one)
         assert [vec.keys() for vec in basis] == [ref.keys() for ref in reference]
         for vec, ref in zip(basis, reference):
@@ -598,10 +598,10 @@ def _differential_kernel(monkeypatch, seen):
         basis = certified(matrix, lam)
         sys_obj, monos = matrix.sys_obj, matrix.monos
         rows = verify._search_rows(
-            sys_obj.table, *verify._search_cells(sys_obj, monos), lam
+            sys_obj.table, *verify._SearchMatrix(sys_obj, monos).exact, lam
         )
         one = RatExpr.const(sys_obj.table, 1)
-        assert basis == _gauss_jordan_nullspace(rows, len(monos), one)
+        assert basis == _gauss_jordan_nullspace(rows.values(), len(monos), one)
         seen.append((len(monos), len(basis)))
         return basis
 
@@ -646,8 +646,14 @@ def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
             })
             for _ in range(rng.randint(1, ncols + 1))
         ]
-        verify._nullspace(rows, ncols, one)
-    # both outcomes occur: certified empty kernels and larger exact ones
+        # the replay comes from the same rows at the seeded point mod p
+        image = verify._point_images(table)
+        special = [{c: image(v.terms) for c, v in row.items()} for row in rows]
+        pivots = verify._eliminate_mod_p(
+            [{c: v for c, v in row.items() if v} for row in special]
+        )
+        verify._nullspace(rows, ncols, one, [(r, c) for r, c, _ in pivots])
+    # both outcomes occur: kernels of the zero column alone and larger ones
     assert {dim == 1 for _, dim in seen} == {True, False}
 
 
@@ -657,15 +663,15 @@ def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
     entry = Poly.var(table, "alpha0", verify.RANK_PRIME - 1) - Poly.const(table, 1)
     one = RatExpr.const(table, 1)
     rows = [{0: entry}]
-    assert verify._specialize(rows, table) == [{}]
+    assert verify._point_images(table)(entry.terms) == 0
     runs = []
     eliminate = verify._eliminate
     monkeypatch.setattr(
         verify, "_eliminate", lambda *args: runs.append(eliminate(*args)) or runs[-1]
     )
-    assert verify._nullspace(rows, 2, one) == [{1: one}]
-    # no pivot mod p; the exact continuation finds the pivot itself
-    assert [[(r, c) for r, c, _ in pivots] for pivots in runs] == [[], [(0, 0)]]
+    # no pivot mod p to replay; the exact pass finds the pivot itself
+    assert verify._nullspace(rows, 2, one, []) == [{1: one}]
+    assert [[(r, c) for r, c, _ in pivots] for pivots in runs] == [[(0, 0)]]
 
 
 @pytest.mark.parametrize(
@@ -732,6 +738,50 @@ def test_search_checks_columns_that_vanish_mod_p_exactly(monkeypatch, system_id)
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound,lam,found",
+    [
+        ("five_dim", 2, 0, Fraction(-1), True),
+        ("K1_sys", 8, 3, Fraction(0), True),
+        # lambda = 0 mod p: 114 rows mod p against 116 exact ones
+        ("five_dim", 2, 1, Fraction(verify.RANK_PRIME), False),
+    ],
+)
+def test_search_eliminates_mod_p_once_per_eigenvalue(
+    monkeypatch, system_id, state_bound, indep_bound, lam, found
+):
+    # an eigenvalue the rank mod p does not settle replays the one elimination
+    # mod p of its integer rows, each pivot carried over by its row key
+    runs = []
+    eliminate_mod_p = verify._eliminate_mod_p
+    monkeypatch.setattr(
+        verify, "_eliminate_mod_p",
+        lambda rows: runs.append((rows, eliminate_mod_p(rows))) or runs[-1][1],
+    )
+    replays = []
+    nullspace = verify._nullspace
+    monkeypatch.setattr(
+        verify, "_nullspace",
+        lambda rows, ncols, one, replay: replays.append(replay)
+        or nullspace(rows, ncols, one, replay),
+    )
+    hits = first_integral_search(system_id, state_bound, indep_bound, (lam,))
+    assert bool(hits) == found
+    assert len(runs) == len(replays) == 1
+    sys_obj = load_model(system_id)
+    monos = verify._state_indep_monomials(
+        sys_obj.table, sys_obj.state, sys_obj.indep, state_bound, indep_bound
+    )
+    matrix = verify._SearchMatrix(sys_obj, monos)
+    rows_mod_p = matrix.rows_mod_p(lam)
+    rows, pivots = runs[0]
+    assert rows == list(rows_mod_p.values())
+    mod_p_keys = list(rows_mod_p)
+    exact_keys = list(verify._search_rows(sys_obj.table, *matrix.exact, lam))
+    assert replays[0] == [(exact_keys.index(mod_p_keys[r]), c) for r, c, _ in pivots]
+    assert replays[0]
+
+
 def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
     # the ladder up to the 175-column cliff builds no exact row
     def refuse(*args):
@@ -795,17 +845,21 @@ def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bo
         sys_obj, monos, expected = _reference_rows(
             system_id, state_bound, indep_bound, lam
         )
-        rows = verify._search_rows(
-            sys_obj.table, *verify._search_cells(sys_obj, monos), lam
-        )
+        matrix = verify._SearchMatrix(sys_obj, monos)
+        rows = verify._search_rows(sys_obj.table, *matrix.exact, lam)
         assert len(rows) == len(expected)
-        for row, ref in zip(rows, expected):
+        for row, ref in zip(rows.values(), expected):
             assert list(row) == list(ref)
             assert all(RatExpr(row[c]) == ref[c] for c in ref)
-        # the integer cells are the exact ones mod p
-        special = verify._specialize(rows, sys_obj.table)
-        rows_mod_p = verify._SearchMatrix(sys_obj, monos).rows_mod_p(lam)
-        assert rows_mod_p == [r for r in special if r]
+        # the integer cells are the exact ones mod p, row key by row key
+        image = verify._point_images(sys_obj.table)
+        special = {
+            key: {c: v for c, v in ((c, image(e.terms)) for c, e in row.items()) if v}
+            for key, row in rows.items()
+        }
+        assert list(matrix.rows_mod_p(lam).items()) == [
+            (key, row) for key, row in special.items() if row
+        ]
 
 
 def _sympy_of(e, names):
