@@ -9,22 +9,24 @@ combinations are monitored along trajectories, and birational maps push
 trajectories forward pointwise, transforming parameters, eta and the time axis
 by the map's own ``action``.
 
-Every vector field and integral is compiled into one float kernel
-f(indep, state) by :func:`compile_ratexpr`.  Every map, the 5d -> 4d
-reduction included, takes one pushforward path: a kernel from the same
-sources loops over all samples and evaluates generators as exponentials.
-The step is written out stage by stage instead of looping over the tableau,
-but in the loop's summation order: stage values add (h*a_ij)*k_j left to
-right, skipping zero weights; the solution is y + h*(0.0 + sum b_j*k_j), the
-order of ``sum`` on floats; and the error estimate keeps all seven
-(b5_j - b4_j)*k_j terms, so that a NaN in any stage reaches it.
-Trajectories are therefore bit-identical to the per-symbol loop.
+Every kernel is Python source generated from the exact expressions and
+compiled once per distinct text; parameters are default arguments bound per
+call.  Each vector field gets one whole Dormand-Prince step with its
+right-hand side inlined in every stage, and one finite-difference residual
+loop over all samples; each integral gets one kernel f(indep, state) from
+:func:`compile_ratexpr`.  Every map, the 5d -> 4d reduction included, takes
+one pushforward path: a kernel from the same sources loops over all samples
+and evaluates generators as exponentials.  The step is written out instead
+of looping over the tableau, but in the loop's summation order (see
+:func:`_step_body`), so trajectories are bit-identical to the per-symbol
+tableau loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
-not an error.  Non-finite input, alphas off alpha0 + alpha1 + alpha2 = 1,
-and a step, grid or parameter that does not apply to the mode or system, are
-refused with :class:`UsageError` before any step.
+not an error.  Non-finite input or step count, alphas off
+alpha0 + alpha1 + alpha2 = 1, and a step, grid or parameter that does not
+apply to the mode or system, are refused with :class:`UsageError` before any
+step.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cache
-from types import FunctionType
+from functools import cache, cached_property
+from types import CodeType, FunctionType
 from typing import Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .models import BirationalMap, VectorFieldSystem, load_integral, load_map, load_model
@@ -139,17 +141,24 @@ def _source(expr: Union[RatExpr, Poly]) -> str:
     return f"({num_src}) / ({_poly_source(expr.den)})"
 
 
+@cache
+def _code(text: str) -> CodeType:
+    """The code object of ``_kernel`` as the one ``def`` ``text`` defines it."""
+    namespace: dict = {}
+    exec(text, namespace)
+    return namespace["_kernel"].__code__
+
+
 def _define(table: SymbolTable, head: Sequence[str], bound: Collection[str], body: str,
             namespace: dict) -> Callable[[Mapping[str, float]], Callable]:
-    """Define ``_kernel(*head, *fixed)`` in ``namespace`` from the indented ``body``.
+    """Define ``_kernel(*head, *fixed)`` with globals ``namespace`` from the indented ``body``.
 
     ``fixed`` are the table symbols outside ``bound``.  Returns bind(values):
     the kernel with each fixed symbol a default argument bound to
-    float(values[name]), or 0.0 when absent.
+    float(values[name]), or 0.0 when absent.  The text is compiled once.
     """
     fixed = [n for n in table.symbols if n not in bound]
-    exec(f"def _kernel({', '.join([*head, *fixed])}):\n{body}", namespace)
-    code = namespace["_kernel"].__code__
+    code = _code(f"def _kernel({', '.join([*head, *fixed])}):\n{body}")
     return lambda values: FunctionType(
         code, namespace, "_kernel", tuple(float(values.get(n, 0.0)) for n in fixed)
     )
@@ -173,38 +182,6 @@ def compile_ratexpr(
         f"    {''.join(n + ', ' for n in state_names)}= _state\n"
         f"    return [{', '.join(map(_source, exprs))}]\n", {},
     )(values)
-
-
-class _CompiledSystem:
-    """Vector field as a float callable f(u, state) -> list of derivatives.
-
-    ``evals`` counts the calls.
-    """
-
-    def __init__(self, system: VectorFieldSystem, params: Mapping[str, float]):
-        table = system.table
-        missing = [
-            n for n in table.symbols
-            if table.kind_of(n) in ("parameter", "constant") and n not in params
-        ]
-        if missing:
-            raise UsageError(f"missing numeric parameters: {missing}")
-        bad = [n for n in params if n in table and not math.isfinite(float(params[n]))]
-        if bad:
-            raise UsageError(f"non-finite parameter values: {bad}")
-        self._kernel = compile_ratexpr(
-            [system.rhs[n] for n in system.state], system.state, params
-        )
-        self.evals = 0
-
-    def __call__(self, u: float, state: Sequence[float]) -> list[float]:
-        self.evals += 1
-        try:
-            return self._kernel(u, state)
-        except OverflowError:
-            # treated as an infinite local error: the step gets rejected and
-            # the blow-up guard decides once values are representable
-            return [math.inf] * len(state)
 
 
 def _refuse_unknown_params(
@@ -250,41 +227,138 @@ _DP_D = (
     -1453857185 / 822651844, 69997945 / 29380423,
 )
 
+_KERNEL_GLOBALS = {"_inf": math.inf}
 
-# the tableau unpacked for the written-out step; stages are numbered from 1
-_C2, _C3, _C4, _C5 = _DP_C[1:5]
-_B1, _B3, _B4, _B5, _B6 = (b for b in _DP_B5 if b)
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+
+def _stage_lines(k: str, sources: Sequence[str]) -> list[str]:
+    """Evaluate the right-hand side into ``{k}0, {k}1, ...``, once the state is bound.
+
+    An OverflowError in any component makes every component inf: read as an
+    infinite local error, the step gets rejected and the blow-up guard
+    decides once values are representable.
+    """
+    ks = [f"{k}{i}" for i in range(len(sources))]
+    return ["try:", *(f"    {ki} = {src}" for ki, src in zip(ks, sources)),
+            "except OverflowError:", f"    {' = '.join(ks)} = _inf"]
+
+
+@cache
+def _step_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...]) -> str:
+    """Body of one embedded step ``(_u, _y, _h)`` -> (y5, error_inf, max_state_norm, stages).
+
+    The right-hand side is inlined in each of the seven stages.  Stage values
+    add (h*a_ij)*k_j left to right, skipping zero weights; the solution is
+    y + h*(0.0 + sum b_j*k_j), the order of ``sum`` on floats; the error
+    estimate keeps all seven (b5_j - b4_j)*k_j terms and takes their maximum
+    as ``max`` does, so a NaN term is passed over.  A solution or error that
+    is not finite reads as an infinite error and norm.
+    """
+    n = range(len(state_names))
+    lines = [f"{''.join(f'_y{i}, ' for i in n)}= _y"]
+    lines += [f"_h{s}{j} = _h * {a!r}"
+              for s, row in enumerate(_DP_A, 1) for j, a in enumerate(row, 1) if a]
+    for s, (c, row) in enumerate(zip(_DP_C, _DP_A), 1):
+        lines.append(f"{indep} = _u + {c!r} * _h")
+        lines += [f"{name} = _y{i}" + "".join(
+            f" + _h{s}{j} * _k{j}_{i}" for j, a in enumerate(row, 1) if a)
+            for i, name in zip(n, state_names)]
+        lines += _stage_lines(f"_k{s}_", sources)
+    lines += [f"_y5_{i} = _y{i} + _h * (0.0" + "".join(
+        f" + {b!r} * _k{j}_{i}" for j, b in enumerate(_DP_B5, 1) if b) + ")" for i in n]
+    lines.append("_err = 0.0")
+    for i in n:
+        lines.append("_e = abs(_h * (0.0" + "".join(
+            f" + {b5 - b4!r} * _k{j}_{i}"
+            for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4), 1)) + "))")
+        lines.append("if _e > _err: _err = _e")
+    lines.append(f"_y5 = [{', '.join(f'_y5_{i}' for i in n)}]")
+    lines.append("_k = [" + ", ".join(
+        f"[{', '.join(f'_k{s}_{i}' for i in n)}]" for s in range(1, 8)) + "]")
+    # -inf < v < inf is math.isfinite(v) for a float
+    lines.append("if _err < _inf" + "".join(f" and -_inf < _y5_{i} < _inf" for i in n) + ":")
+    lines.append("    return _y5, _err, max(map(abs, _y5)), _k")
+    lines.append("return _y5, _inf, _inf, _k")
+    return "".join(f"    {line}\n" for line in lines)
+
+
+@cache
+def _residual_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...]) -> str:
+    """Body of ``(_times, _states, _h)`` -> max |central difference - field| over samples."""
+    n = range(len(state_names))
+    lines = [
+        f"for {indep}, _before, _state, _after in zip(",
+        "        _times[1:-1], _states, _states[1:], _states[2:]):",
+        f"    {''.join(name + ', ' for name in state_names)}= _state",
+        f"    {''.join(f'_b{i}, ' for i in n)}= _before",
+        f"    {''.join(f'_a{i}, ' for i in n)}= _after",
+        *(f"    {line}" for line in _stage_lines("_d", sources)),
+    ]
+    for i in n:
+        lines.append(f"    _e = abs((_a{i} - _b{i}) / (2 * _h) - _d{i})")
+        lines.append("    if _e > _worst: _worst = _e")
+    return "".join(f"    {line}\n" for line in ["_worst = 0.0", *lines, "return _worst"])
+
+
+class _CompiledSystem:
+    """Vector field compiled from the sources of its right-hand side.
+
+    ``f(u, state)`` evaluates the right-hand side once; ``f.step(u, y, h)`` is
+    one whole Dormand-Prince step (:func:`_step_body`) and ``f.residual`` the
+    loop of :func:`dynamics_residual` (:func:`_residual_body`), each with the
+    right-hand side inlined.  ``evals`` counts the evaluations that
+    ``__call__`` and :func:`_rk_step` make.
+    """
+
+    def __init__(self, system: VectorFieldSystem, params: Mapping[str, float]):
+        table = system.table
+        missing = [
+            n for n in table.symbols
+            if table.kind_of(n) in ("parameter", "constant") and n not in params
+        ]
+        if missing:
+            raise UsageError(f"missing numeric parameters: {missing}")
+        bad = [n for n in params if n in table and not math.isfinite(float(params[n]))]
+        if bad:
+            raise UsageError(f"non-finite parameter values: {bad}")
+        self._system, self._params = system, params
+        self._sources = tuple(_source(system.rhs[n]) for n in system.state)
+        self.evals = 0
+
+    def _bind(self, head: Sequence[str], make_body: Callable) -> Callable:
+        system = self._system
+        body = make_body(system.indep, system.state, self._sources)
+        return _define(system.table, head, {system.indep, *system.state}, body,
+                       _KERNEL_GLOBALS)(self._params)
+
+    @cached_property
+    def step(self) -> Callable:
+        return self._bind(["_u", "_y", "_h"], _step_body)
+
+    @cached_property
+    def residual(self) -> Callable:
+        return self._bind(["_times", "_states", "_h"], _residual_body)
+
+    @cached_property
+    def _kernel(self) -> Callable:
+        system = self._system
+        return compile_ratexpr([system.rhs[n] for n in system.state], system.state,
+                               self._params)
+
+    def __call__(self, u: float, state: Sequence[float]) -> list[float]:
+        self.evals += 1
+        try:
+            return self._kernel(u, state)
+        except OverflowError:
+            # the same rule as a stage of the generated step
+            return [math.inf] * len(state)
 
 
 def _rk_step(
-    f: Callable, u: float, y: Sequence[float], h: float
+    f: _CompiledSystem, u: float, y: Sequence[float], h: float
 ) -> tuple[list[float], float, float, list[list[float]]]:
     """One embedded step: returns (y5, error_inf, max_state_norm, stages)."""
-    (h21,), (h31, h32), (h41, h42, h43), (h51, h52, h53, h54), \
-        (h61, h62, h63, h64, h65), (h71, _, h73, h74, h75, h76) = (
-            [h * a for a in row] for row in _DP_A[1:])
-    k1 = f(u + 0.0 * h, y)
-    k2 = f(u + _C2 * h, [yi + h21 * a for yi, a in zip(y, k1)])
-    k3 = f(u + _C3 * h, [yi + h31 * a + h32 * b for yi, a, b in zip(y, k1, k2)])
-    k4 = f(u + _C4 * h, [yi + h41 * a + h42 * b + h43 * c
-                         for yi, a, b, c in zip(y, k1, k2, k3)])
-    k5 = f(u + _C5 * h, [yi + h51 * a + h52 * b + h53 * c + h54 * d
-                         for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = f(u + h, [yi + h61 * a + h62 * b + h63 * c + h64 * d + h65 * e
-                   for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    k7 = f(u + h, [yi + h71 * a + h73 * c + h74 * d + h75 * e + h76 * g
-                   for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
-    y5 = [yi + h * (0.0 + _B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-          for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-    err = 0.0
-    for a, b, c, d, e, g, m in zip(k1, k2, k3, k4, k5, k6, k7):
-        err = max(err, abs(h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d
-                                + _E5 * e + _E6 * g + _E7 * m)))
-    k = [k1, k2, k3, k4, k5, k6, k7]
-    if not all(map(math.isfinite, y5)) or not math.isfinite(err):
-        return y5, math.inf, math.inf, k
-    return y5, err, max(map(abs, y5)), k
+    f.evals += 7
+    return f.step(u, y, h)
 
 
 def _interpolant(u: float, h: float, y: list, y5: list, k: list) -> Callable:
@@ -305,7 +379,7 @@ def _interpolant(u: float, h: float, y: list, y5: list, k: list) -> Callable:
     return at
 
 
-def _adaptive_steps(f: Callable, u0: float, y0: list[float], u1: float,
+def _adaptive_steps(f: _CompiledSystem, u0: float, y0: list[float], u1: float,
                     tolerances: tuple[float, float], stats: dict):
     """Yield each accepted step (u, h, y, y5, stages) from u0 to exactly u1.
 
@@ -388,7 +462,10 @@ def integrate_system(
     elif mode == "fixed":
         if step is None or not 0 < step < math.inf:
             raise UsageError(f"fixed mode needs a positive step, not {step}")
-        n = max(1, round(abs(u1 - u0) / step))
+        count = abs(u1 - u0) / step
+        if count == math.inf:
+            raise UsageError(f"fixed step {step!r} gives no finite step count")
+        n = max(1, round(count))
         h = (u1 - u0) / n
         stats["h_min"] = stats["h_max"] = abs(h)
         u = u0
@@ -580,16 +657,14 @@ def dynamics_residual(
     """
     system = load_model(system_id)
     _refuse_unknown_params(system, params)
+    if tuple(traj.state_names) != system.state:
+        raise UsageError(
+            f"trajectory state {tuple(traj.state_names)} is not {system_id}'s {system.state}"
+        )
     if len(traj.times) < 5:
         raise UsageError("need at least 5 samples for a residual certificate")
     h = traj.times[1] - traj.times[0]
     for a, b in zip(traj.times, traj.times[1:]):
         if abs((b - a) - h) > 1e-9 * abs(h):
             raise UsageError("dynamics_residual needs uniform sample spacing")
-    f = _CompiledSystem(system, params)
-    states = traj.states
-    worst = 0.0
-    for u, before, state, after in zip(traj.times[1:-1], states, states[1:], states[2:]):
-        for a, b, d in zip(before, after, f(u, state)):
-            worst = max(worst, abs((b - a) / (2 * h) - d))
-    return worst
+    return _CompiledSystem(system, params).residual(traj.times, traj.states, h)

@@ -285,6 +285,11 @@ def test_integrate_usage_errors(capsys):
         "--init", "0.1,0.8,0.3,0.4,0.5", "--span", "0,1",
     ]) == 2
     assert "'alpha0' given twice" in capsys.readouterr().err
+    assert main([
+        "integrate", "linear_xz", "--params", "alpha0=0.5,alpha2=0.5,eta=1",
+        "--init", "0,1", "--span", "0,1", "--fixed-step", "5e-324",
+    ]) == 2
+    assert "no finite step count" in capsys.readouterr().err
 
 
 def test_integrate_nonpositive_fixed_step_exits_2(capsys):

@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from painleve_d32 import numeric
 from painleve_d32.models import (
@@ -253,13 +254,11 @@ def test_grid_on_adaptive_step_ends_reproduces_the_run():
 
 
 def test_every_step_goes_through_rk_step(monkeypatch):
-    # the benchmark's layer trace wraps these two globals to count steps and
-    # right-hand-side evaluations
-    steps, rhs = [], []
-    rk_step, call = numeric._rk_step, numeric._CompiledSystem.__call__
+    # the benchmark's layer trace wraps _rk_step to count steps; the stages
+    # evaluate the right-hand side inline, so rhs_evals is the record of them
+    steps = []
+    rk_step = numeric._rk_step
     monkeypatch.setattr(numeric, "_rk_step", lambda *a: steps.append(a[3]) or rk_step(*a))
-    monkeypatch.setattr(numeric._CompiledSystem, "__call__",
-                        lambda self, *a: rhs.append(a[0]) or call(self, *a))
     blow = [200.0, 5.0, -200.0, 300.0, -300.0]
     rejected = 0
     for init, span, kwargs in (
@@ -269,10 +268,10 @@ def test_every_step_goes_through_rk_step(monkeypatch):
         (blow, (0.0, 10.0), {"tolerances": (1e-8, 1e-8)}),
         (blow, (0.0, 10.0), {"mode": "grid", "grid": [i / 10 for i in range(101)]}),
     ):
-        del steps[:], rhs[:]
+        del steps[:]
         traj = integrate("five_dim", PARAMS_5D, init, span, **kwargs)
         assert len(steps) == traj.steps_accepted + traj.steps_rejected > 0
-        assert len(rhs) == 7 * len(steps) == traj.rhs_evals
+        assert traj.rhs_evals == 7 * len(steps)
         rejected += traj.steps_rejected
     assert rejected > 0
 
@@ -353,6 +352,16 @@ def test_dynamics_residual_refuses_unknown_parameter():
                      mode="fixed", step=1e-3)
     with pytest.raises(UsageError, match="alpah0"):
         dynamics_residual(traj, "five_dim", {**traj.params, "alpah0": 1})
+
+
+def test_dynamics_residual_refuses_another_state():
+    k1 = integrate("K1_sys", {"alpha": 0.4}, [0.3, 0.5], (1.0, 1.1), mode="fixed", step=1e-2)
+    with pytest.raises(UsageError, match="not linear_xz's"):
+        dynamics_residual(k1, "linear_xz", {"alpha0": 0.5, "alpha2": 0.5, "eta": 1.0})
+    five = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.1), mode="fixed", step=1e-2)
+    swapped = replace(five, state_names=("y", "x", "z", "w", "q"))
+    with pytest.raises(UsageError, match="not five_dim's"):
+        dynamics_residual(swapped, "five_dim", PARAMS_5D)
 
 
 def test_csv_and_json_export(tmp_path):
@@ -444,6 +453,7 @@ def test_overflowing_trial_steps_shrink_h(step_budget):
     (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {"eta": -math.inf}, {}),
     (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {}, {"mode": "fixed", "step": math.nan}),
     (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {}, {"mode": "fixed", "step": math.inf}),
+    (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {}, {"mode": "fixed", "step": 5e-324}),
 ])
 def test_non_finite_input_is_refused_before_any_step(
     monkeypatch, init, span, tolerances, params, kwargs
@@ -672,6 +682,101 @@ def test_certificates_equal_to_per_symbol_path():
         system_id = pushed.system_id
         assert (dynamics_residual(pushed, system_id, pushed.params)
                 == _parent_residual(pushed, system_id, pushed.params))
+
+
+def _numeric_params(system, rng):
+    table = system.table
+    return {n: rng.uniform(-1.0, 1.0) for n in table.symbols
+            if table.kind_of(n) in ("parameter", "constant")}
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_generated_residual_equals_per_symbol_path(system_id):
+    # uniform samples that solve nothing exercise every component's arithmetic
+    system = load_model(system_id)
+    rng = random.Random(system_id)
+    params = _numeric_params(system, rng)
+    times = [0.5 + i / 64 for i in range(40)]
+    states = [[rng.uniform(-2.0, 2.0) for _ in system.state] for _ in times]
+    traj = Trajectory(system_id=system_id, params=params, state_names=system.state,
+                      times=times, states=states, abs_tol=1e-10, rel_tol=1e-10,
+                      mode="fixed", termination="completed")
+    assert (repr(dynamics_residual(traj, system_id, params))
+            == repr(_parent_residual(traj, system_id, params)))
+
+
+def test_generated_residual_on_an_overflowing_sample_equals_per_symbol_path():
+    traj = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.1), mode="fixed", step=1e-2)
+    traj.states[5] = [1e200] * 5  # x**2 overflows: every component reads inf
+    residual = dynamics_residual(traj, "five_dim", PARAMS_5D)
+    assert residual == math.inf
+    assert repr(residual) == repr(_parent_residual(traj, "five_dim", PARAMS_5D))
+
+
+def _outcome(rk_step, f, u, y, h):
+    try:
+        return repr(rk_step(f, u, y, h))  # repr tells -0.0 from 0.0 and shows nan
+    except ZeroDivisionError as exc:  # a state on a denominator's zero
+        return type(exc)
+
+
+STATE_FLOATS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([1e155, -3e160, 1e300]))
+
+
+@st.composite
+def step_cases(draw):
+    system_id = draw(st.sampled_from(SYSTEM_IDS))
+    system = load_model(system_id)
+    params = _numeric_params(system, random.Random(draw(st.integers(0, 2**32 - 1))))
+    y = [draw(STATE_FLOATS) for _ in system.state]
+    # u + c*h stays >= 0.1: off the s = 0 locus of the 4d systems
+    return system_id, params, draw(st.floats(0.5, 2.0)), y, draw(st.floats(-0.4, 0.4))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(step_cases())
+@example(("five_dim", PARAMS_5D, 0.0, [1e200, 1.0, -1.0, 1.0, 1.0], 1e-3))
+@example(("five_dim", PARAMS_5D, 0.0, OVERFLOW_5D, 1e-2))
+def test_generated_step_equals_per_symbol_step(case):
+    system_id, params, u, y, h = case
+    system = load_model(system_id)
+    f = numeric._CompiledSystem(system, params)
+    got = _outcome(numeric._rk_step, f, u, y, h)
+    assert got == _outcome(_parent_rk_step, _ParentSystem(system, params), u, y, h)
+    if got is not ZeroDivisionError:
+        assert f.evals == 7
+
+
+def test_generated_step_overflows_like_the_per_symbol_step():
+    # the examples above reach the overflow rule in the first and sixth stages
+    for y, h, stage in (([1e200, 1.0, -1.0, 1.0, 1.0], 1e-3, 0), (OVERFLOW_5D, 1e-2, 5)):
+        f = numeric._CompiledSystem(load_model("five_dim"), PARAMS_5D)
+        y5, err, norm, k = numeric._rk_step(f, 0.0, y, h)
+        assert err == norm == math.inf and k[stage] == [math.inf] * 5
+
+
+def test_kernels_are_compiled_once_per_text(monkeypatch):
+    other = {"alpha0": 0.2, "alpha1": 0.35, "alpha2": 0.45, "eta": -0.4}
+    runs = [(PARAMS_5D, INIT_5D), (other, [0.1, 0.9, 0.3, -0.5, 0.2])]
+
+    def run(params, init):
+        traj = integrate("five_dim", params, init, (0.0, 0.2), mode="fixed", step=1e-2)
+        return (repr(traj), invariant_drift(traj, "ywq").hex(),
+                dynamics_residual(traj, "five_dim", params).hex(),
+                repr(pushforward(traj, "s1_5d")))
+
+    def cleared():
+        numeric._code.cache_clear()
+        numeric._compile_map.cache_clear()
+
+    fresh = [cleared() or run(*args) for args in runs]
+    cleared()
+    texts = []
+    monkeypatch.setattr(numeric, "exec", lambda text, namespace: texts.append(text)
+                        or exec(text, namespace), raising=False)
+    assert [run(*runs[i % 2]) for i in range(4)] == fresh * 2
+    # the step, the drift integral, the residual loop and the map
+    assert len(texts) == len(set(texts)) == 4
 
 
 def test_kernel_binds_state_by_position_and_absent_symbols_to_zero():
