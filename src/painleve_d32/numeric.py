@@ -23,10 +23,10 @@ tableau loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
-not an error.  Non-finite input or step count, alphas off
-alpha0 + alpha1 + alpha2 = 1, and a step, grid or parameter that does not
-apply to the mode or system, are refused with :class:`UsageError` before any
-step.
+not an error.  Non-finite input, a fixed step that needs more than
+``MAX_FIXED_STEPS`` steps, alphas off alpha0 + alpha1 + alpha2 = 1, and a
+step, grid or parameter that does not apply to the mode or system, are
+refused with :class:`UsageError` before any step.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ MIN_STEP_FACTOR = 1e-14
 SAFETY = 0.9
 GROW_MIN, GROW_MAX = 0.2, 5.0
 DENOMINATOR_FLOOR = 1e-12
+# fixed mode keeps every sample: a million samples of a 5d state take about
+# 280 MB
+MAX_FIXED_STEPS = 1_000_000
 
 
 class DomainError(ValueError):
@@ -465,6 +468,11 @@ def integrate_system(
         count = abs(u1 - u0) / step
         if count == math.inf:
             raise UsageError(f"fixed step {step!r} gives no finite step count")
+        if count > MAX_FIXED_STEPS:
+            raise UsageError(
+                f"fixed step {step!r} needs {count:.3g} steps, "
+                f"more than the {MAX_FIXED_STEPS} allowed"
+            )
         n = max(1, round(count))
         h = (u1 - u0) / n
         stats["h_min"] = stats["h_max"] = abs(h)

@@ -1,13 +1,18 @@
 """Exact sparse multivariate polynomial and rational-expression arithmetic.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``); no
-floating point enters this layer.  A :class:`Poly` is a sparse list of
-(coefficient, exponent-vector) terms over a fixed :class:`SymbolTable`, kept
-in graded-lexicographic order.  A :class:`RatExpr` is a quotient of two
-polynomials with no guaranteed GCD reduction; equality is decided by
-cross-multiplication.  A :class:`Derivation` assigns to each symbol its
-derivative and extends to all rational expressions by linearity, the Leibniz
-rule and the quotient rule.
+No floating point enters this layer.  A :class:`Poly` over a fixed
+:class:`SymbolTable` holds integer coefficients over one positive common
+denominator, keyed by packed exponent vectors: an exponent vector is one
+integer, whose top field is the total degree and whose lower fields are the
+exponents, symbol 0 first.  Keys then compare as their exponent vectors do
+in graded-lexicographic order, and multiplying two monomials is adding their
+keys.  Every field is ``EXPONENT_BITS`` = 64 bits wide, its top bit a guard,
+so a total degree of ``DEGREE_LIMIT`` = 2**63 or more raises
+:class:`RingError` instead of wrapping into the next field.  A
+:class:`RatExpr` is a quotient of two polynomials with no
+guaranteed GCD reduction; equality is decided by cross-multiplication.  A
+:class:`Derivation` assigns to each symbol its derivative and extends to all
+rational expressions by linearity, the Leibniz rule and the quotient rule.
 
 The only simplifications ever applied to a quotient are cheap and exact:
 cancellation of a common monomial factor, a monic denominator, and collapse
@@ -18,12 +23,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
 RationalLike = Union[int, Fraction]
 
 SYMBOL_KINDS = ("state", "independent", "parameter", "constant", "generator")
+
+# The top bit of every exponent field is a guard: it shows a borrow when one
+# key is subtracted from another, and a sum of two keys below DEGREE_LIMIT
+# cannot carry out of a field.
+EXPONENT_BITS = 64
+DEGREE_LIMIT = 1 << (EXPONENT_BITS - 1)
+_FIELD = (1 << EXPONENT_BITS) - 1
 
 
 class RingError(Exception):
@@ -49,11 +62,14 @@ class SymbolMismatchError(RingError):
 class SymbolTable:
     """Ordered list of named symbols with kind tags.
 
-    Exponent vectors in :class:`Poly` index into this table positionally, so
-    the order is fixed at construction and names must be unique.
+    Exponent vectors index into this table positionally, so the order is
+    fixed at construction and names must be unique.  The table also fixes
+    how an exponent vector packs into one integer key (see :meth:`pack`).
     """
 
-    __slots__ = ("symbols", "kinds", "_index")
+    __slots__ = (
+        "symbols", "kinds", "_index", "_shifts", "_units", "_guards", "_cap", "one",
+    )
 
     def __init__(self, symbols: Iterable[tuple[str, str]]):
         names = []
@@ -68,6 +84,14 @@ class SymbolTable:
         self.symbols: tuple[str, ...] = tuple(names)
         self.kinds: tuple[str, ...] = tuple(kinds)
         self._index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        degree_shift = EXPONENT_BITS * n
+        # symbol i sits at _shifts[i]; _units[i] is the key of that symbol
+        self._shifts = tuple(EXPONENT_BITS * (n - 1 - i) for i in range(n))
+        self._units = tuple((1 << s) + (1 << degree_shift) for s in self._shifts)
+        self._guards = sum(1 << (s + EXPONENT_BITS - 1) for s in self._shifts)
+        self._cap = DEGREE_LIMIT << degree_shift
+        self.one = Poly._make(self, {0: 1}, 1)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -100,76 +124,162 @@ class SymbolTable:
         """New table with extra symbols appended (original order preserved)."""
         return SymbolTable(list(zip(self.symbols, self.kinds)) + list(extra))
 
+    # -- packed exponent vectors ---------------------------------------------
+
+    def pack(self, mono: Sequence[int]) -> int:
+        """The key of an exponent vector: total degree in the top field, then
+        one field per symbol, symbol 0 highest.  Raises :class:`RingError`
+        for a vector of the wrong length, a negative exponent or a total
+        degree of ``DEGREE_LIMIT`` or more."""
+        if len(mono) != len(self._units):
+            raise RingError(f"exponent vector {tuple(mono)} does not fit {self.symbols}")
+        key = 0
+        for e, unit in zip(mono, self._units):
+            if e < 0:
+                raise RingError(f"negative exponent in {tuple(mono)}")
+            key += e * unit
+        self.check_degree(key)
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        return tuple((key >> s) & _FIELD for s in self._shifts)
+
+    def check_degree(self, key: int) -> None:
+        """Refuse a key whose total degree no longer fits the exponent fields."""
+        if key >= self._cap:
+            raise RingError(
+                f"total degree {key >> (EXPONENT_BITS * len(self._units))} overflows "
+                f"the {EXPONENT_BITS}-bit exponent fields (limit {DEGREE_LIMIT - 1})"
+            )
+
     def __repr__(self) -> str:
         return "SymbolTable(%s)" % ", ".join(
             f"{n}:{k}" for n, k in zip(self.symbols, self.kinds)
         )
 
 
-def _order_key(mono: Monomial) -> tuple[int, Monomial]:
-    # graded lexicographic: compare total degree first, then exponents
-    return (sum(mono), mono)
+def _content(table: SymbolTable, keys: Iterable[int]) -> int:
+    """Key of the per-symbol minimum exponent over ``keys`` (0 if none)."""
+    guards = table._guards
+    degree_shift = EXPONENT_BITS * len(table)
+    fields = (1 << degree_shift) - 1  # every exponent field, not the degree
+    mins = None
+    for key in keys:
+        key &= fields
+        if mins is None:
+            mins = key
+        else:
+            # a guard bit survives (mins|guards) - key where mins >= key in its
+            # field; spread it over the field to pick key's exponent there
+            pick = ((((mins | guards) - key) & guards) >> (EXPONENT_BITS - 1)) * _FIELD
+            mins = (key & pick) | (mins & ~pick)
+        if not mins:
+            return 0
+    if mins is None:
+        return 0
+    return mins + (sum((mins >> s) & _FIELD for s in table._shifts) << degree_shift)
 
 
 class Poly:
     """Sparse multivariate polynomial with rational coefficients.
 
-    Terms are stored as a tuple of (monomial, coefficient) pairs sorted in
-    descending graded-lexicographic order; no zero coefficients, no duplicate
-    monomials.  Instances are immutable and hashable.
+    A polynomial is ``{key: integer coefficient}`` over one positive integer
+    denominator, where a key is a packed exponent vector
+    (:meth:`SymbolTable.pack`: 64-bit fields, total degree below 2**63, a
+    larger one raises :class:`RingError`).  It is kept canonical: no zero coefficients,
+    keys in descending order (descending graded-lexicographic order of the
+    exponent vectors), and the denominator coprime to the coefficients as a
+    whole.  ``Poly(table, {monomial: coefficient})`` builds one from exponent
+    tuples and rationals, and :attr:`terms` reads it back in that form.
+    Instances are immutable and hashable.
     """
 
-    __slots__ = ("table", "terms", "_hash")
+    __slots__ = ("table", "_coeffs", "_den", "_hash")
 
-    def __init__(self, table: SymbolTable, terms: Mapping[Monomial, Fraction]):
-        cleaned = {m: c for m, c in terms.items() if c != 0}
+    def __init__(self, table: SymbolTable, terms: Mapping[Monomial, RationalLike]):
+        pairs = [(table.pack(m), Fraction(c)) for m, c in terms.items() if c]
+        # over the lcm of the denominators, the coefficients share no factor
+        # with it: each prime of the lcm misses the numerator it came from
+        den = math.lcm(*(c.denominator for _, c in pairs))
         self.table = table
-        self.terms: tuple[tuple[Monomial, Fraction], ...] = tuple(
-            sorted(cleaned.items(), key=lambda t: _order_key(t[0]), reverse=True)
-        )
-        self._hash: Optional[int] = None
+        self._coeffs = {
+            k: c.numerator * (den // c.denominator) for k, c in sorted(pairs, reverse=True)
+        }
+        self._den = den
+        self._hash = None
+
+    @staticmethod
+    def _make(table: SymbolTable, coeffs: dict[int, int], den: int) -> "Poly":
+        """A polynomial from its canonical parts, taken as they are."""
+        p = object.__new__(Poly)
+        p.table = table
+        p._coeffs = coeffs
+        p._den = den
+        p._hash = None
+        return p
+
+    @staticmethod
+    def _reduced(table: SymbolTable, coeffs: dict[int, int], den: int) -> "Poly":
+        """A polynomial from nonzero coefficients in descending key order,
+        the common factor of the coefficients and ``den`` divided out."""
+        if den != 1:
+            g = math.gcd(den, *coeffs.values())
+            if g != 1:
+                coeffs = {k: c // g for k, c in coeffs.items()}
+                den //= g
+        return Poly._make(table, coeffs, den)
+
+    @staticmethod
+    def _sorted(table: SymbolTable, coeffs: dict[int, int], den: int) -> "Poly":
+        """Like :meth:`_reduced`, for coefficients in any order, some zero."""
+        keys = sorted([k for k, c in coeffs.items() if c], reverse=True)
+        return Poly._reduced(table, {k: coeffs[k] for k in keys}, den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(table: SymbolTable) -> "Poly":
-        return Poly(table, {})
+        return Poly._make(table, {}, 1)
 
     @staticmethod
     def const(table: SymbolTable, value: RationalLike) -> "Poly":
         c = Fraction(value)
         if c == 0:
             return Poly.zero(table)
-        return Poly(table, {(0,) * len(table): c})
+        return Poly._make(table, {0: c.numerator}, c.denominator)
 
     @staticmethod
     def var(table: SymbolTable, name: str, power: int = 1) -> "Poly":
-        mono = [0] * len(table)
-        mono[table.index(name)] = power
-        return Poly(table, {tuple(mono): Fraction(1)})
+        i = table.index(name)
+        if power < 0:
+            raise RingError(f"negative power {power} of {name!r}")
+        key = power * table._units[i]
+        table.check_degree(key)
+        return Poly._make(table, {key: 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        """(exponent tuple, Fraction) pairs in descending graded-lex order."""
+        unpack, den = self.table.unpack, self._den
+        return tuple((unpack(k), Fraction(c, den)) for k, c in self._coeffs.items())
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     @property
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
+        # 0 is the smallest key, so it leads only when it is the only one
+        return not self._coeffs or next(iter(self._coeffs)) == 0
 
     def const_value(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if not self.is_const:
             raise ValueError("not a constant polynomial")
-        return self.terms[0][1]
-
-    @property
-    def leading(self) -> tuple[Monomial, Fraction]:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+        return Fraction(self._coeffs[0], self._den)
 
     def total_degree(self, names: Optional[Sequence[str]] = None) -> int:
         """Max total degree over the given symbols (all symbols if None).
@@ -178,22 +288,22 @@ class Poly:
         """
         if self.is_zero:
             return -1
+        table = self.table
         if names is None:
-            return max(sum(m) for m, _ in self.terms)
-        idx = [self.table.index(n) for n in names]
-        return max(sum(m[i] for i in idx) for m, _ in self.terms)
+            return next(iter(self._coeffs)) >> (EXPONENT_BITS * len(table))
+        shifts = [table._shifts[table.index(n)] for n in names]
+        return max(sum((k >> s) & _FIELD for s in shifts) for k in self._coeffs)
 
     def involves(self, name: str) -> bool:
-        i = self.table.index(name)
-        return any(m[i] for m, _ in self.terms)
+        s = self.table._shifts[self.table.index(name)]
+        return any((k >> s) & _FIELD for k in self._coeffs)
 
     def occurring_names(self) -> tuple[str, ...]:
-        used = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return tuple(self.table.symbols[i] for i in sorted(used))
+        used = 0
+        for k in self._coeffs:
+            used |= k
+        table = self.table
+        return tuple(n for n, s in zip(table.symbols, table._shifts) if (used >> s) & _FIELD)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -201,54 +311,110 @@ class Poly:
         if self.table is not other.table:
             raise SymbolMismatchError("polynomials over different symbol tables")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other."""
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms:
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Poly(self.table, out)
+        b = other._coeffs
+        if not b:
+            return self
+        a = self._coeffs
+        if not a:
+            return other if sign > 0 else -other
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(a)
+            fb = sign
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g * sign
+            out = {k: c * fa for k, c in a.items()}
+            da *= fa
+        fresh = False
+        for k, c in b.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = c * fb
+                fresh = True
+            else:
+                s += c * fb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        if fresh:
+            out = {k: out[k] for k in sorted(out, reverse=True)}
+        return Poly._reduced(self.table, out, da)
 
-    def __neg__(self) -> "Poly":
-        return Poly(self.table, {m: -c for m, c in self.terms})
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Poly":
+        return Poly._make(self.table, {k: -c for k, c in self._coeffs.items()}, self._den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Poly(self.table, out)
+        table = self.table
+        if table is not other.table:
+            self._check(other)
+        pa, pb = self, other
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return Poly.zero(table)
+        if len(a) > len(b):
+            pa, pb, a, b = pb, pa, b, a
+        top = next(iter(a)) + next(iter(b))
+        if top >= table._cap:
+            table.check_degree(top)
+        if len(a) == 1:
+            # a monomial factor keeps the order of the other's keys
+            (ka, ca), = a.items()
+            if not ka and ca == pa._den:
+                return pb
+            return Poly._reduced(
+                table, {ka + k: ca * c for k, c in b.items()}, pa._den * pb._den
+            )
+        den = pa._den * pb._den
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return Poly._sorted(table, out, den)
 
     def scaled(self, c: RationalLike) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
+        if type(c) is not int:
+            c = Fraction(c)
+            p, q = c.numerator, c.denominator
+        else:
+            p, q = c, 1
+        if not p:
             return Poly.zero(self.table)
-        return Poly(self.table, {m: coeff * c for m, coeff in self.terms})
+        if p == q == 1:
+            return self
+        return Poly._reduced(
+            self.table, {k: v * p for k, v in self._coeffs.items()}, self._den * q
+        )
 
-    def mul_monomial(self, mono: Monomial, coeff: Fraction = Fraction(1)) -> "Poly":
-        if coeff == 0:
+    def mul_monomial(self, mono: Monomial, coeff: RationalLike = 1) -> "Poly":
+        c = Fraction(coeff)
+        if c == 0 or self.is_zero:
             return Poly.zero(self.table)
-        return Poly(
+        key = self.table.pack(mono)
+        self.table.check_degree(next(iter(self._coeffs)) + key)
+        p = c.numerator
+        return Poly._reduced(
             self.table,
-            {tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in self.terms},
+            {k + key: v * p for k, v in self._coeffs.items()},
+            self._den * c.denominator,
         )
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a Poly; use RatExpr")
-        result = Poly.const(self.table, 1)
+        result = self.table.one
         base = self
         while n:
             if n & 1:
@@ -262,15 +428,13 @@ class Poly:
     def partial(self, name: str) -> "Poly":
         """Partial derivative with respect to one symbol."""
         i = self.table.index(name)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            e = m[i]
-            if not e:
-                continue
-            mm = list(m)
-            mm[i] = e - 1
-            out[tuple(mm)] = c * e
-        return Poly(self.table, out)
+        s, unit = self.table._shifts[i], self.table._units[i]
+        out = {}
+        for k, c in self._coeffs.items():
+            e = (k >> s) & _FIELD
+            if e:
+                out[k - unit] = c * e
+        return Poly._reduced(self.table, out, self._den)
 
     def evaluate(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Exact value at a rational point; every occurring symbol must be bound."""
@@ -280,29 +444,29 @@ class Poly:
 
     def monomial_content(self) -> Monomial:
         """Per-symbol minimum exponent over all terms (zero poly: all zeros)."""
-        if self.is_zero:
-            return (0,) * len(self.table)
-        mins = list(self.terms[0][0])
-        for m, _ in self.terms[1:]:
-            for i, e in enumerate(m):
-                if e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
+        return self.table.unpack(_content(self.table, self._coeffs))
 
     def shift_down(self, mono: Monomial) -> "Poly":
-        return Poly(
-            self.table,
-            {tuple(a - b for a, b in zip(m, mono)): c for m, c in self.terms},
+        """The quotient by a monomial that divides every term."""
+        return self._shifted(self.table.pack(mono))
+
+    def _shifted(self, key: int) -> "Poly":
+        return Poly._make(
+            self.table, {k - key: c for k, c in self._coeffs.items()}, self._den
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.table is other.table and self.terms == other.terms
+        return (
+            self.table is other.table
+            and self._den == other._den
+            and self._coeffs == other._coeffs
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.terms)
+            self._hash = hash((self._den, tuple(self._coeffs.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -317,7 +481,9 @@ def exact_polynomial_quotient(n: Poly, d: Poly) -> Optional[Poly]:
     Single-divisor reduction in graded-lexicographic order: if the division
     is exact the leading term of the remainder is always divisible by the
     leading term of d, so a single non-divisible leading term certifies
-    inexactness.
+    inexactness.  The remainder and quotient stay integer, over a common
+    scale that grows only when a leading coefficient of the remainder is not
+    a multiple of the leading coefficient of d.
     """
     if d.is_zero:
         raise ZeroDivisionExprError("exact division by the zero polynomial")
@@ -325,25 +491,38 @@ def exact_polynomial_quotient(n: Poly, d: Poly) -> Optional[Poly]:
         return Poly.zero(n.table)
     if n.table is not d.table:
         raise SymbolMismatchError("quotient operands over different tables")
-    lt_mono, lt_coeff = d.leading
-    rem = {m: c for m, c in n.terms}
-    quot: dict[Monomial, Fraction] = {}
+    guards = n.table._guards
+    lt, lc = next(iter(d._coeffs.items()))
+    rem = dict(n._coeffs)
+    quot: dict[int, int] = {}
+    scale = 1
     while rem:
-        m = max(rem, key=_order_key)
-        c = rem[m]
-        diff = tuple(a - b for a, b in zip(m, lt_mono))
-        if any(e < 0 for e in diff):
+        m = max(rem)
+        # a field of m below that of lt borrows from, and clears, its guard bit
+        if ((m | guards) - lt) & guards != guards:
             return None
-        ratio = c / lt_coeff
-        quot[diff] = quot.get(diff, Fraction(0)) + ratio
-        for dm, dc in d.terms:
-            mm = tuple(a + b for a, b in zip(dm, diff))
-            s = rem.get(mm, Fraction(0)) - ratio * dc
+        c = rem.pop(m)
+        if c % lc:
+            f = abs(lc) // math.gcd(c, lc)
+            c *= f
+            scale *= f
+            rem = {k: v * f for k, v in rem.items()}
+            quot = {k: v * f for k, v in quot.items()}
+        t = c // lc
+        diff = m - lt
+        # the leading monomials of the remainder strictly fall, so the
+        # quotient's keys arrive in descending order
+        quot[diff] = t
+        for k, v in islice(d._coeffs.items(), 1, None):
+            k += diff
+            s = rem.get(k, 0) - t * v
             if s:
-                rem[mm] = s
-            elif mm in rem:
-                del rem[mm]
-    return Poly(n.table, quot)
+                rem[k] = s
+            else:
+                del rem[k]
+    # n/d = (N/dn)/(D/dd) with N/D = quot/scale
+    dd = d._den
+    return Poly._reduced(n.table, {k: v * dd for k, v in quot.items()}, scale * n._den)
 
 
 class RatExpr:
@@ -360,36 +539,47 @@ class RatExpr:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None):
+        table = num.table
         if den is None:
-            den = Poly.const(num.table, 1)
-        if num.table is not den.table:
+            den = table.one
+        elif den.table is not table:
             raise SymbolMismatchError("numerator/denominator table mismatch")
-        if den.is_zero:
+        if not den._coeffs:
             raise ZeroDivisionExprError("identically-zero denominator")
-        if num.is_zero:
-            den = Poly.const(num.table, 1)
+        if not num._coeffs:
+            den = table.one
         else:
-            nc = num.monomial_content()
-            dc = den.monomial_content()
-            common = tuple(min(a, b) for a, b in zip(nc, dc))
-            if any(common):
-                num = num.shift_down(common)
-                den = den.shift_down(common)
-            lead = den.leading[1]
-            if lead != 1:
-                inv = 1 / lead
+            # a constant term (key 0, the last) leaves no monomial content
+            if next(reversed(num._coeffs)) and next(reversed(den._coeffs)):
+                common = _content(table, chain(num._coeffs, den._coeffs))
+                if common:
+                    num = num._shifted(common)
+                    den = den._shifted(common)
+            lead = next(iter(den._coeffs.values()))
+            if lead != den._den:
+                inv = Fraction(den._den, lead)
                 num = num.scaled(inv)
                 den = den.scaled(inv)
             # after content cancellation a one-term denominator never divides
             # exactly; for multi-term ones the collapse attempt is what keeps
             # chained eliminations from swelling, and it bails out at the
             # first non-divisible leading term when the quotient is not exact
-            if not den.is_const and len(den.terms) > 1:
+            if len(den._coeffs) > 1:
                 q = exact_polynomial_quotient(num, den)
                 if q is not None:
-                    num, den = q, Poly.const(num.table, 1)
+                    num, den = q, table.one
         self.num = num
         self.den = den
+
+    @staticmethod
+    def _normal(num: Poly, den: Poly) -> "RatExpr":
+        """A quotient already in the form construction gives, taken as it is."""
+        if not num._coeffs:
+            return RatExpr(num)
+        e = object.__new__(RatExpr)
+        e.num = num
+        e.den = den
+        return e
 
     # -- constructors --------------------------------------------------------
 
@@ -419,6 +609,13 @@ class RatExpr:
         return self.num.scaled(1 / self.den.const_value())
 
     # -- coercion and arithmetic ---------------------------------------------
+    #
+    # A constant operand c takes a shorter path with the same result.  Adding
+    # c*den to the numerator or scaling it by c != 0 changes neither the
+    # monomial content shared with the denominator (none), nor the monic
+    # denominator, nor whether the denominator divides the numerator (it
+    # does not, or the expression would be a polynomial), so the sum or
+    # product is already in the form construction gives.
 
     def _coerce(self, other: object) -> Optional["RatExpr"]:
         if isinstance(other, RatExpr):
@@ -432,6 +629,8 @@ class RatExpr:
         return None
 
     def __add__(self, other: object) -> "RatExpr":
+        if isinstance(other, (int, Fraction)):
+            return RatExpr._normal(self.num + self.den.scaled(other), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -442,21 +641,27 @@ class RatExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "RatExpr":
-        return RatExpr(-self.num, self.den)
+        return RatExpr._normal(-self.num, self.den)
 
     def __sub__(self, other: object) -> "RatExpr":
+        if isinstance(other, (int, Fraction)):
+            return RatExpr._normal(self.num - self.den.scaled(other), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other: object) -> "RatExpr":
+        if isinstance(other, (int, Fraction)):
+            return RatExpr._normal(self.den.scaled(other) - self.num, self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other: object) -> "RatExpr":
+        if isinstance(other, (int, Fraction)):
+            return RatExpr._normal(self.num.scaled(other), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -465,6 +670,10 @@ class RatExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "RatExpr":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionExprError("division by an identically-zero expression")
+            return RatExpr._normal(self.num.scaled(1 / Fraction(other)), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -586,66 +795,81 @@ def substitute_poly(
     denominator swell.
     """
     out = table if table is not None else p.table
+    src = p.table
     bound: dict[int, RatExpr] = {}
     for name, value in bindings.items():
-        if name in p.table:
-            bound[p.table.index(name)] = _coerce_binding(out, value)
+        if name in src:
+            bound[src.index(name)] = _coerce_binding(out, value)
     if p.is_zero:
         return RatExpr(Poly.zero(out))
-
+    keys = p._coeffs
+    # bindings of symbols that do not occur are dropped
     maxexp: dict[int, int] = {}
-    for m, _ in p.terms:
-        for i in bound:
-            if m[i] > maxexp.get(i, 0):
-                maxexp[i] = m[i]
-    # drop bindings of symbols that do not occur
-    bound = {i: b for i, b in bound.items() if maxexp.get(i, 0) > 0}
-
-    num_pows: dict[int, list[Poly]] = {}
-    den_pows: dict[int, list[Poly]] = {}
-    for i, b in bound.items():
-        num_pows[i] = [Poly.const(out, 1)]
-        den_pows[i] = [Poly.const(out, 1)]
-        for _ in range(maxexp[i]):
-            num_pows[i].append(num_pows[i][-1] * b.num)
-            den_pows[i].append(den_pows[i][-1] * b.den)
-
-    common_den = Poly.const(out, 1)
     for i in bound:
-        common_den = common_den * den_pows[i][maxexp[i]]
+        s = src._shifts[i]
+        top = max((k >> s) & _FIELD for k in keys)
+        if top:
+            maxexp[i] = top
+    if not maxexp and out is src:
+        return RatExpr(p)
 
-    same_table = out is p.table
-    passthrough: dict[int, int] = {}
+    # b = n/d becomes (L*n)/(L*d) with L the lcm of the coefficient
+    # denominators of n and d, so that every power below is an integer
+    # polynomial; the factor L^maxexp common to numerator and denominator
+    # cancels when the quotient is made monic
+    factors = []
+    common_den = out.one
+    for i, top in maxexp.items():
+        b = bound[i]
+        scale = math.lcm(b.num._den, b.den._den)
+        n, d = b.num.scaled(scale), b.den.scaled(scale)
+        n_pows, d_pows = [out.one], [out.one]
+        for _ in range(top):
+            n_pows.append(n_pows[-1] * n)
+            d_pows.append(d_pows[-1] * d)
+        common_den = common_den * d_pows[top]
+        factors.append((src._shifts[i], top, n_pows, d_pows))
 
-    result = Poly.zero(out)
-    for m, c in p.terms:
-        term = Poly.const(out, c)
-        pass_mono = [0] * len(out)
-        for i, e in enumerate(m):
-            if not e or i in bound:
-                continue
-            if i not in passthrough:
-                name = p.table.symbols[i]
-                if same_table:
-                    passthrough[i] = i
-                elif name in out:
-                    passthrough[i] = out.index(name)
-                else:
-                    raise SymbolMismatchError(
-                        f"unbound symbol {name!r} missing from output table"
-                    )
-            pass_mono[passthrough[i]] += e
-        # every term carries den_i^(maxexp_i - e_i), also when e_i = 0, so
-        # that the whole sum sits over the single common denominator
-        for i, b in bound.items():
-            e = m[i]
-            if e:
-                term = term * num_pows[i][e]
-            if maxexp[i] - e:
-                term = term * den_pows[i][maxexp[i] - e]
-        if any(pass_mono):
-            term = term.mul_monomial(tuple(pass_mono))
-        result = result + term
+    # each occurring unbound symbol moves its exponent to the output table
+    used = 0
+    for k in keys:
+        used |= k
+    moves = []
+    for i, (name, s) in enumerate(zip(src.symbols, src._shifts)):
+        if i in maxexp or not (used >> s) & _FIELD:
+            continue
+        if name not in out:
+            raise SymbolMismatchError(f"unbound symbol {name!r} missing from output table")
+        moves.append((s, out._units[out.index(name)]))
+
+    # every term carries den_i^(maxexp_i - e_i), also when e_i = 0, so that
+    # the whole sum sits over the single common denominator; terms with the
+    # same exponents in the bound symbols share one product
+    bound_fields = sum(_FIELD << s for s, _, _, _ in factors)
+    products: dict[int, Poly] = {}
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k, c in keys.items():
+        pattern = k & bound_fields
+        prod = products.get(pattern)
+        if prod is None:
+            prod = out.one
+            for s, top, n_pows, d_pows in factors:
+                e = (pattern >> s) & _FIELD
+                if e:
+                    prod = prod * n_pows[e]
+                if top - e:
+                    prod = prod * d_pows[top - e]
+            products[pattern] = prod
+        shift = sum(((k >> s) & _FIELD) * unit for s, unit in moves)
+        for kk, v in prod._coeffs.items():
+            kk += shift
+            acc[kk] = get(kk, 0) + c * v
+    result = Poly._sorted(out, acc, p._den)
+    # each key is one sum of two in-range keys, so a too-large degree shows
+    # in the top field without having wrapped
+    if result._coeffs:
+        out.check_degree(next(iter(result._coeffs)))
     return RatExpr(result, common_den)
 
 

@@ -339,6 +339,7 @@ def test_integrate_overflowing_start_terminates(monkeypatch, capsys):
     ["--span", "-inf,1"],
     ["--fixed-step", "nan"],
     ["--fixed-step", "inf"],
+    ["--fixed-step", "1e-300"],
     ["--abs-tol", "nan"],
     ["--rel-tol", "inf"],
     ["--params", "alpha0=nan,alpha1=0.25,alpha2=0.45,eta=0.7"],

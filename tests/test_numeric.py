@@ -466,6 +466,17 @@ def test_non_finite_input_is_refused_before_any_step(
     assert calls == []
 
 
+@pytest.mark.parametrize("step", [1e-300, 1 / (numeric.MAX_FIXED_STEPS + 1)])
+def test_fixed_step_count_above_the_cap_is_refused_before_any_step(monkeypatch, step):
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(numeric, "_rk_step", no_step)
+    with pytest.raises(UsageError, match="more than the"):
+        integrate("linear_xz", {"alpha0": 0.5, "alpha2": 0.5, "eta": 1.0}, [0.0, 1.0],
+                  (0.0, 1.0), mode="fixed", step=step)
+
+
 @pytest.mark.parametrize("system_id, params, init, kwargs", [
     ("five_dim", PARAMS_5D, INIT_5D, {"step": math.nan}),
     ("five_dim", PARAMS_5D, INIT_5D, {"mode": "fixed", "step": 1e-2, "grid": [5, 3, 9]}),

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,3 +275,51 @@ def test_relation_reduction_is_projection(seed):
     q = reduce_relation(p)
     assert not q.involves("alpha1")
     assert reduce_relation(q) == q
+
+
+# -- the names the benchmark's layer trace wraps ---------------------------------------
+
+LAYER_TRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+TRACED_METHODS = [
+    (Poly, "__mul__"), (Poly, "__add__"), (Poly, "evaluate"), (RatExpr, "__init__"),
+    (Derivation, "of"), (Derivation, "of_poly"),
+]
+TRACED_FUNCTIONS = [
+    "substitute", "jacobian_determinant", "reduce_relation", "exact_polynomial_quotient",
+    "is_identically_zero",
+]
+
+
+def test_layer_trace_hooks_exist():
+    """bench/layertrace.py wraps these by name: methods on their own class, and
+    ring functions in every package module that binds the same object."""
+    import painleve_d32
+    from painleve_d32 import models, numeric, ring, syntax, verify, weyl
+
+    modules = [painleve_d32, models, numeric, ring, syntax, verify, weyl]
+    for cls, attr in TRACED_METHODS:
+        assert attr in vars(cls), (cls.__name__, attr)
+    for name in TRACED_FUNCTIONS:
+        original = getattr(ring, name)
+        for module in modules:
+            if name in vars(module):
+                assert vars(module)[name] is original, (module.__name__, name)
+
+    spec = importlib.util.spec_from_file_location("layertrace", LAYER_TRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    pkg = types.SimpleNamespace(
+        models=models, numeric=numeric, ring=ring, syntax=syntax, verify=verify,
+        weyl=weyl, modules=modules,
+    )
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install(pkg)
+        for cls, attr in TRACED_METHODS:
+            assert hasattr(vars(cls)[attr], "__wrapped__"), (cls.__name__, attr)
+        for name in TRACED_FUNCTIONS:
+            assert hasattr(getattr(ring, name), "__wrapped__"), name
+    finally:
+        tracer.uninstall()
+    assert not hasattr(Poly.__mul__, "__wrapped__")
+    assert not hasattr(ring.substitute, "__wrapped__")
