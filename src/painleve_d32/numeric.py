@@ -35,11 +35,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from types import CodeType, FunctionType
+from types import FunctionType
 from typing import Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .models import BirationalMap, VectorFieldSystem, load_integral, load_map, load_model
-from .ring import Poly, RatExpr, SymbolTable, has_relation_symbols
+from .ring import Poly, RatExpr, SymbolTable, _code, has_relation_symbols
 
 BLOWUP_NORM = 1e8
 MIN_STEP_FACTOR = 1e-14
@@ -142,14 +142,6 @@ def _source(expr: Union[RatExpr, Poly]) -> str:
     if expr.den.is_const:
         return num_src
     return f"({num_src}) / ({_poly_source(expr.den)})"
-
-
-@cache
-def _code(text: str) -> CodeType:
-    """The code object of ``_kernel`` as the one ``def`` ``text`` defines it."""
-    namespace: dict = {}
-    exec(text, namespace)
-    return namespace["_kernel"].__code__
 
 
 def _define(table: SymbolTable, head: Sequence[str], bound: Collection[str], body: str,
@@ -302,6 +294,16 @@ def _residual_body(indep: str, state_names: tuple[str, ...], sources: tuple[str,
     return "".join(f"    {line}\n" for line in ["_worst = 0.0", *lines, "return _worst"])
 
 
+@cache
+def _rhs_sources(rhs: tuple[RatExpr, ...]) -> tuple[str, ...]:
+    """The sources of a right-hand side, rendered once per process.
+
+    Keyed by the expressions themselves, which are equal only over the same
+    table, so an ad-hoc system that carries a registry id gets its own text.
+    """
+    return tuple(map(_source, rhs))
+
+
 class _CompiledSystem:
     """Vector field compiled from the sources of its right-hand side.
 
@@ -324,7 +326,7 @@ class _CompiledSystem:
         if bad:
             raise UsageError(f"non-finite parameter values: {bad}")
         self._system, self._params = system, params
-        self._sources = tuple(_source(system.rhs[n]) for n in system.state)
+        self._sources = _rhs_sources(tuple(system.rhs[n] for n in system.state))
         self.evals = 0
 
     def _bind(self, head: Sequence[str], make_body: Callable) -> Callable:

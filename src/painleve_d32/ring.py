@@ -21,9 +21,11 @@ to a polynomial when the denominator divides the numerator exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import chain, islice
+from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -909,6 +911,19 @@ def evaluate(e: RatExpr, point: Mapping[str, RationalLike]) -> Fraction:
 # -- exact point evaluation ---------------------------------------------------------
 
 
+@functools.cache
+def _code(text: str) -> CodeType:
+    """The code object of ``_kernel`` as the one ``def`` ``text`` defines it.
+
+    Every generated kernel, the exact :class:`PointMap` here and the float
+    kernels of :mod:`.numeric`, is compiled through this cache: once per
+    distinct text.
+    """
+    namespace: dict = {}
+    exec(text, namespace)
+    return namespace["_kernel"].__code__
+
+
 def _evaluate_at(
     e: Union[RatExpr, Poly], point: Mapping[str, RationalLike]
 ) -> Fraction:
@@ -919,102 +934,232 @@ def _evaluate_at(
 class PointMap:
     """Rational expressions compiled for exact evaluation at rational points.
 
-    Each output num/den is scaled by the lcm of its coefficient denominators
-    and homogenised in every input v_k = n_k/d_k to the largest exponent D_k
-    of v_k in that output: a term c*prod v_k^e_k becomes
-    c*prod n_k^e_k * d_k^(D_k - e_k).  Numerator and denominator then carry
-    the same factor prod d_k^D_k, which cancels, so each value is
-    ``Fraction(N, M)`` of two integer sums: one gcd per output and no
-    ``Fraction`` arithmetic per term.  An output that is a single input or
-    its negative is read off directly.
+    The map is one generated straight-line function, compiled once per text
+    (:func:`_code`).  It converts its inputs to ``Fraction`` on entry and
+    writes each output in Horner form (:func:`_horner`):
+
+    * an output whose denominator is a monomial is its numerator divided
+      term by term, a Laurent polynomial whose negative powers are powers
+      of inverses, each computed once: s0's y is
+      ``y + 1/z*w*(-2*alpha0 + 1/z*eta)``;
+    * any other output is its numerator over its denominator, both over
+      integer coefficients, divided once.
+
+    The arithmetic is :class:`_PairCode`'s: ``Fraction``'s own reductions,
+    written out on integer pairs, so every gcd works on operands of the
+    size of the values it combines, and no gcd has to find the inputs'
+    denominators again in one large sum.  Equal subexpressions are computed
+    once across outputs, and an output that is an input is that input.
 
     ``names`` orders the inputs; every symbol occurring in an output must be
     among them.  Calling with a vanishing denominator raises
     :class:`SingularPointError`.
     """
 
-    __slots__ = ("_top", "_outputs")
+    __slots__ = ("_kernel",)
 
     def __init__(self, exprs: Sequence[Union[RatExpr, Poly]], names: Sequence[str]):
-        top = [0] * len(names)
-        outputs = []
-        for e in exprs:
-            num, den = (e.num, e.den) if isinstance(e, RatExpr) else (e, None)
-            table = num.table
-            where = {table.index(n): k for k, n in enumerate(names) if n in table}
-            outputs.append(_compile_output(num, den, where, top))
-        self._top = tuple(top)
-        self._outputs = tuple(outputs)
+        code = _PairCode(names)
+        outputs = [code.output(_output_value(code, e)) for e in exprs]
+        lines = [f"({''.join(n + ', ' for n in names)}) = _values"]
+        for name, (n, d) in code.inputs.items():
+            lines.append(f"if type({name}) is not _F: {name} = _F({name})")
+            lines.append(f"{n}, {d} = {name}.numerator, {name}.denominator")
+        lines += code.lines
+        lines += ["return (", *(f"    {o}," for o in outputs), ")"]
+        text = "def _kernel(_values):\n" + "".join(f"    {line}\n" for line in lines)
+        self._kernel = FunctionType(_code(text), _POINT_GLOBALS)
 
     def __call__(self, values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        npow: list[list[int]] = []
-        dpow: list[list[int]] = []
-        for v, deg in zip(values, self._top, strict=True):
-            n, d = v.numerator, v.denominator
-            ns, ds = [1], [1]
-            for _ in range(deg):
-                ns.append(ns[-1] * n)
-                ds.append(ds[-1] * d)
-            npow.append(ns)
-            dpow.append(ds)
-        out = []
-        for sign, k, num_terms, den_terms in self._outputs:
-            if sign:
-                v = values[k]
-                if type(v) is not Fraction:
-                    v = Fraction(v)
-                out.append(v if sign > 0 else -v)
-                continue
-            sums = []
-            for terms in (num_terms, den_terms):
-                total = 0
-                for c, factors in terms:
-                    for i, e, r in factors:
-                        c *= npow[i][e] * dpow[i][r]
-                    total += c
-                sums.append(total)
-            if not sums[1]:
-                raise SingularPointError("denominator vanishes at the evaluation point")
-            out.append(Fraction(sums[0], sums[1]))
-        return tuple(out)
+        return self._kernel(values)
 
 
-def _compile_output(
-    num: Poly, den: Optional[Poly], where: Mapping[int, int], top: list[int]
-) -> tuple:
-    """One output of a :class:`PointMap`: (sign, k, num terms, den terms).
+# source of a Fraction from a coprime pair with a positive denominator that
+# skips the public constructor's gcd: the private constructor Fraction's own
+# operators use, renamed in Python 3.12
+_COPRIME = (
+    "_F._from_coprime_ints({}, {})" if hasattr(Fraction, "_from_coprime_ints")
+    else "_F({}, {}, _normalize=False)"
+)
+_POINT_GLOBALS = {
+    "_F": Fraction, "_gcd": math.gcd, "_Singular": SingularPointError,
+    "_MSG": "denominator vanishes at the evaluation point",
+}
 
-    A nonzero sign means the output is sign * (input k); otherwise the term
-    lists hold (integer coefficient, ((k, e_k, D_k - e_k), ...)) entries.
+# a rational value in generated code: source of its numerator and of its
+# denominator, or of an integer and None
+_Pair = tuple[str, Optional[str]]
+
+
+class _PairCode:
+    """Straight-line code on rationals held as pairs of integer locals.
+
+    A pair is coprime with a positive denominator, as a ``Fraction`` is, and
+    every operation keeps it so by ``Fraction``'s own reductions: Knuth's
+    cross gcds for a product, Henrici's for a sum.  Negation is free (a sign
+    on the numerator's source), and an operation already emitted on the same
+    pairs is not emitted again.
     """
-    if den is None:
-        den = Poly.const(num.table, 1)
-    if den.is_const and den.const_value() == 1 and len(num.terms) == 1:
-        mono, c = num.terms[0]
-        used = [i for i, e in enumerate(mono) if e]
-        if len(used) == 1 and mono[used[0]] == 1 and c in (1, -1) and used[0] in where:
-            return (int(c), where[used[0]], (), ())
-    degree: dict[int, int] = {}
-    scale = 1
-    for mono, c in num.terms + den.terms:
-        scale = math.lcm(scale, c.denominator)
-        for i, e in enumerate(mono):
-            if e > degree.get(i, 0):
-                degree[i] = e
-    for i in degree:
-        if i not in where:
-            raise RingError(f"symbol {num.table.symbols[i]!r} unbound in evaluation")
-    slots = [(i, where[i], d) for i, d in sorted(degree.items())]
-    for _, k, d in slots:
-        top[k] = max(top[k], d)
 
-    def compiled(terms):
-        return tuple(
-            (int(c * scale), tuple((k, mono[i], d - mono[i]) for i, k, d in slots))
-            for mono, c in terms
-        )
+    def __init__(self, names: Sequence[str]):
+        self.names = names
+        self.inputs: dict[str, _Pair] = {}
+        self.lines: list[str] = []
+        self._done: dict[tuple, _Pair] = {}
 
-    return (0, 0, compiled(num.terms), compiled(den.terms))
+    def input(self, name: str) -> _Pair:
+        if name not in self.inputs:
+            self.inputs[name] = (f"_{name}_n", f"_{name}_d")
+        return self.inputs[name]
+
+    def output(self, a: _Pair) -> str:
+        for name, pair in self.inputs.items():
+            if pair == a:
+                return name
+        return f"_F({a[0]})" if a[1] is None else _COPRIME.format(*a)
+
+    def _new(self, key: tuple, make) -> _Pair:
+        if key not in self._done:
+            k = len(self._done)
+            self._done[key] = (f"_n{k}", f"_d{k}")
+            self.lines += make(*self._done[key])
+        return self._done[key]
+
+    @staticmethod
+    def neg(a: _Pair) -> _Pair:
+        return (_minus(a[0]), a[1])
+
+    def inverse(self, a: _Pair) -> _Pair:
+        an, ad = a
+        return self._new(("inv", a), lambda n, d: [
+            f"if not {an}: raise _Singular(_MSG)",
+            f"{n}, {d} = ({ad}, {an}) if {an} > 0 else ({_minus(ad)}, {_minus(an)})",
+        ])
+
+    # products and sums: at least one operand is not an integer, since a sum
+    # or product of monomials has at most one constant among its operands
+
+    def mul(self, a: _Pair, b: _Pair) -> _Pair:
+        if a[1] is None:
+            a, b = b, a
+        (an, ad), (bn, bd) = a, b
+        if bd is None:
+            return self._new(("mul", a, b), lambda n, d: [
+                f"_g = _gcd({bn}, {ad})",
+                f"{n}, {d} = {an} * ({bn} // _g), {ad} // _g",
+            ])
+        return self._new(("mul", a, b), lambda n, d: [
+            f"_g, _h = _gcd({an}, {bd}), _gcd({bn}, {ad})",
+            f"{n}, {d} = ({an} // _g) * ({bn} // _h), ({ad} // _h) * ({bd} // _g)",
+        ])
+
+    def add(self, a: _Pair, b: _Pair) -> _Pair:
+        if a[1] is None:
+            a, b = b, a
+        (an, ad), (bn, bd) = a, b
+        if bd is None:
+            scaled = {"1": f"+ {ad}", "-1": f"- {ad}"}.get(bn, f"+ {bn} * {ad}")
+            return self._new(("add", a, b), lambda n, d: [f"{n}, {d} = {an} {scaled}, {ad}"])
+        return self._new(("add", a, b), lambda n, d: [
+            f"_g = _gcd({ad}, {bd})",
+            f"_s = {ad} // _g",
+            f"_t = {an} * ({bd} // _g) + {bn} * _s",
+            f"_h = _gcd(_t, _g)",
+            f"{n}, {d} = _t // _h, _s * ({bd} // _h)",
+        ])
+
+    def power(self, a: _Pair, e: int) -> _Pair:
+        if e == 1:
+            return a
+        an, ad = a
+        return self._new(("pow", a, e), lambda n, d: [
+            f"{n}, {d} = {an} ** {e}, {ad} ** {e}",
+        ])
+
+
+def _minus(source: str) -> str:
+    return source[1:] if source.startswith("-") else "-" + source
+
+
+# a term of an output: {variable pair: exponent} and an integer coefficient
+_Term = tuple[dict[_Pair, int], int]
+
+
+def _output_value(code: _PairCode, e: Union[RatExpr, Poly]) -> _Pair:
+    """The pair of one output of a :class:`PointMap`, its code emitted."""
+    num, den = (e.num, e.den) if isinstance(e, RatExpr) else (e, e.table.one)
+    symbols, unpack = num.table.symbols, num.table.unpack
+    for name in (*num.occurring_names(), *den.occurring_names()):
+        if name not in code.names:
+            raise RingError(f"symbol {name!r} unbound in evaluation")
+
+    def terms(p: Poly, low: Monomial, scale: int) -> list[_Term]:
+        out = []
+        for key, c in p._coeffs.items():
+            mono = {}
+            for name, x, y in zip(symbols, unpack(key), low):
+                if x > y:
+                    mono[code.input(name)] = x - y
+                elif x < y:
+                    mono[code.inverse(code.input(name))] = y - x
+            out.append((mono, c * scale))
+        return out
+
+    if len(den._coeffs) > 1:
+        zero = (0,) * len(symbols)
+        g = math.gcd(num._den, den._den)
+        top = _horner(code, terms(num, zero, den._den // g))
+        bottom = _horner(code, terms(den, zero, num._den // g))
+        return code.mul(top, code.inverse(bottom))
+    # a monic monomial denominator shares no variable with every numerator
+    # term, so each of its variables has an inverse in some Laurent term
+    (key, lead), = den._coeffs.items()
+    laurent = terms(num, unpack(key), den._den)
+    divisor = lead * num._den
+    g = math.gcd(divisor, *(c for _, c in laurent))
+    value = _horner(code, [(mono, c // g) for mono, c in laurent])
+    return value if divisor == g else code.mul(value, ("1", str(divisor // g)))
+
+
+def _horner(code: _PairCode, terms: list[_Term]) -> _Pair:
+    """A sum of terms in Horner form, its code emitted.
+
+    The variable in the most terms (the first such) is factored out of them
+    to its lowest power there, p = rest + v**e*(quotient), and both parts are
+    written the same way; terms that share no variable are summed one by one.
+    """
+    counts: dict[_Pair, int] = {}
+    for mono, _ in terms:
+        for v in mono:
+            counts[v] = counts.get(v, 0) + 1
+    best = max(counts, key=counts.__getitem__, default=None)
+    if best is None or counts[best] < 2:
+        values = [_monomial(code, mono, c) for mono, c in terms]
+        return functools.reduce(code.add, values or [("0", None)])
+    low = min(mono[best] for mono, _ in terms if best in mono)
+    rest, inner = [], []
+    for mono, c in terms:
+        if best not in mono:
+            rest.append((mono, c))
+            continue
+        mono = {v: x - low if v == best else x for v, x in mono.items()}
+        if not mono[best]:
+            del mono[best]
+        inner.append((mono, c))
+    value = code.mul(code.power(best, low), _horner(code, inner))
+    return code.add(_horner(code, rest), value) if rest else value
+
+
+def _monomial(code: _PairCode, mono: dict[_Pair, int], c: int) -> _Pair:
+    value = None
+    for v, x in mono.items():
+        factor = code.power(v, x)
+        value = factor if value is None else code.mul(value, factor)
+    if value is None:
+        return (str(c), None)
+    if abs(c) == 1:
+        return value if c > 0 else code.neg(value)
+    return code.mul(value, (str(c), None))
 
 
 class Derivation:

@@ -179,28 +179,34 @@ class PhasePoint:
 
 
 @functools.cache
-def _generator_kernel(letter: str, context: str) -> tuple[tuple[str, ...], PointMap]:
-    """State names and one generator compiled as a map of (state, alpha0..2,
-    eta, indep).
-
-    The outputs are the map's pullback bindings of the same names, in the
-    same order.
-    """
+def _generator_kernel(letter: str, context: str) -> PointMap:
+    """One generator compiled as a map of the flat values (state, alpha0..2,
+    eta, indep): the map's pullback bindings of the same names, in order."""
     bmap = load_map(_GENERATOR_MAPS[context][letter], variant="resolved")
     system = load_model(_SYSTEM_OF_CONTEXT[context])
     names = system.state + bmap.param_names + ("eta", system.indep)
     images = bmap.pullback_bindings(system.table, system.table)
-    return system.state, PointMap([images[n] for n in names], names)
+    return PointMap([images[n] for n in names], names)
 
 
-def _apply_generator(point: PhasePoint, letter: str, context: str) -> PhasePoint:
-    state, kernel = _generator_kernel(letter, context)
-    try:
-        values = kernel(
-            [point.state[n] for n in state] + [*point.alphas, point.eta, point.indep]
-        )
-    except SingularPointError as exc:
-        raise SingularPointError(f"generator {letter}: {exc}") from exc
+def apply_word_to_point(word: GroupWord, point: PhasePoint) -> PhasePoint:
+    """Exact image of a point, generator by generator.
+
+    The flat values (state, alpha0..2, eta, indep) pass through each
+    generator's kernel in turn, and one :class:`PhasePoint` is built from the
+    last.  Raises :class:`SingularPointError` naming the failing generator
+    when an intermediate denominator vanishes.
+    """
+    letters = list(word.letters)
+    if calibrate_convention() == "right-to-left":
+        letters = letters[::-1]
+    state = load_model(_SYSTEM_OF_CONTEXT[word.context]).state
+    values = (*(point.state[n] for n in state), *point.alphas, point.eta, point.indep)
+    for letter in letters:
+        try:
+            values = _generator_kernel(letter, word.context)(values)
+        except SingularPointError as exc:
+            raise SingularPointError(f"generator {letter}: {exc}") from exc
     n = len(state)
     return PhasePoint(
         state=dict(zip(state, values)),
@@ -208,20 +214,6 @@ def _apply_generator(point: PhasePoint, letter: str, context: str) -> PhasePoint
         eta=values[n + 3],
         indep=values[n + 4],
     )
-
-
-def apply_word_to_point(word: GroupWord, point: PhasePoint) -> PhasePoint:
-    """Exact image of a point, generator by generator.
-
-    Raises :class:`SingularPointError` naming the failing generator when an
-    intermediate denominator vanishes.
-    """
-    letters = list(word.letters)
-    if calibrate_convention() == "right-to-left":
-        letters = letters[::-1]
-    for letter in letters:
-        point = _apply_generator(point, letter, word.context)
-    return point
 
 
 def random_point(rng: random.Random, context: str) -> PhasePoint:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from painleve_d32 import numeric
+from painleve_d32 import numeric, ring
 from painleve_d32.models import (
     INTEGRAL_IDS,
     MAP_IDS,
@@ -777,17 +777,42 @@ def test_kernels_are_compiled_once_per_text(monkeypatch):
                 repr(pushforward(traj, "s1_5d")))
 
     def cleared():
-        numeric._code.cache_clear()
+        ring._code.cache_clear()
         numeric._compile_map.cache_clear()
 
     fresh = [cleared() or run(*args) for args in runs]
     cleared()
     texts = []
-    monkeypatch.setattr(numeric, "exec", lambda text, namespace: texts.append(text)
+    monkeypatch.setattr(ring, "exec", lambda text, namespace: texts.append(text)
                         or exec(text, namespace), raising=False)
     assert [run(*runs[i % 2]) for i in range(4)] == fresh * 2
     # the step, the drift integral, the residual loop and the map
     assert len(texts) == len(set(texts)) == 4
+
+
+def test_sources_are_rendered_once_and_keyed_by_the_expressions(monkeypatch):
+    five = load_model("five_dim")
+    rhs = dict(five.rhs)
+    rhs["y"] = rhs["y"] + Fraction(1, 100)
+    adhoc = VectorFieldSystem("five_dim", five.table, rhs)
+
+    def run(system):
+        traj = integrate_system(system, PARAMS_5D, INIT_5D, (0.0, 0.2), mode="fixed",
+                                step=1e-2)
+        return repr(traj), dynamics_residual(traj, "five_dim", PARAMS_5D).hex()
+
+    numeric._rhs_sources.cache_clear()
+    alone = run(adhoc)
+    numeric._rhs_sources.cache_clear()
+    registry = run(five)
+    rendered = []
+    source = numeric._source
+    monkeypatch.setattr(numeric, "_source", lambda e: rendered.append(e) or source(e))
+    # the ad-hoc system carries the registry id but gets its own text
+    assert run(adhoc) == alone != registry
+    assert len(rendered) == 5
+    assert [run(five), run(adhoc)] == [registry, alone]
+    assert len(rendered) == 5
 
 
 def test_kernel_binds_state_by_position_and_absent_symbols_to_zero():

@@ -3,12 +3,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from painleve_d32 import weyl
+from painleve_d32 import ring, weyl
 from painleve_d32.models import DISPUTED_MAP_IDS, MAP_IDS, load_map
 from painleve_d32.ring import (
     PointMap,
@@ -30,6 +32,8 @@ from painleve_d32.weyl import (
     parse_word,
     random_point,
 )
+
+from conftest import random_nonzero_poly, random_poly
 
 POINTS_PER_MAP = 60
 
@@ -156,18 +160,99 @@ def test_kernel_matches_reference_on_every_map(bmap):
 def test_kernel_reads_single_inputs_and_checks_bindings():
     t = SymbolTable([("x", "state"), ("z", "state"), ("a", "parameter")])
     x, z, a = syms(t, "x z a")
-    kernel = PointMap([x, -z, a * x / (z - 1), RatExpr.const(t, Fraction(3, 4))],
-                      ("z", "x", "a"))
+    kernel = PointMap([x, -z, a * x / (z - 1), RatExpr.const(t, Fraction(3, 4)),
+                       a / z, x / (a * z**2)], ("z", "x", "a"))
     got = kernel((2, Fraction(-1, 3), Fraction(5, 7)))
-    assert got == (Fraction(-1, 3), Fraction(-2), Fraction(-5, 21), Fraction(3, 4))
+    assert got == (Fraction(-1, 3), Fraction(-2), Fraction(-5, 21), Fraction(3, 4),
+                   Fraction(5, 14), Fraction(-7, 60))
     assert all(type(v) is Fraction for v in got)
-    with pytest.raises(SingularPointError):
-        kernel((1, 1, 1))
+    # int inputs divide exactly: 3/2 is not 1.5
+    got = kernel((2, 1, 3))
+    assert got == (1, -2, 3, Fraction(3, 4), Fraction(3, 2), Fraction(1, 12))
+    assert all(type(v) is Fraction for v in got)
+    for singular in ((1, 1, 1), (0, 1, 1), (2, 1, 0)):
+        with pytest.raises(SingularPointError, match="denominator vanishes"):
+            kernel(singular)
     with pytest.raises(ValueError):
         kernel((1, 1))
     with pytest.raises(RingError):
         PointMap([x * a], ("x",))
     assert evaluate(RatExpr(Poly.zero(t)), {}) == 0
+
+
+PT = SymbolTable([("x", "state"), ("z", "state"), ("a", "parameter")])
+
+
+def _input_value(rng: random.Random):
+    """An int or a Fraction: a kernel must not divide ints as floats."""
+    if rng.random() < 0.4:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _random_output(rng: random.Random):
+    num = random_poly(rng, PT, max_terms=4, max_exp=3)
+    if rng.random() < 0.2:
+        return num
+    if rng.random() < 0.5:
+        mono = tuple(rng.randint(0, 2) for _ in PT.symbols)
+        den = Poly(PT, {mono: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))})
+    else:
+        den = random_nonzero_poly(rng, PT, max_terms=3, max_exp=2)
+    return RatExpr(num, den)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kernel_matches_reference_on_random_expressions(seed):
+    """Monomial and other denominators, several outputs sharing subexpressions,
+    int and Fraction inputs, and points where a denominator vanishes."""
+    rng = random.Random(seed)
+    exprs = [_random_output(rng) for _ in range(rng.randint(1, 3))]
+    quotients = [e if isinstance(e, RatExpr) else RatExpr(e) for e in exprs]
+    names = list(PT.symbols)
+    rng.shuffle(names)
+    kernel = PointMap(exprs, names)
+    points = [{n: _input_value(rng) for n in names} for _ in range(4)]
+    for e in quotients:
+        if not e.den.is_const:
+            moved = _vanishing_point(e.den, points[0])
+            if moved is not None:
+                points.append(moved)
+    for point in points:
+        expected = _reference_map(quotients, point)
+        if expected is None:
+            with pytest.raises(SingularPointError):
+                kernel([point[n] for n in names])
+            continue
+        got = kernel([point[n] for n in names])
+        assert got == expected
+        for v in got:
+            assert type(v) is Fraction
+            assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+        assert evaluate(quotients[0], point) == expected[0]
+
+
+def test_each_kernel_text_is_compiled_once(monkeypatch):
+    x, z, a = syms(PT, "x z a")
+    exprs = [x / z, a * x / (z - 1), x]
+    names = ("x", "z", "a")
+    ring._code.cache_clear()
+    weyl._generator_kernel.cache_clear()
+    texts = []
+    monkeypatch.setattr(ring, "exec", lambda text, namespace: texts.append(text)
+                        or exec(text, namespace), raising=False)
+    first = PointMap(exprs, names)
+    assert PointMap(exprs, names)((1, 3, 2)) == first((1, 3, 2))
+    PointMap(exprs[:1], names)
+    for value in range(1, 4):
+        evaluate(exprs[1], {"x": value, "z": 3, "a": 2})
+    assert len(texts) == len(set(texts)) == 3
+    point = random_point(random.Random(3), "th2")
+    for _ in range(2):
+        weyl._generator_kernel.cache_clear()
+        apply_word_to_point(parse_word("s0 s1 s2 pi"), point)
+    assert len(texts) == len(set(texts)) == 7
 
 
 # -- generators along orbits ----------------------------------------------------------

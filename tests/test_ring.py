@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import itertools
 import random
 import types
 from fractions import Fraction
@@ -288,19 +290,29 @@ TRACED_FUNCTIONS = [
     "substitute", "jacobian_determinant", "reduce_relation", "exact_polynomial_quotient",
     "is_identically_zero",
 ]
+# (module name, function) pairs wrapped outside the ring
+TRACED_LAYER_FUNCTIONS = [
+    ("weyl", "apply_word_to_point"), ("weyl", "parameter_action"),
+    ("verify", "_nullspace"), ("verify", "_find_witness"),
+    ("numeric", "compile_ratexpr"), ("numeric", "_rk_step"),
+    ("numeric", "integrate_system"),
+]
 
 
-def test_layer_trace_hooks_exist():
+def test_layer_trace_hooks_exist(monkeypatch):
     """bench/layertrace.py wraps these by name: methods on their own class, and
-    ring functions in every package module that binds the same object."""
+    ring, weyl, verify and numeric functions in every package module that binds
+    the same object."""
     import painleve_d32
     from painleve_d32 import models, numeric, ring, syntax, verify, weyl
 
     modules = [painleve_d32, models, numeric, ring, syntax, verify, weyl]
+    owners = {"numeric": numeric, "verify": verify, "weyl": weyl}
     for cls, attr in TRACED_METHODS:
         assert attr in vars(cls), (cls.__name__, attr)
-    for name in TRACED_FUNCTIONS:
-        original = getattr(ring, name)
+    for owner, name in [("ring", n) for n in TRACED_FUNCTIONS] + TRACED_LAYER_FUNCTIONS:
+        original = vars(owners.get(owner, ring))[name]
+        assert callable(original), (owner, name)
         for module in modules:
             if name in vars(module):
                 assert vars(module)[name] is original, (module.__name__, name)
@@ -319,7 +331,33 @@ def test_layer_trace_hooks_exist():
             assert hasattr(vars(cls)[attr], "__wrapped__"), (cls.__name__, attr)
         for name in TRACED_FUNCTIONS:
             assert hasattr(getattr(ring, name), "__wrapped__"), name
+        for owner, name in TRACED_LAYER_FUNCTIONS:
+            assert hasattr(vars(owners[owner])[name], "__wrapped__"), (owner, name)
+        # the group relations reach the point kernels through the traced
+        # apply_word_to_point, which counts each singular draw as a resample;
+        # every other draw is made singular (zero state and time)
+        draws = itertools.count()
+        draw = weyl.random_point
+
+        def every_other_singular(rng, context):
+            point = draw(rng, context)
+            if next(draws) % 2:
+                zero = Fraction(0)
+                point = dataclasses.replace(
+                    point, state=dict.fromkeys(point.state, zero), indep=zero
+                )
+            return point
+
+        monkeypatch.setattr(weyl, "random_point", every_other_singular)
+        token = tracer.begin_op()
+        reports = weyl.verify_group_relations(sample_count=3, seed=5)
+        tracer.end_op(token, completed=True)
     finally:
         tracer.uninstall()
+    assert all(r.passed for r in reports)
+    assert tracer.calls["weyl.apply_word"] >= 2 * 3 * len(reports)
+    resamples = sum(int(r.detail.split(", ")[-1].split()[0]) for r in reports)
+    assert tracer.counts["weyl.resamples"] == resamples > 0
     assert not hasattr(Poly.__mul__, "__wrapped__")
     assert not hasattr(ring.substitute, "__wrapped__")
+    assert not hasattr(weyl.apply_word_to_point, "__wrapped__")
