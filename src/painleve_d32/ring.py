@@ -927,8 +927,38 @@ def _code(text: str) -> CodeType:
 def _evaluate_at(
     e: Union[RatExpr, Poly], point: Mapping[str, RationalLike]
 ) -> Fraction:
-    names = [n for n in point if n in e.table]
-    return PointMap([e], names)([point[n] for n in names])[0]
+    """One-shot exact value, interpreted: no kernel is compiled.
+
+    Numerator and denominator are homogenised in every input v_k = n_k/d_k
+    to its largest exponent D_k in the expression: a term c*prod v_k^e_k
+    becomes the integer c*prod n_k^e_k * d_k^(D_k - e_k).  Both sums carry
+    the factor prod d_k^D_k, which cancels, so the value is one ``Fraction``
+    of two integer sums.
+    """
+    num, den = (e.num, e.den) if isinstance(e, RatExpr) else (e, e.table.one)
+    table = num.table
+    terms = [[(table.unpack(k), c) for k, c in p._coeffs.items()] for p in (num, den)]
+    top = [max(es) for es in zip(*(m for ts in terms for m, _ in ts))]
+    powers = {}
+    for i, d in enumerate(top):
+        if d:
+            name = table.symbols[i]
+            if name not in point:
+                raise RingError(f"symbol {name!r} unbound in evaluation")
+            v = Fraction(point[name])
+            n, q = v.numerator, v.denominator
+            powers[i] = [n**k * q ** (d - k) for k in range(d + 1)]
+    sums = []
+    for ts in terms:
+        total = 0
+        for mono, c in ts:
+            for i, pw in powers.items():
+                c *= pw[mono[i]]
+            total += c
+        sums.append(total)
+    if not sums[1]:
+        raise SingularPointError("denominator vanishes at the evaluation point")
+    return Fraction(sums[0] * den._den, sums[1] * num._den)
 
 
 class PointMap:

@@ -19,6 +19,7 @@ a symbol with the rule dS/dt = -s.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import random
 import time
@@ -965,12 +966,117 @@ def _search_rows(
     return _rows(c_cells, b_cells, entry)
 
 
+def _residue(lam: Fraction) -> Optional[int]:
+    """The image of ``lam`` mod p, or None when p divides its denominator."""
+    p = RANK_PRIME
+    if lam.denominator % p == 0:
+        return None
+    return lam.numerator * pow(lam.denominator, -1, p) % p
+
+
+def _reducer(factor: list[tuple[int, int, dict]]) -> Callable[[dict], dict]:
+    """Reduction mod p of a row against the pivots of an elimination.
+
+    Each pivot row holds no column of an earlier pivot, so a row is reduced
+    by the pivots of the columns it has, taken in pivot order from a heap:
+    a pivot only brings in later pivot columns.  The reduced row lies on the
+    free columns; it is what eliminating the factor's rows together with the
+    row leaves of it.
+    """
+    p = RANK_PRIME
+    order = {c: k for k, (_, c, _) in enumerate(factor)}
+    steps = [(c, pow(prow[c], -1, p), prow) for _, c, prow in factor]
+
+    def reduce(row: dict[int, int]) -> dict[int, int]:
+        heap = [order[c] for c in row if c in order]
+        if not heap:
+            return row
+        row = dict(row)
+        heapq.heapify(heap)
+        while heap:
+            c, inv, prow = steps[heapq.heappop(heap)]
+            v = row.pop(c, None)
+            if v is None:  # cancelled, or queued twice
+                continue
+            f = v * inv % p
+            for j, w in prow.items():
+                old = row.get(j)
+                if old is None:
+                    if j != c:
+                        row[j] = -f * w % p
+                        if j in order:
+                            heapq.heappush(heap, order[j])
+                elif new := (old - f * w) % p:
+                    row[j] = new
+                else:
+                    del row[j]
+        return row
+
+    return reduce
+
+
+class _Pencil:
+    """C_p - lam*B_p with its eigenvalue-free rows eliminated once.
+
+    The rows with no B cell are the same for every lambda.  They are
+    eliminated mod p once, into a factor, and the C and B parts of every
+    other row are reduced against it onto its free columns.  Reduction is
+    linear, so red(C_p - lam*B_p) = red(C_p) - lam*red(B_p), and one
+    eigenvalue eliminates only that small pencil: the factor's pivots and
+    then the pencil's are an elimination of the stacked rows C_p - lam*B_p.
+    """
+
+    def __init__(self, c_cells: _Cells, b_cells: _Cells):
+        p = RANK_PRIME
+
+        def row(cells: _Cells, key: tuple) -> dict[int, int]:
+            return {c: r for c, v in cells.get(key, {}).items() if (r := v % p)}
+
+        keys = sorted(c_cells.keys() | b_cells.keys())
+        self.free_keys = [key for key in keys if key not in b_cells]
+        self.pencil_keys = [key for key in keys if key in b_cells]
+        free_rows = [row(c_cells, key) for key in self.free_keys]
+        self.factor = _eliminate_mod_p(free_rows)
+        pencil = [(row(c_cells, key), row(b_cells, key)) for key in self.pencil_keys]
+        reduce = _reducer(self.factor)
+        self.reduced = [(reduce(c), reduce(b)) for c, b in pencil]
+        # a column is touched at every lambda but one residue at most, where
+        # all its pencil cells (c, b) vanish, which needs them all
+        # proportional with b != 0: ratio[col] holds its first cell
+        self.always = {c for r in free_rows for c in r}
+        self.ratio: dict[int, tuple[int, int]] = {}
+        for crow, brow in pencil:
+            self.always.update(crow.keys() - brow.keys())
+            for col, b in brow.items():
+                c = crow.get(col, 0)
+                c0, b0 = self.ratio.setdefault(col, (c, b))
+                if (c * b0 - c0 * b) % p:
+                    self.always.add(col)
+        for col in self.always.intersection(self.ratio):
+            del self.ratio[col]
+
+    def pivots(self, lam_p: int) -> tuple[list[tuple[tuple, int]], set[int]]:
+        """The pivots (row key, column) of C_p - lam*B_p at lambda's residue
+        ``lam_p``, the factor's then the pencil's, and its touched columns."""
+        p = RANK_PRIME
+        rows = [
+            {j: v for j in c.keys() | b.keys() if (v := (c.get(j, 0) - lam_p * b.get(j, 0)) % p)}
+            for c, b in self.reduced
+        ]
+        keyed = [(self.free_keys[r], c) for r, c, _ in self.factor]
+        keyed += [(self.pencil_keys[r], c) for r, c, _ in _eliminate_mod_p(rows)]
+        touched = self.always | {col for col, (c, b) in self.ratio.items() if (c - lam_p * b) % p}
+        return keyed, touched
+
+
 class _SearchMatrix:
     """The matrices C and B of one search, with integer images mod p.
 
     The cleared rules are split once, and their images at the seeded point
     of Z/p (:func:`_point_images`) are assembled into integer cells C_p and
-    B_p once.  The exact cells are built only when an eigenvalue needs them.
+    B_p once, whose eigenvalue-free rows are eliminated once
+    (:class:`_Pencil`).  The exact cells are built only when an eigenvalue
+    needs them.
     """
 
     def __init__(self, sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]):
@@ -992,39 +1098,42 @@ class _SearchMatrix:
     def exact(self) -> tuple[_Cells, _Cells]:
         return _assemble(self.parts, self.base, self.shifts, _add_terms)
 
+    @cached_property
+    def pencil(self) -> Optional[_Pencil]:
+        return None if self.mod_p is None else _Pencil(*self.mod_p)
+
     def rows_mod_p(self, lam: Fraction) -> Optional[dict[tuple, dict[int, int]]]:
         """Nonzero rows of C_p - lam*B_p by row key; None when the images are
         unusable or p divides the denominator of ``lam``."""
-        p = RANK_PRIME
-        if self.mod_p is None or lam.denominator % p == 0:
+        p, lam_p = RANK_PRIME, _residue(lam)
+        if self.mod_p is None or lam_p is None:
             return None
-        lam_p = lam.numerator * pow(lam.denominator, -1, p) % p
         return _rows(*self.mod_p, lambda c, b: ((c or 0) - lam_p * (b or 0)) % p or None)
 
     def kernel(self, lam: Fraction) -> list[dict[int, RatExpr]]:
         """Certified kernel of C - lam*B over Q(params).
 
-        The rows mod p are eliminated once.  Their rank is a lower bound on
-        the exact rank; when it equals the number of columns that are nonzero
-        over Q(params), the unit vectors of the others span the kernel.  A
-        column with no nonzero image mod p counts as zero only after its
-        exact cells vanish.  An eigenvalue this does not settle takes the
-        exact rows through :func:`_nullspace`, which replays the pivots of
-        that elimination.  The mod p rows omit the rows that vanish mod p
+        The shared factor and this eigenvalue's reduced pencil give the rank
+        mod p of C_p - lam*B_p, a lower bound on the exact rank; when it
+        equals the number of columns that are nonzero over Q(params), the
+        unit vectors of the others span the kernel.  A column with no
+        nonzero image mod p counts as zero only after its exact cells
+        vanish.  An eigenvalue this does not settle takes the exact rows
+        through :func:`_nullspace`, which replays the factor's pivots and
+        then the pencil's.  The mod p rows omit the rows that vanish mod p
         but not exactly, so a pivot is carried over by its row key.
         """
-        keys, pivots = [], []
-        rows = self.rows_mod_p(lam)
-        if rows is not None:
-            keys, pivots = list(rows), _eliminate_mod_p(list(rows.values()))
-            touched = {c for row in rows.values() for c in row}
-            if len(pivots) == len(touched):
+        keyed: list[tuple[tuple, int]] = []
+        lam_p = _residue(lam)
+        if self.pencil is not None and lam_p is not None:
+            keyed, touched = self.pencil.pivots(lam_p)
+            if len(keyed) == len(touched):
                 untouched = [c for c in range(len(self.monos)) if c not in touched]
                 if all(self._vanishes(c, lam) for c in untouched):
                     return [{c: self.one} for c in untouched]
         exact = _search_rows(self.sys_obj.table, *self.exact, lam)
         index = {key: r for r, key in enumerate(exact)}
-        replay = [(index[keys[r]], c) for r, c, _ in pivots]
+        replay = [(index[key], c) for key, c in keyed]
         return _nullspace(list(exact.values()), len(self.monos), self.one, replay)
 
     def _vanishes(self, col: int, lam: Fraction) -> bool:
@@ -1048,12 +1157,15 @@ def first_integral_search(
     already applied).  For each candidate eigenvalue the condition is an exact
     linear system; its solution space is returned as a basis, with the
     trivial constant solutions removed and each generator normalized so its
-    leading coefficient is one.  Each eigenvalue's integer cells are
-    eliminated once mod p.  That rank settles an eigenvalue whose kernel is
-    spanned by unit vectors of zero columns.  Only an eigenvalue it cannot
-    settle, such as one with an integral, builds exact polynomial rows, which
-    replay the pivots mod p and are then plugged back in.  A bound below its
-    minimum, and an empty or repeated list of eigenvalues, raise ValueError.
+    leading coefficient is one.  The integer cells mod p of the rows that
+    hold no eigenvalue are eliminated once per search, and each eigenvalue
+    eliminates only the rest of its rows, reduced against that factor.  The
+    two ranks add up to a rank lower bound that settles an eigenvalue whose
+    kernel is spanned by unit vectors of zero columns.  Only an eigenvalue it
+    cannot settle, such as one with an integral, builds exact polynomial
+    rows, which replay both sets of pivots mod p and are then plugged back
+    in.  A bound below its minimum, and an empty or repeated list of
+    eigenvalues, raise ValueError.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")
@@ -1074,14 +1186,11 @@ def first_integral_search(
             f"{len(monos)} ansatz monomials exceed the cap of {monomial_cap}"
         )
     matrix = _SearchMatrix(sys_obj, monos)
+    const_col = next((i for i, m in enumerate(monos) if not any(m)), None)
 
     results: list[FirstIntegral] = []
     for lam in lams:
         basis = matrix.kernel(lam)
-
-        const_col = next(
-            (i for i, m in enumerate(monos) if not any(m)), None
-        )
         for vec in basis:
             if lam == 0 and const_col is not None:
                 vec.pop(const_col, None)

@@ -245,14 +245,45 @@ def test_each_kernel_text_is_compiled_once(monkeypatch):
     first = PointMap(exprs, names)
     assert PointMap(exprs, names)((1, 3, 2)) == first((1, 3, 2))
     PointMap(exprs[:1], names)
+    # one-shot evaluation compiles nothing
     for value in range(1, 4):
         evaluate(exprs[1], {"x": value, "z": 3, "a": 2})
-    assert len(texts) == len(set(texts)) == 3
+    assert len(texts) == len(set(texts)) == 2
     point = random_point(random.Random(3), "th2")
     for _ in range(2):
         weyl._generator_kernel.cache_clear()
         apply_word_to_point(parse_word("s0 s1 s2 pi"), point)
-    assert len(texts) == len(set(texts)) == 7
+    assert len(texts) == len(set(texts)) == 6
+
+
+def test_one_shot_evaluation_compiles_nothing():
+    # fresh polynomials and quotients are evaluated by an interpreted pass:
+    # the compile cache does not grow, and the values equal the reference
+    # and a compiled kernel of the same expression
+    rng = random.Random(11)
+    names = list(PT.symbols)
+    size = ring._code.cache_info().currsize
+    for _ in range(50):
+        p = random_poly(rng, PT, max_terms=6, max_exp=4)
+        e = RatExpr(p, random_nonzero_poly(rng, PT, max_terms=3, max_exp=2))
+        point = {n: _input_value(rng) for n in names}
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == _reference_poly(p, point) == evaluate(RatExpr(p), point)
+        expected = _reference_map([e], point)
+        if expected is None:
+            with pytest.raises(SingularPointError, match="denominator vanishes"):
+                evaluate(e, point)
+        else:
+            assert (evaluate(e, point),) == expected
+        assert ring._code.cache_info().currsize == size
+        kernel = PointMap([p, e], names)
+        if expected is not None:
+            assert kernel([point[n] for n in names]) == (value, expected[0])
+        size = ring._code.cache_info().currsize
+    x, z = syms(PT, "x z")
+    with pytest.raises(RingError, match="'z' unbound"):
+        evaluate(x / z, {"x": 1})
 
 
 # -- generators along orbits ----------------------------------------------------------

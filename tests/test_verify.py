@@ -738,20 +738,26 @@ def test_search_checks_columns_that_vanish_mod_p_exactly(monkeypatch, system_id)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "system_id,state_bound,indep_bound,lam,found",
-    [
-        ("five_dim", 2, 0, Fraction(-1), True),
-        ("K1_sys", 8, 3, Fraction(0), True),
-        # lambda = 0 mod p: 114 rows mod p against 116 exact ones
-        ("five_dim", 2, 1, Fraction(verify.RANK_PRIME), False),
-    ],
-)
-def test_search_eliminates_mod_p_once_per_eigenvalue(
-    monkeypatch, system_id, state_bound, indep_bound, lam, found
-):
-    # an eigenvalue the rank mod p does not settle replays the one elimination
-    # mod p of its integer rows, each pivot carried over by its row key
+def _matrix(system_id, state_bound, indep_bound):
+    sys_obj = load_model(system_id)
+    monos = verify._state_indep_monomials(
+        sys_obj.table, sys_obj.state, sys_obj.indep, state_bound, indep_bound
+    )
+    return verify._SearchMatrix(sys_obj, monos)
+
+
+def _split_keys(matrix):
+    """The row keys mod p without a B cell, then those with one, in order."""
+    c_cells, b_cells = matrix.mod_p
+    keys = sorted(c_cells.keys() | b_cells.keys())
+    return [k for k in keys if k not in b_cells], [k for k in keys if k in b_cells]
+
+
+def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found):
+    """Run a search and check its eliminations mod p: the eigenvalue-free
+    rows once per search, the reduced pencil once per eigenvalue, and for an
+    eigenvalue the rank mod p does not settle a replay of the factor's
+    pivots, then the pencil's, each carried over by its row key."""
     runs = []
     eliminate_mod_p = verify._eliminate_mod_p
     monkeypatch.setattr(
@@ -765,21 +771,81 @@ def test_search_eliminates_mod_p_once_per_eigenvalue(
         lambda rows, ncols, one, replay: replays.append(replay)
         or nullspace(rows, ncols, one, replay),
     )
-    hits = first_integral_search(system_id, state_bound, indep_bound, (lam,))
-    assert bool(hits) == found
-    assert len(runs) == len(replays) == 1
-    sys_obj = load_model(system_id)
-    monos = verify._state_indep_monomials(
-        sys_obj.table, sys_obj.state, sys_obj.indep, state_bound, indep_bound
-    )
-    matrix = verify._SearchMatrix(sys_obj, monos)
-    rows_mod_p = matrix.rows_mod_p(lam)
-    rows, pivots = runs[0]
-    assert rows == list(rows_mod_p.values())
-    mod_p_keys = list(rows_mod_p)
-    exact_keys = list(verify._search_rows(sys_obj.table, *matrix.exact, lam))
-    assert replays[0] == [(exact_keys.index(mod_p_keys[r]), c) for r, c, _ in pivots]
-    assert replays[0]
+    assert bool(first_integral_search(system_id, state_bound, indep_bound, lams)) == found
+    assert len(runs) == 1 + len(lams)
+    matrix = _matrix(system_id, state_bound, indep_bound)
+    free_keys, pencil_keys = _split_keys(matrix)
+    (free_rows, factor), *pencils = runs
+    factor_cols = {c for _, c, _ in factor}
+    expected_replays = []
+    for lam, (pencil_rows, pencil) in zip(lams, pencils):
+        stacked = matrix.rows_mod_p(lam)
+        assert {k: row for k, row in zip(free_keys, free_rows) if row} == {
+            k: row for k, row in stacked.items() if k in free_keys
+        }
+        assert len(pencil_rows) == len(pencil_keys)
+        assert not any(factor_cols & row.keys() for row in pencil_rows)
+        assert len(factor) + len(pencil) == len(eliminate_mod_p(list(stacked.values())))
+        if found or lam == verify.RANK_PRIME:
+            exact_keys = list(verify._search_rows(matrix.sys_obj.table, *matrix.exact, lam))
+            expected_replays.append(
+                [(exact_keys.index(free_keys[r]), c) for r, c, _ in factor]
+                + [(exact_keys.index(pencil_keys[r]), c) for r, c, _ in pencil]
+            )
+    assert replays == expected_replays and all(replays)
+
+
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound,lam,found",
+    [
+        ("five_dim", 2, 0, Fraction(-1), True),
+        ("K1_sys", 8, 3, Fraction(0), True),
+        # lambda = 0 mod p: 114 rows mod p against 116 exact ones
+        ("five_dim", 2, 1, Fraction(verify.RANK_PRIME), False),
+    ],
+)
+def test_search_eliminates_mod_p_once_per_eigenvalue(
+    monkeypatch, system_id, state_bound, indep_bound, lam, found
+):
+    _eliminations(monkeypatch, system_id, state_bound, indep_bound, (lam,), found)
+
+
+def test_search_eliminates_the_factor_once_per_search(monkeypatch):
+    # three eigenvalues share one factor, and the rank settles each
+    _eliminations(monkeypatch, "ham_4d", 3, 1, SEARCH_LAMBDAS, False)
+
+
+def _mod_p_elimination(rows, replay):
+    p = verify.RANK_PRIME
+    return verify._eliminate(rows, lambda v: v % p or None, lambda v: pow(v, -1, p), None, replay)
+
+
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound",
+    [(s, 2, 1) for s in SYSTEM_IDS]
+    + [("five_dim", 3, 0), ("K1_sys", 8, 3)]
+    + [("ham_4d", 3, b) for b in range(5)],
+)
+def test_shared_factor_matches_the_stacked_elimination_mod_p(
+    system_id, state_bound, indep_bound
+):
+    # the factor and the reduced pencil are an elimination of the stacked
+    # rows C_p - lam*B_p: same rank and touched columns, and their pivots
+    # replay on the stacked rows with none left over
+    p = verify.RANK_PRIME
+    lams = SEARCH_LAMBDAS + (Fraction(-2), Fraction(1, 2))
+    if (state_bound, indep_bound) == (2, 1):
+        lams += (Fraction(p), Fraction(2 * p))
+    matrix = _matrix(system_id, state_bound, indep_bound)
+    for lam in lams:
+        stacked = matrix.rows_mod_p(lam)
+        rows = list(stacked.values())
+        keyed, touched = matrix.pencil.pivots(verify._residue(lam))
+        assert len(keyed) == len(verify._eliminate_mod_p(rows))
+        assert touched == {c for row in rows for c in row}
+        index = {key: r for r, key in enumerate(stacked)}
+        replay = [(index[key], c) for key, c in keyed]
+        assert [(r, c) for r, c, _ in _mod_p_elimination(rows, replay)] == replay
 
 
 def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
