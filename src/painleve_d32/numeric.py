@@ -312,6 +312,12 @@ class _CompiledSystem:
     loop of :func:`dynamics_residual` (:func:`_residual_body`), each with the
     right-hand side inlined.  ``evals`` counts the evaluations that
     ``__call__`` and :func:`_rk_step` make.
+
+    No integrator path calls ``__call__`` or its ``_kernel``.  They stay
+    because the benchmark's layer trace (``bench/layertrace.py``) wraps
+    ``_CompiledSystem.__call__`` and :func:`_rk_step` by name, and its tests
+    evaluate the right-hand side through ``__call__``; only a change to the
+    benchmark can remove them.
     """
 
     def __init__(self, system: VectorFieldSystem, params: Mapping[str, float]):

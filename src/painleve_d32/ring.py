@@ -442,6 +442,28 @@ class Poly:
         """Exact value at a rational point; every occurring symbol must be bound."""
         return _evaluate_at(self, point)
 
+    def residue(self, point: Sequence[int], prime: int, powers: dict[int, int]) -> Optional[int]:
+        """The image mod ``prime`` at ``point``, one residue per symbol in
+        table order, or None when ``prime`` divides the denominator.
+        ``powers`` caches the value of each monomial at the point, so one
+        dict serves every polynomial taken at that point."""
+        den = self._den
+        if den % prime == 0:
+            return None
+        shifts = self.table._shifts
+        total = 0
+        for k, c in self._coeffs.items():
+            value = powers.get(k)
+            if value is None:
+                value = 1
+                for x, s in zip(point, shifts):
+                    e = (k >> s) & _FIELD
+                    if e:
+                        value = value * pow(x, e, prime) % prime
+                powers[k] = value
+            total += c * value
+        return total * pow(den, -1, prime) % prime
+
     # -- structure ---------------------------------------------------------
 
     def monomial_content(self) -> Monomial:

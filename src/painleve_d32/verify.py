@@ -20,6 +20,7 @@ a symbol with the rule dS/dt = -s.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 import random
 import time
@@ -579,10 +580,8 @@ def _state_indep_monomials(
     return monos
 
 
-def _point_images(
-    table: SymbolTable,
-) -> Callable[[Iterable[tuple[tuple[int, ...], Fraction]]], Optional[int]]:
-    """The image at the seeded point of Z/p of a polynomial given by its terms.
+def _point_images(table: SymbolTable) -> Callable[[Poly], Optional[int]]:
+    """The image of a polynomial at the seeded point of Z/p.
 
     Every symbol gets a random nonzero residue.  Where no coefficient
     denominator is divisible by p, taking the image is a ring homomorphism
@@ -590,30 +589,10 @@ def _point_images(
     over Q(params).  The image is None when a coefficient denominator is
     divisible by p.
     """
-    p = RANK_PRIME
     rng = random.Random(RANK_SEED)
-    point = [rng.randrange(1, p) for _ in range(len(table))]
-    monomials: dict[tuple[int, ...], int] = {}
-
-    def image(terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> Optional[int]:
-        total = 0
-        for mono, c in terms:
-            value = monomials.get(mono)
-            if value is None:
-                value = 1
-                for v, e in zip(point, mono):
-                    if e:
-                        value = value * pow(v, e, p) % p
-                monomials[mono] = value
-            num, den = c.numerator, c.denominator
-            if den != 1:
-                if den % p == 0:
-                    return None
-                num *= pow(den, -1, p)
-            total += num * value
-        return total % p
-
-    return image
+    point = [rng.randrange(1, RANK_PRIME) for _ in range(len(table))]
+    powers: dict = {}
+    return lambda poly: poly.residue(point, RANK_PRIME, powers)
 
 
 class _Lines:
@@ -843,11 +822,11 @@ def _reduced(basis: list[dict[int, _Exact]]) -> list[dict[int, _Exact]]:
 
 
 # a cleared polynomial split by row key (state and indep exponents), each key
-# holding its part in the parameters as {monomial: coefficient}
-_Split = dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]
-# cells of a search matrix: row key -> column -> the entry, as {monomial:
-# coefficient} in the parameters over Q, or as an int that is its image mod p
-_Cells = dict[tuple[int, ...], dict[int, Union[dict[tuple[int, ...], Fraction], int]]]
+# holding its part in the parameters
+_Split = dict[tuple[int, ...], Poly]
+# cells of a search matrix: row key -> column -> the entry, a polynomial in
+# the parameters or an int that is its image mod p
+_Cells = dict[tuple[int, ...], dict[int, Union[Poly, int]]]
 
 
 def _search_parts(
@@ -856,10 +835,10 @@ def _search_parts(
     """The cleared rule numerators N_i and their common denominator L, split.
 
     The rule denominators are cleared once, into their product L.  Each
-    N_i = rule_i*L and L itself are reduced by the normalization and split by
-    row key; each N_i comes with the key position of its variable.  The
-    positions of the non-parameter symbols, whose exponents make up a row
-    key, are returned last.
+    N_i = rule_i*L and L itself are reduced by the normalization and split
+    once per search into {row key: parameter part}; each N_i comes with the
+    key position of its variable.  The positions of the non-parameter
+    symbols, whose exponents make up a row key, are returned last.
     """
     table = sys_obj.table
     rules = {n: r for n, r in sys_obj.flow().rules.items() if not r.is_zero}
@@ -875,12 +854,12 @@ def _search_parts(
     ]
 
     def split(p: Poly) -> _Split:
-        out: _Split = {}
+        terms: dict[tuple[int, ...], dict] = {}
         for mono, c in p.terms:
             key = tuple(mono[i] for i in free)
             pmono = tuple(0 if i in free else e for i, e in enumerate(mono))
-            out.setdefault(key, {})[pmono] = c
-        return out
+            terms.setdefault(key, {})[pmono] = c
+        return {key: Poly(table, part) for key, part in terms.items()}
 
     parts = [(free.index(table.index(n)), split(p)) for n, p in cleared.items()]
     return parts, split(reduce_relation(common_den)), free
@@ -913,13 +892,10 @@ def _assemble(
     return c_cells, b_cells
 
 
-def _add_terms(row: dict, col: int, scale: int, terms: dict) -> None:
-    cell = row.setdefault(col, {})
-    for pmono, c in terms.items():
-        if scale != 1:
-            c = scale * c
-        old = cell.get(pmono)
-        cell[pmono] = c if old is None else old + c
+def _add_poly(row: dict, col: int, scale: int, part: Poly) -> None:
+    part = part.scaled(scale)
+    old = row.get(col)
+    row[col] = part if old is None else old + part
 
 
 def _add_int(row: dict, col: int, scale: int, value: int) -> None:
@@ -943,25 +919,15 @@ def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> dict[tuple, dict
     return rows
 
 
-def _difference(lam: Fraction, c: Optional[dict], b: Optional[dict]) -> dict:
-    """The terms of an exact cell of C - lam*B, zero coefficients kept."""
-    if not (lam and b):
-        return c or {}
-    terms = dict(c or {})
-    for pmono, v in b.items():
-        old = terms.get(pmono)
-        terms[pmono] = -lam * v if old is None else old - lam * v
-    return terms
-
-
 def _search_rows(
-    table: SymbolTable, c_cells: _Cells, b_cells: _Cells, lam: Fraction
+    c_cells: _Cells, b_cells: _Cells, lam: Fraction
 ) -> dict[tuple, dict[int, Poly]]:
-    """Nonzero rows of C - lam*B by row key, entries as polynomials."""
+    """Nonzero rows of C - lam*B by row key, each cell c - lam*b."""
 
-    def entry(c: Optional[dict], b: Optional[dict]) -> Optional[Poly]:
-        poly = Poly(table, _difference(lam, c, b))
-        return None if poly.is_zero else poly
+    def entry(c: Optional[Poly], b: Optional[Poly]) -> Optional[Poly]:
+        if lam and b is not None:
+            c = b.scaled(-lam) if c is None else c - b.scaled(lam)
+        return None if c is None or c.is_zero else c
 
     return _rows(c_cells, b_cells, entry)
 
@@ -1072,11 +1038,11 @@ class _Pencil:
 class _SearchMatrix:
     """The matrices C and B of one search, with integer images mod p.
 
-    The cleared rules are split once, and their images at the seeded point
-    of Z/p (:func:`_point_images`) are assembled into integer cells C_p and
-    B_p once, whose eigenvalue-free rows are eliminated once
-    (:class:`_Pencil`).  The exact cells are built only when an eigenvalue
-    needs them.
+    The cleared rules are split once into parameter parts, and their images
+    at the seeded point of Z/p (:func:`_point_images`) are assembled into
+    integer cells C_p and B_p once, whose eigenvalue-free rows are
+    eliminated once (:class:`_Pencil`).  The exact cells, sums of the same
+    parts, are assembled only when an eigenvalue needs them.
     """
 
     def __init__(self, sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]):
@@ -1086,17 +1052,15 @@ class _SearchMatrix:
         self.parts, self.base, free = _search_parts(sys_obj)
         self.shifts = [[m[i] for i in free] for m in monos]
         image = _point_images(sys_obj.table)
-        splits = [part for _, part in self.parts] + [self.base]
-        images = [{key: image(terms.items()) for key, terms in s.items()} for s in splits]
+        parts_p = [(j, {key: image(p) for key, p in part.items()}) for j, part in self.parts]
+        base_p = {key: image(p) for key, p in self.base.items()}
         self.mod_p: Optional[tuple[_Cells, _Cells]] = None
-        if all(None not in s.values() for s in images):
-            *parts_p, base_p = images
-            parts_p = [(j, s) for (j, _), s in zip(self.parts, parts_p)]
+        if None not in chain(base_p.values(), *(s.values() for _, s in parts_p)):
             self.mod_p = _assemble(parts_p, base_p, self.shifts, _add_int)
 
     @cached_property
     def exact(self) -> tuple[_Cells, _Cells]:
-        return _assemble(self.parts, self.base, self.shifts, _add_terms)
+        return _assemble(self.parts, self.base, self.shifts, _add_poly)
 
     @cached_property
     def pencil(self) -> Optional[_Pencil]:
@@ -1131,15 +1095,16 @@ class _SearchMatrix:
                 untouched = [c for c in range(len(self.monos)) if c not in touched]
                 if all(self._vanishes(c, lam) for c in untouched):
                     return [{c: self.one} for c in untouched]
-        exact = _search_rows(self.sys_obj.table, *self.exact, lam)
+        exact = _search_rows(*self.exact, lam)
         index = {key: r for r, key in enumerate(exact)}
         replay = [(index[key], c) for key, c in keyed]
         return _nullspace(list(exact.values()), len(self.monos), self.one, replay)
 
     def _vanishes(self, col: int, lam: Fraction) -> bool:
         """Whether column ``col`` of C - lam*B is zero over Q(params)."""
-        cells = _assemble(self.parts, self.base, [self.shifts[col]], _add_terms)
-        return not _rows(*cells, lambda c, b: any(_difference(lam, c, b).values()) or None)
+        return not _search_rows(
+            *_assemble(self.parts, self.base, [self.shifts[col]], _add_poly), lam
+        )
 
 
 def first_integral_search(
@@ -1157,15 +1122,18 @@ def first_integral_search(
     already applied).  For each candidate eigenvalue the condition is an exact
     linear system; its solution space is returned as a basis, with the
     trivial constant solutions removed and each generator normalized so its
-    leading coefficient is one.  The integer cells mod p of the rows that
-    hold no eigenvalue are eliminated once per search, and each eigenvalue
-    eliminates only the rest of its rows, reduced against that factor.  The
-    two ranks add up to a rank lower bound that settles an eigenvalue whose
-    kernel is spanned by unit vectors of zero columns.  Only an eigenvalue it
-    cannot settle, such as one with an integral, builds exact polynomial
-    rows, which replay both sets of pivots mod p and are then plugged back
-    in.  A bound below its minimum, and an empty or repeated list of
-    eigenvalues, raise ValueError.
+    leading coefficient is one.  Every cell is a sum of shifted parameter
+    parts of the cleared rules, as a polynomial or as its image mod p.  The
+    integer cells of the rows that hold no eigenvalue are eliminated once
+    per search, and each eigenvalue eliminates only the rest of its rows,
+    reduced against that factor.  The two ranks add up to a rank lower bound
+    that settles an eigenvalue whose kernel is spanned by unit vectors of
+    zero columns.  Only an eigenvalue it cannot settle, such as one with an
+    integral, assembles the polynomial cells, whose rows replay both sets of
+    pivots mod p and are then plugged back in.  A bound below its minimum,
+    and an empty or repeated list of eigenvalues, raise ValueError; an
+    ansatz larger than ``monomial_cap`` raises CapacityError before any
+    monomial is built.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")
@@ -1178,13 +1146,14 @@ def first_integral_search(
         raise ValueError(f"repeated eigenvalue candidates in {', '.join(map(str, lams))}")
     sys_obj = load_model(system_id)
     table = sys_obj.table
+    count = math.comb(len(sys_obj.state) + state_degree_bound, state_degree_bound) * (
+        indep_degree_bound + 1
+    )
+    if count > monomial_cap:
+        raise CapacityError(f"{count} ansatz monomials exceed the cap of {monomial_cap}")
     monos = _state_indep_monomials(
         table, sys_obj.state, sys_obj.indep, state_degree_bound, indep_degree_bound
     )
-    if len(monos) > monomial_cap:
-        raise CapacityError(
-            f"{len(monos)} ansatz monomials exceed the cap of {monomial_cap}"
-        )
     matrix = _SearchMatrix(sys_obj, monos)
     const_col = next((i for i, m in enumerate(monos) if not any(m)), None)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib.util
 import itertools
@@ -277,6 +278,25 @@ def test_relation_reduction_is_projection(seed):
     q = reduce_relation(p)
     assert not q.involves("alpha1")
     assert reduce_relation(q) == q
+
+
+# -- the packed format stays inside the ring --------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_d32"
+# the private fields of Poly and SymbolTable that know the packed keys
+PACKED_FIELDS = {"_coeffs", "_den", "_shifts", "_units", "_guards", "_make", "_reduced"}
+
+
+def test_only_the_ring_reads_the_packed_format():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "ring.py" in modules
+    reads = [
+        (path.name, node.lineno, node.attr)
+        for path in modules if path.name != "ring.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in PACKED_FIELDS
+    ]
+    assert reads == []
 
 
 # -- the names the benchmark's layer trace wraps ---------------------------------------

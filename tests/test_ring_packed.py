@@ -129,6 +129,25 @@ def ref_substitute(p, bindings, n):
     return total, common
 
 
+def ref_residue(terms, point, p):
+    """The image mod p at ``point``, term by term: each Fraction coefficient
+    times its monomial's value, None when p divides a coefficient's
+    denominator."""
+    total = 0
+    for mono, c in terms:
+        value = 1
+        for v, e in zip(point, mono):
+            if e:
+                value = value * pow(v, e, p) % p
+        num, den = c.numerator, c.denominator
+        if den != 1:
+            if den % p == 0:
+                return None
+            num *= pow(den, -1, p)
+        total += num * value
+    return total % p
+
+
 # -- strategies -----------------------------------------------------------------
 
 
@@ -251,6 +270,43 @@ def test_substitute_matches_the_reference(data, name):
     assert result == RatExpr(Poly(table, num), Poly(table, den))
     assert_terms_contract(result.num)
     assert_terms_contract(result.den)
+
+
+# the primes of the residue tests: two that divide some drawn denominators
+# (1..9 and their products), and the prime of the search's rank
+RESIDUE_PRIMES = (5, 7, 2**61 - 1)
+
+
+@SETTINGS
+@given(st.data(), table_names, st.sampled_from(RESIDUE_PRIMES))
+def test_residue_matches_the_termwise_reference(data, name, prime):
+    table = TABLES[name]
+    point = [data.draw(st.integers(1, prime - 1)) for _ in table.symbols]
+    powers: dict = {}
+    # one cache serves every polynomial at the point, in any order
+    for _ in range(3):
+        _, a = data.draw(polys(table, max_exp=3))
+        assert a.residue(point, prime, powers) == ref_residue(a.terms, point, prime)
+
+
+def test_residue_is_none_when_the_prime_divides_a_denominator():
+    table = TABLES["five_dim"]
+    point = list(range(1, len(table) + 1))
+    x, y = Poly.var(table, "x"), Poly.var(table, "y")
+    p = x.scaled(Fraction(1, 14)) + y.scaled(Fraction(1, 3))
+    assert p.residue(point, 7, {}) is None
+    assert ref_residue(p.terms, point, 7) is None
+    assert p.residue(point, 5, {}) == ref_residue(p.terms, point, 5) is not None
+
+
+def test_residue_of_a_polynomial_vanishing_at_every_unit_is_zero():
+    # alpha0^(p-1) - 1 is nonzero over Q but vanishes at every nonzero residue
+    table = TABLES["five_dim"]
+    prime = 2**61 - 1
+    p = Poly.var(table, "alpha0", prime - 1) - Poly.const(table, 1)
+    for seed in range(3):
+        point = [pow(3, 17 * seed + i + 1, prime) for i in range(len(table))]
+        assert p.residue(point, prime, {}) == 0 == ref_residue(p.terms, point, prime)
 
 
 # -- the constant operand of a RatExpr ----------------------------------------------

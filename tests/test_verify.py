@@ -500,6 +500,24 @@ def test_search_guards():
         first_integral_search("five_dim", 2, 0, (Fraction(-1), Fraction(-1)))
 
 
+def test_search_cap_counts_the_ansatz_before_building_it(monkeypatch):
+    # five_dim at (2, 1): 21 state monomials times 2 powers of the time
+    sys_obj = load_model("five_dim")
+    monos = verify._state_indep_monomials(sys_obj.table, sys_obj.state, sys_obj.indep, 2, 1)
+    assert len(monos) == 42
+    assert first_integral_search("five_dim", 2, 1, (Fraction(-1),), monomial_cap=42)
+    with pytest.raises(CapacityError, match="^42 ansatz monomials exceed the cap of 41"):
+        first_integral_search("five_dim", 2, 1, (Fraction(-1),), monomial_cap=41)
+
+    def refuse(*args):
+        raise AssertionError("ansatz built before the cap was checked")
+
+    # (40, 10) would be C(45, 5)*11 = 13 439 349 monomials
+    monkeypatch.setattr(verify, "_state_indep_monomials", refuse)
+    with pytest.raises(CapacityError, match="^13439349 ansatz monomials"):
+        first_integral_search("five_dim", 40, 10, (Fraction(0),))
+
+
 @pytest.mark.parametrize("state_bound,indep_bound", [(3, 1), (4, 0)])
 def test_search_five_dim_former_cliffs_find_only_ywq(state_bound, indep_bound):
     # regression guard: dense Gauss-Jordan over RatExpr needs seconds at
@@ -597,9 +615,7 @@ def _differential_kernel(monkeypatch, seen):
     def both(matrix, lam):
         basis = certified(matrix, lam)
         sys_obj, monos = matrix.sys_obj, matrix.monos
-        rows = verify._search_rows(
-            sys_obj.table, *verify._SearchMatrix(sys_obj, monos).exact, lam
-        )
+        rows = verify._search_rows(*verify._SearchMatrix(sys_obj, monos).exact, lam)
         one = RatExpr.const(sys_obj.table, 1)
         assert basis == _gauss_jordan_nullspace(rows.values(), len(monos), one)
         seen.append((len(monos), len(basis)))
@@ -648,7 +664,7 @@ def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
         ]
         # the replay comes from the same rows at the seeded point mod p
         image = verify._point_images(table)
-        special = [{c: image(v.terms) for c, v in row.items()} for row in rows]
+        special = [{c: image(v) for c, v in row.items()} for row in rows]
         pivots = verify._eliminate_mod_p(
             [{c: v for c, v in row.items() if v} for row in special]
         )
@@ -663,7 +679,7 @@ def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
     entry = Poly.var(table, "alpha0", verify.RANK_PRIME - 1) - Poly.const(table, 1)
     one = RatExpr.const(table, 1)
     rows = [{0: entry}]
-    assert verify._point_images(table)(entry.terms) == 0
+    assert verify._point_images(table)(entry) == 0
     runs = []
     eliminate = verify._eliminate
     monkeypatch.setattr(
@@ -683,7 +699,7 @@ def test_exact_markowitz_alone_matches_gauss_jordan(
 ):
     # an unusable point mod p leaves every eigenvalue and every pivot to the
     # exact pass
-    monkeypatch.setattr(verify, "_point_images", lambda table: lambda terms: None)
+    monkeypatch.setattr(verify, "_point_images", lambda table: lambda poly: None)
     calls = []
     nullspace = verify._nullspace
     monkeypatch.setattr(
@@ -787,7 +803,7 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
         assert not any(factor_cols & row.keys() for row in pencil_rows)
         assert len(factor) + len(pencil) == len(eliminate_mod_p(list(stacked.values())))
         if found or lam == verify.RANK_PRIME:
-            exact_keys = list(verify._search_rows(matrix.sys_obj.table, *matrix.exact, lam))
+            exact_keys = list(verify._search_rows(*matrix.exact, lam))
             expected_replays.append(
                 [(exact_keys.index(free_keys[r]), c) for r, c, _ in factor]
                 + [(exact_keys.index(pencil_keys[r]), c) for r, c, _ in pencil]
@@ -849,11 +865,12 @@ def test_shared_factor_matches_the_stacked_elimination_mod_p(
 
 
 def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
-    # the ladder up to the 175-column cliff builds no exact row
+    # the ladder up to the 175-column cliff assembles no exact matrix; only
+    # the columns that vanish mod p have their own cells checked exactly
     def refuse(*args):
         raise AssertionError("exact rows built for an empty kernel")
 
-    monkeypatch.setattr(verify, "_search_rows", refuse)
+    monkeypatch.setattr(verify._SearchMatrix, "exact", property(refuse))
     monkeypatch.setattr(verify, "_nullspace", refuse)
     for indep_bound in range(5):
         assert first_integral_search("ham_4d", 3, indep_bound, SEARCH_LAMBDAS) == []
@@ -907,12 +924,12 @@ def _reference_rows(system_id, state_bound, indep_bound, lam):
     [(s, 2, 1) for s in SYSTEM_IDS] + [("five_dim", 3, 0), ("K1_sys", 8, 3)],
 )
 def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bound):
-    for lam in SEARCH_LAMBDAS:
+    for lam in SEARCH_LAMBDAS + (Fraction(-2), Fraction(1, 2)):
         sys_obj, monos, expected = _reference_rows(
             system_id, state_bound, indep_bound, lam
         )
         matrix = verify._SearchMatrix(sys_obj, monos)
-        rows = verify._search_rows(sys_obj.table, *matrix.exact, lam)
+        rows = verify._search_rows(*matrix.exact, lam)
         assert len(rows) == len(expected)
         for row, ref in zip(rows.values(), expected):
             assert list(row) == list(ref)
@@ -920,7 +937,7 @@ def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bo
         # the integer cells are the exact ones mod p, row key by row key
         image = verify._point_images(sys_obj.table)
         special = {
-            key: {c: v for c, v in ((c, image(e.terms)) for c, e in row.items()) if v}
+            key: {c: v for c, v in ((c, image(e)) for c, e in row.items()) if v}
             for key, row in rows.items()
         }
         assert list(matrix.rows_mod_p(lam).items()) == [
