@@ -400,19 +400,6 @@ class Poly:
             self.table, {k: v * p for k, v in self._coeffs.items()}, self._den * q
         )
 
-    def mul_monomial(self, mono: Monomial, coeff: RationalLike = 1) -> "Poly":
-        c = Fraction(coeff)
-        if c == 0 or self.is_zero:
-            return Poly.zero(self.table)
-        key = self.table.pack(mono)
-        self.table.check_degree(next(iter(self._coeffs)) + key)
-        p = c.numerator
-        return Poly._reduced(
-            self.table,
-            {k + key: v * p for k, v in self._coeffs.items()},
-            self._den * c.denominator,
-        )
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a Poly; use RatExpr")
@@ -465,14 +452,6 @@ class Poly:
         return total * pow(den, -1, prime) % prime
 
     # -- structure ---------------------------------------------------------
-
-    def monomial_content(self) -> Monomial:
-        """Per-symbol minimum exponent over all terms (zero poly: all zeros)."""
-        return self.table.unpack(_content(self.table, self._coeffs))
-
-    def shift_down(self, mono: Monomial) -> "Poly":
-        """The quotient by a monomial that divides every term."""
-        return self._shifted(self.table.pack(mono))
 
     def _shifted(self, key: int) -> "Poly":
         return Poly._make(

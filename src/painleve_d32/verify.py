@@ -135,11 +135,8 @@ def _find_witness(num: Poly, den: Poly) -> Optional[dict[str, Fraction]]:
         }
         if normalized:
             point["alpha1"] = 1 - point["alpha0"] - point["alpha2"]
-        try:
-            if num.evaluate(point) != 0 and den.evaluate(point) != 0:
-                return {n: point[n] for n in sorted(point)}
-        except RingError:
-            continue
+        if num.evaluate(point) != 0 and den.evaluate(point) != 0:
+            return {n: point[n] for n in sorted(point)}
     return None
 
 
@@ -449,14 +446,17 @@ def check_second_order_forms(*map_ids: str) -> VerificationReport:
 
 
 def check_particular_solution(solution_id: str) -> VerificationReport:
-    """D(binding) equals the rhs evaluated on the bindings, symbol by symbol."""
+    """D(binding) equals the rhs evaluated on the bindings, symbol by symbol.
+
+    D is the flow of the solution: its generator ``rules`` and dt/dt = 1.
+    """
     sol = load_particular_solution(solution_id)
     target = load_model(sol.system_id)
     missing = [n for n in target.state if n not in sol.bindings]
     if missing:
         raise ValueError(f"solution {solution_id!r} misses bindings for {missing}")
     with _Timer() as tm:
-        deriv = Derivation(sol.table, sol.rules)
+        deriv = Derivation(sol.table, {**sol.rules, target.indep: 1})
         bindings = dict(sol.bindings)
         bindings.update(sol.param_bindings)
         entries = []
@@ -990,6 +990,8 @@ class _Pencil:
     linear, so red(C_p - lam*B_p) = red(C_p) - lam*red(B_p), and one
     eigenvalue eliminates only that small pencil: the factor's pivots and
     then the pencil's are an elimination of the stacked rows C_p - lam*B_p.
+    Their number is its rank mod p, and the columns no pivot takes are the
+    free columns of that elimination.
     """
 
     def __init__(self, c_cells: _Cells, b_cells: _Cells):
@@ -1001,29 +1003,15 @@ class _Pencil:
         keys = sorted(c_cells.keys() | b_cells.keys())
         self.free_keys = [key for key in keys if key not in b_cells]
         self.pencil_keys = [key for key in keys if key in b_cells]
-        free_rows = [row(c_cells, key) for key in self.free_keys]
-        self.factor = _eliminate_mod_p(free_rows)
-        pencil = [(row(c_cells, key), row(b_cells, key)) for key in self.pencil_keys]
+        self.factor = _eliminate_mod_p([row(c_cells, key) for key in self.free_keys])
         reduce = _reducer(self.factor)
-        self.reduced = [(reduce(c), reduce(b)) for c, b in pencil]
-        # a column is touched at every lambda but one residue at most, where
-        # all its pencil cells (c, b) vanish, which needs them all
-        # proportional with b != 0: ratio[col] holds its first cell
-        self.always = {c for r in free_rows for c in r}
-        self.ratio: dict[int, tuple[int, int]] = {}
-        for crow, brow in pencil:
-            self.always.update(crow.keys() - brow.keys())
-            for col, b in brow.items():
-                c = crow.get(col, 0)
-                c0, b0 = self.ratio.setdefault(col, (c, b))
-                if (c * b0 - c0 * b) % p:
-                    self.always.add(col)
-        for col in self.always.intersection(self.ratio):
-            del self.ratio[col]
+        self.reduced = [
+            (reduce(row(c_cells, key)), reduce(row(b_cells, key))) for key in self.pencil_keys
+        ]
 
-    def pivots(self, lam_p: int) -> tuple[list[tuple[tuple, int]], set[int]]:
+    def pivots(self, lam_p: int) -> list[tuple[tuple, int]]:
         """The pivots (row key, column) of C_p - lam*B_p at lambda's residue
-        ``lam_p``, the factor's then the pencil's, and its touched columns."""
+        ``lam_p``, the factor's then the pencil's."""
         p = RANK_PRIME
         rows = [
             {j: v for j in c.keys() | b.keys() if (v := (c.get(j, 0) - lam_p * b.get(j, 0)) % p)}
@@ -1031,8 +1019,7 @@ class _Pencil:
         ]
         keyed = [(self.free_keys[r], c) for r, c, _ in self.factor]
         keyed += [(self.pencil_keys[r], c) for r, c, _ in _eliminate_mod_p(rows)]
-        touched = self.always | {col for col, (c, b) in self.ratio.items() if (c - lam_p * b) % p}
-        return keyed, touched
+        return keyed
 
 
 class _SearchMatrix:
@@ -1077,12 +1064,12 @@ class _SearchMatrix:
     def kernel(self, lam: Fraction) -> list[dict[int, RatExpr]]:
         """Certified kernel of C - lam*B over Q(params).
 
-        The shared factor and this eigenvalue's reduced pencil give the rank
-        mod p of C_p - lam*B_p, a lower bound on the exact rank; when it
-        equals the number of columns that are nonzero over Q(params), the
-        unit vectors of the others span the kernel.  A column with no
-        nonzero image mod p counts as zero only after its exact cells
-        vanish.  An eigenvalue this does not settle takes the exact rows
+        The shared factor and this eigenvalue's reduced pencil eliminate
+        C_p - lam*B_p.  Its rank mod p is a lower bound on the exact rank,
+        so the kernel has at most as many dimensions as the elimination has
+        free columns (those no pivot took).  When every free column is zero
+        over Q(params), checked on its exact cells, their unit vectors span
+        the kernel.  An eigenvalue this does not settle takes the exact rows
         through :func:`_nullspace`, which replays the factor's pivots and
         then the pencil's.  The mod p rows omit the rows that vanish mod p
         but not exactly, so a pivot is carried over by its row key.
@@ -1090,11 +1077,11 @@ class _SearchMatrix:
         keyed: list[tuple[tuple, int]] = []
         lam_p = _residue(lam)
         if self.pencil is not None and lam_p is not None:
-            keyed, touched = self.pencil.pivots(lam_p)
-            if len(keyed) == len(touched):
-                untouched = [c for c in range(len(self.monos)) if c not in touched]
-                if all(self._vanishes(c, lam) for c in untouched):
-                    return [{c: self.one} for c in untouched]
+            keyed = self.pencil.pivots(lam_p)
+            taken = {c for _, c in keyed}
+            free = [c for c in range(len(self.monos)) if c not in taken]
+            if all(self._vanishes(c, lam) for c in free):
+                return [{c: self.one} for c in free]
         exact = _search_rows(*self.exact, lam)
         index = {key: r for r, key in enumerate(exact)}
         replay = [(index[key], c) for key, c in keyed]
@@ -1126,14 +1113,14 @@ def first_integral_search(
     parts of the cleared rules, as a polynomial or as its image mod p.  The
     integer cells of the rows that hold no eigenvalue are eliminated once
     per search, and each eigenvalue eliminates only the rest of its rows,
-    reduced against that factor.  The two ranks add up to a rank lower bound
-    that settles an eigenvalue whose kernel is spanned by unit vectors of
-    zero columns.  Only an eigenvalue it cannot settle, such as one with an
-    integral, assembles the polynomial cells, whose rows replay both sets of
-    pivots mod p and are then plugged back in.  A bound below its minimum,
-    and an empty or repeated list of eigenvalues, raise ValueError; an
-    ansatz larger than ``monomial_cap`` raises CapacityError before any
-    monomial is built.
+    reduced against that factor.  The columns neither elimination pivots on
+    are as many as the kernel's dimension at most: when each of them is
+    zero over Q(params), their unit vectors are the kernel.  Only an
+    eigenvalue this cannot settle, such as one with an integral, assembles
+    the polynomial cells, whose rows replay both sets of pivots mod p and
+    are then plugged back in.  A bound below its minimum, and an empty or
+    repeated list of eigenvalues, raise ValueError; an ansatz larger than
+    ``monomial_cap`` raises CapacityError before any monomial is built.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")

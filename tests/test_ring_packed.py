@@ -21,6 +21,7 @@ from painleve_d32.ring import (
     RatExpr,
     RingError,
     ZeroDivisionExprError,
+    _content,
     exact_polynomial_quotient,
     substitute_poly,
 )
@@ -62,10 +63,6 @@ def ref_scaled(a, c):
     return {m: v * c for m, v in a.items() if v * c}
 
 
-def ref_mul_monomial(a, mono, c):
-    return {tuple(x + y for x, y in zip(m, mono)): v * c for m, v in a.items() if v * c}
-
-
 def ref_partial(a, i):
     out = {}
     for m, c in a.items():
@@ -78,10 +75,6 @@ def ref_content(a, n):
     if not a:
         return (0,) * n
     return tuple(min(m[i] for m in a) for i in range(n))
-
-
-def ref_shift_down(a, mono):
-    return {tuple(x - y for x, y in zip(m, mono)): c for m, c in a.items()}
 
 
 def ref_quotient(n, d):
@@ -209,24 +202,20 @@ def test_sum_difference_product_match_the_reference(data, name):
 
 @SETTINGS
 @given(st.data(), table_names, st.fractions(max_denominator=12))
-def test_scaled_and_mul_monomial_match_the_reference(data, name, c):
-    table = TABLES[name]
-    ra, a = data.draw(polys(table))
-    mono = tuple(data.draw(st.integers(0, 2)) for _ in range(len(table)))
+def test_scaled_matches_the_reference(data, name, c):
+    ra, a = data.draw(polys(TABLES[name]))
     assert_terms_contract(a.scaled(c), ref_scaled(ra, c))
-    assert_terms_contract(a.mul_monomial(mono, c), ref_mul_monomial(ra, mono, c))
 
 
 @SETTINGS
 @given(st.data(), table_names)
-def test_partial_content_and_shift_match_the_reference(data, name):
+def test_partial_and_content_match_the_reference(data, name):
     table = TABLES[name]
     ra, a = data.draw(polys(table))
     for i, symbol in enumerate(table.symbols):
         assert_terms_contract(a.partial(symbol), ref_partial(ra, i))
-    content = a.monomial_content()
-    assert content == ref_content(ra, len(table))
-    assert_terms_contract(a.shift_down(content), ref_shift_down(ra, content))
+    content = _content(table, (table.pack(m) for m, _ in a.terms))
+    assert table.unpack(content) == ref_content(ra, len(table))
 
 
 @SETTINGS
@@ -353,7 +342,6 @@ def test_a_degree_past_the_exponent_field_raises_instead_of_wrapping():
         lambda: top * Poly.var(table, "z"),
         lambda: (x_half + one) * (y_half - one),
         lambda: x_half ** 2,
-        lambda: top.mul_monomial((0, 0, 1) + (0,) * 7),
         lambda: Poly.var(table, "q", DEGREE_LIMIT),
         lambda: Poly(table, {(half, half) + (0,) * 8: Fraction(1)}),
     ):

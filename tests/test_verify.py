@@ -17,7 +17,7 @@ import pytest
 import sympy as sp
 
 from conftest import random_ratexpr
-from painleve_d32 import verify, weyl
+from painleve_d32 import models, verify, weyl
 from painleve_d32.models import (
     SYSTEM_IDS,
     Hamiltonian,
@@ -206,6 +206,17 @@ def test_failed_witness_search_reports_its_attempts(monkeypatch):
     assert report.detail == "no witness in 0 attempts"
     # the search runs only where a residual is nonzero
     assert "witness" not in check_symmetry("five_dim", "s2_5d", "corrected").detail
+
+
+def test_witness_search_lets_kernel_errors_through(monkeypatch):
+    # every symbol of a witness candidate is bound, so an evaluation error is
+    # a fault of the kernel, not a point to skip
+    def broken(self, point):
+        raise RingError("evaluation failed")
+
+    monkeypatch.setattr(Poly, "evaluate", broken)
+    with pytest.raises(RingError, match="evaluation failed"):
+        check_symmetry("five_dim", "s2_5d", "printed")
 
 
 def test_s2_5d_residual_matches_hand_expansion():
@@ -434,6 +445,24 @@ def test_particular_solutions():
     for pid in ("linear_xz_sol", "second_order_sol_a", "second_order_sol_b",
                 "rest_wq_zero"):
         assert check_particular_solution(pid).passed, pid
+
+
+@pytest.mark.parametrize("slope,residual", [(Fraction(1, 2), None), (1, "1/2")])
+def test_particular_solution_may_depend_on_time(monkeypatch, slope, residual):
+    # at alpha2 = 0, x' = 1/2 is solved by x = t/2 + C1 and not by x = t + C1
+    base = verify.load_particular_solution("linear_xz_sol")
+    t, C1, C2, E2, a0, eta = syms(base.table, "t C1 C2 E2 alpha0 eta")
+    sol = dataclasses.replace(
+        base,
+        id="linear_xz_t",
+        bindings={"x": slope * t + C1, "z": C2 * E2 + eta / (2 * a0)},
+        rules={"E2": a0 * E2},
+        param_bindings={"alpha2": RatExpr.const(base.table, 0)},
+    )
+    monkeypatch.setitem(models._registry().solutions, sol.id, sol)
+    report = check_particular_solution(sol.id)
+    assert report.passed == (residual is None)
+    assert dict(report.residuals) == {"x": residual or "zero", "z": "zero"}
 
 
 def test_rest_wq_zero_solves_five_dim_for_every_alpha1(monkeypatch):
@@ -836,37 +865,77 @@ def _mod_p_elimination(rows, replay):
     return verify._eliminate(rows, lambda v: v % p or None, lambda v: pow(v, -1, p), None, replay)
 
 
-@pytest.mark.parametrize(
-    "system_id,state_bound,indep_bound",
+# the searches of the pencil tests; at bounds (2, 1) their eigenvalues add
+# lambda = p and 2p, where the constant column's entry -lambda*L vanishes mod p
+PENCIL_CASES = (
     [(s, 2, 1) for s in SYSTEM_IDS]
     + [("five_dim", 3, 0), ("K1_sys", 8, 3)]
-    + [("ham_4d", 3, b) for b in range(5)],
+    + [("ham_4d", 3, b) for b in range(5)]
 )
-def test_shared_factor_matches_the_stacked_elimination_mod_p(
-    system_id, state_bound, indep_bound
-):
-    # the factor and the reduced pencil are an elimination of the stacked
-    # rows C_p - lam*B_p: same rank and touched columns, and their pivots
-    # replay on the stacked rows with none left over
+
+
+def _pencil_lambdas(state_bound, indep_bound):
     p = verify.RANK_PRIME
     lams = SEARCH_LAMBDAS + (Fraction(-2), Fraction(1, 2))
     if (state_bound, indep_bound) == (2, 1):
         lams += (Fraction(p), Fraction(2 * p))
+    return lams
+
+
+@pytest.mark.parametrize("system_id,state_bound,indep_bound", PENCIL_CASES)
+def test_shared_factor_matches_the_stacked_elimination_mod_p(
+    system_id, state_bound, indep_bound
+):
+    # the factor and the reduced pencil are an elimination of the stacked
+    # rows C_p - lam*B_p: the same rank, and their pivots replay on the
+    # stacked rows with none left over
     matrix = _matrix(system_id, state_bound, indep_bound)
-    for lam in lams:
+    for lam in _pencil_lambdas(state_bound, indep_bound):
         stacked = matrix.rows_mod_p(lam)
         rows = list(stacked.values())
-        keyed, touched = matrix.pencil.pivots(verify._residue(lam))
+        keyed = matrix.pencil.pivots(verify._residue(lam))
         assert len(keyed) == len(verify._eliminate_mod_p(rows))
-        assert touched == {c for row in rows for c in row}
         index = {key: r for r, key in enumerate(stacked)}
         replay = [(index[key], c) for key, c in keyed]
         assert [(r, c) for r, c, _ in _mod_p_elimination(rows, replay)] == replay
 
 
+class _Unsettled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("system_id,state_bound,indep_bound", PENCIL_CASES)
+def test_free_columns_settle_what_the_touched_columns_settle(
+    monkeypatch, system_id, state_bound, indep_bound
+):
+    # the touched-column rule, stated on the stacked rows: an eigenvalue is
+    # settled iff its rank mod p is the number of columns the rows mod p
+    # touch and every untouched column vanishes exactly; then the kernel is
+    # the untouched columns' unit vectors
+    def unsettled(*args):
+        raise _Unsettled
+
+    monkeypatch.setattr(verify, "_nullspace", unsettled)
+    matrix = _matrix(system_id, state_bound, indep_bound)
+    for lam in _pencil_lambdas(state_bound, indep_bound):
+        rows = list(matrix.rows_mod_p(lam).values())
+        touched = {c for row in rows for c in row}
+        untouched = [c for c in range(len(matrix.monos)) if c not in touched]
+        nonzero = {c for row in verify._search_rows(*matrix.exact, lam).values() for c in row}
+        rank = len(verify._eliminate_mod_p(rows))
+        settled = rank == len(touched) and nonzero.isdisjoint(untouched)
+        try:
+            kernel = matrix.kernel(lam)
+        except _Unsettled:
+            assert not settled, (system_id, lam)
+        else:
+            assert settled, (system_id, lam)
+            assert kernel == [{c: matrix.one} for c in untouched]
+
+
 def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
     # the ladder up to the 175-column cliff assembles no exact matrix; only
-    # the columns that vanish mod p have their own cells checked exactly
+    # the free columns mod p have their own cells checked exactly
     def refuse(*args):
         raise AssertionError("exact rows built for an empty kernel")
 
