@@ -5,16 +5,13 @@ The package encodes a five-dimensional polynomial flow together with its
 birational symmetries, holomorphy charts, first integrals, Hamiltonian
 reduction to dimension four and particular solutions, and certifies every
 stated identity exactly over the rationals.  A floating-point integrator
-confirms the same structure along trajectories.
+confirms the same structure along trajectories.  The exports of the
+integrator (``numeric``) and of the checks (``verify``) load on first use.
 """
 
-from .models import (
-    load_integral,
-    load_map,
-    load_model,
-    load_particular_solution,
-)
-from .numeric import dynamics_residual, integrate, invariant_drift, pushforward
+import importlib
+
+from .models import load_integral, load_map, load_model, load_particular_solution
 from .ring import (
     Derivation,
     Poly,
@@ -25,10 +22,8 @@ from .ring import (
     exact_polynomial_quotient,
     is_identically_zero,
     jacobian_determinant,
-    ring_ops,
     substitute,
 )
-from .verify import first_integral_search, run_scope
 from .weyl import (
     apply_word_to_point,
     calibrate_convention,
@@ -39,6 +34,19 @@ from .weyl import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "dynamics_residual": "numeric", "integrate": "numeric",
+    "invariant_drift": "numeric", "pushforward": "numeric",
+    "first_integral_search": "verify", "run_scope": "verify",
+}
+
+
+def __getattr__(name: str):
+    # not cached in the globals, so each lookup reads the home module's binding
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Derivation",
@@ -63,7 +71,6 @@ __all__ = [
     "parameter_action",
     "parse_word",
     "pushforward",
-    "ring_ops",
     "run_scope",
     "substitute",
     "translation_shift",

@@ -4,6 +4,8 @@ Exit codes: 0 all requested checks pass, 1 verification or domain failure,
 2 usage error or an unwritable ``--out``.  ``--format records`` emits
 line-delimited JSON records, one per check, suitable for golden files; text
 output is deterministic for a fixed seed apart from the timing fields.
+``verify`` loads with this module (the parser reads its scopes, variants
+and seed); ``numeric`` loads only for ``integrate``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import models, numeric, verify, weyl
+from . import models, verify, weyl
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -152,6 +154,8 @@ def _parse_params(text: str) -> dict[str, float]:
 
 
 def cmd_integrate(args) -> int:
+    from . import numeric
+
     try:
         params = _parse_params(args.params)
         init = [float(v) for v in args.init.split(",")]

@@ -723,19 +723,6 @@ def syms(table: SymbolTable, names: str) -> tuple[RatExpr, ...]:
     return tuple(RatExpr.sym(table, n) for n in names.split())
 
 
-def ring_ops(a: RatExpr, b: RatExpr, op: str) -> RatExpr:
-    """Exact field operation on rational expressions (add|sub|mul|div)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown ring operation {op!r}")
-
-
 # -- the parameter relation ----------------------------------------------------
 
 RELATION_ELIMINATED = "alpha1"

@@ -1053,14 +1053,6 @@ class _SearchMatrix:
     def pencil(self) -> Optional[_Pencil]:
         return None if self.mod_p is None else _Pencil(*self.mod_p)
 
-    def rows_mod_p(self, lam: Fraction) -> Optional[dict[tuple, dict[int, int]]]:
-        """Nonzero rows of C_p - lam*B_p by row key; None when the images are
-        unusable or p divides the denominator of ``lam``."""
-        p, lam_p = RANK_PRIME, _residue(lam)
-        if self.mod_p is None or lam_p is None:
-            return None
-        return _rows(*self.mod_p, lambda c, b: ((c or 0) - lam_p * (b or 0)) % p or None)
-
     def kernel(self, lam: Fraction) -> list[dict[int, RatExpr]]:
         """Certified kernel of C - lam*B over Q(params).
 

@@ -25,11 +25,14 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .models import ParameterAction, load_map, load_model
 from .ring import PointMap, SingularPointError
-from .verify import VerificationReport, _Timer
+
+# the report functions import verify when called, so set-up never loads it
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 Vec3 = tuple[int, int, int]
 
@@ -328,6 +331,8 @@ def verify_group_relations(
     and time signs); map-level verdicts evaluate both sides at ``sample_count``
     random exact rational points and are labeled as sampled.
     """
+    from .verify import VerificationReport, _Timer
+
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     convention = calibrate_convention()
@@ -365,6 +370,8 @@ def translation_report() -> VerificationReport:
     Also reports (without asserting) whether conjugating t1 by the diagram
     automorphism reproduces t2; the computed answer is its inverse.
     """
+    from .verify import VerificationReport, _Timer
+
     with _Timer() as tm:
         convention = calibrate_convention()
         t1 = parse_word("s1 s2 s1 s0", "th1")

@@ -798,6 +798,12 @@ def _split_keys(matrix):
     return [k for k in keys if k not in b_cells], [k for k in keys if k in b_cells]
 
 
+def _rows_mod_p(matrix, lam):
+    """Nonzero rows of C_p - lam*B_p by row key."""
+    p, lam_p = verify.RANK_PRIME, verify._residue(lam)
+    return verify._rows(*matrix.mod_p, lambda c, b: ((c or 0) - lam_p * (b or 0)) % p or None)
+
+
 def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found):
     """Run a search and check its eliminations mod p: the eigenvalue-free
     rows once per search, the reduced pencil once per eigenvalue, and for an
@@ -824,7 +830,7 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
     factor_cols = {c for _, c, _ in factor}
     expected_replays = []
     for lam, (pencil_rows, pencil) in zip(lams, pencils):
-        stacked = matrix.rows_mod_p(lam)
+        stacked = _rows_mod_p(matrix, lam)
         assert {k: row for k, row in zip(free_keys, free_rows) if row} == {
             k: row for k, row in stacked.items() if k in free_keys
         }
@@ -891,7 +897,7 @@ def test_shared_factor_matches_the_stacked_elimination_mod_p(
     # stacked rows with none left over
     matrix = _matrix(system_id, state_bound, indep_bound)
     for lam in _pencil_lambdas(state_bound, indep_bound):
-        stacked = matrix.rows_mod_p(lam)
+        stacked = _rows_mod_p(matrix, lam)
         rows = list(stacked.values())
         keyed = matrix.pencil.pivots(verify._residue(lam))
         assert len(keyed) == len(verify._eliminate_mod_p(rows))
@@ -918,7 +924,7 @@ def test_free_columns_settle_what_the_touched_columns_settle(
     monkeypatch.setattr(verify, "_nullspace", unsettled)
     matrix = _matrix(system_id, state_bound, indep_bound)
     for lam in _pencil_lambdas(state_bound, indep_bound):
-        rows = list(matrix.rows_mod_p(lam).values())
+        rows = list(_rows_mod_p(matrix, lam).values())
         touched = {c for row in rows for c in row}
         untouched = [c for c in range(len(matrix.monos)) if c not in touched]
         nonzero = {c for row in verify._search_rows(*matrix.exact, lam).values() for c in row}
@@ -1009,7 +1015,7 @@ def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bo
             key: {c: v for c, v in ((c, image(e)) for c, e in row.items()) if v}
             for key, row in rows.items()
         }
-        assert list(matrix.rows_mod_p(lam).items()) == [
+        assert list(_rows_mod_p(matrix, lam).items()) == [
             (key, row) for key, row in special.items() if row
         ]
 
