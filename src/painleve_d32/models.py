@@ -24,22 +24,22 @@ Disputed objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ring import Derivation, Poly, RatExpr, SymbolTable, has_relation_symbols, syms
-from .syntax import parse_expr, render_ratexpr
+from .syntax import render_ratexpr
 
 HALF = Fraction(1, 2)
+_NO_BINDINGS = MappingProxyType({})  # read-only, so the mapping fields share it
 
 
 class UnknownModelError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(NamedTuple):
     """Polynomial Hamiltonian with its canonical pairing.
 
     Sign convention: d(coord)/du = +dH/d(mom), d(mom)/du = -dH/d(coord).
@@ -49,8 +49,7 @@ class Hamiltonian:
     pairing: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class VectorFieldSystem:
+class VectorFieldSystem(NamedTuple):
     id: str
     table: SymbolTable
     rhs: Mapping[str, RatExpr]
@@ -78,8 +77,7 @@ class VectorFieldSystem:
         return Derivation(self.table, rules)
 
 
-@dataclass(frozen=True)
-class ParameterAction:
+class ParameterAction(NamedTuple):
     """Integer affine action alpha -> M*alpha + v, with signs on eta and time."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -125,16 +123,12 @@ class ParameterAction:
             self.indep_sign * after.indep_sign,
         )
 
-    def is_identity(self) -> bool:
-        return self == ParameterAction.identity(len(self.offset))
-
     def preserves_normalization(self) -> bool:
         """Column sums 1 and zero offset sum keep alpha0+alpha1+alpha2 = 1."""
         return all(sum(col) == 1 for col in zip(*self.matrix)) and sum(self.offset) == 0
 
 
-@dataclass(frozen=True)
-class BirationalMap:
+class BirationalMap(NamedTuple):
     id: str
     variant: str
     source: str
@@ -143,8 +137,8 @@ class BirationalMap:
     param_names: tuple[str, ...]
     action: ParameterAction  # on param_names, eta and the independent variable
     context: Optional[str] = None  # th1 | th2 | None
-    eliminated: Mapping[str, RatExpr] = field(default_factory=dict)  # source state -> binding
-    rules: Mapping[str, RatExpr] = field(default_factory=dict)  # generator -> derivative
+    eliminated: Mapping[str, RatExpr] = _NO_BINDINGS  # source state -> binding
+    rules: Mapping[str, RatExpr] = _NO_BINDINGS  # generator -> derivative
 
     @property
     def table(self) -> SymbolTable:
@@ -180,22 +174,20 @@ class BirationalMap:
         return bindings
 
 
-@dataclass(frozen=True)
-class FirstIntegral:
+class FirstIntegral(NamedTuple):
     id: str
     system_id: str
     expr: RatExpr
     lam: Fraction  # eigenvalue in D(expr) = lam * expr
 
 
-@dataclass(frozen=True)
-class ParticularSolution:
+class ParticularSolution(NamedTuple):
     id: str
     system_id: str
     table: SymbolTable  # extended table the bindings live over
     bindings: Mapping[str, RatExpr]  # target state name -> expression
     rules: Mapping[str, RatExpr]  # derivation entries for generators/carriers
-    param_bindings: Mapping[str, RatExpr] = field(default_factory=dict)
+    param_bindings: Mapping[str, RatExpr] = _NO_BINDINGS
 
 
 # -- symbol tables ----------------------------------------------------------------
@@ -796,36 +788,3 @@ def dump_models() -> str:
             lines.append(f"param {name}: {render_ratexpr(sol.param_bindings[name])}")
         lines.append("[end]")
     return "\n".join(lines) + "\n"
-
-
-def _parse_symbols(line: str) -> SymbolTable:
-    entries = []
-    for chunk in line.split():
-        name, kind = chunk.split(":")
-        entries.append((name, kind))
-    return SymbolTable(entries)
-
-
-def reserialize_dump(text: str) -> str:
-    """Parse a registry dump and re-render it (round-trip check helper).
-
-    Every expression line is parsed against the table declared in its block
-    and rendered back; non-expression lines are echoed.  The result must be
-    byte-identical to the input for a well-formed dump.
-    """
-    out: list[str] = []
-    table: Optional[SymbolTable] = None
-    expr_prefixes = ("rhs ", "vars ", "binding ", "rule ", "param ",
-                     "hamiltonian: ", "expr: ")
-    for line in text.splitlines():
-        if line.startswith("symbols: "):
-            table = _parse_symbols(line[len("symbols: "):])
-            out.append(line)
-            continue
-        if any(line.startswith(p) for p in expr_prefixes):
-            head, expr_text = line.split(": ", 1)
-            assert table is not None, "expression line before symbols line"
-            out.append(f"{head}: {render_ratexpr(parse_expr(expr_text, table))}")
-            continue
-        out.append(line)
-    return "\n".join(out) + "\n"

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from .models import ParameterAction, load_map, load_model
 from .ring import PointMap, SingularPointError
@@ -56,20 +55,25 @@ class WordError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class _Word(NamedTuple):
     letters: tuple[str, ...]
     context: str  # th1 | th2
 
-    def __post_init__(self):
-        if self.context not in CONTEXTS:
-            raise WordError(f"unknown context {self.context!r}")
-        allowed = set(_GENERATOR_MAPS[self.context])
-        for letter in self.letters:
-            if letter not in allowed:
+
+class GroupWord(_Word):
+    """A word in the generators of one context, checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: tuple[str, ...], context: str) -> GroupWord:
+        if context not in CONTEXTS:
+            raise WordError(f"unknown context {context!r}")
+        for letter in letters:
+            if letter not in _GENERATOR_MAPS[context]:
                 raise WordError(
-                    f"letter {letter!r} not a generator in context {self.context}"
+                    f"letter {letter!r} not a generator in context {context}"
                 )
+        return super().__new__(cls, letters, context)
 
     def __str__(self) -> str:
         return " ".join(self.letters) if self.letters else "(empty)"
@@ -152,8 +156,7 @@ def parameter_action(word: GroupWord) -> ParameterAction:
     return _compose(word.letters, word.context, calibrate_convention())
 
 
-@dataclass(frozen=True)
-class TranslationShift:
+class TranslationShift(NamedTuple):
     vector: Vec3
     eta_sign: int
     indep_sign: int
@@ -171,8 +174,7 @@ def translation_shift(word: GroupWord) -> Optional[TranslationShift]:
 # -- exact point actions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     """Exact rational point: state values, parameters, eta, independent var."""
 
     state: Mapping[str, Fraction]

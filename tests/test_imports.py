@@ -48,6 +48,14 @@ def test_setup_loads_only_ring_syntax_models_and_weyl():
     ]
 
 
+def test_setup_loads_neither_dataclasses_nor_inspect():
+    # the registry and Weyl records are NamedTuples: dataclasses would pull
+    # in inspect, ast, dis and tokenize, and exec code for every class
+    loaded = _run('print(json.dumps([m for m in ("dataclasses", "inspect") '
+                  'if m in sys.modules]))')
+    assert loaded == []
+
+
 def test_star_import_binds_each_export_from_its_home_module():
     homes = _run("""
 ns = {}

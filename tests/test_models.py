@@ -9,15 +9,22 @@ import pytest
 
 from painleve_d32 import models
 from painleve_d32.models import (
+    BirationalMap,
     UnknownModelError,
     dump_models,
     load_integral,
     load_map,
     load_model,
     load_particular_solution,
-    reserialize_dump,
 )
-from painleve_d32.ring import RatExpr, has_relation_symbols, substitute, syms
+from painleve_d32.ring import (
+    RatExpr,
+    SymbolTable,
+    has_relation_symbols,
+    substitute,
+    syms,
+)
+from painleve_d32.syntax import parse_expr, render_ratexpr
 
 GOLDEN = Path(__file__).parent / "golden_models.txt"
 
@@ -220,6 +227,39 @@ def test_solution_bindings_cover_states():
         assert set(target.state) <= set(sol.bindings)
 
 
+def _parse_symbols(line: str) -> SymbolTable:
+    entries = []
+    for chunk in line.split():
+        name, kind = chunk.split(":")
+        entries.append((name, kind))
+    return SymbolTable(entries)
+
+
+def reserialize_dump(text: str) -> str:
+    """Parse a registry dump and re-render it.
+
+    Every expression line is parsed against the table declared in its block
+    and rendered back; non-expression lines are echoed.  The result must be
+    byte-identical to the input for a well-formed dump.
+    """
+    out: list[str] = []
+    table = None
+    expr_prefixes = ("rhs ", "vars ", "binding ", "rule ", "param ",
+                     "hamiltonian: ", "expr: ")
+    for line in text.splitlines():
+        if line.startswith("symbols: "):
+            table = _parse_symbols(line[len("symbols: "):])
+            out.append(line)
+            continue
+        if any(line.startswith(p) for p in expr_prefixes):
+            head, expr_text = line.split(": ", 1)
+            assert table is not None, "expression line before symbols line"
+            out.append(f"{head}: {render_ratexpr(parse_expr(expr_text, table))}")
+            continue
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
 def test_dump_roundtrip_bit_exact():
     text = dump_models()
     assert reserialize_dump(text) == text
@@ -227,3 +267,28 @@ def test_dump_roundtrip_bit_exact():
 
 def test_dump_matches_golden():
     assert dump_models() == GOLDEN.read_text()
+
+
+def test_records_are_immutable():
+    ham = load_model("ham_4d")
+    s0 = load_map("s0_5d")
+    for record in (ham.hamiltonian, ham, s0.action, s0, load_integral("ywq"),
+                   load_particular_solution("rest_wq_zero")):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_mapping_defaults_are_not_shared_mutable_dicts():
+    s0 = load_map("s0_5d")
+    first, second = (BirationalMap(*s0[:8]) for _ in range(2))
+    zero = RatExpr.const(s0.table, 0)
+    for m in (first, second):
+        for default in (m.eliminated, m.rules):
+            with pytest.raises(TypeError):
+                default["y"] = zero
+    assert first.eliminated == second.eliminated == first.rules == {}
+    solution = load_particular_solution("linear_xz_sol")
+    with pytest.raises(TypeError):
+        solution.param_bindings["alpha0"] = zero
+    assert solution.param_bindings == {}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib.util
 import itertools
 import random
@@ -364,8 +363,8 @@ def test_layer_trace_hooks_exist(monkeypatch):
             point = draw(rng, context)
             if next(draws) % 2:
                 zero = Fraction(0)
-                point = dataclasses.replace(
-                    point, state=dict.fromkeys(point.state, zero), indep=zero
+                point = point._replace(
+                    state=dict.fromkeys(point.state, zero), indep=zero
                 )
             return point
 

@@ -7,7 +7,6 @@ shares no code with the exact kernel.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -137,7 +136,7 @@ def _golden_lines() -> list[str]:
         for letter in letters:
             action = weyl.parameter_action(weyl.parse_word(letter, context))
             lines.append(json.dumps(
-                {"context": context, "letter": letter, **dataclasses.asdict(action)}
+                {"context": context, "letter": letter, **action._asdict()}
             ))
     return lines
 
@@ -364,7 +363,7 @@ def test_reduction(monkeypatch):
     # variable, y = w*q instead of y = w*q + s, must fail
     red = load_map("reduce_5d_4d")
     w, q = syms(red.table, "w q")
-    mutant = dataclasses.replace(red, eliminated={"y": w * q})
+    mutant = red._replace(eliminated={"y": w * q})
     monkeypatch.setattr(verify, "load_map", lambda map_id, variant="printed": mutant)
     report = check_reduction_5d_to_4d("reduce_5d_4d")
     assert not report.passed
@@ -452,8 +451,7 @@ def test_particular_solution_may_depend_on_time(monkeypatch, slope, residual):
     # at alpha2 = 0, x' = 1/2 is solved by x = t/2 + C1 and not by x = t + C1
     base = verify.load_particular_solution("linear_xz_sol")
     t, C1, C2, E2, a0, eta = syms(base.table, "t C1 C2 E2 alpha0 eta")
-    sol = dataclasses.replace(
-        base,
+    sol = base._replace(
         id="linear_xz_t",
         bindings={"x": slope * t + C1, "z": C2 * E2 + eta / (2 * a0)},
         rules={"E2": a0 * E2},
@@ -470,7 +468,7 @@ def test_rest_wq_zero_solves_five_dim_for_every_alpha1(monkeypatch):
     # vanish whatever alpha1 is, so the binding alpha1 = 0 is not needed
     sol = verify.load_particular_solution("rest_wq_zero")
     assert set(sol.param_bindings) == {"alpha1"}
-    free = dataclasses.replace(sol, param_bindings={})
+    free = sol._replace(param_bindings={})
     monkeypatch.setattr(verify, "load_particular_solution", lambda solution_id: free)
     assert check_particular_solution("rest_wq_zero").passed
 

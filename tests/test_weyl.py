@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from painleve_d32 import weyl
+from painleve_d32.models import ParameterAction
 from painleve_d32.ring import SingularPointError
 from painleve_d32.weyl import (
     GroupWord,
@@ -60,7 +61,7 @@ def test_single_generator_matrix_examples():
     assert s0.eta_sign == -1 and s0.indep_sign == +1
     assert s0.offset == (0, 0, 0)
     # involution at matrix level
-    assert s0.then(s0).is_identity()
+    assert s0.then(s0) == ParameterAction.identity(3)
     s0_4d = parameter_action(parse_word("s0", "th2"))
     assert s0_4d.eta_sign == +1 and s0_4d.indep_sign == -1
 
@@ -70,7 +71,7 @@ def test_braid_power_matrices():
     sq = weyl._compose(("s0", "s1") * 2, "th1", "left-to-right")
     assert sq.matrix == ((-1, 0, 0), (0, -1, 0), (2, 2, 1))
     quad = weyl._compose(("s0", "s1") * 4, "th1", "left-to-right")
-    assert quad.is_identity()
+    assert quad == ParameterAction.identity(3)
 
 
 def test_word_context_validation():
@@ -78,6 +79,25 @@ def test_word_context_validation():
         parse_word("s0 pi", "th1")
     with pytest.raises(WordError):
         parse_word("s3", "th1")
+
+
+def test_direct_word_construction_is_validated():
+    with pytest.raises(WordError, match="'s3' not a generator"):
+        GroupWord(("s3",), "th1")
+    with pytest.raises(WordError, match="unknown context 'th9'"):
+        GroupWord(("s0",), "th9")
+    assert GroupWord(letters=("pi",), context="th2") == parse_word("pi")
+
+
+def test_records_are_immutable():
+    word = parse_word("s1 s2 s1 s0")
+    point = random_point(random.Random(1), "th1")
+    for record in (word, translation_shift(word), point):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
     assert parse_word("pi", "th2").letters == ("pi",)
     assert parse_word("π", "th2").letters == ("pi",)
     # without a context, a word that uses pi lives in th2
@@ -232,7 +252,7 @@ def test_parameter_and_map_level_verdicts_consistent():
     rng = random.Random(3)
     word = parse_word("s1 s1", "th1")
     action = parameter_action(word)
-    assert action.is_identity()
+    assert action == ParameterAction.identity(3)
     for _ in range(5):
         point = random_point(rng, "th1")
         try:
