@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import models, verify, weyl
@@ -56,9 +57,7 @@ def cmd_verify(args) -> int:
     if not reports:
         print(f"no checks match map {args.map_id!r}", file=sys.stderr)
         return EXIT_USAGE
-    for r in reports:
-        if r.seed is None:
-            r.seed = args.seed
+    reports = [r if r.seed is not None else replace(r, seed=args.seed) for r in reports]
     return _emit_reports(reports, args.format, args.out)
 
 

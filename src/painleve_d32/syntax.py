@@ -1,18 +1,15 @@
-"""Canonical infix rendering and parsing of exact expressions.
+"""Canonical infix rendering of exact expressions.
 
 The rendered form is deterministic: polynomial terms appear in descending
 graded-lexicographic order, symbols in table order inside each monomial,
 rational coefficients as ``p/q``, powers with ``^``.  A quotient renders as
-``(num)/(den)``.  ``parse_expr`` inverts ``render_ratexpr`` for any table
-containing the mentioned symbols, so model dumps round-trip bit-exactly.
+``(num)/(den)``.  The program only writes this text (reports and model
+dumps) and never reads it back.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator
-
-from .ring import Poly, RatExpr, SymbolTable
+from .ring import Poly, RatExpr
 
 
 def render_poly(p: Poly) -> str:
@@ -45,128 +42,3 @@ def render_ratexpr(e: RatExpr) -> str:
         return render_poly(e.num)
     return f"({render_poly(e.num)})/({render_poly(e.den)})"
 
-
-# -- parser ---------------------------------------------------------------------
-
-
-class ExprSyntaxError(ValueError):
-    pass
-
-
-def _tokens(text: str) -> Iterator[tuple[str, str]]:
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            yield ("op", ch)
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield ("int", text[i:j])
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("name", text[i:j])
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r} in expression")
-    yield ("end", "")
-
-
-class _Parser:
-    def __init__(self, text: str, table: SymbolTable):
-        self.toks = list(_tokens(text))
-        self.pos = 0
-        self.table = table
-
-    def peek(self) -> tuple[str, str]:
-        return self.toks[self.pos]
-
-    def take(self) -> tuple[str, str]:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        kind, v = self.take()
-        if v != value:
-            raise ExprSyntaxError(f"expected {value!r}, found {v!r}")
-
-    def parse(self) -> RatExpr:
-        e = self.expr()
-        kind, v = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"trailing input at {v!r}")
-        return e
-
-    def expr(self) -> RatExpr:
-        left = self.term()
-        while True:
-            kind, v = self.peek()
-            if kind == "op" and v in "+-":
-                self.take()
-                right = self.term()
-                left = left + right if v == "+" else left - right
-            else:
-                return left
-
-    def term(self) -> RatExpr:
-        left = self.factor()
-        while True:
-            kind, v = self.peek()
-            if kind == "op" and v in "*/":
-                self.take()
-                right = self.factor()
-                left = left * right if v == "*" else left / right
-            else:
-                return left
-
-    def factor(self) -> RatExpr:
-        kind, v = self.peek()
-        if kind == "op" and v == "-":
-            self.take()
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> RatExpr:
-        base = self.atom()
-        kind, v = self.peek()
-        if kind == "op" and v == "^":
-            self.take()
-            nkind, nv = self.take()
-            neg = False
-            if nkind == "op" and nv == "-":
-                neg = True
-                nkind, nv = self.take()
-            if nkind != "int":
-                raise ExprSyntaxError("exponent must be an integer")
-            exp = int(nv)
-            return base ** (-exp if neg else exp)
-        return base
-
-    def atom(self) -> RatExpr:
-        kind, v = self.take()
-        if kind == "int":
-            return RatExpr.const(self.table, Fraction(int(v)))
-        if kind == "name":
-            return RatExpr.sym(self.table, v)
-        if kind == "op" and v == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ExprSyntaxError(f"unexpected token {v!r}")
-
-
-def parse_expr(text: str, table: SymbolTable) -> RatExpr:
-    """Parse the canonical infix syntax into a rational expression."""
-    return _Parser(text, table).parse()

@@ -65,12 +65,15 @@ WITNESS_ATTEMPTS = 400
 RANK_SEED = 0xD32
 RANK_PRIME = 2**61 - 1
 
+# the largest ansatz a first-integral search builds
+MONOMIAL_CAP = 4000
+
 
 class CapacityError(Exception):
     """A search bound exceeded the configured monomial cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Structured outcome of one identity check."""
 
@@ -318,6 +321,23 @@ def _chart_corrections(
     return corrections
 
 
+def _principal_part(e: RatExpr) -> RatExpr:
+    """The part of ``e`` that is no polynomial, on the parameter normalization.
+
+    Over a monomial denominator m it is the numerator terms m does not
+    divide, over m; over a denominator of several terms it is all of ``e``.
+    Zero exactly when ``e`` is a polynomial.
+    """
+    if e.den.is_const:
+        return RatExpr(Poly.zero(e.table))
+    e = RatExpr(reduce_relation(e.num), e.den)
+    (low, _), *rest = e.den.terms
+    if rest:
+        return e
+    kept = {m: c for m, c in e.num.terms if any(a < b for a, b in zip(m, low))}
+    return RatExpr(Poly(e.table, kept), e.den)
+
+
 def check_chart(
     system_id: str, chart_id: str, variant: str = "printed"
 ) -> VerificationReport:
@@ -325,7 +345,8 @@ def check_chart(
 
     (a) negating the corrections inverts the chart exactly, (b) the Jacobian
     determinant is 1, and (c) the vector field written in chart coordinates
-    has an exactly polynomial right-hand side on the parameter normalization.
+    has an exactly polynomial right-hand side on the parameter normalization:
+    the residual ``polynomial:<state>`` is the component's principal part.
     """
     bmap = load_map(chart_id, variant)
     if bmap.source != system_id:
@@ -352,26 +373,16 @@ def check_chart(
         entries.append(("jacobian", jac - 1))
 
         flow = sys_obj.flow()
-        poly_labels: list[tuple[str, str]] = []
-        poly_ok = True
-        for name in sys_obj.state:
-            transported = differentiate(bmap.var_map[name], flow)
-            in_chart = substitute(transported, inverse)
-            num = reduce_relation(in_chart.num)
-            quotient = exact_polynomial_quotient(num, in_chart.den)
-            if quotient is None:
-                poly_ok = False
-                poly_labels.append(
-                    (f"polynomial:{name}", render_ratexpr(RatExpr(num, in_chart.den)))
-                )
-            else:
-                poly_labels.append((f"polynomial:{name}", "zero"))
-    report = _finish(check_id, entries, tm)
-    report.residuals.extend(poly_labels)
-    if not poly_ok:
-        report.status = "fail"
-        report.detail = (report.detail + " non-polynomial rhs in chart").strip()
-    return report
+        principal = [
+            (f"polynomial:{name}",
+             _principal_part(substitute(differentiate(bmap.var_map[name], flow), inverse)))
+            for name in sys_obj.state
+        ]
+    polynomial = all(part.is_zero for _, part in principal)
+    return _finish(
+        check_id, entries + principal, tm,
+        detail="" if polynomial else "non-polynomial rhs in chart",
+    )
 
 
 # -- Hamiltonian structure ----------------------------------------------------------
@@ -487,7 +498,7 @@ def check_invariant_divisor() -> VerificationReport:
         num_zero = substitute_poly(f_y.num, {"alpha1": 0}).as_poly()
         y_poly = Poly.var(T5, "y")
         quotient = exact_polynomial_quotient(num_zero, y_poly)
-        x, z, w, q = syms(T5, "x z w q")
+        x, z, w, q, a1 = syms(T5, "x z w q alpha1")
         expected_quotient = (x * w + z * q - 1).num
         entries: list[tuple[str, RatExpr]] = []
         if quotient is None:
@@ -496,8 +507,6 @@ def check_invariant_divisor() -> VerificationReport:
             entries.append(
                 ("alpha1_zero_divisible", RatExpr(quotient - expected_quotient))
             )
-        free_quotient = exact_polynomial_quotient(f_y.num, y_poly)
-        free_ok = free_quotient is None
         for name in reduced.state:
             restricted = substitute(five.rhs[name], {"y": 0, "alpha1": 0})
             expected = substitute(
@@ -506,16 +515,12 @@ def check_invariant_divisor() -> VerificationReport:
                 table=T5,
             )
             entries.append((f"restriction:{name}", restricted - expected))
-    report = _finish("invariant_divisor", entries, tm)
-    label = "alpha1_free_not_divisible"
-    if free_ok:
-        report.residuals.append((label, "zero"))
-    else:
-        report.residuals.append((label, "unexpectedly divisible"))
-        report.status = "fail"
-    if quotient is not None:
-        report.detail = f"quotient {render_poly(quotient)}"
-    return report
+        # f_y = alpha1*w*q mod y, so y divides f_y only where alpha1 = 0
+        entries.append(
+            ("alpha1_free_not_divisible", substitute(f_y, {"y": 0}) - a1 * w * q)
+        )
+    detail = "" if quotient is None else f"quotient {render_poly(quotient)}"
+    return _finish("invariant_divisor", entries, tm, detail)
 
 
 # -- dispute resolution ------------------------------------------------------------------
@@ -1091,7 +1096,6 @@ def first_integral_search(
     state_degree_bound: int,
     indep_degree_bound: int,
     lambda_candidates: Iterable[Fraction],
-    monomial_cap: int = 4000,
 ) -> list[FirstIntegral]:
     """Exhaustive search for polynomial quasi-integrals D(P) = lambda*P.
 
@@ -1112,7 +1116,7 @@ def first_integral_search(
     the polynomial cells, whose rows replay both sets of pivots mod p and
     are then plugged back in.  A bound below its minimum, and an empty or
     repeated list of eigenvalues, raise ValueError; an ansatz larger than
-    ``monomial_cap`` raises CapacityError before any monomial is built.
+    :data:`MONOMIAL_CAP` raises CapacityError before any monomial is built.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")
@@ -1128,8 +1132,8 @@ def first_integral_search(
     count = math.comb(len(sys_obj.state) + state_degree_bound, state_degree_bound) * (
         indep_degree_bound + 1
     )
-    if count > monomial_cap:
-        raise CapacityError(f"{count} ansatz monomials exceed the cap of {monomial_cap}")
+    if count > MONOMIAL_CAP:
+        raise CapacityError(f"{count} ansatz monomials exceed the cap of {MONOMIAL_CAP}")
     monos = _state_indep_monomials(
         table, sys_obj.state, sys_obj.indep, state_degree_bound, indep_degree_bound
     )

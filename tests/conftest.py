@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random polynomial/expression generators."""
+"""Shared helpers: seeded random polynomial/expression generators and the
+sympy oracle for exact expressions and their rendered text."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 from painleve_d32.ring import Poly, RatExpr, SymbolTable
 
@@ -40,3 +43,31 @@ def random_ratexpr(rng: random.Random, table: SymbolTable) -> RatExpr:
         random_poly(rng, table, max_terms=3, max_exp=1),
         random_nonzero_poly(rng, table, max_terms=2, max_exp=1),
     )
+
+
+def sympy_of(e, names):
+    """A Poly or RatExpr rebuilt in sympy term by term, ``names`` the sympy
+    symbols of its table in table order."""
+    def poly(p):
+        return sum(
+            (sp.Rational(c.numerator, c.denominator)
+             * sp.Mul(*(names[i] ** k for i, k in enumerate(mono) if k))
+             for mono, c in p.terms),
+            sp.Integer(0),
+        )
+
+    return poly(e.num) / poly(e.den) if isinstance(e, RatExpr) else poly(e)
+
+
+def sympy_read(text: str, names) -> sp.Expr:
+    """Rendered text read by sympy's parser, ``^`` as a power.
+
+    Every name of the table is a plain symbol (so ``E`` is no constant), and
+    a name outside it fails the read.
+    """
+    local = {n: sp.Symbol(n) for n in names}
+    expr = parse_expr(
+        text, local_dict=local, transformations=standard_transformations + (convert_xor,)
+    )
+    assert expr.free_symbols <= set(local.values()), text
+    return expr

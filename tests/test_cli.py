@@ -32,6 +32,11 @@ def test_verify_records_format(capsys):
     }
     assert all(r["status"] == "pass" for r in records)
     assert all("millis" in r for r in records)
+    # the seed of the witness search is filled in where a check left none
+    assert {r["seed"] for r in records} == {verify.WITNESS_SEED}
+    assert main(["verify", "integrals", "--format", "records", "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert {json.loads(l)["seed"] for l in lines} == {5}
 
 
 def test_verify_printed_variant_fails(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 from painleve_d32 import models
 from painleve_d32.models import (
@@ -19,12 +20,12 @@ from painleve_d32.models import (
 )
 from painleve_d32.ring import (
     RatExpr,
-    SymbolTable,
     has_relation_symbols,
     substitute,
     syms,
 )
-from painleve_d32.syntax import parse_expr, render_ratexpr
+
+from conftest import sympy_of, sympy_read
 
 GOLDEN = Path(__file__).parent / "golden_models.txt"
 
@@ -227,42 +228,50 @@ def test_solution_bindings_cover_states():
         assert set(target.state) <= set(sol.bindings)
 
 
-def _parse_symbols(line: str) -> SymbolTable:
-    entries = []
-    for chunk in line.split():
-        name, kind = chunk.split(":")
-        entries.append((name, kind))
-    return SymbolTable(entries)
-
-
-def reserialize_dump(text: str) -> str:
-    """Parse a registry dump and re-render it.
-
-    Every expression line is parsed against the table declared in its block
-    and rendered back; non-expression lines are echoed.  The result must be
-    byte-identical to the input for a well-formed dump.
-    """
-    out: list[str] = []
-    table = None
-    expr_prefixes = ("rhs ", "vars ", "binding ", "rule ", "param ",
-                     "hamiltonian: ", "expr: ")
+def _dump_expressions(text: str):
+    """(expression text, table names, registry object) for every expression
+    line of a registry dump, the object looked up from the block and line
+    heads."""
+    block = names = None
     for line in text.splitlines():
-        if line.startswith("symbols: "):
-            table = _parse_symbols(line[len("symbols: "):])
-            out.append(line)
-            continue
-        if any(line.startswith(p) for p in expr_prefixes):
+        if line.startswith("["):
+            block = line.strip("[]").split()
+        elif line.startswith("symbols: "):
+            names = [chunk.split(":")[0] for chunk in line[len("symbols: "):].split()]
+        elif ": " in line:
             head, expr_text = line.split(": ", 1)
-            assert table is not None, "expression line before symbols line"
-            out.append(f"{head}: {render_ratexpr(parse_expr(expr_text, table))}")
-            continue
-        out.append(line)
-    return "\n".join(out) + "\n"
+            kind, field = block[0], head.split()
+            if kind == "system" and field[0] == "rhs":
+                obj = load_model(block[1]).rhs[field[1]]
+            elif kind == "system" and field[0] == "hamiltonian":
+                obj = load_model(block[1]).hamiltonian.expr
+            elif kind == "map" and field[0] == "vars":
+                variant = block[2].removeprefix("variant=")
+                obj = load_map(block[1], variant).var_map[field[1]]
+            elif kind == "integral" and field[0] == "expr":
+                obj = load_integral(block[1]).expr
+            elif kind == "solution" and field[0] in ("binding", "rule", "param"):
+                sol = load_particular_solution(block[1])
+                part = {"binding": sol.bindings, "rule": sol.rules,
+                        "param": sol.param_bindings}[field[0]]
+                obj = part[field[1]]
+            else:
+                continue
+            yield expr_text, names, obj
 
 
-def test_dump_roundtrip_bit_exact():
-    text = dump_models()
-    assert reserialize_dump(text) == text
+def test_dump_reads_back_in_sympy():
+    # every expression of the dump means, to sympy's parser, the function
+    # the registry object rebuilt term by term gives; the golden file below
+    # pins the text itself
+    count = 0
+    for text, names, obj in _dump_expressions(dump_models()):
+        assert list(obj.table.symbols) == names, text
+        symbols = [sp.Symbol(n) for n in names]
+        read = sympy_read(text, names)
+        assert sp.expand(sp.numer(sp.together(read - sympy_of(obj, symbols)))) == 0, text
+        count += 1
+    assert count == 127
 
 
 def test_dump_matches_golden():

@@ -7,6 +7,7 @@ shares no code with the exact kernel.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from conftest import random_ratexpr
+from conftest import random_ratexpr, sympy_of, sympy_read
 from painleve_d32 import models, verify, weyl
 from painleve_d32.models import (
     SYSTEM_IDS,
@@ -156,6 +157,12 @@ def test_reports_are_idempotent():
     assert a == b
 
 
+def test_reports_are_frozen():
+    report = check_invariant_divisor()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.status = "fail"
+
+
 # -- degree -------------------------------------------------------------------------------
 
 
@@ -290,7 +297,31 @@ def test_charts():
     assert check_chart("five_dim", "chart2", "corrected").passed
     report = check_chart("five_dim", "chart2", "printed")
     assert not report.passed
-    assert "non-polynomial" in report.detail
+    assert report.detail == "non-polynomial rhs in chart"
+    # the failing principal parts are searched for a witness on the normalization
+    point = report.witness_point
+    assert point is not None
+    assert point["alpha0"] + point["alpha1"] + point["alpha2"] == 1
+    # both principal-part numerators carry the s2_5d misprint factor
+    # alpha0 - alpha2, and the other components are polynomial
+    T = load_model("five_dim").table
+    a0, a2 = sp.symbols("alpha0 alpha2")
+    failing = {label: text for label, text in report.residuals if text != "zero"}
+    assert sorted(failing) == ["polynomial:w", "polynomial:y"]
+    for text in failing.values():
+        read = sympy_read(text, T.symbols)
+        assert read != 0 and sp.expand(read.subs(a2, a0)) == 0, text
+
+
+def test_principal_part_is_what_no_polynomial_absorbs():
+    T = SymbolTable([("x", "state"), ("y", "state")])
+    x, y = syms(T, "x y")
+    assert verify._principal_part((x**2 * y + y + x) / x).equals(y / x)
+    assert verify._principal_part((x**2 * y + y) / x**2).equals(y / x**2)
+    assert verify._principal_part(x**2 * y + 3).is_zero
+    # over a denominator of several terms it is all of the expression
+    assert verify._principal_part(x / (x + y)).equals(x / (x + y))
+    assert verify._principal_part((x**2 - y**2) / (x + y)).is_zero
 
 
 def test_chart_fields_equal_transformed_family():
@@ -395,7 +426,7 @@ def test_second_order_forms_match_a_sympy_elimination(source_id, target_id, posi
     source, target = load_model(source_id), load_model(target_id)
     sym = sp.Symbol
     rhs = {
-        sym(n): _sympy_of(r, [sym(m) for m in source.table.symbols])
+        sym(n): sympy_of(r, [sym(m) for m in source.table.symbols])
         for n, r in source.rhs.items()
     }
     rhs[sym(source.indep)] = sp.Integer(1)
@@ -410,7 +441,7 @@ def test_second_order_forms_match_a_sympy_elimination(source_id, target_id, posi
         relation = {sym("alpha1"): 1 - sym("alpha0") - sym("alpha2")}
     for pos, (_, _, vel) in positions.items():
         second = sum(sp.diff(rhs[sym(pos)], v) * f for v, f in rhs.items())
-        stored = _sympy_of(
+        stored = sympy_of(
             target.rhs[vel], [sym(m) for m in target.table.symbols]
         ).subs(rename, simultaneous=True)
         residual = (second.subs(solved[0]) - stored).subs(relation)
@@ -476,7 +507,8 @@ def test_rest_wq_zero_solves_five_dim_for_every_alpha1(monkeypatch):
 def test_invariant_divisor():
     report = check_invariant_divisor()
     assert report.passed
-    assert "x*w + z*q - 1" in report.detail
+    assert report.detail == "quotient x*w + z*q - 1"
+    assert report.residuals[-1] == ("alpha1_free_not_divisible", "zero")
 
 
 # -- the search oracle ----------------------------------------------------------------------------
@@ -510,13 +542,12 @@ def test_search_cross_check_against_integral_checker():
         ).passed
 
 
-def test_search_guards():
+def test_search_guards(monkeypatch):
     with pytest.raises(ValueError):
         first_integral_search("five_dim", 0, 0, (Fraction(0),))
+    monkeypatch.setattr(verify, "MONOMIAL_CAP", 50)
     with pytest.raises(CapacityError):
-        first_integral_search(
-            "ham_4d", 6, 4, (Fraction(0),), monomial_cap=50
-        )
+        first_integral_search("ham_4d", 6, 4, (Fraction(0),))
     # each of these would otherwise read as a certified empty search or
     # return the same integral twice
     with pytest.raises(ValueError):
@@ -532,14 +563,17 @@ def test_search_cap_counts_the_ansatz_before_building_it(monkeypatch):
     sys_obj = load_model("five_dim")
     monos = verify._state_indep_monomials(sys_obj.table, sys_obj.state, sys_obj.indep, 2, 1)
     assert len(monos) == 42
-    assert first_integral_search("five_dim", 2, 1, (Fraction(-1),), monomial_cap=42)
+    monkeypatch.setattr(verify, "MONOMIAL_CAP", 42)
+    assert first_integral_search("five_dim", 2, 1, (Fraction(-1),))
+    monkeypatch.setattr(verify, "MONOMIAL_CAP", 41)
     with pytest.raises(CapacityError, match="^42 ansatz monomials exceed the cap of 41"):
-        first_integral_search("five_dim", 2, 1, (Fraction(-1),), monomial_cap=41)
+        first_integral_search("five_dim", 2, 1, (Fraction(-1),))
 
     def refuse(*args):
         raise AssertionError("ansatz built before the cap was checked")
 
     # (40, 10) would be C(45, 5)*11 = 13 439 349 monomials
+    monkeypatch.undo()
     monkeypatch.setattr(verify, "_state_indep_monomials", refuse)
     with pytest.raises(CapacityError, match="^13439349 ansatz monomials"):
         first_integral_search("five_dim", 40, 10, (Fraction(0),))
@@ -1018,19 +1052,6 @@ def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bo
         ]
 
 
-def _sympy_of(e, names):
-    """A Poly or RatExpr rebuilt in sympy term by term."""
-    def poly(p):
-        return sum(
-            (sp.Rational(c.numerator, c.denominator)
-             * sp.Mul(*(names[i] ** k for i, k in enumerate(mono) if k))
-             for mono, c in p.terms),
-            sp.Integer(0),
-        )
-
-    return poly(e.num) / poly(e.den) if isinstance(e, RatExpr) else poly(e)
-
-
 @pytest.mark.parametrize(
     "system_id,state_bound,indep_bound,lam,count",
     [("five_dim", 3, 0, Fraction(-1), 1), ("K1_sys", 8, 3, Fraction(0), 2)],
@@ -1043,7 +1064,7 @@ def test_search_hits_satisfy_sympy_expansion(
     sys_obj = load_model(system_id)
     names = [sp.Symbol(n) for n in sys_obj.table.symbols]
     by_name = dict(zip(sys_obj.table.symbols, names))
-    rhs = {by_name[n]: _sympy_of(r, names) for n, r in sys_obj.rhs.items()}
+    rhs = {by_name[n]: sympy_of(r, names) for n, r in sys_obj.rhs.items()}
     rhs[by_name[sys_obj.indep]] = sp.Integer(1)
     relation = {}
     if system_id in NORMALIZED_SYSTEMS:
@@ -1051,7 +1072,7 @@ def test_search_hits_satisfy_sympy_expansion(
     found = first_integral_search(system_id, state_bound, indep_bound, (lam,))
     assert len(found) == count
     for integral in found:
-        P = _sympy_of(integral.expr, names)
+        P = sympy_of(integral.expr, names)
         residual = sum(sp.diff(P, v) * f for v, f in rhs.items()) - lam * P
         numerator = sp.numer(sp.together(residual.subs(relation)))
         assert sp.expand(numerator) == 0
