@@ -12,14 +12,16 @@ by the map's own ``action``.
 Every kernel is Python source generated from the exact expressions and
 compiled once per distinct text; parameters are default arguments bound per
 call.  Each vector field gets one whole Dormand-Prince step with its
-right-hand side inlined in every stage, and one finite-difference residual
-loop over all samples; each integral gets one kernel f(indep, state) from
-:func:`compile_ratexpr`.  Every map, the 5d -> 4d reduction included, takes
-one pushforward path: a kernel from the same sources loops over all samples
-and evaluates generators as exponentials.  The step is written out instead
-of looping over the tableau, but in the loop's summation order (see
-:func:`_step_body`), so trajectories are bit-identical to the per-symbol
-tableau loop.
+right-hand side inlined in every stage, for adaptive and grid mode; one
+loop of such steps that runs a whole fixed-step integration; and one
+finite-difference residual loop over all samples.  Each integral gets one
+kernel f(indep, state) from :func:`compile_ratexpr`.  Every map, the 5d ->
+4d reduction included, takes one pushforward path: a kernel from the same
+sources loops over all samples and evaluates generators as exponentials.
+The step is written out instead of looping over the tableau, but in the
+loop's summation order (see :func:`_dp_lines`), and a negative coefficient
+is rendered as a subtraction, which IEEE arithmetic gives bit for bit; so
+trajectories are bit-identical to the per-symbol tableau loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
@@ -122,17 +124,19 @@ def _strictly_monotone(times: Sequence[float]) -> bool:
 def _poly_source(p: Poly) -> str:
     if p.is_zero:
         return "0.0"
-    chunks = []
+    # (-c)*m is -(c*m) and a + -b is a - b exactly, so a negative coefficient
+    # is a subtraction, or a leading minus, and 1.0*x is x
+    text = ""
     for mono, coeff in p.terms:
-        # 1.0*x is x exactly, so a unit coefficient is left out
-        factors = [] if coeff == 1 and any(mono) else [repr(float(coeff))]
+        factors = [] if abs(coeff) == 1 and any(mono) else [repr(float(abs(coeff)))]
         for i, e in enumerate(mono):
             if not e:
                 continue
             name = p.table.symbols[i]
             factors.append(name if e == 1 else f"{name}**{e}")
-        chunks.append("*".join(factors))
-    return " + ".join(chunks)
+        sign = ("-" if coeff < 0 else "") if not text else (" - " if coeff < 0 else " + ")
+        text += sign + "*".join(factors)
+    return text
 
 
 def _source(expr: Union[RatExpr, Poly]) -> str:
@@ -237,42 +241,88 @@ def _stage_lines(k: str, sources: Sequence[str]) -> list[str]:
             "except OverflowError:", f"    {' = '.join(ks)} = _inf"]
 
 
-@cache
-def _step_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...]) -> str:
-    """Body of one embedded step ``(_u, _y, _h)`` -> (y5, error_inf, max_state_norm, stages).
+def _dp_lines(indep: str, state_names: tuple[str, ...],
+              sources: tuple[str, ...]) -> tuple[list[str], list[str], str]:
+    """Lines of one embedded step from ``_u``, ``_h`` and the state ``_y0, _y1, ...``.
+
+    Returns (setup, step, finite): ``setup`` binds the products h*a_ij once
+    per h, ``step`` computes the seven stages ``_k{s}_{i}``, the solution
+    ``_y5_{i}`` and the error estimate ``_err``, and ``finite`` is the test
+    that the error and every solution component are finite.
 
     The right-hand side is inlined in each of the seven stages.  Stage values
     add (h*a_ij)*k_j left to right, skipping zero weights; the solution is
     y + h*(0.0 + sum b_j*k_j), the order of ``sum`` on floats; the error
     estimate keeps all seven (b5_j - b4_j)*k_j terms and takes their maximum
-    as ``max`` does, so a NaN term is passed over.  A solution or error that
-    is not finite reads as an infinite error and norm.
+    as ``max`` does, so a NaN term is passed over.
     """
     n = range(len(state_names))
-    lines = [f"{''.join(f'_y{i}, ' for i in n)}= _y"]
-    lines += [f"_h{s}{j} = _h * {a!r}"
-              for s, row in enumerate(_DP_A, 1) for j, a in enumerate(row, 1) if a]
+    setup = [f"_h{s}{j} = _h * {a!r}"
+             for s, row in enumerate(_DP_A, 1) for j, a in enumerate(row, 1) if a]
+    step = []
     for s, (c, row) in enumerate(zip(_DP_C, _DP_A), 1):
-        lines.append(f"{indep} = _u + {c!r} * _h")
-        lines += [f"{name} = _y{i}" + "".join(
+        step.append(f"{indep} = _u + {c!r} * _h")
+        step += [f"{name} = _y{i}" + "".join(
             f" + _h{s}{j} * _k{j}_{i}" for j, a in enumerate(row, 1) if a)
             for i, name in zip(n, state_names)]
-        lines += _stage_lines(f"_k{s}_", sources)
-    lines += [f"_y5_{i} = _y{i} + _h * (0.0" + "".join(
+        step += _stage_lines(f"_k{s}_", sources)
+    step += [f"_y5_{i} = _y{i} + _h * (0.0" + "".join(
         f" + {b!r} * _k{j}_{i}" for j, b in enumerate(_DP_B5, 1) if b) + ")" for i in n]
-    lines.append("_err = 0.0")
+    step.append("_err = 0.0")
     for i in n:
-        lines.append("_e = abs(_h * (0.0" + "".join(
+        step.append("_e = abs(_h * (0.0" + "".join(
             f" + {b5 - b4!r} * _k{j}_{i}"
             for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4), 1)) + "))")
-        lines.append("if _e > _err: _err = _e")
-    lines.append(f"_y5 = [{', '.join(f'_y5_{i}' for i in n)}]")
-    lines.append("_k = [" + ", ".join(
-        f"[{', '.join(f'_k{s}_{i}' for i in n)}]" for s in range(1, 8)) + "]")
+        step.append("if _e > _err: _err = _e")
     # -inf < v < inf is math.isfinite(v) for a float
-    lines.append("if _err < _inf" + "".join(f" and -_inf < _y5_{i} < _inf" for i in n) + ":")
-    lines.append("    return _y5, _err, max(map(abs, _y5)), _k")
-    lines.append("return _y5, _inf, _inf, _k")
+    return setup, step, "_err < _inf" + "".join(f" and -_inf < _y5_{i} < _inf" for i in n)
+
+
+@cache
+def _step_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...]) -> str:
+    """Body of one embedded step ``(_u, _y, _h)`` -> (y5, error_inf, max_state_norm, stages).
+
+    See :func:`_dp_lines`.  A solution or error that is not finite reads as
+    an infinite error and norm.
+    """
+    n = range(len(state_names))
+    setup, step, finite = _dp_lines(indep, state_names, sources)
+    lines = [f"{''.join(f'_y{i}, ' for i in n)}= _y", *setup, *step,
+             f"_y5 = [{', '.join(f'_y5_{i}' for i in n)}]",
+             "_k = [" + ", ".join(
+                 f"[{', '.join(f'_k{s}_{i}' for i in n)}]" for s in range(1, 8)) + "]",
+             f"if {finite}:",
+             "    return _y5, _err, max(map(abs, _y5)), _k",
+             "return _y5, _inf, _inf, _k"]
+    return "".join(f"    {line}\n" for line in lines)
+
+
+@cache
+def _fixed_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...]) -> str:
+    """Body of a fixed-step run ``(_u0, _y, _h, _n, _times, _states)`` -> (steps, termination).
+
+    Up to ``_n`` steps of :func:`_dp_lines` in one loop, under the rules of
+    :func:`integrate_system`'s fixed mode: step i (from 1) ends at
+    u0 + i*h and is counted first; a solution or error that is not finite
+    stops the run as "blow_up" without its sample; otherwise the sample is
+    appended to ``_times`` and ``_states``, and a component above
+    ``BLOWUP_NORM`` in magnitude stops the run as "blow_up".
+    """
+    n = range(len(state_names))
+    setup, step, finite = _dp_lines(indep, state_names, sources)
+    ys = ", ".join(f"_y{i}" for i in n)
+    y5s = ", ".join(f"_y5_{i}" for i in n)
+    lines = [f"{ys}, = _y", "_u = _u0", *setup, "for _i in range(1, _n + 1):",
+             *(f"    {line}" for line in step),
+             "    _u = _u0 + _i * _h",
+             f"    if not ({finite}):",
+             "        return _i, 'blow_up'",
+             "    _times.append(_u)",
+             f"    _states.append([{y5s}])",
+             f"    if {' or '.join(f'abs(_y5_{i}) > {BLOWUP_NORM!r}' for i in n)}:",
+             "        return _i, 'blow_up'",
+             f"    {ys} = {y5s}",
+             "return _n, 'completed'"]
     return "".join(f"    {line}\n" for line in lines)
 
 
@@ -308,10 +358,11 @@ class _CompiledSystem:
     """Vector field compiled from the sources of its right-hand side.
 
     ``f(u, state)`` evaluates the right-hand side once; ``f.step(u, y, h)`` is
-    one whole Dormand-Prince step (:func:`_step_body`) and ``f.residual`` the
-    loop of :func:`dynamics_residual` (:func:`_residual_body`), each with the
+    one whole Dormand-Prince step (:func:`_step_body`), ``f.fixed`` a whole
+    fixed-step run (:func:`_fixed_body`) and ``f.residual`` the loop of
+    :func:`dynamics_residual` (:func:`_residual_body`), each with the
     right-hand side inlined.  ``evals`` counts the evaluations that
-    ``__call__`` and :func:`_rk_step` make.
+    ``__call__``, :func:`_rk_step` and :func:`_fixed_steps` make.
 
     No integrator path calls ``__call__`` or its ``_kernel``.  They stay
     because the benchmark's layer trace (``bench/layertrace.py``) wraps
@@ -346,6 +397,10 @@ class _CompiledSystem:
         return self._bind(["_u", "_y", "_h"], _step_body)
 
     @cached_property
+    def fixed(self) -> Callable:
+        return self._bind(["_u0", "_y", "_h", "_n", "_times", "_states"], _fixed_body)
+
+    @cached_property
     def residual(self) -> Callable:
         return self._bind(["_times", "_states", "_h"], _residual_body)
 
@@ -370,6 +425,14 @@ def _rk_step(
     """One embedded step: returns (y5, error_inf, max_state_norm, stages)."""
     f.evals += 7
     return f.step(u, y, h)
+
+
+def _fixed_steps(f: _CompiledSystem, u0: float, y: Sequence[float], h: float, n: int,
+                 times: list[float], states: list[list[float]]) -> tuple[int, str]:
+    """Up to ``n`` equal steps from (u0, y), appending samples: returns (steps, termination)."""
+    steps, termination = f.fixed(u0, y, h, n, times, states)
+    f.evals += 7 * steps
+    return steps, termination
 
 
 def _interpolant(u: float, h: float, y: list, y5: list, k: list) -> Callable:
@@ -484,19 +547,7 @@ def integrate_system(
         n = max(1, round(count))
         h = (u1 - u0) / n
         stats["h_min"] = stats["h_max"] = abs(h)
-        u = u0
-        for i in range(n):
-            y, _, norm, _ = _rk_step(f, u, y, h)
-            u = u0 + (i + 1) * h
-            stats["accepted"] += 1
-            if not math.isfinite(norm):
-                stats["termination"] = "blow_up"
-                break
-            times.append(u)
-            states.append(y)
-            if norm > BLOWUP_NORM:
-                stats["termination"] = "blow_up"
-                break
+        stats["accepted"], stats["termination"] = _fixed_steps(f, u0, y, h, n, times, states)
     elif mode == "grid":
         if grid is None or len(grid) < 2:
             raise UsageError("grid mode needs at least two sample times")

@@ -351,7 +351,8 @@ def test_integrate_overflowing_start_terminates(monkeypatch, capsys):
 ])
 def test_integrate_non_finite_input_exits_2(bad, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+    for seam in ("_rk_step", "_fixed_steps"):
+        monkeypatch.setattr(numeric, seam, lambda *args: calls.append(args))
     args = {"--params": FIVE_PARAMS, "--init": "0.4,0.8,-0.3,0.5,-0.2", "--span": "0,1"}
     args.update(zip(bad[::2], bad[1::2]))
     argv = ["integrate", "five_dim"] + [f"{k}={v}" for k, v in args.items()]

@@ -35,6 +35,7 @@ from painleve_d32.numeric import (
 
 PARAMS_5D = {"alpha0": 0.3, "alpha1": 0.25, "alpha2": 0.45, "eta": 0.7}
 INIT_5D = [0.4, 0.8, -0.3, 0.5, -0.2]
+BLOW_5D = [200.0, 5.0, -200.0, 300.0, -300.0]
 
 
 def test_closed_form_exponential_target():
@@ -254,19 +255,18 @@ def test_grid_on_adaptive_step_ends_reproduces_the_run():
 
 
 def test_every_step_goes_through_rk_step(monkeypatch):
-    # the benchmark's layer trace wraps _rk_step to count steps; the stages
-    # evaluate the right-hand side inline, so rhs_evals is the record of them
+    # the benchmark's layer trace wraps _rk_step to count adaptive and grid
+    # steps; the stages evaluate the right-hand side inline, so rhs_evals is
+    # the record of them
     steps = []
     rk_step = numeric._rk_step
     monkeypatch.setattr(numeric, "_rk_step", lambda *a: steps.append(a[3]) or rk_step(*a))
-    blow = [200.0, 5.0, -200.0, 300.0, -300.0]
     rejected = 0
     for init, span, kwargs in (
         (INIT_5D, (0.0, 1.0), {"tolerances": (1e-5, 1e-5)}),
-        (INIT_5D, (0.0, 1.0), {"mode": "fixed", "step": 1e-2}),
         (INIT_5D, (0.0, 1.0), {"mode": "grid", "grid": [i / 50 for i in range(51)]}),
-        (blow, (0.0, 10.0), {"tolerances": (1e-8, 1e-8)}),
-        (blow, (0.0, 10.0), {"mode": "grid", "grid": [i / 10 for i in range(101)]}),
+        (BLOW_5D, (0.0, 10.0), {"tolerances": (1e-8, 1e-8)}),
+        (BLOW_5D, (0.0, 10.0), {"mode": "grid", "grid": [i / 10 for i in range(101)]}),
     ):
         del steps[:]
         traj = integrate("five_dim", PARAMS_5D, init, span, **kwargs)
@@ -274,6 +274,25 @@ def test_every_step_goes_through_rk_step(monkeypatch):
         assert traj.rhs_evals == 7 * len(steps)
         rejected += traj.steps_rejected
     assert rejected > 0
+
+
+def test_every_fixed_step_goes_through_fixed_steps(monkeypatch):
+    # fixed mode runs the whole integration in one generated loop per system
+    runs = []
+    fixed_steps = numeric._fixed_steps
+    monkeypatch.setattr(numeric, "_rk_step", _no_step)
+    monkeypatch.setattr(numeric, "_fixed_steps",
+                        lambda *a: runs.append(fixed_steps(*a)) or runs[-1])
+    for init, span, step, termination in (
+        (INIT_5D, (0.0, 1.0), 1e-2, "completed"),
+        (BLOW_5D, (0.0, 1.0), 1e-4, "blow_up"),   # past BLOWUP_NORM
+        (OVERFLOW_5D, (0.0, 1.0), 1e-2, "blow_up"),  # a non-finite solution
+    ):
+        del runs[:]
+        traj = integrate("five_dim", PARAMS_5D, init, span, mode="fixed", step=step)
+        assert runs == [(traj.steps_accepted, traj.termination)]
+        assert traj.termination == termination
+        assert traj.rhs_evals == 7 * traj.steps_accepted > 0
 
 
 def test_ham_4d_domain_guard():
@@ -416,6 +435,19 @@ def test_fixed_mode_reports_its_step():
 OVERFLOW_5D = [1e3, 1.0, -1e3, 1e3, -1e3]
 
 
+def _no_step(*args):
+    raise AssertionError("a step was taken")
+
+
+@pytest.fixture
+def steps_taken(monkeypatch):
+    """Calls of either stepping seam, ``_rk_step`` or ``_fixed_steps``; neither steps."""
+    calls = []
+    for seam in ("_rk_step", "_fixed_steps"):
+        monkeypatch.setattr(numeric, seam, lambda *args: calls.append(args))
+    return calls
+
+
 def _budgeted(rk_step, calls):
     """``rk_step`` that fails, instead of hanging, after 10 000 steps."""
     def counted(*args):
@@ -456,22 +488,18 @@ def test_overflowing_trial_steps_shrink_h(step_budget):
     (INIT_5D, (0.0, 1.0), (1e-8, 1e-8), {}, {"mode": "fixed", "step": 5e-324}),
 ])
 def test_non_finite_input_is_refused_before_any_step(
-    monkeypatch, init, span, tolerances, params, kwargs
+    steps_taken, init, span, tolerances, params, kwargs
 ):
-    calls = []
-    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
     with pytest.raises(UsageError):
         integrate("five_dim", {**PARAMS_5D, **params}, init, span,
                   tolerances=tolerances, **kwargs)
-    assert calls == []
+    assert steps_taken == []
 
 
 @pytest.mark.parametrize("step", [1e-300, 1 / (numeric.MAX_FIXED_STEPS + 1)])
 def test_fixed_step_count_above_the_cap_is_refused_before_any_step(monkeypatch, step):
-    def no_step(*args):
-        raise AssertionError("a step was taken")
-
-    monkeypatch.setattr(numeric, "_rk_step", no_step)
+    monkeypatch.setattr(numeric, "_rk_step", _no_step)
+    monkeypatch.setattr(numeric, "_fixed_steps", _no_step)
     with pytest.raises(UsageError, match="more than the"):
         integrate("linear_xz", {"alpha0": 0.5, "alpha2": 0.5, "eta": 1.0}, [0.0, 1.0],
                   (0.0, 1.0), mode="fixed", step=step)
@@ -484,25 +512,39 @@ def test_fixed_step_count_above_the_cap_is_refused_before_any_step(monkeypatch, 
      [0.0, 1.0], {}),
 ])
 def test_inapplicable_arguments_are_refused_before_any_step(
-    monkeypatch, system_id, params, init, kwargs
+    steps_taken, system_id, params, init, kwargs
 ):
     # a step outside fixed mode, a grid outside grid mode, a parameter the
     # system does not have
-    calls = []
-    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
     with pytest.raises(UsageError):
         integrate(system_id, params, init, (0.0, 1.0), **kwargs)
-    assert calls == []
+    assert steps_taken == []
 
 
 # -- differential tests: the parent's per-symbol path as the reference -----------------
 
 
+def _parent_poly_source(p):
+    """The parent's rendering: every term added, a negative coefficient as -c*."""
+    if p.is_zero:
+        return "0.0"
+    chunks = []
+    for mono, coeff in p.terms:
+        factors = [] if coeff == 1 and any(mono) else [repr(float(coeff))]
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            name = p.table.symbols[i]
+            factors.append(name if e == 1 else f"{name}**{e}")
+        chunks.append("*".join(factors))
+    return " + ".join(chunks)
+
+
 def _parent_compile(expr):
     """One positional function of all table symbols per expression."""
-    num_src = numeric._poly_source(expr.num)
+    num_src = _parent_poly_source(expr.num)
     if not expr.den.is_const:
-        num_src = f"({num_src}) / ({numeric._poly_source(expr.den)})"
+        num_src = f"({num_src}) / ({_parent_poly_source(expr.den)})"
     namespace = {}
     exec(f"def _compiled({', '.join(expr.table.symbols)}):\n    return {num_src}\n",
          namespace)
@@ -552,6 +594,21 @@ def _parent_rk_step(f, u, y, h):
     if not all(map(math.isfinite, y5)) or not math.isfinite(err):
         return y5, math.inf, math.inf, k
     return y5, err, max(abs(v) for v in y5), k
+
+
+def _parent_fixed_steps(f, u0, y, h, n, times, states):
+    """The parent's fixed-mode loop: one ``numeric._rk_step`` call per step."""
+    u = u0
+    for i in range(n):
+        y, _, norm, _ = numeric._rk_step(f, u, y, h)
+        u = u0 + (i + 1) * h
+        if not math.isfinite(norm):
+            return i + 1, "blow_up"
+        times.append(u)
+        states.append(y)
+        if norm > numeric.BLOWUP_NORM:
+            return i + 1, "blow_up"
+    return n, "completed"
 
 
 def _parent_drift(traj, integral_id):
@@ -627,6 +684,7 @@ def _both_paths(monkeypatch, *args, **kwargs):
         fast = integrate(*args, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(numeric, "_rk_step", _budgeted(_parent_rk_step, []))
+        m.setattr(numeric, "_fixed_steps", _parent_fixed_steps)
         m.setattr(numeric, "_CompiledSystem", _ParentSystem)
         slow = integrate(*args, **kwargs)
     return fast, slow
@@ -766,6 +824,57 @@ def test_generated_step_overflows_like_the_per_symbol_step():
         assert err == norm == math.inf and k[stage] == [math.inf] * 5
 
 
+@st.composite
+def fixed_cases(draw):
+    system_id = draw(st.sampled_from(SYSTEM_IDS))
+    system = load_model(system_id)
+    params = _numeric_params(system, random.Random(draw(st.integers(0, 2**32 - 1))))
+    y = [draw(STATE_FLOATS) for _ in system.state]
+    # u + n*h stays >= 0.1: off the s = 0 locus of the 4d systems
+    return (system_id, params, draw(st.floats(0.5, 2.0)), y,
+            draw(st.floats(-0.008, 0.008)), draw(st.integers(1, 50)))
+
+
+def _fixed_outcome(fixed_steps, f, u0, y, h, n):
+    times, states = [u0], [y]
+    try:
+        result = fixed_steps(f, u0, y, h, n, times, states)
+    except ZeroDivisionError as exc:  # a state on a denominator's zero
+        # the run is refused, so its evaluation count is never read
+        return type(exc), repr((times, states))
+    return repr((result, times, states)), f.evals  # repr tells -0.0 from 0.0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fixed_cases())
+@example(("five_dim", PARAMS_5D, 0.0, OVERFLOW_5D, 1e-2, 50))
+@example(("five_dim", PARAMS_5D, 0.0, BLOW_5D, 1e-3, 50))
+@example(("five_dim", PARAMS_5D, 0.0, BLOW_5D, 1e-4, 50))
+def test_fixed_steps_equal_successive_rk_steps(case):
+    system_id, params, u0, y, h, n = case
+    system = load_model(system_id)
+    got = _fixed_outcome(numeric._fixed_steps, numeric._CompiledSystem(system, params),
+                         u0, y, h, n)
+    assert got == _fixed_outcome(_parent_fixed_steps,
+                                 numeric._CompiledSystem(system, params), u0, y, h, n)
+
+
+def test_fixed_steps_reach_every_blow_up_rule():
+    # the examples above end the first step on an infinite solution, on an
+    # infinite error estimate of a finite solution (neither sampled), and on a
+    # finite solution past BLOWUP_NORM (sampled)
+    for y, h, finite_y5, finite_err in ((OVERFLOW_5D, 1e-2, False, False),
+                                        (BLOW_5D, 1e-3, True, False),
+                                        (BLOW_5D, 1e-4, True, True)):
+        f = numeric._CompiledSystem(load_model("five_dim"), PARAMS_5D)
+        y5, err, norm, _ = numeric._rk_step(f, 0.0, y, h)
+        assert all(map(math.isfinite, y5)) == finite_y5 and (err < math.inf) == finite_err
+        times, states = [0.0], [y]
+        assert numeric._fixed_steps(f, 0.0, y, h, 50, times, states) == (1, "blow_up")
+        assert states == ([y, y5] if finite_err else [y]) and f.evals == 14
+    assert norm > numeric.BLOWUP_NORM
+
+
 def test_kernels_are_compiled_once_per_text(monkeypatch):
     other = {"alpha0": 0.2, "alpha1": 0.35, "alpha2": 0.45, "eta": -0.4}
     runs = [(PARAMS_5D, INIT_5D), (other, [0.1, 0.9, 0.3, -0.5, 0.2])]
@@ -786,7 +895,7 @@ def test_kernels_are_compiled_once_per_text(monkeypatch):
     monkeypatch.setattr(ring, "exec", lambda text, namespace: texts.append(text)
                         or exec(text, namespace), raising=False)
     assert [run(*runs[i % 2]) for i in range(4)] == fresh * 2
-    # the step, the drift integral, the residual loop and the map
+    # the fixed-step loop, the drift integral, the residual loop and the map
     assert len(texts) == len(set(texts)) == 4
 
 
