@@ -268,6 +268,11 @@ class Poly:
         return tuple((unpack(k), Fraction(c, den)) for k, c in self._coeffs.items())
 
     @property
+    def term_count(self) -> int:
+        """The number of nonzero terms, without building them."""
+        return len(self._coeffs)
+
+    @property
     def is_zero(self) -> bool:
         return not self._coeffs
 

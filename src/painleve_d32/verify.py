@@ -740,7 +740,7 @@ def _exact(e: _Exact) -> Optional[_Exact]:
 def _simplicity(e: _Exact) -> tuple[int, int]:
     # parameter-free entries first, then fewer terms
     if isinstance(e, RatExpr):
-        return 1, len(e.num.terms) + len(e.den.terms)
+        return 1, e.num.term_count + e.den.term_count
     return 0, 1
 
 
@@ -986,6 +986,44 @@ def _reducer(factor: list[tuple[int, int, dict]]) -> Callable[[dict], dict]:
     return reduce
 
 
+def _supports(
+    pivots: list[tuple[int, dict[int, int]]], free: Iterable[int]
+) -> list[set[int]]:
+    """The support of one kernel vector mod p per free column.
+
+    ``pivots`` are the (column, row) pairs of an elimination mod p in pivot
+    order, each row holding no column of an earlier pivot.  The vector of a
+    free column is one there and zero on the other free columns, and
+    back-substitution sets each pivot column from its row, the last pivot
+    first.  Only a pivot whose row holds a column already set can set a
+    nonzero, so those pivots alone are visited, latest first, from a heap.
+    """
+    p = RANK_PRIME
+    # column -> the negated indices of the pivots whose rows hold it, so the
+    # heap pops the latest pivot first
+    holders: dict[int, list[int]] = {}
+    for k, (_, row) in enumerate(pivots):
+        for j in row:
+            holders.setdefault(j, []).append(-k)
+    supports = []
+    for f in free:
+        vec = {f: 1}
+        heap = list(holders.get(f, ()))
+        queued = set(heap)
+        heapq.heapify(heap)
+        while heap:
+            c, row = pivots[-heapq.heappop(heap)]
+            # c is set by its own pivot alone, so it is not in vec yet
+            if total := sum(v * vec[j] for j, v in row.items() if j in vec) % p:
+                vec[c] = -total * pow(row[c], -1, p) % p
+                for k in holders[c]:
+                    if k not in queued:
+                        queued.add(k)
+                        heapq.heappush(heap, k)
+        supports.append(set(vec))
+    return supports
+
+
 class _Pencil:
     """C_p - lam*B_p with its eigenvalue-free rows eliminated once.
 
@@ -1014,16 +1052,17 @@ class _Pencil:
             (reduce(row(c_cells, key)), reduce(row(b_cells, key))) for key in self.pencil_keys
         ]
 
-    def pivots(self, lam_p: int) -> list[tuple[tuple, int]]:
-        """The pivots (row key, column) of C_p - lam*B_p at lambda's residue
-        ``lam_p``, the factor's then the pencil's."""
+    def pivots(self, lam_p: int) -> list[tuple[tuple, int, dict[int, int]]]:
+        """The pivots (row key, column, row) of C_p - lam*B_p at lambda's
+        residue ``lam_p``, the factor's then the pencil's: one elimination
+        mod p, each row as it stood when its pivot was chosen."""
         p = RANK_PRIME
         rows = [
             {j: v for j in c.keys() | b.keys() if (v := (c.get(j, 0) - lam_p * b.get(j, 0)) % p)}
             for c, b in self.reduced
         ]
-        keyed = [(self.free_keys[r], c) for r, c, _ in self.factor]
-        keyed += [(self.pencil_keys[r], c) for r, c, _ in _eliminate_mod_p(rows)]
+        keyed = [(self.free_keys[r], c, prow) for r, c, prow in self.factor]
+        keyed += [(self.pencil_keys[r], c, prow) for r, c, prow in _eliminate_mod_p(rows)]
         return keyed
 
 
@@ -1034,7 +1073,8 @@ class _SearchMatrix:
     at the seeded point of Z/p (:func:`_point_images`) are assembled into
     integer cells C_p and B_p once, whose eigenvalue-free rows are
     eliminated once (:class:`_Pencil`).  The exact cells, sums of the same
-    parts, are assembled only when an eigenvalue needs them.
+    parts, are assembled for the columns an eigenvalue's kernel mod p
+    touches; all of them only when that does not settle the eigenvalue.
     """
 
     def __init__(self, sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]):
@@ -1064,31 +1104,42 @@ class _SearchMatrix:
         The shared factor and this eigenvalue's reduced pencil eliminate
         C_p - lam*B_p.  Its rank mod p is a lower bound on the exact rank,
         so the kernel has at most as many dimensions as the elimination has
-        free columns (those no pivot took).  When every free column is zero
-        over Q(params), checked on its exact cells, their unit vectors span
-        the kernel.  An eigenvalue this does not settle takes the exact rows
-        through :func:`_nullspace`, which replays the factor's pivots and
-        then the pencil's.  The mod p rows omit the rows that vanish mod p
-        but not exactly, so a pivot is carried over by its row key.
+        free columns (those no pivot took).  One vector mod p is
+        back-substituted per free column (:func:`_supports`), and the exact
+        cells of the columns they touch alone go through
+        :func:`_nullspace`, or give their unit vectors when every cell
+        vanishes.  When that yields a vector per free column, those vectors,
+        zero elsewhere, are the kernel: each is plugged back into every
+        nonzero row, and the rank allows no more.  Otherwise (a lambda whose
+        residue drops the rank, or a cell that vanishes mod p but not
+        exactly) all exact rows go through :func:`_nullspace`, which replays
+        the factor's pivots and then the pencil's.  The mod p rows omit the
+        rows that vanish mod p but not exactly, so a pivot is carried over
+        by its row key.
         """
-        keyed: list[tuple[tuple, int]] = []
+        keyed: list[tuple[tuple, int, dict]] = []
         lam_p = _residue(lam)
         if self.pencil is not None and lam_p is not None:
             keyed = self.pencil.pivots(lam_p)
-            taken = {c for _, c in keyed}
+            taken = {c for _, c, _ in keyed}
             free = [c for c in range(len(self.monos)) if c not in taken]
-            if all(self._vanishes(c, lam) for c in free):
-                return [{c: self.one} for c in free]
+            if not free:
+                return []
+            cols = sorted(set().union(*_supports([(c, row) for _, c, row in keyed], free)))
+            rows = _search_rows(
+                *_assemble(self.parts, self.base, [self.shifts[c] for c in cols], _add_poly),
+                lam,
+            )
+            basis = (
+                _nullspace(list(rows.values()), len(cols), self.one, ()) if rows
+                else [{j: self.one} for j in range(len(cols))]
+            )
+            if len(basis) == len(free):
+                return [{cols[j]: v for j, v in vec.items()} for vec in basis]
         exact = _search_rows(*self.exact, lam)
         index = {key: r for r, key in enumerate(exact)}
-        replay = [(index[key], c) for key, c in keyed]
+        replay = [(index[key], c) for key, c, _ in keyed]
         return _nullspace(list(exact.values()), len(self.monos), self.one, replay)
-
-    def _vanishes(self, col: int, lam: Fraction) -> bool:
-        """Whether column ``col`` of C - lam*B is zero over Q(params)."""
-        return not _search_rows(
-            *_assemble(self.parts, self.base, [self.shifts[col]], _add_poly), lam
-        )
 
 
 def first_integral_search(
@@ -1110,13 +1161,16 @@ def first_integral_search(
     integer cells of the rows that hold no eigenvalue are eliminated once
     per search, and each eigenvalue eliminates only the rest of its rows,
     reduced against that factor.  The columns neither elimination pivots on
-    are as many as the kernel's dimension at most: when each of them is
-    zero over Q(params), their unit vectors are the kernel.  Only an
-    eigenvalue this cannot settle, such as one with an integral, assembles
-    the polynomial cells, whose rows replay both sets of pivots mod p and
-    are then plugged back in.  A bound below its minimum, and an empty or
-    repeated list of eigenvalues, raise ValueError; an ansatz larger than
-    :data:`MONOMIAL_CAP` raises CapacityError before any monomial is built.
+    are as many as the kernel's dimension at most.  One kernel vector mod p
+    per such column is back-substituted, and only the columns they touch
+    get polynomial cells, whose rows are solved exactly and plugged back
+    in: when that gives a vector per free column, those are the kernel.
+    Only an eigenvalue this cannot settle, such as one whose residue drops
+    the rank, assembles every polynomial cell, whose rows replay both sets
+    of pivots mod p and are then plugged back in.  A bound below its
+    minimum, and an empty or repeated list of eigenvalues, raise
+    ValueError; an ansatz larger than :data:`MONOMIAL_CAP` raises
+    CapacityError before any monomial is built.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")

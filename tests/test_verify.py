@@ -836,22 +836,51 @@ def _rows_mod_p(matrix, lam):
     return verify._rows(*matrix.mod_p, lambda c, b: ((c or 0) - lam_p * (b or 0)) % p or None)
 
 
+def _dense_supports(pivots, free):
+    """Reference supports: one vector mod p per free column, back-substituted
+    through every pivot (column, row), the last pivot first."""
+    p = verify.RANK_PRIME
+    supports = []
+    for f in free:
+        vec = {f: 1}
+        for c, row in reversed(pivots):
+            total = sum(v * vec.get(j, 0) for j, v in row.items() if j != c) % p
+            if total:
+                vec[c] = -total * pow(row[c], -1, p) % p
+        supports.append(set(vec))
+    return supports
+
+
+def _restricted_rows(matrix, lam, cols):
+    """The nonzero exact rows of C - lam*B on the columns ``cols`` alone,
+    renumbered by position."""
+    local = {c: j for j, c in enumerate(cols)}
+    rows = (
+        {local[c]: v for c, v in row.items() if c in local}
+        for row in verify._search_rows(*matrix.exact, lam).values()
+    )
+    return [row for row in rows if row]
+
+
 def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found):
-    """Run a search and check its eliminations mod p: the eigenvalue-free
-    rows once per search, the reduced pencil once per eigenvalue, and for an
-    eigenvalue the rank mod p does not settle a replay of the factor's
-    pivots, then the pencil's, each carried over by its row key."""
+    """Run a search and check its eliminations: mod p, the eigenvalue-free
+    rows once per search and the reduced pencil once per eigenvalue; exactly,
+    for an eigenvalue whose kernel mod p touches a nonzero exact cell, one
+    elimination of the touched columns with no replay, and only for an
+    eigenvalue that falls back (lambda = p) a replay on every exact row of
+    the factor's pivots, then the pencil's, each carried over by its row
+    key."""
     runs = []
     eliminate_mod_p = verify._eliminate_mod_p
     monkeypatch.setattr(
         verify, "_eliminate_mod_p",
         lambda rows: runs.append((rows, eliminate_mod_p(rows))) or runs[-1][1],
     )
-    replays = []
+    calls = []
     nullspace = verify._nullspace
     monkeypatch.setattr(
         verify, "_nullspace",
-        lambda rows, ncols, one, replay: replays.append(replay)
+        lambda rows, ncols, one, replay: calls.append((rows, ncols, list(replay)))
         or nullspace(rows, ncols, one, replay),
     )
     assert bool(first_integral_search(system_id, state_bound, indep_bound, lams)) == found
@@ -860,7 +889,7 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
     free_keys, pencil_keys = _split_keys(matrix)
     (free_rows, factor), *pencils = runs
     factor_cols = {c for _, c, _ in factor}
-    expected_replays = []
+    expected_calls = []
     for lam, (pencil_rows, pencil) in zip(lams, pencils):
         stacked = _rows_mod_p(matrix, lam)
         assert {k: row for k, row in zip(free_keys, free_rows) if row} == {
@@ -869,13 +898,23 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
         assert len(pencil_rows) == len(pencil_keys)
         assert not any(factor_cols & row.keys() for row in pencil_rows)
         assert len(factor) + len(pencil) == len(eliminate_mod_p(list(stacked.values())))
-        if found or lam == verify.RANK_PRIME:
-            exact_keys = list(verify._search_rows(*matrix.exact, lam))
-            expected_replays.append(
+        pivots = [(c, row) for _, c, row in factor + pencil]
+        taken = {c for c, _ in pivots}
+        free = [c for c in range(len(matrix.monos)) if c not in taken]
+        cols = sorted(set().union(*_dense_supports(pivots, free)))
+        if rows := _restricted_rows(matrix, lam, cols):
+            expected_calls.append((rows, len(cols), []))
+        if lam == verify.RANK_PRIME:
+            exact = verify._search_rows(*matrix.exact, lam)
+            exact_keys = list(exact)
+            expected_calls.append((
+                list(exact.values()),
+                len(matrix.monos),
                 [(exact_keys.index(free_keys[r]), c) for r, c, _ in factor]
-                + [(exact_keys.index(pencil_keys[r]), c) for r, c, _ in pencil]
-            )
-    assert replays == expected_replays and all(replays)
+                + [(exact_keys.index(pencil_keys[r]), c) for r, c, _ in pencil],
+            ))
+    assert calls == expected_calls
+    assert all(replay for _, ncols, replay in calls if ncols == len(matrix.monos))
 
 
 @pytest.mark.parametrize(
@@ -894,7 +933,8 @@ def test_search_eliminates_mod_p_once_per_eigenvalue(
 
 
 def test_search_eliminates_the_factor_once_per_search(monkeypatch):
-    # three eigenvalues share one factor, and the rank settles each
+    # three eigenvalues share one factor, and each settles with no exact
+    # elimination
     _eliminations(monkeypatch, "ham_4d", 3, 1, SEARCH_LAMBDAS, False)
 
 
@@ -934,7 +974,7 @@ def test_shared_factor_matches_the_stacked_elimination_mod_p(
         keyed = matrix.pencil.pivots(verify._residue(lam))
         assert len(keyed) == len(verify._eliminate_mod_p(rows))
         index = {key: r for r, key in enumerate(stacked)}
-        replay = [(index[key], c) for key, c in keyed]
+        replay = [(index[key], c) for key, c, _ in keyed]
         assert [(r, c) for r, c, _ in _mod_p_elimination(rows, replay)] == replay
 
 
@@ -971,9 +1011,91 @@ def test_free_columns_settle_what_the_touched_columns_settle(
             assert kernel == [{c: matrix.one} for c in untouched]
 
 
+def _full_kernel(matrix, lam):
+    """The kernel through every exact row, the pivots mod p replayed by row
+    key: the path an eigenvalue falls back to."""
+    rows = verify._search_rows(*matrix.exact, lam)
+    index = {key: r for r, key in enumerate(rows)}
+    lam_p = verify._residue(lam)
+    keyed = matrix.pencil.pivots(lam_p) if lam_p is not None else []
+    replay = [(index[key], c) for key, c, _ in keyed]
+    return verify._nullspace(list(rows.values()), len(matrix.monos), matrix.one, replay)
+
+
+@pytest.mark.parametrize("system_id,state_bound,indep_bound", PENCIL_CASES)
+def test_touched_columns_kernel_matches_the_full_exact_path(
+    system_id, state_bound, indep_bound
+):
+    # the same vectors, structurally equal entry by entry, as eliminating
+    # every exact row; and the heap walk finds the supports a dense
+    # back-substitution over the same pivots finds
+    matrix = _matrix(system_id, state_bound, indep_bound)
+    for lam in _pencil_lambdas(state_bound, indep_bound):
+        assert matrix.kernel(lam) == _full_kernel(matrix, lam), (system_id, lam)
+        pivots = [(c, row) for _, c, row in matrix.pencil.pivots(verify._residue(lam))]
+        taken = {c for c, _ in pivots}
+        free = [c for c in range(len(matrix.monos)) if c not in taken]
+        assert verify._supports(pivots, free) == _dense_supports(pivots, free)
+
+
+@pytest.mark.parametrize(
+    "system_id,state_bound,indep_bound,lam",
+    [("K1_sys", 8, 3, Fraction(0)), ("five_dim", 3, 0, Fraction(-1))],
+)
+def test_short_touched_columns_solve_falls_back(
+    monkeypatch, system_id, state_bound, indep_bound, lam
+):
+    # negative control: without one pivot column its kernel vector needs, the
+    # solve on the touched columns comes up one vector short; the search then
+    # eliminates every exact row and returns the same integrals
+    expected = first_integral_search(system_id, state_bound, indep_bound, (lam,))
+    supports = verify._supports
+    dropped = []
+
+    def short(pivots, free):
+        found = supports(pivots, free)
+        pivot_cols = {c for c, _ in pivots}
+        c = min(c for support in found for c in support if c in pivot_cols)
+        dropped.append(c)
+        return [support - {c} for support in found]
+
+    monkeypatch.setattr(verify, "_supports", short)
+    calls = []
+    nullspace = verify._nullspace
+
+    def spy(rows, ncols, one, replay):
+        basis = nullspace(rows, ncols, one, replay)
+        calls.append((ncols, len(basis)))
+        return basis
+
+    monkeypatch.setattr(verify, "_nullspace", spy)
+    found = first_integral_search(system_id, state_bound, indep_bound, (lam,))
+    assert [(f.id, f.expr) for f in found] == [(f.id, f.expr) for f in expected]
+    matrix = _matrix(system_id, state_bound, indep_bound)
+    ncols = len(matrix.monos)
+    (restricted, short_dim), (full, full_dim) = calls
+    assert restricted < ncols == full and short_dim == full_dim - 1
+    assert len(dropped) == 1
+    # the kernel returned is the full path's, never the short solve's
+    assert matrix.kernel(lam) == _full_kernel(matrix, lam)
+
+
+def test_search_five_dim_degree_7_finds_the_powers_of_ywq():
+    # scaling guard: 792 columns and four eigenvalues, each integral a power
+    # of y - w*q; eliminating every exact row takes about 0.4 s, the columns
+    # the kernels mod p touch under 0.1 s
+    lams = (Fraction(0), Fraction(-1), Fraction(-2), Fraction(-3))
+    found = first_integral_search("five_dim", 7, 0, lams)
+    ywq = load_integral("ywq").expr
+    assert [f.lam for f in found] == [Fraction(-1), Fraction(-2), Fraction(-3)]
+    for k, integral in enumerate(found, 1):
+        assert integral.expr == (-ywq) ** k
+
+
 def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
-    # the ladder up to the 175-column cliff assembles no exact matrix; only
-    # the free columns mod p have their own cells checked exactly
+    # the ladder up to the 175-column cliff assembles no exact matrix and
+    # eliminates nothing exactly: each kernel vector mod p is a free column's
+    # unit vector, and those columns' own exact cells all vanish
     def refuse(*args):
         raise AssertionError("exact rows built for an empty kernel")
 
