@@ -4,8 +4,8 @@ Exit codes: 0 all requested checks pass, 1 verification or domain failure,
 2 usage error or an unwritable ``--out``.  ``--format records`` emits
 line-delimited JSON records, one per check, suitable for golden files; text
 output is deterministic for a fixed seed apart from the timing fields.
-``verify`` loads with this module (the parser reads its scopes, variants
-and seed); ``numeric`` loads only for ``integrate``.
+``verify`` loads with this module (the parser reads its scopes and
+variants); ``numeric`` loads only for ``integrate``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import models, verify, weyl
@@ -57,7 +56,6 @@ def cmd_verify(args) -> int:
     if not reports:
         print(f"no checks match map {args.map_id!r}", file=sys.stderr)
         return EXIT_USAGE
-    reports = [r if r.seed is not None else replace(r, seed=args.seed) for r in reports]
     return _emit_reports(reports, args.format, args.out)
 
 
@@ -212,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="disputed-object policy (default: resolve both)")
     p_verify.add_argument("--map", dest="map_id", default=None,
                           help="only checks of this map id")
-    p_verify.add_argument("--seed", type=int, default=verify.WITNESS_SEED,
-                          help="recorded in structured reports (checks are "
-                               "sampling-free and deterministic)")
     p_verify.add_argument("--format", default="text", choices=("text", "records"))
     p_verify.add_argument("--out", default=None, help="also write the report here")
 

@@ -26,10 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .ring import Derivation, Poly, RatExpr, SymbolTable, has_relation_symbols, syms
+from .ring import RatExpr, SymbolTable, has_relation_symbols, syms
 from .syntax import render_ratexpr
+
+if TYPE_CHECKING:
+    from .ring import Derivation
 
 HALF = Fraction(1, 2)
 _NO_BINDINGS = MappingProxyType({})  # read-only, so the mapping fields share it
@@ -72,6 +75,8 @@ class VectorFieldSystem(NamedTuple):
 
     def flow(self) -> Derivation:
         """Derivation along the flow: states follow rhs, d(indep)/d(indep)=1."""
+        from .ring import Derivation  # the ring's lazy half, which set-up never runs
+
         rules: dict[str, object] = dict(self.rhs)
         rules[self.indep] = 1
         return Derivation(self.table, rules)

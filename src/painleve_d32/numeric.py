@@ -279,18 +279,23 @@ def _dp_lines(indep: str, state_names: tuple[str, ...],
 
 
 @cache
-def _step_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...]) -> str:
+def _step_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...],
+               stages: bool) -> str:
     """Body of one embedded step ``(_u, _y, _h)`` -> (y5, error_inf, max_state_norm, stages).
 
     See :func:`_dp_lines`.  A solution or error that is not finite reads as
-    an infinite error and norm.
+    an infinite error and norm.  The seven stage vectors are built only with
+    ``stages``; otherwise the last item is None.
     """
     n = range(len(state_names))
     setup, step, finite = _dp_lines(indep, state_names, sources)
+    k = "None"
+    if stages:
+        k = "[" + ", ".join(
+            f"[{', '.join(f'_k{s}_{i}' for i in n)}]" for s in range(1, 8)) + "]"
     lines = [f"{''.join(f'_y{i}, ' for i in n)}= _y", *setup, *step,
              f"_y5 = [{', '.join(f'_y5_{i}' for i in n)}]",
-             "_k = [" + ", ".join(
-                 f"[{', '.join(f'_k{s}_{i}' for i in n)}]" for s in range(1, 8)) + "]",
+             f"_k = {k}",
              f"if {finite}:",
              "    return _y5, _err, max(map(abs, _y5)), _k",
              "return _y5, _inf, _inf, _k"]
@@ -358,10 +363,12 @@ class _CompiledSystem:
     """Vector field compiled from the sources of its right-hand side.
 
     ``f(u, state)`` evaluates the right-hand side once; ``f.step(u, y, h)`` is
-    one whole Dormand-Prince step (:func:`_step_body`), ``f.fixed`` a whole
-    fixed-step run (:func:`_fixed_body`) and ``f.residual`` the loop of
-    :func:`dynamics_residual` (:func:`_residual_body`), each with the
-    right-hand side inlined.  ``evals`` counts the evaluations that
+    one whole Dormand-Prince step (:func:`_step_body`), which returns its
+    stages only if ``stages`` is true when it is first used (grid mode's
+    dense output reads them; :func:`integrate_system` clears it for the
+    other modes), ``f.fixed`` a whole fixed-step run (:func:`_fixed_body`)
+    and ``f.residual`` the loop of :func:`dynamics_residual`
+    (:func:`_residual_body`), each with the right-hand side inlined.  ``evals`` counts the evaluations that
     ``__call__``, :func:`_rk_step` and :func:`_fixed_steps` make.
 
     No integrator path calls ``__call__`` or its ``_kernel``.  They stay
@@ -383,18 +390,19 @@ class _CompiledSystem:
         if bad:
             raise UsageError(f"non-finite parameter values: {bad}")
         self._system, self._params = system, params
+        self.stages = True
         self._sources = _rhs_sources(tuple(system.rhs[n] for n in system.state))
         self.evals = 0
 
-    def _bind(self, head: Sequence[str], make_body: Callable) -> Callable:
+    def _bind(self, head: Sequence[str], make_body: Callable, *extra) -> Callable:
         system = self._system
-        body = make_body(system.indep, system.state, self._sources)
+        body = make_body(system.indep, system.state, self._sources, *extra)
         return _define(system.table, head, {system.indep, *system.state}, body,
                        _KERNEL_GLOBALS)(self._params)
 
     @cached_property
     def step(self) -> Callable:
-        return self._bind(["_u", "_y", "_h"], _step_body)
+        return self._bind(["_u", "_y", "_h"], _step_body, self.stages)
 
     @cached_property
     def fixed(self) -> Callable:
@@ -421,8 +429,9 @@ class _CompiledSystem:
 
 def _rk_step(
     f: _CompiledSystem, u: float, y: Sequence[float], h: float
-) -> tuple[list[float], float, float, list[list[float]]]:
-    """One embedded step: returns (y5, error_inf, max_state_norm, stages)."""
+) -> tuple[list[float], float, float, Optional[list[list[float]]]]:
+    """One embedded step: returns (y5, error_inf, max_state_norm, stages);
+    the stages are None where ``f.stages`` was cleared."""
     f.evals += 7
     return f.step(u, y, h)
 
@@ -520,6 +529,7 @@ def integrate_system(
         raise UsageError("empty integration span")
     _check_domain(system, u0, u1)
     f = _CompiledSystem(system, params)
+    f.stages = mode == "grid"
     if has_relation_symbols(system.table):
         total = sum(float(params[n]) for n in ("alpha0", "alpha1", "alpha2"))
         if abs(total - 1) > 1e-9:

@@ -32,11 +32,16 @@ def test_verify_records_format(capsys):
     }
     assert all(r["status"] == "pass" for r in records)
     assert all("millis" in r for r in records)
-    # the seed of the witness search is filled in where a check left none
-    assert {r["seed"] for r in records} == {verify.WITNESS_SEED}
-    assert main(["verify", "integrals", "--format", "records", "--seed", "5"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert {json.loads(l)["seed"] for l in lines} == {5}
+    # the checks are sampling-free: the records are run_scope's, seed and
+    # all, and no --seed option exists to stamp another
+    want = [r.to_record() for r in verify.run_scope("integrals")]
+    for record in records + want:
+        del record["millis"]
+    assert records == want and {r["seed"] for r in records} == {None}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "integrals", "--format", "records", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_verify_printed_variant_fails(capsys):

@@ -276,6 +276,25 @@ def test_every_step_goes_through_rk_step(monkeypatch):
     assert rejected > 0
 
 
+def test_only_grid_steps_build_their_stages(monkeypatch):
+    # the seven stage vectors feed grid mode's dense output alone: an
+    # adaptive step returns None in their place
+    stages = []
+    rk_step = numeric._rk_step
+
+    def spy(*args):
+        result = rk_step(*args)
+        stages.append(result[3])
+        return result
+
+    monkeypatch.setattr(numeric, "_rk_step", spy)
+    integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.5))
+    assert stages and all(k is None for k in stages)
+    del stages[:]
+    integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.5), mode="grid", grid=[0.0, 0.25, 0.5])
+    assert stages and all(len(k) == 7 and {len(s) for s in k} == {5} for k in stages)
+
+
 def test_every_fixed_step_goes_through_fixed_steps(monkeypatch):
     # fixed mode runs the whole integration in one generated loop per system
     runs = []

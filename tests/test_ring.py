@@ -289,14 +289,16 @@ def test_relation_reduction_is_projection(seed):
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_d32"
 # the private fields of Poly and SymbolTable that know the packed keys
 PACKED_FIELDS = {"_coeffs", "_den", "_shifts", "_units", "_guards", "_make", "_reduced"}
+# the ring and its half that loads on first use
+RING_LAYER = {"ring.py", "_ring_lazy.py"}
 
 
 def test_only_the_ring_reads_the_packed_format():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert PACKAGE / "ring.py" in modules
+    assert {PACKAGE / name for name in RING_LAYER} <= set(modules)
     reads = [
         (path.name, node.lineno, node.attr)
-        for path in modules if path.name != "ring.py"
+        for path in modules if path.name not in RING_LAYER
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and node.attr in PACKED_FIELDS
     ]
@@ -385,3 +387,41 @@ def test_layer_trace_hooks_exist(monkeypatch):
     assert not hasattr(Poly.__mul__, "__wrapped__")
     assert not hasattr(ring.substitute, "__wrapped__")
     assert not hasattr(weyl.apply_word_to_point, "__wrapped__")
+
+
+def test_calls_made_inside_the_lazy_halves_are_traced():
+    """Moved code reaches every traced name through ``ring`` or ``weyl``,
+    where the trace rebinds it: a call that escaped would not be counted."""
+    import painleve_d32
+    from painleve_d32 import models, numeric, ring, syntax, verify, weyl
+
+    modules = [painleve_d32, models, numeric, ring, syntax, verify, weyl]
+    spec = importlib.util.spec_from_file_location("layertrace", LAYER_TRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    pkg = types.SimpleNamespace(
+        models=models, numeric=numeric, ring=ring, syntax=syntax, verify=verify,
+        weyl=weyl, modules=modules,
+    )
+    table = load_model("five_dim").table
+    a0, a1, a2 = syms(table, "alpha0 alpha1 alpha2")
+    y, z, w = syms(table, "y z w")
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install(pkg)
+        token = tracer.begin_op()
+        assert ring.is_identically_zero(a0 + a1 + a2 - 1)
+        assert (a1 * y).equals((1 - a0 - a2) * y)
+        assert ring.jacobian_determinant([y * z, z, w], ["y", "z", "w"]).equals(z)
+        assert weyl.translation_shift(weyl.parse_word("s1 s2 s1 s0")).vector == (-2, 2, 0)
+        tracer.end_op(token, completed=True)
+    finally:
+        tracer.uninstall()
+    calls = tracer.calls
+    # is_identically_zero once directly and twice through RatExpr.equals,
+    # each reducing its numerator once
+    assert calls["ring.is_identically_zero"] == calls["ring.reduce_relation"] == 3
+    assert calls["ring.jacobian"] == 1
+    # one Derivation.of per entry of the 3x3 matrix, each over of_poly
+    assert calls["ring.derivation_of"] >= 9
+    assert calls["weyl.parameter_action"] == 1
