@@ -93,7 +93,7 @@ class VerificationReport:
     def to_record(self) -> dict:
         witness = (
             {k: str(v) for k, v in self.witness_point.items()}
-            if self.witness_point
+            if self.witness_point is not None
             else None
         )
         return {
@@ -654,17 +654,15 @@ def _eliminate(
     reduce: Callable,
     inverse: Callable,
     weight: Optional[Callable] = None,
-    replay: Iterable[tuple[int, int]] = (),
 ) -> list[tuple[int, int, dict]]:
     """Sparse elimination in one field; the pivots in order.
 
     Each pivot (row, column) eliminates its column from every other live
     row; ``reduce`` maps a computed entry to its canonical form, or to None
     when it vanishes, and ``inverse`` inverts a pivot.  Pivots come from
-    ``replay`` while it lasts, then from :func:`_markowitz`, until no live
-    entry remains.  Each pivot is returned with its row as it stood when it
-    was chosen: an upper triangular factor whose free columns span the
-    kernel.
+    :func:`_markowitz` until no live entry remains.  Each pivot is returned
+    with its row as it stood when it was chosen: an upper triangular factor
+    whose free columns span the kernel.
     """
     live = {r: dict(row) for r, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}
@@ -673,13 +671,9 @@ def _eliminate(
             cols.setdefault(c, set()).add(r)
     row_lines, col_lines = _Lines(live), _Lines(cols)
     pivots = []
-    replay = iter(replay)
     while cols:
-        step = next(replay, None)
-        r, c = step or _markowitz(live, cols, row_lines, col_lines, weight)
+        r, c = _markowitz(live, cols, row_lines, col_lines, weight)
         prow = live.pop(r)
-        if c not in prow:
-            raise RingError(f"replayed pivot ({r}, {c}) vanished in exact arithmetic")
         row_lines.update(r, 0)
         for j in prow:
             cols[j].discard(r)
@@ -750,16 +744,13 @@ def _total(terms: list[_Exact]) -> Optional[_Exact]:
 
 
 def _nullspace(
-    rows: list[dict[int, Poly]], ncols: int, one: RatExpr,
-    replay: Iterable[tuple[int, int]],
+    rows: list[dict[int, Poly]], ncols: int, one: RatExpr
 ) -> list[dict[int, RatExpr]]:
     """Exact nullspace of a sparse matrix over the parameter function field.
 
-    The entries are polynomials in the parameters.  The pivots ``replay``
-    names, (row index, column) pairs of an elimination of the same rows at a
-    point mod p, are taken first over Q(params) (each is nonzero there,
-    since its image mod p is); any row still live afterwards is eliminated
-    exactly in the same loop.  Back-substitution gives one vector per free
+    The entries are polynomials in the parameters.  The rows are eliminated
+    over Q(params) by :func:`_eliminate`, Markowitz pivots with ties going
+    to the simplest entry.  Back-substitution gives one vector per free
     column; they are brought to the reduced form Gauss-Jordan returns.
     Every vector is then plugged back into the rows: C*v = 0 exactly bounds
     the kernel dimension from below, the elimination bounds it from above,
@@ -770,7 +761,7 @@ def _nullspace(
          for c, v in row.items() if not v.is_zero}
         for row in rows
     ]
-    pivots = _eliminate(exact, _exact, lambda v: 1 / v, _simplicity, replay)
+    pivots = _eliminate(exact, _exact, lambda v: 1 / v, _simplicity)
     basis = _reduced(_back_substitute(pivots, ncols))
     for vec in basis:
         for row in exact:
@@ -1043,27 +1034,23 @@ class _Pencil:
         def row(cells: _Cells, key: tuple) -> dict[int, int]:
             return {c: r for c, v in cells.get(key, {}).items() if (r := v % p)}
 
-        keys = sorted(c_cells.keys() | b_cells.keys())
-        self.free_keys = [key for key in keys if key not in b_cells]
-        self.pencil_keys = [key for key in keys if key in b_cells]
-        self.factor = _eliminate_mod_p([row(c_cells, key) for key in self.free_keys])
+        free_keys = sorted(c_cells.keys() - b_cells.keys())
+        self.factor = _eliminate_mod_p([row(c_cells, key) for key in free_keys])
         reduce = _reducer(self.factor)
         self.reduced = [
-            (reduce(row(c_cells, key)), reduce(row(b_cells, key))) for key in self.pencil_keys
+            (reduce(row(c_cells, key)), reduce(row(b_cells, key))) for key in sorted(b_cells)
         ]
 
-    def pivots(self, lam_p: int) -> list[tuple[tuple, int, dict[int, int]]]:
-        """The pivots (row key, column, row) of C_p - lam*B_p at lambda's
-        residue ``lam_p``, the factor's then the pencil's: one elimination
-        mod p, each row as it stood when its pivot was chosen."""
+    def pivots(self, lam_p: int) -> list[tuple[int, dict[int, int]]]:
+        """The pivots (column, row) of C_p - lam*B_p at lambda's residue
+        ``lam_p``, the factor's then the pencil's: one elimination mod p,
+        each row as it stood when its pivot was chosen."""
         p = RANK_PRIME
         rows = [
             {j: v for j in c.keys() | b.keys() if (v := (c.get(j, 0) - lam_p * b.get(j, 0)) % p)}
             for c, b in self.reduced
         ]
-        keyed = [(self.free_keys[r], c, prow) for r, c, prow in self.factor]
-        keyed += [(self.pencil_keys[r], c, prow) for r, c, prow in _eliminate_mod_p(rows)]
-        return keyed
+        return [(c, prow) for _, c, prow in self.factor + _eliminate_mod_p(rows)]
 
 
 class _SearchMatrix:
@@ -1072,9 +1059,9 @@ class _SearchMatrix:
     The cleared rules are split once into parameter parts, and their images
     at the seeded point of Z/p (:func:`_point_images`) are assembled into
     integer cells C_p and B_p once, whose eigenvalue-free rows are
-    eliminated once (:class:`_Pencil`).  The exact cells, sums of the same
-    parts, are assembled for the columns an eigenvalue's kernel mod p
-    touches; all of them only when that does not settle the eigenvalue.
+    eliminated once (:class:`_Pencil`).  Exact cells, sums of the same
+    parts, are assembled per eigenvalue for the columns it solves on
+    (:meth:`_solve`).
     """
 
     def __init__(self, sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]):
@@ -1091,10 +1078,6 @@ class _SearchMatrix:
             self.mod_p = _assemble(parts_p, base_p, self.shifts, _add_int)
 
     @cached_property
-    def exact(self) -> tuple[_Cells, _Cells]:
-        return _assemble(self.parts, self.base, self.shifts, _add_poly)
-
-    @cached_property
     def pencil(self) -> Optional[_Pencil]:
         return None if self.mod_p is None else _Pencil(*self.mod_p)
 
@@ -1105,41 +1088,38 @@ class _SearchMatrix:
         C_p - lam*B_p.  Its rank mod p is a lower bound on the exact rank,
         so the kernel has at most as many dimensions as the elimination has
         free columns (those no pivot took).  One vector mod p is
-        back-substituted per free column (:func:`_supports`), and the exact
-        cells of the columns they touch alone go through
-        :func:`_nullspace`, or give their unit vectors when every cell
-        vanishes.  When that yields a vector per free column, those vectors,
-        zero elsewhere, are the kernel: each is plugged back into every
-        nonzero row, and the rank allows no more.  Otherwise (a lambda whose
-        residue drops the rank, or a cell that vanishes mod p but not
-        exactly) all exact rows go through :func:`_nullspace`, which replays
-        the factor's pivots and then the pencil's.  The mod p rows omit the
-        rows that vanish mod p but not exactly, so a pivot is carried over
-        by its row key.
+        back-substituted per free column (:func:`_supports`), and the
+        columns they touch alone are solved exactly.  When that yields a
+        vector per free column, those vectors, zero elsewhere, are the
+        kernel: each is plugged back into every nonzero row, and the rank
+        allows no more.  Otherwise (a lambda whose residue drops the rank,
+        or a cell that vanishes mod p but not exactly), and when there is
+        no usable point or residue mod p, every column is solved.
         """
-        keyed: list[tuple[tuple, int, dict]] = []
         lam_p = _residue(lam)
         if self.pencil is not None and lam_p is not None:
-            keyed = self.pencil.pivots(lam_p)
-            taken = {c for _, c, _ in keyed}
+            pivots = self.pencil.pivots(lam_p)
+            taken = {c for c, _ in pivots}
             free = [c for c in range(len(self.monos)) if c not in taken]
             if not free:
                 return []
-            cols = sorted(set().union(*_supports([(c, row) for _, c, row in keyed], free)))
-            rows = _search_rows(
-                *_assemble(self.parts, self.base, [self.shifts[c] for c in cols], _add_poly),
-                lam,
-            )
-            basis = (
-                _nullspace(list(rows.values()), len(cols), self.one, ()) if rows
-                else [{j: self.one} for j in range(len(cols))]
-            )
+            basis = self._solve(sorted(set().union(*_supports(pivots, free))), lam)
             if len(basis) == len(free):
-                return [{cols[j]: v for j, v in vec.items()} for vec in basis]
-        exact = _search_rows(*self.exact, lam)
-        index = {key: r for r, key in enumerate(exact)}
-        replay = [(index[key], c) for key, c, _ in keyed]
-        return _nullspace(list(exact.values()), len(self.monos), self.one, replay)
+                return basis
+        return self._solve(range(len(self.monos)), lam)
+
+    def _solve(self, cols: Sequence[int], lam: Fraction) -> list[dict[int, RatExpr]]:
+        """Certified kernel of the exact C - lam*B on the columns ``cols``
+        alone (:func:`_nullspace`; their unit vectors when every cell
+        vanishes), numbered as the matrix's columns."""
+        rows = _search_rows(
+            *_assemble(self.parts, self.base, [self.shifts[c] for c in cols], _add_poly), lam
+        )
+        basis = (
+            _nullspace(list(rows.values()), len(cols), self.one) if rows
+            else [{j: self.one} for j in range(len(cols))]
+        )
+        return [{cols[j]: v for j, v in vec.items()} for vec in basis]
 
 
 def first_integral_search(
@@ -1166,8 +1146,7 @@ def first_integral_search(
     get polynomial cells, whose rows are solved exactly and plugged back
     in: when that gives a vector per free column, those are the kernel.
     Only an eigenvalue this cannot settle, such as one whose residue drops
-    the rank, assembles every polynomial cell, whose rows replay both sets
-    of pivots mod p and are then plugged back in.  A bound below its
+    the rank, is solved the same way on every column.  A bound below its
     minimum, and an empty or repeated list of eigenvalues, raise
     ValueError; an ansatz larger than :data:`MONOMIAL_CAP` raises
     CapacityError before any monomial is built.

@@ -214,6 +214,18 @@ def test_failed_witness_search_reports_its_attempts(monkeypatch):
     assert "witness" not in check_symmetry("five_dim", "s2_5d", "corrected").detail
 
 
+def test_constant_residual_records_its_empty_witness():
+    # a nonzero constant numerator over a table without the three alphas is
+    # nonzero everywhere: the empty point is its witness, and it is recorded
+    table = load_model("K1_sys").table
+    report = verify.check_integral_expr("K1_sys", RatExpr.const(table, 1), Fraction(1))
+    assert not report.passed
+    assert report.residuals == [("eigen", "-1")]
+    assert report.witness_point == {}
+    assert report.to_record()["witness"] == {}
+    assert "no witness" not in report.detail
+
+
 def test_witness_search_lets_kernel_errors_through(monkeypatch):
     # every symbol of a witness candidate is bound, so an evaluation error is
     # a fault of the kernel, not a point to skip
@@ -655,8 +667,8 @@ def _differential_nullspace(monkeypatch, seen):
     leaves no canonical form)."""
     certified = verify._nullspace
 
-    def both(rows, ncols, one, replay):
-        basis = certified(rows, ncols, one, replay)
+    def both(rows, ncols, one):
+        basis = certified(rows, ncols, one)
         reference = _gauss_jordan_nullspace(rows, ncols, one)
         assert [vec.keys() for vec in basis] == [ref.keys() for ref in reference]
         for vec, ref in zip(basis, reference):
@@ -667,19 +679,22 @@ def _differential_nullspace(monkeypatch, seen):
     monkeypatch.setattr(verify, "_nullspace", both)
 
 
+def _exact_cells(matrix):
+    """The exact cells C and B of every column of a search matrix."""
+    return verify._assemble(matrix.parts, matrix.base, matrix.shifts, verify._add_poly)
+
+
 def _differential_kernel(monkeypatch, seen):
     """Route each eigenvalue's kernel step, certified mod p or not, through
-    Gauss-Jordan on the exact rows as well and require a structurally
+    Gauss-Jordan on every exact row as well and require a structurally
     identical basis."""
     certified = verify._SearchMatrix.kernel
 
     def both(matrix, lam):
         basis = certified(matrix, lam)
-        sys_obj, monos = matrix.sys_obj, matrix.monos
-        rows = verify._search_rows(*verify._SearchMatrix(sys_obj, monos).exact, lam)
-        one = RatExpr.const(sys_obj.table, 1)
-        assert basis == _gauss_jordan_nullspace(rows.values(), len(monos), one)
-        seen.append((len(monos), len(basis)))
+        rows = verify._search_rows(*_exact_cells(matrix), lam)
+        assert basis == _gauss_jordan_nullspace(rows.values(), len(matrix.monos), matrix.one)
+        seen.append((len(matrix.monos), len(basis)))
         return basis
 
     monkeypatch.setattr(verify._SearchMatrix, "kernel", both)
@@ -723,13 +738,7 @@ def test_certified_nullspace_matches_exact_on_random_matrices(monkeypatch):
             })
             for _ in range(rng.randint(1, ncols + 1))
         ]
-        # the replay comes from the same rows at the seeded point mod p
-        image = verify._point_images(table)
-        special = [{c: image(v) for c, v in row.items()} for row in rows]
-        pivots = verify._eliminate_mod_p(
-            [{c: v for c, v in row.items() if v} for row in special]
-        )
-        verify._nullspace(rows, ncols, one, [(r, c) for r, c, _ in pivots])
+        verify._nullspace(rows, ncols, one)
     # both outcomes occur: kernels of the zero column alone and larger ones
     assert {dim == 1 for _, dim in seen} == {True, False}
 
@@ -746,8 +755,8 @@ def test_nullspace_falls_back_when_every_point_drops_rank(monkeypatch):
     monkeypatch.setattr(
         verify, "_eliminate", lambda *args: runs.append(eliminate(*args)) or runs[-1]
     )
-    # no pivot mod p to replay; the exact pass finds the pivot itself
-    assert verify._nullspace(rows, 2, one, []) == [{1: one}]
+    # the entry has no pivot mod p; the exact elimination pivots on it alone
+    assert verify._nullspace(rows, 2, one) == [{1: one}]
     assert [[(r, c) for r, c, _ in pivots] for pivots in runs] == [[(0, 0)]]
 
 
@@ -784,14 +793,6 @@ def test_nullspace_refuses_a_basis_that_fails_plug_back(monkeypatch):
     monkeypatch.setattr(verify, "_back_substitute", corrupt)
     with pytest.raises(RingError, match="plug-back"):
         first_integral_search("five_dim", 2, 0, (Fraction(-1),))
-
-
-def test_replayed_pivot_that_vanishes_exactly_is_refused():
-    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3)}]
-    with pytest.raises(RingError, match="vanished"):
-        verify._eliminate(
-            rows, verify._exact, lambda v: 1 / v, verify._simplicity, [(1, 1)]
-        )
 
 
 def test_search_ham_4d_degree_4_is_empty():
@@ -857,7 +858,7 @@ def _restricted_rows(matrix, lam, cols):
     local = {c: j for j, c in enumerate(cols)}
     rows = (
         {local[c]: v for c, v in row.items() if c in local}
-        for row in verify._search_rows(*matrix.exact, lam).values()
+        for row in verify._search_rows(*_exact_cells(matrix), lam).values()
     )
     return [row for row in rows if row]
 
@@ -866,10 +867,8 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
     """Run a search and check its eliminations: mod p, the eigenvalue-free
     rows once per search and the reduced pencil once per eigenvalue; exactly,
     for an eigenvalue whose kernel mod p touches a nonzero exact cell, one
-    elimination of the touched columns with no replay, and only for an
-    eigenvalue that falls back (lambda = p) a replay on every exact row of
-    the factor's pivots, then the pencil's, each carried over by its row
-    key."""
+    elimination of the touched columns, and only for an eigenvalue that
+    falls back (lambda = p) one more of every exact row."""
     runs = []
     eliminate_mod_p = verify._eliminate_mod_p
     monkeypatch.setattr(
@@ -880,8 +879,7 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
     nullspace = verify._nullspace
     monkeypatch.setattr(
         verify, "_nullspace",
-        lambda rows, ncols, one, replay: calls.append((rows, ncols, list(replay)))
-        or nullspace(rows, ncols, one, replay),
+        lambda rows, ncols, one: calls.append((rows, ncols)) or nullspace(rows, ncols, one),
     )
     assert bool(first_integral_search(system_id, state_bound, indep_bound, lams)) == found
     assert len(runs) == 1 + len(lams)
@@ -903,18 +901,11 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
         free = [c for c in range(len(matrix.monos)) if c not in taken]
         cols = sorted(set().union(*_dense_supports(pivots, free)))
         if rows := _restricted_rows(matrix, lam, cols):
-            expected_calls.append((rows, len(cols), []))
+            expected_calls.append((rows, len(cols)))
         if lam == verify.RANK_PRIME:
-            exact = verify._search_rows(*matrix.exact, lam)
-            exact_keys = list(exact)
-            expected_calls.append((
-                list(exact.values()),
-                len(matrix.monos),
-                [(exact_keys.index(free_keys[r]), c) for r, c, _ in factor]
-                + [(exact_keys.index(pencil_keys[r]), c) for r, c, _ in pencil],
-            ))
+            exact = verify._search_rows(*_exact_cells(matrix), lam)
+            expected_calls.append((list(exact.values()), len(matrix.monos)))
     assert calls == expected_calls
-    assert all(replay for _, ncols, replay in calls if ncols == len(matrix.monos))
 
 
 @pytest.mark.parametrize(
@@ -936,11 +927,6 @@ def test_search_eliminates_the_factor_once_per_search(monkeypatch):
     # three eigenvalues share one factor, and each settles with no exact
     # elimination
     _eliminations(monkeypatch, "ham_4d", 3, 1, SEARCH_LAMBDAS, False)
-
-
-def _mod_p_elimination(rows, replay):
-    p = verify.RANK_PRIME
-    return verify._eliminate(rows, lambda v: v % p or None, lambda v: pow(v, -1, p), None, replay)
 
 
 # the searches of the pencil tests; at bounds (2, 1) their eigenvalues add
@@ -965,17 +951,15 @@ def test_shared_factor_matches_the_stacked_elimination_mod_p(
     system_id, state_bound, indep_bound
 ):
     # the factor and the reduced pencil are an elimination of the stacked
-    # rows C_p - lam*B_p: the same rank, and their pivots replay on the
-    # stacked rows with none left over
+    # rows C_p - lam*B_p: as many pivots as their rank, and their pivot rows
+    # reduce every stacked row to nothing
     matrix = _matrix(system_id, state_bound, indep_bound)
     for lam in _pencil_lambdas(state_bound, indep_bound):
-        stacked = _rows_mod_p(matrix, lam)
-        rows = list(stacked.values())
-        keyed = matrix.pencil.pivots(verify._residue(lam))
-        assert len(keyed) == len(verify._eliminate_mod_p(rows))
-        index = {key: r for r, key in enumerate(stacked)}
-        replay = [(index[key], c) for key, c, _ in keyed]
-        assert [(r, c) for r, c, _ in _mod_p_elimination(rows, replay)] == replay
+        rows = list(_rows_mod_p(matrix, lam).values())
+        pivots = matrix.pencil.pivots(verify._residue(lam))
+        assert len(pivots) == len(verify._eliminate_mod_p(rows))
+        reduce = verify._reducer([(None, c, row) for c, row in pivots])
+        assert all(reduce(row) == {} for row in rows)
 
 
 class _Unsettled(Exception):
@@ -999,7 +983,8 @@ def test_free_columns_settle_what_the_touched_columns_settle(
         rows = list(_rows_mod_p(matrix, lam).values())
         touched = {c for row in rows for c in row}
         untouched = [c for c in range(len(matrix.monos)) if c not in touched]
-        nonzero = {c for row in verify._search_rows(*matrix.exact, lam).values() for c in row}
+        exact = verify._search_rows(*_exact_cells(matrix), lam)
+        nonzero = {c for row in exact.values() for c in row}
         rank = len(verify._eliminate_mod_p(rows))
         settled = rank == len(touched) and nonzero.isdisjoint(untouched)
         try:
@@ -1012,14 +997,10 @@ def test_free_columns_settle_what_the_touched_columns_settle(
 
 
 def _full_kernel(matrix, lam):
-    """The kernel through every exact row, the pivots mod p replayed by row
-    key: the path an eigenvalue falls back to."""
-    rows = verify._search_rows(*matrix.exact, lam)
-    index = {key: r for r, key in enumerate(rows)}
-    lam_p = verify._residue(lam)
-    keyed = matrix.pencil.pivots(lam_p) if lam_p is not None else []
-    replay = [(index[key], c) for key, c, _ in keyed]
-    return verify._nullspace(list(rows.values()), len(matrix.monos), matrix.one, replay)
+    """The kernel through every exact row: the path an eigenvalue falls back
+    to."""
+    rows = verify._search_rows(*_exact_cells(matrix), lam)
+    return verify._nullspace(list(rows.values()), len(matrix.monos), matrix.one)
 
 
 @pytest.mark.parametrize("system_id,state_bound,indep_bound", PENCIL_CASES)
@@ -1028,11 +1009,16 @@ def test_touched_columns_kernel_matches_the_full_exact_path(
 ):
     # the same vectors, structurally equal entry by entry, as eliminating
     # every exact row; and the heap walk finds the supports a dense
-    # back-substitution over the same pivots finds
+    # back-substitution over the same pivots finds.  Every search also takes
+    # lambda = p and 2p, which fall back, and 1/p, which has no residue.
+    p = verify.RANK_PRIME
     matrix = _matrix(system_id, state_bound, indep_bound)
-    for lam in _pencil_lambdas(state_bound, indep_bound):
+    extra = (Fraction(p), Fraction(2 * p), Fraction(1, p))
+    for lam in dict.fromkeys(_pencil_lambdas(state_bound, indep_bound) + extra):
         assert matrix.kernel(lam) == _full_kernel(matrix, lam), (system_id, lam)
-        pivots = [(c, row) for _, c, row in matrix.pencil.pivots(verify._residue(lam))]
+        if (lam_p := verify._residue(lam)) is None:
+            continue
+        pivots = matrix.pencil.pivots(lam_p)
         taken = {c for c, _ in pivots}
         free = [c for c in range(len(matrix.monos)) if c not in taken]
         assert verify._supports(pivots, free) == _dense_supports(pivots, free)
@@ -1063,8 +1049,8 @@ def test_short_touched_columns_solve_falls_back(
     calls = []
     nullspace = verify._nullspace
 
-    def spy(rows, ncols, one, replay):
-        basis = nullspace(rows, ncols, one, replay)
+    def spy(rows, ncols, one):
+        basis = nullspace(rows, ncols, one)
         calls.append((ncols, len(basis)))
         return basis
 
@@ -1082,8 +1068,9 @@ def test_short_touched_columns_solve_falls_back(
 
 def test_search_five_dim_degree_7_finds_the_powers_of_ywq():
     # scaling guard: 792 columns and four eigenvalues, each integral a power
-    # of y - w*q; eliminating every exact row takes about 0.4 s, the columns
-    # the kernels mod p touch under 0.1 s
+    # of y - w*q; solving every column exactly takes about 1 s, the search,
+    # which solves only the columns the kernels mod p touch, 0.05-0.06 s
+    # (shared Intel Xeon)
     lams = (Fraction(0), Fraction(-1), Fraction(-2), Fraction(-3))
     found = first_integral_search("five_dim", 7, 0, lams)
     ywq = load_integral("ywq").expr
@@ -1093,16 +1080,26 @@ def test_search_five_dim_degree_7_finds_the_powers_of_ywq():
 
 
 def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
-    # the ladder up to the 175-column cliff assembles no exact matrix and
+    # the ladder up to the 175-column cliff never solves every column and
     # eliminates nothing exactly: each kernel vector mod p is a free column's
     # unit vector, and those columns' own exact cells all vanish
     def refuse(*args):
-        raise AssertionError("exact rows built for an empty kernel")
+        raise AssertionError("exact rows eliminated for an empty kernel")
 
-    monkeypatch.setattr(verify._SearchMatrix, "exact", property(refuse))
+    solve = verify._SearchMatrix._solve
+    solved = []
+
+    def spy(matrix, cols, lam):
+        solved.append((len(cols), len(matrix.monos)))
+        return solve(matrix, cols, lam)
+
+    monkeypatch.setattr(verify._SearchMatrix, "_solve", spy)
     monkeypatch.setattr(verify, "_nullspace", refuse)
     for indep_bound in range(5):
         assert first_integral_search("ham_4d", 3, indep_bound, SEARCH_LAMBDAS) == []
+    # lambda = 0 alone leaves a free column mod p, the constant's, and only
+    # that column is solved exactly
+    assert solved == [(1, 35 * (indep_bound + 1)) for indep_bound in range(5)]
 
 
 # the systems on the normalization alpha0 + alpha1 + alpha2 = 1, stated here
@@ -1158,7 +1155,7 @@ def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bo
             system_id, state_bound, indep_bound, lam
         )
         matrix = verify._SearchMatrix(sys_obj, monos)
-        rows = verify._search_rows(*matrix.exact, lam)
+        rows = verify._search_rows(*_exact_cells(matrix), lam)
         assert len(rows) == len(expected)
         for row, ref in zip(rows.values(), expected):
             assert list(row) == list(ref)
