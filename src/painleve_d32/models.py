@@ -6,7 +6,7 @@ the verifier decides empirically which one satisfies the identities, and the
 registry never silently fixes anything.  Symmetries, charts, the 5d -> 4d
 reduction ``reduce_5d_4d`` and the second-order forms ``order2_xzw`` and
 ``order2_ham_4d`` are all registry maps; :mod:`.verify` certifies every one
-but the charts by the same map residual.  A map's action on the parameters,
+through the same pushed field.  A map's action on the parameters,
 eta and time is one :class:`ParameterAction`, ``BirationalMap.action``,
 which the residuals, :mod:`.weyl` and :mod:`.numeric` all apply.  The
 parameter normalization alpha0 + alpha1 + alpha2 = 1 applies wherever a

@@ -25,10 +25,10 @@ trajectories are bit-identical to the per-symbol tableau loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
-not an error.  Non-finite input, a fixed step that needs more than
-``MAX_FIXED_STEPS`` steps, alphas off alpha0 + alpha1 + alpha2 = 1, and a
-step, grid or parameter that does not apply to the mode or system, are
-refused with :class:`UsageError` before any step.
+not an error.  Non-finite input, a fixed step whose step count exceeds
+``MAX_FIXED_STEPS`` or rounds to 0, alphas whose sum is not 1, and a step,
+grid or parameter that does not apply to the mode or system, are refused
+with :class:`UsageError` before any step.
 """
 
 from __future__ import annotations
@@ -547,14 +547,14 @@ def integrate_system(
         if step is None or not 0 < step < math.inf:
             raise UsageError(f"fixed mode needs a positive step, not {step}")
         count = abs(u1 - u0) / step
-        if count == math.inf:
-            raise UsageError(f"fixed step {step!r} gives no finite step count")
+        if count == math.inf or not round(count):
+            raise UsageError(f"fixed step {step!r} gives no finite step count of at least 1")
         if count > MAX_FIXED_STEPS:
             raise UsageError(
                 f"fixed step {step!r} needs {count:.3g} steps, "
                 f"more than the {MAX_FIXED_STEPS} allowed"
             )
-        n = max(1, round(count))
+        n = round(count)
         h = (u1 - u0) / n
         stats["h_min"] = stats["h_max"] = abs(h)
         stats["accepted"], stats["termination"] = _fixed_steps(f, u0, y, h, n, times, states)

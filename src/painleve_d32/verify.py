@@ -10,11 +10,11 @@ witness point where it is nonzero or else the number of points tried.
 The suite is the table :data:`SUITE`, one row (scope, check id, check, *args)
 per check, and a new check is a new row.  Scopes, dispute resolutions, the
 raw variant checks of :func:`run_scope` and its selection by map are all
-derived from the rows.  The symmetries, the 5d -> 4d reduction and the two
-second-order forms are registry maps and share one map residual
-D(phi_i)/D(tau) - F_i(pullback), tau the map's image of time, along a flow
-derived from the map's own data; the reduction's exponential generator s is
-a symbol with the rule dS/dt = -s.
+derived from the rows.  Every map-shaped check reads one pushed field
+D(phi_i)/D(tau), tau the binding of the target's time: the symmetries, the
+5d -> 4d reduction, the second-order forms and the particular solutions
+certify D(phi_i)/D(tau) - F_i(bindings), and a chart's field, written in
+chart coordinates, must be polynomial.
 """
 
 from __future__ import annotations
@@ -204,33 +204,15 @@ def check_vector_field_degree(
     )
 
 
-# -- symmetry --------------------------------------------------------------------
+# -- the pushed field -------------------------------------------------------------
 
 
-def _symmetry_residuals(
-    flow: Derivation, target: VectorFieldSystem, bmap: BirationalMap
-) -> list[tuple[str, RatExpr]]:
-    """The map residuals D(phi_i)/D(tau) - F_i(pullback), one per target state.
+def _map_flow(bmap: BirationalMap) -> tuple[Derivation, VectorFieldSystem, dict[str, RatExpr]]:
+    """The flow ``bmap`` is certified along, its target and its pullback bindings.
 
-    ``flow`` is the source flow over the map's table, and tau is the map's
-    image of the target's time, read from the pullback bindings.
-    """
-    bindings = bmap.pullback_bindings(flow.table, target.table)
-    rate = differentiate(bindings[target.indep], flow)
-    entries = []
-    for name in target.state:
-        lhs = differentiate(bmap.var_map[name], flow) / rate
-        rhs = substitute(target.rhs[name], bindings, table=flow.table)
-        entries.append((name, lhs - rhs))
-    return entries
-
-
-def _map_residuals(bmap: BirationalMap) -> list[tuple[str, RatExpr]]:
-    """The map residuals of ``bmap`` along the flow it is certified against.
-
-    That flow comes from the map's own data: the source flow, restricted by
+    The flow comes from the map's own data: the source flow, restricted by
     the ``eliminated`` bindings onto the map's table and extended by the
-    generator ``rules``.
+    generator ``rules``; the reduction's generator s has the rule dS/dt = -s.
     """
     source = load_model(bmap.source)
     rules = {
@@ -238,7 +220,34 @@ def _map_residuals(bmap: BirationalMap) -> list[tuple[str, RatExpr]]:
         for n in source.state if n not in bmap.eliminated
     }
     flow = Derivation(bmap.table, {**rules, **bmap.rules, source.indep: 1})
-    return _symmetry_residuals(flow, load_model(bmap.target), bmap)
+    target = load_model(bmap.target)
+    return flow, target, bmap.pullback_bindings(flow.table, target.table)
+
+
+def _pushed(flow: Derivation, target: VectorFieldSystem, bindings: dict) -> dict[str, RatExpr]:
+    """{target state: D(phi_i)/D(tau)}, phi_i the state's binding.
+
+    tau is the binding of the target's time, or that time where none is
+    given.  A constant rate divides as a number: the same quotient, with no
+    ``RatExpr`` built.
+    """
+    indep = target.indep
+    rate = differentiate(bindings.get(indep, RatExpr.sym(flow.table, indep)), flow)
+    if rate.is_polynomial and rate.num.is_const:
+        rate = rate.num.const_value()
+    return {n: differentiate(bindings[n], flow) / rate for n in target.state}
+
+
+def _residuals(
+    flow: Derivation, target: VectorFieldSystem, bindings: dict
+) -> list[tuple[str, RatExpr]]:
+    """(state, D(phi_i)/D(tau) - F_i(bindings)) for each target state."""
+    pushed = _pushed(flow, target, bindings)
+    return [(n, pushed[n] - substitute(target.rhs[n], bindings, table=flow.table))
+            for n in target.state]
+
+
+# -- symmetry --------------------------------------------------------------------
 
 
 def check_symmetry(
@@ -258,7 +267,7 @@ def check_symmetry(
         check_id += f":{variant}"
     with _Timer() as tm:
         try:
-            entries = _map_residuals(bmap)
+            entries = _residuals(*_map_flow(bmap))
         except SingularSubstitutionError as exc:
             return VerificationReport(
                 check_id=check_id,
@@ -358,24 +367,18 @@ def check_chart(
         check_id += f":{variant}"
     with _Timer() as tm:
         corrections = _chart_corrections(sys_obj, bmap)
-        inverse = {
-            name: RatExpr.sym(table, name) - corrections[name]
-            for name in sys_obj.state
-        }
+        inverse = {n: RatExpr.sym(table, n) - c for n, c in corrections.items()}
         entries: list[tuple[str, RatExpr]] = []
         forward = {n: bmap.var_map[n] for n in sys_obj.state}
         for name in sys_obj.state:
             composed = substitute(inverse[name], forward)
             entries.append((f"inverse:{name}", composed - RatExpr.sym(table, name)))
-        jac = jacobian_determinant(
-            [bmap.var_map[n] for n in sys_obj.state], list(sys_obj.state)
-        )
+        jac = jacobian_determinant(list(forward.values()), list(forward))
         entries.append(("jacobian", jac - 1))
 
-        flow = sys_obj.flow()
+        pushed = _pushed(*_map_flow(bmap))
         principal = [
-            (f"polynomial:{name}",
-             _principal_part(substitute(differentiate(bmap.var_map[name], flow), inverse)))
+            (f"polynomial:{name}", _principal_part(substitute(pushed[name], inverse)))
             for name in sys_obj.state
         ]
     polynomial = all(part.is_zero for _, part in principal)
@@ -429,7 +432,7 @@ def check_reduction_5d_to_4d(map_id: str) -> VerificationReport:
     new time of the map residual.
     """
     with _Timer() as tm:
-        entries = _map_residuals(load_map(map_id))
+        entries = _residuals(*_map_flow(load_map(map_id)))
     return _finish("reduction:5d_to_4d", entries, tm)
 
 
@@ -448,7 +451,7 @@ def check_second_order_forms(*map_ids: str) -> VerificationReport:
         entries = [
             (f"{map_id}:{name}", resid)
             for map_id in map_ids
-            for name, resid in _map_residuals(load_map(map_id))
+            for name, resid in _residuals(*_map_flow(load_map(map_id)))
         ]
     return _finish("second_order_forms", entries, tm)
 
@@ -467,14 +470,10 @@ def check_particular_solution(solution_id: str) -> VerificationReport:
     if missing:
         raise ValueError(f"solution {solution_id!r} misses bindings for {missing}")
     with _Timer() as tm:
-        deriv = Derivation(sol.table, {**sol.rules, target.indep: 1})
-        bindings = dict(sol.bindings)
-        bindings.update(sol.param_bindings)
-        entries = []
-        for name in target.state:
-            lhs = deriv.of(sol.bindings[name])
-            rhs = substitute(target.rhs[name], bindings, table=sol.table)
-            entries.append((name, lhs - rhs))
+        entries = _residuals(
+            Derivation(sol.table, {**sol.rules, target.indep: 1}),
+            target, {**sol.bindings, **sol.param_bindings},
+        )
     return _finish(
         f"solution:{solution_id}", entries, tm,
         detail=f"system {sol.system_id}",

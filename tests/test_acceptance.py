@@ -90,9 +90,7 @@ def test_criterion_2_typo_resolution():
     # 2*(alpha0 - alpha2)*x, so only the corrected variant can verify
     five = load_model("five_dim")
     x, a0, a2 = syms(five.table, "x alpha0 alpha2")
-    printed = dict(
-        verify._symmetry_residuals(five.flow(), five, load_map("s2_5d", "printed"))
-    )
+    printed = dict(verify._residuals(*verify._map_flow(load_map("s2_5d", "printed"))))
     hand_ok = printed["x"].equals(2 * (a0 - a2) * x)
     ok = same and winners["s2_5d"] == "corrected" and hand_ok
     _report(

@@ -312,6 +312,17 @@ def test_integrate_nonpositive_fixed_step_exits_2(capsys):
         assert "fixed mode needs a positive step" in capsys.readouterr().err
 
 
+def test_integrate_fixed_step_longer_than_the_span_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(numeric, "_fixed_steps", lambda *args: pytest.fail("a step was taken"))
+    assert main([
+        "integrate", "five_dim", "--params", FIVE_PARAMS,
+        "--init", "0.4,0.8,-0.3,0.5,-0.2", "--span", "0,0.5", "--fixed-step", "1e300",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "no finite step count of at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_integrate_metadata_reports_the_run_cost(tmp_path, capsys):
     out = tmp_path / "five.csv"
     assert main([

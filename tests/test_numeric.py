@@ -524,6 +524,20 @@ def test_fixed_step_count_above_the_cap_is_refused_before_any_step(monkeypatch, 
                   (0.0, 1.0), mode="fixed", step=step)
 
 
+@pytest.mark.parametrize("step", [1e300, 1.0, 1.5])
+def test_fixed_step_that_rounds_to_no_step_is_refused(steps_taken, step):
+    # over a span of 0.5 these steps give a count of at most 0.5, which rounds to 0
+    with pytest.raises(UsageError, match="no finite step count of at least 1"):
+        integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.5), mode="fixed", step=step)
+    assert steps_taken == []
+
+
+@pytest.mark.parametrize("step, n", [(0.6, 1), (0.5, 1), (1 / 3, 2)])
+def test_fixed_step_that_rounds_to_a_step_takes_it(step, n):
+    traj = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.5), mode="fixed", step=step)
+    assert traj.steps_accepted == n and traj.h_min == 0.5 / n
+
+
 @pytest.mark.parametrize("system_id, params, init, kwargs", [
     ("five_dim", PARAMS_5D, INIT_5D, {"step": math.nan}),
     ("five_dim", PARAMS_5D, INIT_5D, {"mode": "fixed", "step": 1e-2, "grid": [5, 3, 9]}),

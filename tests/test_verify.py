@@ -243,14 +243,10 @@ def test_s2_5d_residual_matches_hand_expansion():
     # 2*(alpha0 - alpha2)*q; the corrected coefficient alpha2 zeroes both
     five = load_model("five_dim")
     x, q, a0, a2 = syms(five.table, "x q alpha0 alpha2")
-    printed = dict(verify._symmetry_residuals(
-        five.flow(), five, load_map("s2_5d", "printed")
-    ))
+    printed = dict(verify._residuals(*verify._map_flow(load_map("s2_5d", "printed"))))
     assert printed["x"].equals(2 * (a0 - a2) * x)
     assert printed["q"].equals(2 * (a0 - a2) * q)
-    corrected = dict(verify._symmetry_residuals(
-        five.flow(), five, load_map("s2_5d", "corrected")
-    ))
+    corrected = dict(verify._residuals(*verify._map_flow(load_map("s2_5d", "corrected"))))
     for name, resid in corrected.items():
         assert is_identically_zero(resid), name
 
@@ -473,11 +469,149 @@ def test_second_order_fails_without_coupling():
         hamiltonian=Hamiltonian(H_uncoupled, ham.hamiltonian.pairing),
         singular_at_zero_indep=True,
     )
-    entries = dict(verify._symmetry_residuals(
-        perturbed.flow(), load_model("coupled_second_order"), load_map("order2_ham_4d")
-    ))
+    target = load_model("coupled_second_order")
+    bindings = load_map("order2_ham_4d").pullback_bindings(T, target.table)
+    entries = dict(verify._residuals(perturbed.flow(), target, bindings))
     assert not is_identically_zero(entries["ydot"])
     assert not is_identically_zero(entries["wdot"])
+
+
+# -- the pushed field: an independent sympy oracle ----------------------------------------------
+
+# the components whose residual (for charts: principal part) is nonzero; every
+# other component of every registry map and solution vanishes
+PUSHED_NONZERO = {
+    ("s2_5d", "printed"): {"x", "y", "w", "q"},
+    ("s2_4d", "printed"): {"p2"},
+    ("chart2", "printed"): {"y", "w"},
+}
+
+MAP_VARIANTS = [
+    (mid, variant)
+    for mid in models.MAP_IDS
+    for variant in (("printed", "corrected") if mid in models.DISPUTED_MAP_IDS else ("printed",))
+]
+
+
+def _sympy(e):
+    return sympy_of(e, [sp.Symbol(n) for n in e.table.symbols])
+
+
+def _sympy_derivation(rules):
+    return lambda f: sum((sp.diff(f, v) * r for v, r in rules.items()), sp.Integer(0))
+
+
+def _on_normalization(e):
+    a0, a1, a2 = sp.symbols("alpha0 alpha1 alpha2")
+    return e.subs(a1, 1 - a0 - a2)
+
+
+def _vanishes(e, normalized) -> bool:
+    """Whether ``e`` is zero, on alpha0 + alpha1 + alpha2 = 1 where ``normalized``."""
+    return sp.expand(sp.numer(sp.together(_on_normalization(e) if normalized else e))) == 0
+
+
+def _sympy_pushed(derive, tau, bindings, states):
+    rate = derive(tau)
+    return {n: derive(bindings[sp.Symbol(n)]) / rate for n in states}
+
+
+def _golden_nonzero(check_id: str, prefix: str = "") -> set[str]:
+    records = map(json.loads, GOLDEN_RECORDS.read_text().splitlines())
+    (record,) = [r for r in records if r.get("variant") == "both" and r["check_id"] == check_id]
+    return {
+        label[len(prefix):] for label, resid in record["residuals"]
+        if label.startswith(prefix) and resid != "zero"
+    }
+
+
+@pytest.mark.parametrize("map_id, variant", MAP_VARIANTS)
+def test_pushed_field_matches_a_sympy_oracle(map_id, variant):
+    # the flow, the images and the target field rebuilt in sympy from the
+    # registry's terms, and the pullback from the action's matrix and signs
+    bmap = load_map(map_id, variant)
+    source, target = load_model(bmap.source), load_model(bmap.target)
+    eliminated = {sp.Symbol(n): _sympy(e) for n, e in bmap.eliminated.items()}
+    rules = {
+        sp.Symbol(n): _sympy(source.rhs[n]).subs(eliminated, simultaneous=True)
+        for n in source.state if n not in bmap.eliminated
+    }
+    rules.update({sp.Symbol(n): _sympy(e) for n, e in bmap.rules.items()})
+    rules[sp.Symbol(source.indep)] = sp.Integer(1)
+    bindings = {sp.Symbol(n): _sympy(e) for n, e in bmap.var_map.items()}
+    alphas = sp.symbols(bmap.param_names)
+    for name, row, offset in zip(bmap.param_names, bmap.action.matrix, bmap.action.offset):
+        bindings[sp.Symbol(name)] = sum(c * a for c, a in zip(row, alphas)) + offset
+    eta, indep = sp.Symbol("eta"), sp.Symbol(target.indep)
+    if "eta" in target.table:
+        bindings[eta] = bmap.action.eta_sign * eta
+    if target.indep in bmap.table:
+        bindings[indep] = bmap.action.indep_sign * indep
+    pushed = _sympy_pushed(
+        _sympy_derivation(rules), bindings.get(indep, indep), bindings, target.state
+    )
+
+    flow = verify._map_flow(bmap)
+    got = verify._pushed(*flow)
+    for name in target.state:
+        assert _vanishes(_sympy(got[name]) - pushed[name], False), name
+    normalized = has_relation_symbols(bmap.table)
+    if bmap.id.startswith("chart"):
+        # polynomial after the triangular inverse x_i -> 2*x_i - phi_i
+        inverse = {v: 2 * v - phi for v, phi in bindings.items() if v.name in target.state}
+        nonzero = set()
+        for name in target.state:
+            chart_rhs = sp.cancel(_on_normalization(pushed[name].subs(inverse, simultaneous=True)))
+            if sp.fraction(chart_rhs)[1].free_symbols:
+                nonzero.add(name)
+        golden = _golden_nonzero(
+            f"chart:{bmap.source}:{map_id}:{variant}" if map_id in models.DISPUTED_MAP_IDS
+            else f"chart:{bmap.source}:{map_id}",
+            "polynomial:",
+        )
+    else:
+        residuals = dict(verify._residuals(*flow))
+        nonzero = set()
+        for name in target.state:
+            field = _sympy(target.rhs[name]).subs(bindings, simultaneous=True)
+            resid = pushed[name] - field
+            assert _vanishes(_sympy(residuals[name]) - resid, False), name
+            if not _vanishes(resid, normalized):
+                nonzero.add(name)
+        if map_id == "reduce_5d_4d":
+            golden = _golden_nonzero("reduction:5d_to_4d")
+        elif map_id.startswith("order2_"):
+            golden = _golden_nonzero("second_order_forms", f"{map_id}:")
+        else:
+            suffix = f":{variant}" if map_id in models.DISPUTED_MAP_IDS else ""
+            golden = _golden_nonzero(f"symmetry:{bmap.source}:{map_id}{suffix}")
+    assert nonzero == PUSHED_NONZERO.get((map_id, variant), set()) == golden
+
+
+@pytest.mark.parametrize("solution_id", models.SOLUTION_IDS)
+def test_solution_residuals_match_a_sympy_oracle(solution_id):
+    sol = verify.load_particular_solution(solution_id)
+    target = load_model(sol.system_id)
+    indep = sp.Symbol(target.indep)
+    rules = {sp.Symbol(n): _sympy(e) for n, e in sol.rules.items()}
+    rules[indep] = sp.Integer(1)
+    bindings = {
+        sp.Symbol(n): _sympy(e) for n, e in {**sol.bindings, **sol.param_bindings}.items()
+    }
+    pushed = _sympy_pushed(_sympy_derivation(rules), indep, bindings, target.state)
+
+    kernel_bindings = {**sol.bindings, **sol.param_bindings}
+    flow = Derivation(sol.table, {**sol.rules, target.indep: 1})
+    got = verify._pushed(flow, target, kernel_bindings)
+    residuals = dict(verify._residuals(flow, target, kernel_bindings))
+    nonzero = set()
+    for name in target.state:
+        resid = pushed[name] - _sympy(target.rhs[name]).subs(bindings, simultaneous=True)
+        assert _vanishes(_sympy(got[name]) - pushed[name], False), name
+        assert _vanishes(_sympy(residuals[name]) - resid, False), name
+        if not _vanishes(resid, has_relation_symbols(sol.table)):
+            nonzero.add(name)
+    assert nonzero == set() == _golden_nonzero(f"solution:{solution_id}")
 
 
 # -- solutions and the invariant divisor ---------------------------------------------------------
