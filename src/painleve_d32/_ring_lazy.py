@@ -1,8 +1,9 @@
 """The half of the exact kernel that the set-up never runs.
 
 Substitution, the parameter relation's reduction, exact evaluation at
-points (one-shot and the compiled :class:`PointMap`), derivations and
-Jacobian determinants live here.  :mod:`.ring` serves every name this
+points (one-shot and the compiled :class:`PointMap`), the split of a
+polynomial by some symbols' exponents, derivations and Jacobian
+determinants live here.  :mod:`.ring` serves every name this
 module defines (``ring._LAZY``) and binds them all in its own namespace the
 first time one is looked up there, so ``ring.substitute`` and
 ``from .ring import Derivation`` keep working and importing the package
@@ -24,6 +25,7 @@ from typing import Mapping, Optional, Sequence, Union
 from . import ring
 from .ring import (
     _FIELD,
+    EXPONENT_BITS,
     RELATION_ELIMINATED,
     Monomial,
     Poly,
@@ -255,6 +257,36 @@ def _residue(
             powers[k] = value
         total += c * value
     return total * pow(den, -1, prime) % prime
+
+
+def split_poly(p: Poly, indices: Sequence[int], width: int) -> dict[int, Poly]:
+    """``p`` split by the exponents of the symbols at ``indices``.
+
+    Returns ``{key: part}``: the key packs the exponents of those symbols
+    into one integer, big-endian in the order given and ``width`` bits each,
+    so keys compare as the exponent tuples do; the part, a polynomial in the
+    other symbols, is the sum of the terms with those exponents divided by
+    that monomial.  Each term's packed exponent vector is split with masks,
+    and the parts keep the canonical form.  Raises :class:`RingError` for an
+    exponent that does not fit ``width`` bits.
+    """
+    table = p.table
+    shifts = [table._shifts[i] for i in indices]
+    fields = sum(_FIELD << s for s in shifts)
+    degree_shift = EXPONENT_BITS * len(table)
+    groups: dict[int, dict[int, int]] = {}
+    for k, c in p._coeffs.items():
+        key = degree = 0
+        for s in shifts:
+            e = (k >> s) & _FIELD
+            if e >> width:
+                raise RingError(f"exponent {e} does not fit a {width}-bit field")
+            key = (key << width) | e
+            degree += e
+        # the rest of the key keeps its exponents; its total degree drops by
+        # the exponents taken out, and descending keys stay descending
+        groups.setdefault(key, {})[(k & ~fields) - (degree << degree_shift)] = c
+    return {key: Poly._reduced(table, coeffs, p._den) for key, coeffs in groups.items()}
 
 
 class PointMap:

@@ -777,7 +777,7 @@ def _lazy_getattr(namespace: dict, half: str, names: frozenset):
 _LAZY = frozenset({
     "reduce_relation", "is_identically_zero",
     "_coerce_binding", "substitute_poly", "substitute",
-    "evaluate", "_residue",
+    "evaluate", "_residue", "split_poly",
     "PointMap", "_COPRIME", "_POINT_GLOBALS", "_Pair", "_PairCode", "_minus", "_Term",
     "_output_value", "_horner", "_monomial",
     "Derivation", "differentiate", "jacobian_determinant", "_det",

@@ -52,6 +52,7 @@ from .ring import (
     has_relation_symbols,
     jacobian_determinant,
     reduce_relation,
+    split_poly,
     substitute,
     substitute_poly,
     syms,
@@ -611,7 +612,10 @@ class _Lines:
     def update(self, i: int, n: int) -> None:
         old = self.count.pop(i, 0)
         if old:
-            self.buckets[old].discard(i)
+            bucket = self.buckets[old]
+            bucket.discard(i)
+            if not bucket:
+                del self.buckets[old]
         if n:
             self.count[i] = n
             self.buckets.setdefault(n, set()).add(i)
@@ -656,20 +660,41 @@ def _eliminate(
 ) -> list[tuple[int, int, dict]]:
     """Sparse elimination in one field; the pivots in order.
 
-    Each pivot (row, column) eliminates its column from every other live
-    row; ``reduce`` maps a computed entry to its canonical form, or to None
-    when it vanishes, and ``inverse`` inverts a pivot.  Pivots come from
-    :func:`_markowitz` until no live entry remains.  Each pivot is returned
-    with its row as it stood when it was chosen: an upper triangular factor
-    whose free columns span the kernel.
+    Rows with one live entry are pivots first, and cost no arithmetic: the
+    multiple of such a row that clears its column from another row cancels
+    exactly that entry, so the entry is deleted.  Those rows are taken last
+    in, first out, from a stack seeded in row order; a row this leaves with
+    one entry joins the stack, and a row it leaves empty is dropped.  Then
+    each pivot of :func:`_markowitz`, until no live entry remains,
+    eliminates its column from every other live row: ``reduce`` maps a
+    computed entry to its canonical form, or to None when it vanishes, and
+    ``inverse`` inverts a pivot.  Each pivot is returned with its row as it
+    stood when it was chosen: an upper triangular factor whose free columns
+    span the kernel.
     """
     live = {r: dict(row) for r, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}
     for r, row in live.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    row_lines, col_lines = _Lines(live), _Lines(cols)
     pivots = []
+    singletons = [r for r, row in live.items() if len(row) == 1]
+    while singletons:
+        r = singletons.pop()
+        prow = live.pop(r, None)
+        if prow is None:  # emptied by an earlier singleton of its column
+            continue
+        (c,) = prow
+        for s in cols.pop(c):
+            if s != r:
+                srow = live[s]
+                del srow[c]
+                if len(srow) == 1:
+                    singletons.append(s)
+                elif not srow:
+                    del live[s]
+        pivots.append((r, c, prow))
+    row_lines, col_lines = _Lines(live), _Lines(cols)
     while cols:
         r, c = _markowitz(live, cols, row_lines, col_lines, weight)
         prow = live.pop(r)
@@ -816,24 +841,29 @@ def _reduced(basis: list[dict[int, _Exact]]) -> list[dict[int, _Exact]]:
     return [done[c] for c in sorted(done)]
 
 
-# a cleared polynomial split by row key (state and indep exponents), each key
-# holding its part in the parameters
-_Split = dict[tuple[int, ...], Poly]
+# a cleared polynomial split by row key (the state and indep exponents,
+# packed), each key holding its part in the parameters
+_Split = dict[int, Poly]
 # cells of a search matrix: row key -> column -> the entry, a polynomial in
 # the parameters or an int that is its image mod p
-_Cells = dict[tuple[int, ...], dict[int, Union[Poly, int]]]
+_Cells = dict[int, dict[int, Union[Poly, int]]]
 
 
 def _search_parts(
-    sys_obj: VectorFieldSystem,
-) -> tuple[list[tuple[int, _Split]], _Split, list[int]]:
-    """The cleared rule numerators N_i and their common denominator L, split.
+    sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]],
+) -> tuple[list[tuple[int, _Split]], _Split, list[int], int]:
+    """The cleared rule numerators N_i and their common denominator L, split,
+    and the ansatz monomials as row keys.
 
     The rule denominators are cleared once, into their product L.  Each
     N_i = rule_i*L and L itself are reduced by the normalization and split
-    once per search into {row key: parameter part}; each N_i comes with the
-    key position of its variable.  The positions of the non-parameter
-    symbols, whose exponents make up a row key, are returned last.
+    once per search into {row key: parameter part} (:func:`split_poly`).  A
+    row key packs the exponents of the non-parameter symbols into one int,
+    big-endian in table order at a fixed field width, so keys compare as
+    the exponent tuples do.  The width holds the total degree of any N_i or
+    L times any ansatz monomial, so adding two keys adds their exponents
+    field by field.  Each N_i comes with the bit offset of its variable's
+    field; the monomials' keys and the width are returned last.
     """
     table = sys_obj.table
     rules = {n: r for n, r in sys_obj.flow().rules.items() if not r.is_zero}
@@ -844,60 +874,59 @@ def _search_parts(
         n: reduce_relation(r.num * exact_polynomial_quotient(common_den, r.den))
         for n, r in rules.items()
     }
+    base = reduce_relation(common_den)
     free = [
         i for i, kind in enumerate(table.kinds) if kind not in ("parameter", "constant")
     ]
-
-    def split(p: Poly) -> _Split:
-        terms: dict[tuple[int, ...], dict] = {}
-        for mono, c in p.terms:
-            key = tuple(mono[i] for i in free)
-            pmono = tuple(0 if i in free else e for i, e in enumerate(mono))
-            terms.setdefault(key, {})[pmono] = c
-        return {key: Poly(table, part) for key, part in terms.items()}
-
-    parts = [(free.index(table.index(n)), split(p)) for n, p in cleared.items()]
-    return parts, split(reduce_relation(common_den)), free
+    top = max(p.total_degree() for p in (base, *cleared.values()))
+    width = (top + max(map(sum, monos))).bit_length()
+    offset = {i: width * (len(free) - 1 - pos) for pos, i in enumerate(free)}
+    parts = [
+        (offset[table.index(n)], split_poly(p, free, width)) for n, p in cleared.items()
+    ]
+    shifts = [sum(m[i] << offset[i] for i in free) for m in monos]
+    return parts, split_poly(base, free, width), shifts, width
 
 
 def _assemble(
-    parts: list[tuple[int, dict]], base: dict, shifts: list[list[int]],
-    add: Callable[[dict, int, int, Any], None],
+    parts: list[tuple[int, dict]], base: dict, shifts: list[int], width: int,
+    scale: Callable[[Any, int], Any],
 ) -> tuple[_Cells, _Cells]:
     """Cells of the cleared derivatives C and the cleared ansatz B.
 
-    Column ``col`` is the ansatz monomial m = shifts[col] (its row key).  Its
-    cleared derivative is a sum of shifts, L*D(m) = sum_i e_i*(m/x_i)*N_i,
-    and m*L is a shift of L; ``add(row, col, scale, value)`` adds scale times
-    a part's value to row[col].  The ansatz holds no parameter, so the
-    normalization commutes with the shifts.
+    Column ``col`` is the ansatz monomial m, whose row key is shifts[col].
+    Its cleared derivative is a sum of shifts, L*D(m) = sum_i e_i*(m/x_i)*N_i,
+    and m*L is a shift of L.  A shift adds one key to another, and a part's
+    value times e_i, ``scale(value, e_i)``, is computed once per part and
+    exponent; each cell then costs one key addition and one sum.  The ansatz
+    holds no parameter, so the normalization commutes with the shifts.
     """
+    mask = (1 << width) - 1
     c_cells: _Cells = {}
     b_cells: _Cells = {}
-
-    def place(cells: _Cells, part: dict, shift: list[int], scale: int, col: int) -> None:
-        for key, value in part.items():
-            add(cells.setdefault(tuple(map(operator.add, key, shift)), {}), col, scale, value)
-
+    multiples: dict[tuple[int, int], list] = {}
+    base_items = list(base.items())
     for col, m in enumerate(shifts):
-        for j, part in parts:
-            if m[j]:
-                place(c_cells, part, m[:j] + [m[j] - 1] + m[j + 1:], m[j], col)
-        place(b_cells, base, m, 1, col)
+        placed = [(b_cells, base_items, m)]
+        for offset, part in parts:
+            if e := (m >> offset) & mask:
+                multiple = multiples.get((offset, e))
+                if multiple is None:
+                    multiple = multiples[offset, e] = [(k, scale(v, e)) for k, v in part.items()]
+                placed.append((c_cells, multiple, m - (1 << offset)))
+        for cells, items, shift in placed:
+            for key, value in items:
+                key += shift
+                row = cells.get(key)
+                if row is None:
+                    cells[key] = {col: value}
+                else:
+                    old = row.get(col)
+                    row[col] = value if old is None else old + value
     return c_cells, b_cells
 
 
-def _add_poly(row: dict, col: int, scale: int, part: Poly) -> None:
-    part = part.scaled(scale)
-    old = row.get(col)
-    row[col] = part if old is None else old + part
-
-
-def _add_int(row: dict, col: int, scale: int, value: int) -> None:
-    row[col] = row.get(col, 0) + scale * value
-
-
-def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> dict[tuple, dict]:
+def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> dict[int, dict]:
     """Nonzero rows of C - lam*B by row key, in key order: ``entry(c, b)``
     is the value of a cell from its C and B cells (None where absent), or
     None when it vanishes."""
@@ -916,7 +945,7 @@ def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> dict[tuple, dict
 
 def _search_rows(
     c_cells: _Cells, b_cells: _Cells, lam: Fraction
-) -> dict[tuple, dict[int, Poly]]:
+) -> dict[int, dict[int, Poly]]:
     """Nonzero rows of C - lam*B by row key, each cell c - lam*b."""
 
     def entry(c: Optional[Poly], b: Optional[Poly]) -> Optional[Poly]:
@@ -1030,7 +1059,7 @@ class _Pencil:
     def __init__(self, c_cells: _Cells, b_cells: _Cells):
         p = RANK_PRIME
 
-        def row(cells: _Cells, key: tuple) -> dict[int, int]:
+        def row(cells: _Cells, key: int) -> dict[int, int]:
             return {c: r for c, v in cells.get(key, {}).items() if (r := v % p)}
 
         free_keys = sorted(c_cells.keys() - b_cells.keys())
@@ -1055,10 +1084,12 @@ class _Pencil:
 class _SearchMatrix:
     """The matrices C and B of one search, with integer images mod p.
 
-    The cleared rules are split once into parameter parts, and their images
-    at the seeded point of Z/p (:func:`_point_images`) are assembled into
-    integer cells C_p and B_p once, whose eigenvalue-free rows are
-    eliminated once (:class:`_Pencil`).  Exact cells, sums of the same
+    The cleared rules are split once into parameter parts keyed by packed
+    row keys, and the ansatz monomials are packed the same way, at one field
+    width (:func:`_search_parts`).  The parts' images at the seeded point
+    of Z/p (:func:`_point_images`) are assembled into integer cells C_p and
+    B_p once, whose eigenvalue-free rows, nearly all of them singletons,
+    are eliminated once (:class:`_Pencil`).  Exact cells, sums of the same
     parts, are assembled per eigenvalue for the columns it solves on
     (:meth:`_solve`).
     """
@@ -1067,14 +1098,15 @@ class _SearchMatrix:
         self.sys_obj = sys_obj
         self.monos = monos
         self.one = RatExpr.const(sys_obj.table, 1)
-        self.parts, self.base, free = _search_parts(sys_obj)
-        self.shifts = [[m[i] for i in free] for m in monos]
+        self.parts, self.base, self.shifts, self.width = _search_parts(sys_obj, monos)
         image = _point_images(sys_obj.table)
-        parts_p = [(j, {key: image(p) for key, p in part.items()}) for j, part in self.parts]
+        parts_p = [
+            (offset, {key: image(p) for key, p in part.items()}) for offset, part in self.parts
+        ]
         base_p = {key: image(p) for key, p in self.base.items()}
         self.mod_p: Optional[tuple[_Cells, _Cells]] = None
         if None not in chain(base_p.values(), *(s.values() for _, s in parts_p)):
-            self.mod_p = _assemble(parts_p, base_p, self.shifts, _add_int)
+            self.mod_p = _assemble(parts_p, base_p, self.shifts, self.width, operator.mul)
 
     @cached_property
     def pencil(self) -> Optional[_Pencil]:
@@ -1111,8 +1143,9 @@ class _SearchMatrix:
         """Certified kernel of the exact C - lam*B on the columns ``cols``
         alone (:func:`_nullspace`; their unit vectors when every cell
         vanishes), numbered as the matrix's columns."""
+        shifts = [self.shifts[c] for c in cols]
         rows = _search_rows(
-            *_assemble(self.parts, self.base, [self.shifts[c] for c in cols], _add_poly), lam
+            *_assemble(self.parts, self.base, shifts, self.width, Poly.scaled), lam
         )
         basis = (
             _nullspace(list(rows.values()), len(cols), self.one) if rows

@@ -23,6 +23,7 @@ from painleve_d32.ring import (
     ZeroDivisionExprError,
     _content,
     exact_polynomial_quotient,
+    split_poly,
     substitute_poly,
 )
 
@@ -276,6 +277,46 @@ def test_residue_matches_the_termwise_reference(data, name, prime):
     for _ in range(3):
         _, a = data.draw(polys(table, max_exp=3))
         assert a.residue(point, prime, powers) == ref_residue(a.terms, point, prime)
+
+
+def ref_split(terms, indices):
+    """The reference split: the rest of each term, keyed by its exponent
+    tuple at ``indices``."""
+    out: dict = {}
+    for mono, c in terms:
+        rest = tuple(0 if i in indices else e for i, e in enumerate(mono))
+        out.setdefault(tuple(mono[i] for i in indices), {})[rest] = c
+    return out
+
+
+def ref_pack(exponents, width):
+    key = 0
+    for e in exponents:
+        key = (key << width) | e
+    return key
+
+
+@SETTINGS
+@given(st.data(), table_names, st.integers(2, 5))
+def test_split_matches_the_termwise_reference(data, name, width):
+    table = TABLES[name]
+    indices = sorted(data.draw(st.sets(st.integers(0, len(table) - 1), max_size=5)))
+    _, a = data.draw(polys(table, max_exp=3))
+    parts = split_poly(a, indices, width)
+    expected = {ref_pack(e, width): (e, part) for e, part in ref_split(a.terms, indices).items()}
+    assert parts.keys() == expected.keys()
+    for key, part in parts.items():
+        assert_terms_contract(part, expected[key][1])
+    # keys compare as the exponent tuples they pack
+    assert sorted(expected) == sorted(expected, key=lambda key: expected[key][0])
+
+
+def test_split_refuses_an_exponent_wider_than_its_field():
+    table = TABLES["five_dim"]
+    p = Poly.var(table, "x", 4)
+    assert split_poly(p, [table.index("x")], 3).keys() == {4}
+    with pytest.raises(RingError, match="does not fit"):
+        split_poly(p, [table.index("x")], 2)
 
 
 def test_residue_is_none_when_the_prime_divides_a_denominator():

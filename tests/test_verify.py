@@ -8,6 +8,7 @@ shares no code with the exact kernel.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -815,7 +816,9 @@ def _differential_nullspace(monkeypatch, seen):
 
 def _exact_cells(matrix):
     """The exact cells C and B of every column of a search matrix."""
-    return verify._assemble(matrix.parts, matrix.base, matrix.shifts, verify._add_poly)
+    return verify._assemble(
+        matrix.parts, matrix.base, matrix.shifts, matrix.width, Poly.scaled
+    )
 
 
 def _differential_kernel(monkeypatch, seen):
@@ -1096,6 +1099,133 @@ def test_shared_factor_matches_the_stacked_elimination_mod_p(
         assert all(reduce(row) == {} for row in rows)
 
 
+class _StaleLines:
+    """Rows or columns bucketed by count, empty buckets kept: the reference
+    bookkeeping of the Markowitz-only elimination below."""
+
+    def __init__(self, lines):
+        self.count, self.buckets = {}, {}
+        for i, line in lines.items():
+            self.update(i, len(line))
+
+    def update(self, i, n):
+        old = self.count.pop(i, 0)
+        if old:
+            self.buckets[old].discard(i)
+        if n:
+            self.count[i] = n
+            self.buckets.setdefault(n, set()).add(i)
+
+
+def _markowitz_elimination_mod_p(rows, weight=None):
+    """Reference elimination mod p: every pivot from Markowitz, none taken
+    ahead as a singleton."""
+    p = verify.RANK_PRIME
+    live = {r: dict(row) for r, row in enumerate(rows) if row}
+    cols: dict = {}
+    for r, row in live.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    row_lines, col_lines = _StaleLines(live), _StaleLines(cols)
+    pivots = []
+    while cols:
+        r, c = verify._markowitz(live, cols, row_lines, col_lines, weight)
+        prow = live.pop(r)
+        row_lines.update(r, 0)
+        for j in prow:
+            cols[j].discard(r)
+        inv = pow(prow[c], -1, p)
+        others = [j for j in prow if j != c]
+        for s in cols.pop(c):
+            srow = live[s]
+            factor = srow.pop(c) * inv % p
+            for j in others:
+                if new := (srow.get(j, 0) - factor * prow[j]) % p:
+                    srow[j] = new
+                    cols[j].add(s)
+                else:
+                    srow.pop(j, None)
+                    cols[j].discard(s)
+            row_lines.update(s, len(srow))
+        col_lines.update(c, 0)
+        for j in others:
+            col_lines.update(j, len(cols[j]))
+            if not cols[j]:
+                del cols[j]
+        pivots.append((r, c, prow))
+    return pivots
+
+
+def _random_sparse_rows(rng):
+    """Seeded sparse rows of small integers mod p, some of them singletons."""
+    ncols = rng.randint(1, 12)
+    return [
+        {c: rng.choice((-3, -2, -1, 1, 2, 3)) % verify.RANK_PRIME
+         for c in rng.sample(range(ncols), k)}
+        for k in (rng.choice((0, 1, 1, 2, 2, 3, 4)) for _ in range(rng.randint(1, 14)))
+        if k <= ncols
+    ]
+
+
+def _check_peel(rows):
+    """The peeling elimination has the reference's rank, and its pivots
+    reduce every row to nothing."""
+    pivots = verify._eliminate_mod_p(rows)
+    assert len(pivots) == len(_markowitz_elimination_mod_p(rows))
+    reduce = verify._reducer(pivots)
+    assert all(reduce(row) == {} for row in rows)
+
+
+def test_singleton_chain_is_eliminated_with_no_arithmetic():
+    # each pivot leaves the next row a singleton: no entry is computed, and
+    # the rows stay as they were given but for the deleted entries
+    def refuse(v):
+        raise AssertionError("arithmetic on a singleton chain")
+
+    rows = [{0: 2}, {0: 3, 1: 5}, {1: 7, 2: 1}, {2: 4, 3: 9}, {0: 1, 3: 6}]
+    pivots = verify._eliminate(rows, refuse, refuse)
+    # last in, first out: row 4, left a singleton after row 1, goes first;
+    # row 1 is emptied by row 2 and dropped
+    assert pivots == [(0, 0, {0: 2}), (4, 3, {3: 6}), (3, 2, {2: 4}), (2, 1, {1: 7})]
+
+
+@pytest.mark.parametrize("system_id,state_bound,indep_bound", PENCIL_CASES)
+def test_peel_keeps_the_rank_of_search_rows(system_id, state_bound, indep_bound):
+    matrix = _matrix(system_id, state_bound, indep_bound)
+    for lam in _pencil_lambdas(state_bound, indep_bound):
+        _check_peel(list(_rows_mod_p(matrix, lam).values()))
+
+
+def test_peel_keeps_the_rank_of_random_sparse_matrices():
+    rng = random.Random(29)
+    for _ in range(300):
+        _check_peel(_random_sparse_rows(rng))
+
+
+def test_markowitz_pivots_do_not_depend_on_empty_buckets():
+    # with no singleton row to start from, every pivot is Markowitz's, and
+    # deleting emptied buckets leaves each choice as it was.  Ties go to the
+    # least weight and then the least (row, column); without a weight they go
+    # to the first entry found, which follows the iteration order of the sets
+    p = verify.RANK_PRIME
+    rng = random.Random(30)
+    compared = 0
+    for _ in range(300):
+        rows = _random_sparse_rows(rng)
+        if all(len(row) != 1 for row in rows):
+            weight = lambda v: v  # noqa: E731
+            peeled = verify._eliminate(
+                rows, lambda v: v % p or None, lambda v: pow(v, -1, p), weight
+            )
+            assert peeled == _markowitz_elimination_mod_p(rows, weight)
+            compared += 1
+    assert compared > 50
+    lines = verify._Lines({0: [1, 2], 1: [3]})
+    lines.update(1, 0)
+    lines.update(0, 1)
+    assert lines.buckets == {1: {0}}
+
+
 class _Unsettled(Exception):
     pass
 
@@ -1202,15 +1332,45 @@ def test_short_touched_columns_solve_falls_back(
 
 def test_search_five_dim_degree_7_finds_the_powers_of_ywq():
     # scaling guard: 792 columns and four eigenvalues, each integral a power
-    # of y - w*q; solving every column exactly takes about 1 s, the search,
-    # which solves only the columns the kernels mod p touch, 0.05-0.06 s
-    # (shared Intel Xeon)
+    # of y - w*q; solving every column exactly takes 0.13-0.2 s, the search,
+    # which solves only the columns the kernels mod p touch, 0.04-0.05 s
+    # (shared 2-CPU Intel Xeon)
     lams = (Fraction(0), Fraction(-1), Fraction(-2), Fraction(-3))
     found = first_integral_search("five_dim", 7, 0, lams)
     ywq = load_integral("ywq").expr
     assert [f.lam for f in found] == [Fraction(-1), Fraction(-2), Fraction(-3)]
     for k, integral in enumerate(found, 1):
         assert integral.expr == (-ywq) ** k
+
+
+# twenty searches, each run alone under every eigenvalue of SWEEP_LAMBDAS
+SWEEP_CASES = (
+    [(s, 2, 1) for s in SYSTEM_IDS]
+    + [("five_dim", 3, 0), ("five_dim", 4, 1), ("five_dim", 7, 0), ("K1_sys", 8, 3)]
+    + [("ham_4d", 3, b) for b in range(5)]
+    + [("ham_4d", 6, 3)]
+)
+SWEEP_LAMBDAS = tuple(
+    Fraction(lam) for lam in
+    (0, -1, 1, -2, Fraction(1, 2), verify.RANK_PRIME, 2 * verify.RANK_PRIME,
+     Fraction(1, verify.RANK_PRIME))
+)
+
+
+def test_search_sweep_outputs_are_pinned():
+    # the integrals of the sweep, ids and rendered expressions byte for byte,
+    # as the search found them before rows with one entry were taken ahead
+    # of Markowitz and before row keys were packed; lambda = p, 2p and 1/p
+    # take the exact fallback.  About 1.1 s (shared 2-CPU Intel Xeon).
+    found = [
+        f for case in SWEEP_CASES for lam in SWEEP_LAMBDAS
+        for f in first_integral_search(*case, (lam,))
+    ]
+    text = "".join(f"{f.id}|{f.lam}|{f.expr!r}\n" for f in found)
+    assert len(found) == 8
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a8857be97f634bf96273ecb3c139b47b95bc9c05b4e45c24b3f93c9b331b4989"
+    )
 
 
 def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
