@@ -25,6 +25,7 @@ from typing import Mapping, Optional, Sequence, Union
 from . import ring
 from .ring import (
     _FIELD,
+    _RELATION_KEEP,
     EXPONENT_BITS,
     RELATION_ELIMINATED,
     Monomial,
@@ -44,15 +45,43 @@ from .ring import (
 
 
 def reduce_relation(p: Poly) -> Poly:
-    """Eliminate alpha1 := 1 - alpha0 - alpha2 where the table carries all three."""
-    if not has_relation_symbols(p.table) or not p.involves(RELATION_ELIMINATED):
-        return p
+    """Eliminate alpha1 := 1 - alpha0 - alpha2 where the table carries all three.
+
+    One linear expansion: the terms are grouped by their alpha1 exponent e,
+    and a term c*alpha1^e*m becomes c*m*(1 - alpha0 - alpha2)^e by adding
+    the keys of that power's terms to the key of m, with integer
+    coefficients over the denominator of ``p``.  The powers are built once
+    per call, up to the largest e.  A polynomial free of alpha1, or over a
+    table without all three alphas, is returned itself.
+    """
     t = p.table
-    binding = (
-        Poly.const(t, 1) - Poly.var(t, "alpha0") - Poly.var(t, "alpha2")
-    )
-    res = substitute_poly(p, {RELATION_ELIMINATED: RatExpr(binding)})
-    return res.as_poly()
+    if not has_relation_symbols(t):
+        return p
+    i = t.index(RELATION_ELIMINATED)
+    s, unit = t._shifts[i], t._units[i]
+    top = max(((k >> s) & _FIELD for k in p._coeffs), default=0)
+    if not top:
+        return p
+    binding = [(0, 1), *((t._units[t.index(n)], -1) for n in _RELATION_KEEP)]
+    powers = [[(0, 1)]]
+    for _ in range(top):
+        power: dict[int, int] = {}
+        for k, c in powers[-1]:
+            for bk, bc in binding:
+                power[k + bk] = power.get(k + bk, 0) + c * bc
+        powers.append(list(power.items()))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k, c in p._coeffs.items():
+        e = (k >> s) & _FIELD
+        if not e:
+            acc[k] = get(k, 0) + c
+            continue
+        k -= e * unit
+        for pk, pc in powers[e]:
+            pk += k
+            acc[pk] = get(pk, 0) + c * pc
+    return Poly._sorted(t, acc, p._den)
 
 
 def is_identically_zero(e: RatExpr) -> bool:

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from typing import Any, Callable, Iterable, Optional, Sequence, Sized, Union
 
 from . import models
@@ -559,30 +559,25 @@ def resolve_disputed(map_id: str) -> VerificationReport:
 # -- first integral search -----------------------------------------------------------------
 
 
-def _state_indep_monomials(
-    table: SymbolTable, state: Sequence[str], indep: str,
-    state_bound: int, indep_bound: int,
-) -> list[tuple[int, ...]]:
-    """All monomials with state total degree and indep degree within bounds."""
-    state_idx = [table.index(n) for n in state]
-    indep_idx = table.index(indep)
-    monos: list[tuple[int, ...]] = []
+def _ansatz(
+    state_offsets: Sequence[int], indep_offset: int, state_bound: int, indep_bound: int,
+) -> list[int]:
+    """The ansatz monomials as packed row keys, in (total degree, key) order.
 
-    def rec(pos: int, remaining: int, current: list[int]) -> None:
-        if pos == len(state_idx):
+    A monomial of state total degree at most ``state_bound`` and indep degree
+    at most ``indep_bound`` is a sum of field units, one per state factor
+    (``combinations_with_replacement``) and one per power of the independent
+    variable.  Keys compare as the exponent tuples do, so the order is that
+    of (total degree, exponent tuple).
+    """
+    units = [1 << offset for offset in state_offsets]
+    by_degree: list[list[int]] = [[] for _ in range(state_bound + indep_bound + 1)]
+    for s in range(state_bound + 1):
+        for factors in combinations_with_replacement(units, s):
+            key = sum(factors)
             for j in range(indep_bound + 1):
-                mono = [0] * len(table)
-                for idx, e in zip(state_idx, current):
-                    mono[idx] = e
-                mono[indep_idx] = j
-                monos.append(tuple(mono))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, current + [e])
-
-    rec(0, state_bound, [])
-    monos.sort(key=lambda m: (sum(m), m))
-    return monos
+                by_degree[s + j].append(key + (j << indep_offset))
+    return [key for keys in by_degree for key in sorted(keys)]
 
 
 def _point_images(table: SymbolTable) -> Callable[[Poly], Optional[int]]:
@@ -850,10 +845,10 @@ _Cells = dict[int, dict[int, Union[Poly, int]]]
 
 
 def _search_parts(
-    sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]],
-) -> tuple[list[tuple[int, _Split]], _Split, list[int], int]:
+    sys_obj: VectorFieldSystem, state_bound: int, indep_bound: int,
+) -> tuple[list[tuple[int, _Split]], _Split, list[int], int, dict[int, int]]:
     """The cleared rule numerators N_i and their common denominator L, split,
-    and the ansatz monomials as row keys.
+    and the ansatz columns as row keys.
 
     The rule denominators are cleared once, into their product L.  Each
     N_i = rule_i*L and L itself are reduced by the normalization and split
@@ -863,7 +858,9 @@ def _search_parts(
     the exponent tuples do.  The width holds the total degree of any N_i or
     L times any ansatz monomial, so adding two keys adds their exponents
     field by field.  Each N_i comes with the bit offset of its variable's
-    field; the monomials' keys and the width are returned last.
+    field.  The ansatz columns are built as keys at that width
+    (:func:`_ansatz`); they, the width and {table index: bit offset} are
+    returned last.
     """
     table = sys_obj.table
     rules = {n: r for n, r in sys_obj.flow().rules.items() if not r.is_zero}
@@ -879,13 +876,16 @@ def _search_parts(
         i for i, kind in enumerate(table.kinds) if kind not in ("parameter", "constant")
     ]
     top = max(p.total_degree() for p in (base, *cleared.values()))
-    width = (top + max(map(sum, monos))).bit_length()
+    width = (top + state_bound + indep_bound).bit_length()
     offset = {i: width * (len(free) - 1 - pos) for pos, i in enumerate(free)}
     parts = [
         (offset[table.index(n)], split_poly(p, free, width)) for n, p in cleared.items()
     ]
-    shifts = [sum(m[i] << offset[i] for i in free) for m in monos]
-    return parts, split_poly(base, free, width), shifts, width
+    columns = _ansatz(
+        [offset[table.index(n)] for n in sys_obj.state], offset[table.index(sys_obj.indep)],
+        state_bound, indep_bound,
+    )
+    return parts, split_poly(base, free, width), columns, width, offset
 
 
 def _assemble(
@@ -1047,32 +1047,47 @@ class _Pencil:
     """C_p - lam*B_p with its eigenvalue-free rows eliminated once.
 
     The rows with no B cell are the same for every lambda.  They are
-    eliminated mod p once, into a factor, and the C and B parts of every
-    other row are reduced against it onto its free columns.  Reduction is
-    linear, so red(C_p - lam*B_p) = red(C_p) - lam*red(B_p), and one
-    eigenvalue eliminates only that small pencil: the factor's pivots and
-    then the pencil's are an elimination of the stacked rows C_p - lam*B_p.
-    Their number is its rank mod p, and the columns no pivot takes are the
-    free columns of that elimination.
+    eliminated mod p once, into a factor.  Nearly all of its pivot rows are
+    single entries, and a column is *settled* when its pivot row is one
+    entry and no other factor row holds it: reducing a row against that
+    pivot deletes the column and touches no other, and no other pivot brings
+    it back.  So the C and B parts of every other row are built once from
+    their cells mod p with the settled columns left out, and only then
+    reduced against the factor's other, live pivots onto its free columns.
+    Reduction is linear, so red(C_p - lam*B_p) = red(C_p) - lam*red(B_p),
+    and one eigenvalue eliminates only that small pencil: the settled
+    columns, the live pivots and then the pencil's are an elimination of
+    the stacked rows C_p - lam*B_p.  Their number is its rank mod p, and
+    the columns none of them takes are the free columns of that
+    elimination.  A settled pivot sets its column to zero in every kernel
+    vector mod p and no other pivot reads it, so it is left out of the
+    pivots too.
     """
 
     def __init__(self, c_cells: _Cells, b_cells: _Cells):
         p = RANK_PRIME
-
-        def row(cells: _Cells, key: int) -> dict[int, int]:
-            return {c: r for c, v in cells.get(key, {}).items() if (r := v % p)}
-
-        free_keys = sorted(c_cells.keys() - b_cells.keys())
-        self.factor = _eliminate_mod_p([row(c_cells, key) for key in free_keys])
+        factor = _eliminate_mod_p([
+            {c: r for c, v in c_cells[key].items() if (r := v % p)}
+            for key in sorted(c_cells.keys() - b_cells.keys())
+        ])
+        held = {j for _, _, prow in factor if len(prow) > 1 for j in prow}
+        self.settled = {c for _, c, prow in factor if len(prow) == 1 and c not in held}
+        settled = self.settled
+        self.factor = [pivot for pivot in factor if pivot[1] not in settled]
         reduce = _reducer(self.factor)
+
+        def row(cells: dict) -> dict[int, int]:
+            return reduce({c: r for c, v in cells.items() if c not in settled and (r := v % p)})
+
         self.reduced = [
-            (reduce(row(c_cells, key)), reduce(row(b_cells, key))) for key in sorted(b_cells)
+            (row(c_cells.get(key, {})), row(b_cells[key])) for key in sorted(b_cells)
         ]
 
     def pivots(self, lam_p: int) -> list[tuple[int, dict[int, int]]]:
-        """The pivots (column, row) of C_p - lam*B_p at lambda's residue
-        ``lam_p``, the factor's then the pencil's: one elimination mod p,
-        each row as it stood when its pivot was chosen."""
+        """The live pivots (column, row) of C_p - lam*B_p at lambda's residue
+        ``lam_p``, the factor's then the pencil's: with the settled columns,
+        one elimination mod p, each row as it stood when its pivot was
+        chosen."""
         p = RANK_PRIME
         rows = [
             {j: v for j in c.keys() | b.keys() if (v := (c.get(j, 0) - lam_p * b.get(j, 0)) % p)}
@@ -1085,20 +1100,21 @@ class _SearchMatrix:
     """The matrices C and B of one search, with integer images mod p.
 
     The cleared rules are split once into parameter parts keyed by packed
-    row keys, and the ansatz monomials are packed the same way, at one field
-    width (:func:`_search_parts`).  The parts' images at the seeded point
-    of Z/p (:func:`_point_images`) are assembled into integer cells C_p and
-    B_p once, whose eigenvalue-free rows, nearly all of them singletons,
-    are eliminated once (:class:`_Pencil`).  Exact cells, sums of the same
+    row keys, and the ansatz columns are built as keys of the same packing
+    (:func:`_search_parts`).  The parts' images at the seeded point of Z/p
+    (:func:`_point_images`) are assembled into integer cells C_p and B_p
+    once, whose eigenvalue-free rows, nearly all of them singletons, are
+    eliminated once (:class:`_Pencil`).  Exact cells, sums of the same
     parts, are assembled per eigenvalue for the columns it solves on
     (:meth:`_solve`).
     """
 
-    def __init__(self, sys_obj: VectorFieldSystem, monos: Sequence[tuple[int, ...]]):
+    def __init__(self, sys_obj: VectorFieldSystem, state_bound: int, indep_bound: int):
         self.sys_obj = sys_obj
-        self.monos = monos
         self.one = RatExpr.const(sys_obj.table, 1)
-        self.parts, self.base, self.shifts, self.width = _search_parts(sys_obj, monos)
+        self.parts, self.base, self.columns, self.width, self.offsets = _search_parts(
+            sys_obj, state_bound, indep_bound
+        )
         image = _point_images(sys_obj.table)
         parts_p = [
             (offset, {key: image(p) for key, p in part.items()}) for offset, part in self.parts
@@ -1106,11 +1122,19 @@ class _SearchMatrix:
         base_p = {key: image(p) for key, p in self.base.items()}
         self.mod_p: Optional[tuple[_Cells, _Cells]] = None
         if None not in chain(base_p.values(), *(s.values() for _, s in parts_p)):
-            self.mod_p = _assemble(parts_p, base_p, self.shifts, self.width, operator.mul)
+            self.mod_p = _assemble(parts_p, base_p, self.columns, self.width, operator.mul)
 
     @cached_property
     def pencil(self) -> Optional[_Pencil]:
         return None if self.mod_p is None else _Pencil(*self.mod_p)
+
+    def monomial(self, col: int) -> tuple[int, ...]:
+        """The exponent tuple of column ``col``'s ansatz monomial."""
+        key, mask = self.columns[col], (1 << self.width) - 1
+        mono = [0] * len(self.sys_obj.table)
+        for i, offset in self.offsets.items():
+            mono[i] = (key >> offset) & mask
+        return tuple(mono)
 
     def kernel(self, lam: Fraction) -> list[dict[int, RatExpr]]:
         """Certified kernel of C - lam*B over Q(params).
@@ -1118,34 +1142,35 @@ class _SearchMatrix:
         The shared factor and this eigenvalue's reduced pencil eliminate
         C_p - lam*B_p.  Its rank mod p is a lower bound on the exact rank,
         so the kernel has at most as many dimensions as the elimination has
-        free columns (those no pivot took).  One vector mod p is
-        back-substituted per free column (:func:`_supports`), and the
-        columns they touch alone are solved exactly.  When that yields a
-        vector per free column, those vectors, zero elsewhere, are the
-        kernel: each is plugged back into every nonzero row, and the rank
-        allows no more.  Otherwise (a lambda whose residue drops the rank,
-        or a cell that vanishes mod p but not exactly), and when there is
-        no usable point or residue mod p, every column is solved.
+        free columns: those neither a settled column nor taken by a live
+        pivot.  One vector mod p is back-substituted per free column through
+        the live pivots (:func:`_supports`), and the columns they touch
+        alone are solved exactly.  When that yields a vector per free
+        column, those vectors, zero elsewhere, are the kernel: each is
+        plugged back into every nonzero row, and the rank allows no more.
+        Otherwise (a lambda whose residue drops the rank, or a cell that
+        vanishes mod p but not exactly), and when there is no usable point
+        or residue mod p, every column is solved.
         """
         lam_p = _residue(lam)
         if self.pencil is not None and lam_p is not None:
             pivots = self.pencil.pivots(lam_p)
-            taken = {c for c, _ in pivots}
-            free = [c for c in range(len(self.monos)) if c not in taken]
+            taken = self.pencil.settled.union(c for c, _ in pivots)
+            free = [c for c in range(len(self.columns)) if c not in taken]
             if not free:
                 return []
             basis = self._solve(sorted(set().union(*_supports(pivots, free))), lam)
             if len(basis) == len(free):
                 return basis
-        return self._solve(range(len(self.monos)), lam)
+        return self._solve(range(len(self.columns)), lam)
 
     def _solve(self, cols: Sequence[int], lam: Fraction) -> list[dict[int, RatExpr]]:
         """Certified kernel of the exact C - lam*B on the columns ``cols``
         alone (:func:`_nullspace`; their unit vectors when every cell
         vanishes), numbered as the matrix's columns."""
-        shifts = [self.shifts[c] for c in cols]
+        columns = [self.columns[c] for c in cols]
         rows = _search_rows(
-            *_assemble(self.parts, self.base, shifts, self.width, Poly.scaled), lam
+            *_assemble(self.parts, self.base, columns, self.width, Poly.scaled), lam
         )
         basis = (
             _nullspace(list(rows.values()), len(cols), self.one) if rows
@@ -1158,36 +1183,45 @@ def first_integral_search(
     system_id: str,
     state_degree_bound: int,
     indep_degree_bound: int,
-    lambda_candidates: Iterable[Fraction],
+    lambda_candidates: Iterable[Union[int, Fraction, str]],
 ) -> list[FirstIntegral]:
     """Exhaustive search for polynomial quasi-integrals D(P) = lambda*P.
 
     The ansatz runs over monomials in the state variables (total degree up to
     the bound) times powers of the independent variable, with coefficients in
     the field of rational functions of the parameters (the normalization
-    already applied).  For each candidate eigenvalue the condition is an exact
-    linear system; its solution space is returned as a basis, with the
-    trivial constant solutions removed and each generator normalized so its
-    leading coefficient is one.  Every cell is a sum of shifted parameter
-    parts of the cleared rules, as a polynomial or as its image mod p.  The
-    integer cells of the rows that hold no eigenvalue are eliminated once
-    per search, and each eigenvalue eliminates only the rest of its rows,
-    reduced against that factor.  The columns neither elimination pivots on
-    are as many as the kernel's dimension at most.  One kernel vector mod p
-    per such column is back-substituted, and only the columns they touch
-    get polynomial cells, whose rows are solved exactly and plugged back
-    in: when that gives a vector per free column, those are the kernel.
-    Only an eigenvalue this cannot settle, such as one whose residue drops
-    the rank, is solved the same way on every column.  A bound below its
-    minimum, and an empty or repeated list of eigenvalues, raise
+    already applied).  The monomials are built as packed row keys in the
+    order of (total degree, exponent tuple), and only those of a returned
+    integral's support are unpacked.  For each candidate eigenvalue the
+    condition is an exact linear system; its solution space is returned as a
+    basis, with the trivial constant solutions removed and each generator
+    normalized so its leading coefficient, that of its last column, is one.
+    Every cell is a sum of shifted parameter parts of the cleared rules, as
+    a polynomial or as its image mod p.  The integer cells of the rows that
+    hold no eigenvalue are eliminated once per search; the columns of their
+    single-entry pivots are settled there, and each eigenvalue eliminates
+    only the rest of its rows, reduced against the factor's other pivots.
+    The columns no elimination pivots on are as many as the kernel's
+    dimension at most.  One kernel vector mod p per such column is
+    back-substituted, and only the columns they touch get polynomial cells,
+    whose rows are solved exactly and plugged back in: when that gives a
+    vector per free column, those are the kernel.  Only an eigenvalue this
+    cannot settle, such as one whose residue drops the rank, is solved the
+    same way on every column.  A bound below its minimum, an empty or
+    repeated list of eigenvalues, and a float or bool eigenvalue raise
     ValueError; an ansatz larger than :data:`MONOMIAL_CAP` raises
-    CapacityError before any monomial is built.
+    CapacityError before any column is built.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")
     if indep_degree_bound < 0:
         raise ValueError("independent-variable degree bound must be at least 0")
-    lams = [Fraction(lam) for lam in lambda_candidates]
+    lams = []
+    for lam in lambda_candidates:
+        if isinstance(lam, (float, bool)):
+            raise ValueError(f"eigenvalue candidate {lam!r} is not exact; give an int, "
+                             "a Fraction or a string such as '1/10'")
+        lams.append(Fraction(lam))
     if not lams:
         raise ValueError("no eigenvalue candidates given")
     if len(set(lams)) < len(lams):
@@ -1199,27 +1233,21 @@ def first_integral_search(
     )
     if count > MONOMIAL_CAP:
         raise CapacityError(f"{count} ansatz monomials exceed the cap of {MONOMIAL_CAP}")
-    monos = _state_indep_monomials(
-        table, sys_obj.state, sys_obj.indep, state_degree_bound, indep_degree_bound
-    )
-    matrix = _SearchMatrix(sys_obj, monos)
-    const_col = next((i for i, m in enumerate(monos) if not any(m)), None)
+    matrix = _SearchMatrix(sys_obj, state_degree_bound, indep_degree_bound)
 
     results: list[FirstIntegral] = []
     for lam in lams:
-        basis = matrix.kernel(lam)
-        for vec in basis:
-            if lam == 0 and const_col is not None:
-                vec.pop(const_col, None)
-            support = [c for c in vec if not vec[c].is_zero]
+        for vec in matrix.kernel(lam):
+            if lam == 0:
+                vec.pop(0, None)  # column 0 is the constant monomial
+            support = sorted(c for c in vec if not vec[c].is_zero)
             if not support:
                 continue
-            lead = max(support, key=lambda c: (sum(monos[c]), monos[c]))
-            inv = vec[lead]
+            inv = vec[support[-1]]
             expr = RatExpr(Poly.zero(table))
-            for c in sorted(support):
+            for c in support:
                 expr = expr + (vec[c] / inv) * RatExpr(
-                    Poly(table, {monos[c]: Fraction(1)})
+                    Poly(table, {matrix.monomial(c): Fraction(1)})
                 )
             results.append(
                 FirstIntegral(

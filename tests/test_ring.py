@@ -284,6 +284,53 @@ def test_relation_reduction_is_projection(seed):
     assert reduce_relation(q) == q
 
 
+def _substituted_relation(p):
+    """Reference reduction: alpha1 bound to 1 - alpha0 - alpha2 through the
+    general substitution."""
+    t = p.table
+    binding = Poly.const(t, 1) - Poly.var(t, "alpha0") - Poly.var(t, "alpha2")
+    return substitute_poly(p, {"alpha1": RatExpr(binding)}).as_poly()
+
+
+FIVE_DIM = load_model("five_dim").table
+_five_dim_terms = st.dictionaries(
+    st.tuples(*(
+        st.integers(0, 4) if name == "alpha1" else st.integers(0, 2)
+        for name in FIVE_DIM.symbols
+    )),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_five_dim_terms)
+def test_relation_reduction_matches_the_substitution(terms):
+    p = Poly(FIVE_DIM, terms)
+    reduced = reduce_relation(p)
+    assert reduced == _substituted_relation(p)
+    if not p.involves("alpha1"):
+        assert reduced is p
+
+
+def test_relation_reduction_needs_all_three_alphas():
+    # a table without all three alphas carries no normalization
+    for names in (("alpha1",), ("alpha0", "alpha1"), ("alpha1", "alpha2")):
+        table = SymbolTable([("x", "state"), *((n, "parameter") for n in names)])
+        p = Poly(table, {tuple(range(1, len(table) + 1)): Fraction(3, 2)})
+        assert p.involves("alpha1")
+        assert reduce_relation(p) is p
+    p = Poly.var(FIVE_DIM, "alpha0", 2) - Poly.const(FIVE_DIM, Fraction(1, 3))
+    assert reduce_relation(p) is p
+    # alpha1^2 = (1 - alpha0 - alpha2)^2, over the argument's denominator
+    alpha1 = Poly.var(FIVE_DIM, "alpha1")
+    a0, a2 = Poly.var(FIVE_DIM, "alpha0"), Poly.var(FIVE_DIM, "alpha2")
+    one = Poly.const(FIVE_DIM, 1)
+    assert reduce_relation((alpha1 * alpha1).scaled(Fraction(1, 5))) == (
+        (one - a0 - a2) * (one - a0 - a2)
+    ).scaled(Fraction(1, 5))
+
+
 # -- the packed format stays inside the ring --------------------------------------------
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve_d32"

@@ -682,6 +682,20 @@ def test_search_ham_4d_empty():
     assert found == []
 
 
+def test_search_refuses_inexact_eigenvalues():
+    # 0.1 would otherwise run at lambda = 3602879701896397/36028797018963968
+    # and name its integrals after that value
+    for lam in (0.1, -1.0, True, False):
+        with pytest.raises(ValueError, match=f"eigenvalue candidate {lam!r} is not exact"):
+            first_integral_search("five_dim", 1, 0, [lam])
+    # ints, Fractions and strings Fraction parses are exact
+    found = [
+        [(f.id, f.expr) for f in first_integral_search("five_dim", 2, 0, [lam])]
+        for lam in (-1, Fraction(-1), "-1", "-2/2")
+    ]
+    assert len(found[0]) == 1 and all(f == found[0] for f in found)
+
+
 def test_search_cross_check_against_integral_checker():
     for integral in first_integral_search("five_dim", 2, 0, (Fraction(-1),)):
         assert check_integral_expr(
@@ -707,9 +721,7 @@ def test_search_guards(monkeypatch):
 
 def test_search_cap_counts_the_ansatz_before_building_it(monkeypatch):
     # five_dim at (2, 1): 21 state monomials times 2 powers of the time
-    sys_obj = load_model("five_dim")
-    monos = verify._state_indep_monomials(sys_obj.table, sys_obj.state, sys_obj.indep, 2, 1)
-    assert len(monos) == 42
+    assert len(_matrix("five_dim", 2, 1).columns) == 42
     monkeypatch.setattr(verify, "MONOMIAL_CAP", 42)
     assert first_integral_search("five_dim", 2, 1, (Fraction(-1),))
     monkeypatch.setattr(verify, "MONOMIAL_CAP", 41)
@@ -721,7 +733,7 @@ def test_search_cap_counts_the_ansatz_before_building_it(monkeypatch):
 
     # (40, 10) would be C(45, 5)*11 = 13 439 349 monomials
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "_state_indep_monomials", refuse)
+    monkeypatch.setattr(verify, "_ansatz", refuse)
     with pytest.raises(CapacityError, match="^13439349 ansatz monomials"):
         first_integral_search("five_dim", 40, 10, (Fraction(0),))
 
@@ -817,7 +829,7 @@ def _differential_nullspace(monkeypatch, seen):
 def _exact_cells(matrix):
     """The exact cells C and B of every column of a search matrix."""
     return verify._assemble(
-        matrix.parts, matrix.base, matrix.shifts, matrix.width, Poly.scaled
+        matrix.parts, matrix.base, matrix.columns, matrix.width, Poly.scaled
     )
 
 
@@ -830,8 +842,8 @@ def _differential_kernel(monkeypatch, seen):
     def both(matrix, lam):
         basis = certified(matrix, lam)
         rows = verify._search_rows(*_exact_cells(matrix), lam)
-        assert basis == _gauss_jordan_nullspace(rows.values(), len(matrix.monos), matrix.one)
-        seen.append((len(matrix.monos), len(basis)))
+        assert basis == _gauss_jordan_nullspace(rows.values(), len(matrix.columns), matrix.one)
+        seen.append((len(matrix.columns), len(basis)))
         return basis
 
     monkeypatch.setattr(verify._SearchMatrix, "kernel", both)
@@ -954,11 +966,45 @@ def test_search_checks_columns_that_vanish_mod_p_exactly(monkeypatch, system_id)
 
 
 def _matrix(system_id, state_bound, indep_bound):
+    return verify._SearchMatrix(load_model(system_id), state_bound, indep_bound)
+
+
+def _recursive_monomials(table, state, indep, state_bound, indep_bound):
+    """Reference ansatz: every exponent tuple with state total degree and
+    indep degree within the bounds, built by recursion over the state
+    symbols and sorted by (total degree, tuple)."""
+    state_idx = [table.index(n) for n in state]
+    indep_idx = table.index(indep)
+    monos = []
+
+    def rec(pos, remaining, current):
+        if pos == len(state_idx):
+            for j in range(indep_bound + 1):
+                mono = [0] * len(table)
+                for idx, e in zip(state_idx, current):
+                    mono[idx] = e
+                mono[indep_idx] = j
+                monos.append(tuple(mono))
+            return
+        for e in range(remaining + 1):
+            rec(pos + 1, remaining - e, current + [e])
+
+    rec(0, state_bound, [])
+    monos.sort(key=lambda m: (sum(m), m))
+    return monos
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_packed_ansatz_matches_the_recursive_enumerator(system_id):
+    # the same monomials in the same order, so column numbers, the constant
+    # column 0 and the lead column max(support) mean what they meant
     sys_obj = load_model(system_id)
-    monos = verify._state_indep_monomials(
-        sys_obj.table, sys_obj.state, sys_obj.indep, state_bound, indep_bound
-    )
-    return verify._SearchMatrix(sys_obj, monos)
+    for bounds in ((1, 0), (2, 1), (3, 2)):
+        matrix = _matrix(system_id, *bounds)
+        unpacked = [matrix.monomial(c) for c in range(len(matrix.columns))]
+        assert unpacked == _recursive_monomials(
+            sys_obj.table, sys_obj.state, sys_obj.indep, *bounds
+        )
 
 
 def _split_keys(matrix):
@@ -1035,13 +1081,13 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
         assert len(factor) + len(pencil) == len(eliminate_mod_p(list(stacked.values())))
         pivots = [(c, row) for _, c, row in factor + pencil]
         taken = {c for c, _ in pivots}
-        free = [c for c in range(len(matrix.monos)) if c not in taken]
+        free = [c for c in range(len(matrix.columns)) if c not in taken]
         cols = sorted(set().union(*_dense_supports(pivots, free)))
         if rows := _restricted_rows(matrix, lam, cols):
             expected_calls.append((rows, len(cols)))
         if lam == verify.RANK_PRIME:
             exact = verify._search_rows(*_exact_cells(matrix), lam)
-            expected_calls.append((list(exact.values()), len(matrix.monos)))
+            expected_calls.append((list(exact.values()), len(matrix.columns)))
     assert calls == expected_calls
 
 
@@ -1087,16 +1133,36 @@ def _pencil_lambdas(state_bound, indep_bound):
 def test_shared_factor_matches_the_stacked_elimination_mod_p(
     system_id, state_bound, indep_bound
 ):
-    # the factor and the reduced pencil are an elimination of the stacked
-    # rows C_p - lam*B_p: as many pivots as their rank, and their pivot rows
-    # reduce every stacked row to nothing
+    # the settled columns, the factor's live pivots and the reduced pencil's
+    # are an elimination of the stacked rows C_p - lam*B_p: together as many
+    # as their rank, no live pivot row holds a settled column, and once the
+    # settled columns are deleted the live pivot rows reduce every stacked
+    # row to nothing
     matrix = _matrix(system_id, state_bound, indep_bound)
+    settled = matrix.pencil.settled
     for lam in _pencil_lambdas(state_bound, indep_bound):
         rows = list(_rows_mod_p(matrix, lam).values())
         pivots = matrix.pencil.pivots(verify._residue(lam))
-        assert len(pivots) == len(verify._eliminate_mod_p(rows))
+        assert len(settled) + len(pivots) == len(verify._eliminate_mod_p(rows))
+        assert not any(settled & row.keys() for _, row in pivots)
         reduce = verify._reducer([(None, c, row) for c, row in pivots])
-        assert all(reduce(row) == {} for row in rows)
+        assert all(
+            reduce({c: v for c, v in row.items() if c not in settled}) == {} for row in rows
+        )
+
+
+def test_a_singleton_pivot_whose_column_an_earlier_row_holds_is_not_settled():
+    # eigenvalue-free rows 0 and 1 leave no singleton: Markowitz pivots on
+    # one of them, which leaves the other a single entry in a column the
+    # first row holds.  Row 2 is a singleton no other row holds: settled.
+    # The pencil row's B part {0: 1} reduces through row 0's pivot into
+    # column 1, and only the singleton pivot there clears it again.
+    c_cells = {0: {0: 1, 1: 1}, 1: {0: 1, 1: 2}, 2: {2: 5}, 3: {1: 3, 2: 1}}
+    pencil = verify._Pencil(c_cells, {3: {0: 1}})
+    assert pencil.settled == {2}
+    pivots = pencil.pivots(verify._residue(Fraction(-1)))
+    assert [(c, len(row)) for c, row in pivots] == [(0, 2), (1, 1)]
+    assert pencil.reduced == [({}, {})]
 
 
 class _StaleLines:
@@ -1246,7 +1312,7 @@ def test_free_columns_settle_what_the_touched_columns_settle(
     for lam in _pencil_lambdas(state_bound, indep_bound):
         rows = list(_rows_mod_p(matrix, lam).values())
         touched = {c for row in rows for c in row}
-        untouched = [c for c in range(len(matrix.monos)) if c not in touched]
+        untouched = [c for c in range(len(matrix.columns)) if c not in touched]
         exact = verify._search_rows(*_exact_cells(matrix), lam)
         nonzero = {c for row in exact.values() for c in row}
         rank = len(verify._eliminate_mod_p(rows))
@@ -1264,7 +1330,7 @@ def _full_kernel(matrix, lam):
     """The kernel through every exact row: the path an eigenvalue falls back
     to."""
     rows = verify._search_rows(*_exact_cells(matrix), lam)
-    return verify._nullspace(list(rows.values()), len(matrix.monos), matrix.one)
+    return verify._nullspace(list(rows.values()), len(matrix.columns), matrix.one)
 
 
 @pytest.mark.parametrize("system_id,state_bound,indep_bound", PENCIL_CASES)
@@ -1283,8 +1349,8 @@ def test_touched_columns_kernel_matches_the_full_exact_path(
         if (lam_p := verify._residue(lam)) is None:
             continue
         pivots = matrix.pencil.pivots(lam_p)
-        taken = {c for c, _ in pivots}
-        free = [c for c in range(len(matrix.monos)) if c not in taken]
+        taken = matrix.pencil.settled.union(c for c, _ in pivots)
+        free = [c for c in range(len(matrix.columns)) if c not in taken]
         assert verify._supports(pivots, free) == _dense_supports(pivots, free)
 
 
@@ -1322,7 +1388,7 @@ def test_short_touched_columns_solve_falls_back(
     found = first_integral_search(system_id, state_bound, indep_bound, (lam,))
     assert [(f.id, f.expr) for f in found] == [(f.id, f.expr) for f in expected]
     matrix = _matrix(system_id, state_bound, indep_bound)
-    ncols = len(matrix.monos)
+    ncols = len(matrix.columns)
     (restricted, short_dim), (full, full_dim) = calls
     assert restricted < ncols == full and short_dim == full_dim - 1
     assert len(dropped) == 1
@@ -1384,7 +1450,7 @@ def test_search_ham_4d_ladder_is_certified_mod_p_alone(monkeypatch):
     solved = []
 
     def spy(matrix, cols, lam):
-        solved.append((len(cols), len(matrix.monos)))
+        solved.append((len(cols), len(matrix.columns)))
         return solve(matrix, cols, lam)
 
     monkeypatch.setattr(verify._SearchMatrix, "_solve", spy)
@@ -1413,9 +1479,7 @@ def _reference_rows(system_id, state_bound, indep_bound, lam):
     exact quotient, then reduced by the relation and split per term."""
     sys_obj = load_model(system_id)
     table = sys_obj.table
-    monos = verify._state_indep_monomials(
-        table, sys_obj.state, sys_obj.indep, state_bound, indep_bound
-    )
+    monos = _recursive_monomials(table, sys_obj.state, sys_obj.indep, state_bound, indep_bound)
     flow = sys_obj.flow()
     derivs = [flow.of_poly(Poly(table, {m: Fraction(1)})) for m in monos]
     common_den = Poly.const(table, 1)
@@ -1448,7 +1512,7 @@ def test_shifted_assembly_matches_termwise_rows(system_id, state_bound, indep_bo
         sys_obj, monos, expected = _reference_rows(
             system_id, state_bound, indep_bound, lam
         )
-        matrix = verify._SearchMatrix(sys_obj, monos)
+        matrix = verify._SearchMatrix(sys_obj, state_bound, indep_bound)
         rows = verify._search_rows(*_exact_cells(matrix), lam)
         assert len(rows) == len(expected)
         for row, ref in zip(rows.values(), expected):
