@@ -3,7 +3,11 @@
 Substitution, the parameter relation's reduction, exact evaluation at
 points (one-shot and the compiled :class:`PointMap`), the split of a
 polynomial by some symbols' exponents, derivations and Jacobian
-determinants live here.  :mod:`.ring` serves every name this
+determinants live here.  A binding set is compiled once into a
+:class:`Substitution` plan, which every expression substituted with it
+shares: identities pass through, integer multiples of monomials become
+arithmetic on the packed keys, and the other bindings keep their powers on
+the plan.  :mod:`.ring` serves every name this
 module defines (``ring._LAZY``) and binds them all in its own namespace the
 first time one is looked up there, so ``ring.substitute`` and
 ``from .ring import Derivation`` keep working and importing the package
@@ -104,120 +108,223 @@ def _coerce_binding(table: SymbolTable, value: object) -> RatExpr:
         return value
     if isinstance(value, Poly):
         return RatExpr(value)
-    if isinstance(value, (int, Fraction)):
+    # a bool is an int to isinstance, but True is no rational value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return RatExpr.const(table, value)
     raise TypeError(f"cannot coerce {value!r} to a rational expression")
 
 
+class Substitution:
+    """A binding set compiled once, for every polynomial substituted with it.
+
+    ``bindings`` maps names to values over ``out_table`` (defaults to
+    ``source_table``); names not in ``source_table`` are ignored.  Each value
+    is coerced once, and each binding is one of three kinds:
+
+    * an identity, a symbol bound to itself by name in the output table, is
+      dropped: the symbol passes through as an unbound one;
+    * a key map, an integer multiple c*m of a monomial (a constant or zero
+      included), sends a term's exponent e of the symbol to e times the key
+      of m and multiplies its coefficient by c**e, with no product built;
+    * any other binding n/d becomes (L*n)/(L*d), L the lcm of the
+      coefficient denominators of n and d, so that its powers are integer
+      polynomials; those powers are kept here and grown on demand, for all
+      the polynomials substituted.
+
+    Unbound symbols that occur move to the output table by name.  ``names``
+    holds every bound source name, identities included.
+    """
+
+    __slots__ = ("source", "out", "names", "_steps", "_powers")
+
+    def __init__(
+        self,
+        bindings: Mapping[str, object],
+        source_table: SymbolTable,
+        out_table: Optional[SymbolTable] = None,
+    ):
+        out = source_table if out_table is None else out_table
+        self.source, self.out = source_table, out
+        self.names = frozenset(n for n in bindings if n in source_table)
+        # symbol index -> (numerator powers, denominator powers or None
+        # where the denominator is 1), each list [1, b, ...]
+        self._powers: dict[int, tuple[list[Poly], Optional[list[Poly]]]] = {}
+        maps: dict[int, tuple[int, int]] = {}  # symbol index -> (key of m, c)
+        for name, value in bindings.items():
+            if name not in source_table:
+                continue
+            i = source_table.index(name)
+            b = _coerce_binding(out, value)
+            num, den = b.num, b.den
+            if den == out.one and len(num._coeffs) <= 1 and num._den == 1:
+                key, c = next(iter(num._coeffs.items()), (0, 0))
+                if name not in out or (key, c) != (out._units[out.index(name)], 1):
+                    maps[i] = (key, c)
+                continue
+            scale = math.lcm(num._den, den._den)
+            n, d = num.scaled(scale), den.scaled(scale)
+            self._powers[i] = ([out.one, n], None if d == out.one else [out.one, d])
+        # symbol index -> (key added per unit of its exponent, factor of the
+        # coefficient per unit), or None for a symbol that passes through
+        # but is missing from the output table.  Into the source table the
+        # key keeps what passes through and loses each bound exponent; into
+        # another it is built from nothing
+        self._steps: dict[int, Optional[tuple[int, int]]] = {}
+        same = out is source_table
+        for i, (name, unit) in enumerate(zip(source_table.symbols, source_table._units)):
+            if same:
+                if i in maps:
+                    self._steps[i] = (maps[i][0] - unit, maps[i][1])
+                elif i in self._powers:
+                    self._steps[i] = (-unit, 1)
+            elif i in maps:
+                self._steps[i] = maps[i]
+            elif i not in self._powers:
+                self._steps[i] = (out._units[out.index(name)], 1) if name in out else None
+
+    @staticmethod
+    def _coerce(
+        bindings: Union["Substitution", Mapping[str, object]],
+        table: SymbolTable,
+        out_table: Optional[SymbolTable],
+    ) -> "Substitution":
+        """``bindings`` as a plan from ``table`` into ``out_table``: the plan
+        itself, or one built for this call."""
+        if not isinstance(bindings, Substitution):
+            return Substitution(bindings, table, out_table)
+        if table is not bindings.source:
+            raise SymbolMismatchError("substituted expression over another table than the plan's")
+        if out_table is not None and out_table is not bindings.out:
+            raise SymbolMismatchError("output table differs from the plan's")
+        return bindings
+
+    @staticmethod
+    def _power(pows: list[Poly], e: int) -> Poly:
+        """``pows[e]``, the list [1, b, b^2, ...] grown to it first."""
+        while len(pows) <= e:
+            pows.append(pows[-1] * pows[1])
+        return pows[e]
+
+    def of_poly(self, p: Poly) -> RatExpr:
+        """``p`` with the bindings substituted, over one common denominator.
+
+        Every term carries d_i^(top_i - e_i) for each general binding n_i/d_i
+        that occurs, top_i its largest exponent in ``p``, so the whole sum
+        sits over prod d_i^top_i; terms with the same exponents in those
+        symbols share one product.  The factor L^top_i common to numerator
+        and denominator cancels when the quotient is made monic.
+        """
+        out, src = self.out, self.source
+        keys = p._coeffs
+        if not keys:
+            return RatExpr(Poly.zero(out))
+        same = out is src
+        used = 0
+        for k in keys:
+            used |= k
+        steps = []
+        factors = []
+        for i, s in enumerate(src._shifts):
+            if not (used >> s) & _FIELD:
+                continue
+            if i in self._steps:
+                step = self._steps[i]
+                if step is None:
+                    raise SymbolMismatchError(
+                        f"unbound symbol {src.symbols[i]!r} missing from output table"
+                    )
+                steps.append((s, *step))
+            if i in self._powers:
+                top = max((k >> s) & _FIELD for k in keys)
+                factors.append((s, top, *self._powers[i]))
+        if same and not steps:
+            return RatExpr(p)
+
+        common_den = out.one
+        for _, top, _, d_pows in factors:
+            if d_pows is not None:
+                common_den = common_den * self._power(d_pows, top)
+        fields = sum(_FIELD << s for s, *_ in factors)
+        products: dict[int, Poly] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, c in keys.items():
+            key = k if same else 0
+            for s, delta, f in steps:
+                e = (k >> s) & _FIELD
+                if e:
+                    key += e * delta
+                    if f != 1:
+                        c *= f**e
+            if not c:
+                continue
+            if not factors:
+                acc[key] = get(key, 0) + c
+                continue
+            pattern = k & fields
+            prod = products.get(pattern)
+            if prod is None:
+                prod = products[pattern] = self._product(pattern, factors)
+            for kk, v in prod._coeffs.items():
+                kk += key
+                acc[kk] = get(kk, 0) + c * v
+        result = Poly._sorted(out, acc, p._den)
+        # a key is a sum of keys: its top field is at least the true total
+        # degree, and no lower field carries into it below DEGREE_LIMIT
+        if result._coeffs:
+            out.check_degree(next(iter(result._coeffs)))
+        return RatExpr(result, common_den)
+
+    def _product(self, pattern: int, factors: list) -> Poly:
+        """prod n_i^e_i * d_i^(top_i - e_i), the e_i read from ``pattern``."""
+        prod = self.out.one
+        for s, top, n_pows, d_pows in factors:
+            e = (pattern >> s) & _FIELD
+            if e:
+                prod = prod * self._power(n_pows, e)
+            if top - e and d_pows is not None:
+                prod = prod * self._power(d_pows, top - e)
+        return prod
+
+
 def substitute_poly(
     p: Poly,
-    bindings: Mapping[str, object],
+    bindings: Union[Substitution, Mapping[str, object]],
     table: Optional[SymbolTable] = None,
 ) -> RatExpr:
     """Simultaneous substitution into a polynomial.
 
-    Binding values live over ``table`` (defaults to ``p.table``).  Unbound
-    symbols pass through and must exist by name in the output table.  The
-    result is assembled over a single common denominator (the product of the
-    binding denominators raised to their maximal needed powers) to avoid
-    denominator swell.
+    ``bindings`` is a :class:`Substitution` from ``p.table``, or a mapping
+    whose values live over ``table`` (defaults to ``p.table``), compiled for
+    this call.  Unbound symbols pass through and must exist by name in the
+    output table.  The result is assembled over a single common denominator
+    (:meth:`Substitution.of_poly`) to avoid denominator swell.
     """
-    out = table if table is not None else p.table
-    src = p.table
-    bound: dict[int, RatExpr] = {}
-    for name, value in bindings.items():
-        if name in src:
-            bound[src.index(name)] = _coerce_binding(out, value)
-    if p.is_zero:
-        return RatExpr(Poly.zero(out))
-    keys = p._coeffs
-    # bindings of symbols that do not occur are dropped
-    maxexp: dict[int, int] = {}
-    for i in bound:
-        s = src._shifts[i]
-        top = max((k >> s) & _FIELD for k in keys)
-        if top:
-            maxexp[i] = top
-    if not maxexp and out is src:
-        return RatExpr(p)
-
-    # b = n/d becomes (L*n)/(L*d) with L the lcm of the coefficient
-    # denominators of n and d, so that every power below is an integer
-    # polynomial; the factor L^maxexp common to numerator and denominator
-    # cancels when the quotient is made monic
-    factors = []
-    common_den = out.one
-    for i, top in maxexp.items():
-        b = bound[i]
-        scale = math.lcm(b.num._den, b.den._den)
-        n, d = b.num.scaled(scale), b.den.scaled(scale)
-        n_pows, d_pows = [out.one], [out.one]
-        for _ in range(top):
-            n_pows.append(n_pows[-1] * n)
-            d_pows.append(d_pows[-1] * d)
-        common_den = common_den * d_pows[top]
-        factors.append((src._shifts[i], top, n_pows, d_pows))
-
-    # each occurring unbound symbol moves its exponent to the output table
-    used = 0
-    for k in keys:
-        used |= k
-    moves = []
-    for i, (name, s) in enumerate(zip(src.symbols, src._shifts)):
-        if i in maxexp or not (used >> s) & _FIELD:
-            continue
-        if name not in out:
-            raise SymbolMismatchError(f"unbound symbol {name!r} missing from output table")
-        moves.append((s, out._units[out.index(name)]))
-
-    # every term carries den_i^(maxexp_i - e_i), also when e_i = 0, so that
-    # the whole sum sits over the single common denominator; terms with the
-    # same exponents in the bound symbols share one product
-    bound_fields = sum(_FIELD << s for s, _, _, _ in factors)
-    products: dict[int, Poly] = {}
-    acc: dict[int, int] = {}
-    get = acc.get
-    for k, c in keys.items():
-        pattern = k & bound_fields
-        prod = products.get(pattern)
-        if prod is None:
-            prod = out.one
-            for s, top, n_pows, d_pows in factors:
-                e = (pattern >> s) & _FIELD
-                if e:
-                    prod = prod * n_pows[e]
-                if top - e:
-                    prod = prod * d_pows[top - e]
-            products[pattern] = prod
-        shift = sum(((k >> s) & _FIELD) * unit for s, unit in moves)
-        for kk, v in prod._coeffs.items():
-            kk += shift
-            acc[kk] = get(kk, 0) + c * v
-    result = Poly._sorted(out, acc, p._den)
-    # each key is one sum of two in-range keys, so a too-large degree shows
-    # in the top field without having wrapped
-    if result._coeffs:
-        out.check_degree(next(iter(result._coeffs)))
-    return RatExpr(result, common_den)
+    return Substitution._coerce(bindings, p.table, table).of_poly(p)
 
 
 def substitute(
     e: RatExpr,
-    bindings: Mapping[str, object],
+    bindings: Union[Substitution, Mapping[str, object]],
     table: Optional[SymbolTable] = None,
 ) -> RatExpr:
     """Simultaneous substitution into a rational expression.
 
-    Raises :class:`SingularSubstitutionError` if the substituted denominator
-    is identically zero, naming the bindings involved.  With no bindings and
-    no other output table, ``e`` itself is the result.
+    ``bindings`` is as for :func:`substitute_poly`; a plan built once serves
+    every expression substituted with it.  Raises
+    :class:`SingularSubstitutionError` if the substituted denominator is
+    identically zero, naming the bindings involved.  With no bindings other
+    than identities and no other output table, ``e`` itself is the result.
     """
-    if not bindings and (table is None or table is e.table):
+    plan = Substitution._coerce(bindings, e.table, table)
+    if not plan._steps and plan.out is plan.source:
         return e
-    num = substitute_poly(e.num, bindings, table)
-    den = substitute_poly(e.den, bindings, table)
+    num = plan.of_poly(e.num)
+    if e.den.is_const:
+        return num
+    den = plan.of_poly(e.den)
     if den.is_zero:
-        involved = [n for n in e.den.occurring_names() if n in bindings]
+        involved = [n for n in e.den.occurring_names() if n in plan.names]
         raise SingularSubstitutionError(
             "substitution made the denominator identically zero "
             f"(bindings involved: {', '.join(involved) or 'none'})"

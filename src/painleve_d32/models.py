@@ -162,9 +162,10 @@ class BirationalMap(NamedTuple):
 
         Used to evaluate the target vector field on the image of the map:
         states go to the map components, parameters to their affine images,
-        eta and the independent variable to their sign multiples, anything
-        else passes through by name.  The target's time goes to the map's
-        image of time: +-t for a symmetry, the generator s for the reduction.
+        eta and the independent variable to their sign multiples; anything
+        else is left unbound, so that substitution passes it through by
+        name.  The target's time goes to the map's image of time: +-t for a
+        symmetry, the generator s for the reduction.
         """
         bindings: dict[str, RatExpr] = {n: e for n, e in self.var_map.items()}
         bindings.update(self.param_images(source_table))
@@ -173,9 +174,6 @@ class BirationalMap(NamedTuple):
         indep = target_table.indep_name
         if indep is not None and indep in source_table:
             bindings[indep] = self.action.indep_sign * RatExpr.sym(source_table, indep)
-        for name in target_table.symbols:
-            if name not in bindings and name in source_table:
-                bindings[name] = RatExpr.sym(source_table, name)
         return bindings
 
 

@@ -776,7 +776,7 @@ def _lazy_getattr(namespace: dict, half: str, names: frozenset):
 # every name _ring_lazy defines, served from here
 _LAZY = frozenset({
     "reduce_relation", "is_identically_zero",
-    "_coerce_binding", "substitute_poly", "substitute",
+    "_coerce_binding", "Substitution", "substitute_poly", "substitute",
     "evaluate", "_residue", "split_poly",
     "PointMap", "_COPRIME", "_POINT_GLOBALS", "_Pair", "_PairCode", "_minus", "_Term",
     "_output_value", "_horner", "_monomial",

@@ -46,6 +46,7 @@ from .ring import (
     RatExpr,
     RingError,
     SingularSubstitutionError,
+    Substitution,
     SymbolTable,
     differentiate,
     exact_polynomial_quotient,
@@ -216,8 +217,9 @@ def _map_flow(bmap: BirationalMap) -> tuple[Derivation, VectorFieldSystem, dict[
     generator ``rules``; the reduction's generator s has the rule dS/dt = -s.
     """
     source = load_model(bmap.source)
+    eliminated = Substitution(bmap.eliminated, source.table, bmap.table)
     rules = {
-        n: substitute(source.rhs[n], bmap.eliminated, table=bmap.table)
+        n: substitute(source.rhs[n], eliminated)
         for n in source.state if n not in bmap.eliminated
     }
     flow = Derivation(bmap.table, {**rules, **bmap.rules, source.indep: 1})
@@ -242,10 +244,13 @@ def _pushed(flow: Derivation, target: VectorFieldSystem, bindings: dict) -> dict
 def _residuals(
     flow: Derivation, target: VectorFieldSystem, bindings: dict
 ) -> list[tuple[str, RatExpr]]:
-    """(state, D(phi_i)/D(tau) - F_i(bindings)) for each target state."""
+    """(state, D(phi_i)/D(tau) - F_i(bindings)) for each target state.
+
+    One :class:`Substitution` of the bindings serves every component.
+    """
     pushed = _pushed(flow, target, bindings)
-    return [(n, pushed[n] - substitute(target.rhs[n], bindings, table=flow.table))
-            for n in target.state]
+    plan = Substitution(bindings, target.table, flow.table)
+    return [(n, pushed[n] - substitute(target.rhs[n], plan)) for n in target.state]
 
 
 # -- symmetry --------------------------------------------------------------------
@@ -371,15 +376,17 @@ def check_chart(
         inverse = {n: RatExpr.sym(table, n) - c for n, c in corrections.items()}
         entries: list[tuple[str, RatExpr]] = []
         forward = {n: bmap.var_map[n] for n in sys_obj.state}
+        compose = Substitution(forward, table)
         for name in sys_obj.state:
-            composed = substitute(inverse[name], forward)
+            composed = substitute(inverse[name], compose)
             entries.append((f"inverse:{name}", composed - RatExpr.sym(table, name)))
         jac = jacobian_determinant(list(forward.values()), list(forward))
         entries.append(("jacobian", jac - 1))
 
         pushed = _pushed(*_map_flow(bmap))
+        in_chart = Substitution(inverse, table)
         principal = [
-            (f"polynomial:{name}", _principal_part(substitute(pushed[name], inverse)))
+            (f"polynomial:{name}", _principal_part(substitute(pushed[name], in_chart)))
             for name in sys_obj.state
         ]
     polynomial = all(part.is_zero for _, part in principal)
@@ -414,10 +421,8 @@ def check_hamiltonian_consistency(system_id: str) -> VerificationReport:
             k1 = load_model("K1_sys").hamiltonian.expr
             k2 = load_model("K2_sys").hamiltonian.expr
             a1, a2, p1, p2, s = syms(table, "alpha1 alpha2 p1 p2 s")
-            ident = {n: RatExpr.sym(table, n) for n in ("q1", "p1", "q2", "p2",
-                                                        "s", "eta")}
-            k1_part = substitute(k1, {**ident, "alpha": a2}, table=table)
-            k2_part = substitute(k2, {**ident, "alpha": a1 + a2}, table=table)
+            k1_part = substitute(k1, {"alpha": a2}, table=table)
+            k2_part = substitute(k2, {"alpha": a1 + a2}, table=table)
             composed = k1_part + k2_part - p1 * p2 / s
             entries.append(("composition", H - composed))
     return _finish(f"hamiltonian:{system_id}", entries, tm)
@@ -507,13 +512,11 @@ def check_invariant_divisor() -> VerificationReport:
             entries.append(
                 ("alpha1_zero_divisible", RatExpr(quotient - expected_quotient))
             )
+        restrict = Substitution({"y": 0, "alpha1": 0}, T5)
+        embed = Substitution({}, reduced.table, T5)
         for name in reduced.state:
-            restricted = substitute(five.rhs[name], {"y": 0, "alpha1": 0})
-            expected = substitute(
-                reduced.rhs[name],
-                {n: RatExpr.sym(T5, n) for n in reduced.table.symbols},
-                table=T5,
-            )
+            restricted = substitute(five.rhs[name], restrict)
+            expected = substitute(reduced.rhs[name], embed)
             entries.append((f"restriction:{name}", restricted - expected))
         # f_y = alpha1*w*q mod y, so y divides f_y only where alpha1 = 0
         entries.append(

@@ -93,6 +93,17 @@ def test_substitute_singular_denominator_names_binding():
     assert "x" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [True, False, 1.5])
+def test_bindings_and_rules_refuse_bool_and_float(value):
+    # bool is an int to isinstance: True would otherwise bind x to 1
+    with pytest.raises(TypeError, match="cannot coerce"):
+        substitute(x * x, {"x": value})
+    with pytest.raises(TypeError, match="cannot coerce"):
+        substitute_poly((x * x).num, {"x": value})
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Derivation(T, {"x": value})
+
+
 def test_differentiate_examples():
     D = Derivation(T, {"x": 1})
     assert (differentiate(x**2, D) - 2 * x).is_zero

@@ -5,6 +5,8 @@ runs the textbook algorithms on it: sums and products term by term, order by
 (total degree, exponents), the exact quotient by repeated leading-term
 division, and substitution over the product of the binding denominators.
 Every kernel operation must give the same terms, in the same order.
+Substitution is also checked over the whole registry: every map's pullback
+plan on every target right-hand side.
 """
 
 from __future__ import annotations
@@ -14,20 +16,31 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from painleve_d32.models import load_model
+from painleve_d32 import models, verify
+from painleve_d32.models import load_map, load_model
 from painleve_d32.ring import (
     DEGREE_LIMIT,
     Poly,
     RatExpr,
     RingError,
+    SingularSubstitutionError,
+    Substitution,
+    SymbolMismatchError,
+    SymbolTable,
     ZeroDivisionExprError,
     _content,
     exact_polynomial_quotient,
     split_poly,
+    substitute,
     substitute_poly,
 )
 
 TABLES = {name: load_model(name).table for name in ("five_dim", "ham_4d")}
+# a second output table for each: the same symbols in reverse order, and one more
+OUT_TABLES = {
+    name: SymbolTable([*zip(t.symbols[::-1], t.kinds[::-1]), ("u", "generator")])
+    for name, t in TABLES.items()
+}
 
 
 # -- the reference ------------------------------------------------------------
@@ -98,8 +111,10 @@ def ref_quotient(n, d):
     return quot
 
 
-def ref_substitute(p, bindings, n):
-    """(numerator, denominator) of p with symbol i := num_i/den_i."""
+def ref_substitute(p, bindings, n, place=None):
+    """(numerator, denominator) of p with symbol i := num_i/den_i, over n
+    output symbols; an unbound symbol i moves to output index place[i], or
+    stays at i."""
     one = {(0,) * n: Fraction(1)}
     top = {i: max(m[i] for m in p) for i in bindings}
     top = {i: e for i, e in top.items() if e}
@@ -115,8 +130,11 @@ def ref_substitute(p, bindings, n):
         common = ref_mul(common, den_pows[i][e])
     total = {}
     for m, c in p.items():
-        rest = tuple(0 if i in top else e for i, e in enumerate(m))
-        term = {rest: c}
+        rest = [0] * n
+        for i, e in enumerate(m):
+            if e and i not in top:
+                rest[i if place is None else place[i]] += e
+        term = {tuple(rest): c}
         for i, e in top.items():
             term = ref_mul(term, ref_mul(num_pows[i][m[i]], den_pows[i][e - m[i]]))
         total = ref_add(total, term)
@@ -158,6 +176,49 @@ def polys(draw, table, max_terms=4, max_exp=2):
         terms[tuple(mono)] = terms.get(tuple(mono), Fraction(0)) + coeff
     ref = {m: c for m, c in terms.items() if c}
     return ref, Poly(table, terms)
+
+
+@st.composite
+def bindings_over(draw, table, out):
+    """Bindings of some symbols of ``table`` to values over ``out``, and the
+    reference's (numerator, denominator) of each by source index.
+
+    A binding is an identity, a sign flip, a monomial over a constant (zero
+    and constants included), an affine image such as a parameter's, or a
+    general quotient.
+    """
+    chosen = draw(st.lists(st.integers(0, len(table) - 1), max_size=4, unique=True))
+    bindings, ref = {}, {}
+    for i in chosen:
+        name = table.symbols[i]
+        kind = draw(st.sampled_from(["identity", "sign", "monomial", "affine", "general"]))
+        if kind in ("identity", "sign"):
+            b = RatExpr.sym(out, name) * (1 if kind == "identity" else -1)
+        elif kind == "monomial":
+            b = RatExpr(data_poly(draw, out, max_terms=1))
+        elif kind == "affine":
+            b = RatExpr.const(out, draw(st.integers(-2, 2)))
+            for other in draw(st.lists(st.sampled_from(out.symbols), min_size=1, max_size=3,
+                                       unique=True)):
+                b = b + draw(st.sampled_from([1, -1])) * RatExpr.sym(out, other)
+        else:
+            num = data_poly(draw, out, max_terms=2, max_exp=1)
+            den = data_poly(draw, out, max_terms=2, max_exp=1)
+            if den.is_zero:
+                continue
+            b = RatExpr(num, den)
+        bindings[name] = b
+        ref[i] = (dict(b.num.terms), dict(b.den.terms))
+    return bindings, ref
+
+
+def data_poly(draw, table, **kwargs) -> Poly:
+    return draw(polys(table, **kwargs))[1]
+
+
+def place(table, out):
+    """The output index of each source symbol by name, None where it has none."""
+    return [out.index(n) if n in out else None for n in table.symbols]
 
 
 def assert_terms_contract(p: Poly, expected=None) -> None:
@@ -238,28 +299,109 @@ def test_exact_quotient_matches_the_reference(data, name):
 
 
 @SETTINGS
-@given(st.data(), table_names)
-def test_substitute_matches_the_reference(data, name):
+@given(st.data(), table_names, st.booleans())
+def test_substitute_matches_the_reference(data, name, other_table):
     table = TABLES[name]
+    out = OUT_TABLES[name] if other_table else table
     rp, p = data.draw(polys(table, max_exp=3))
-    chosen = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=3, unique=True))
-    bindings, ref_bindings = {}, {}
-    for i in chosen:
-        _, num = data.draw(polys(table, max_terms=2, max_exp=1))
-        _, den = data.draw(polys(table, max_terms=2, max_exp=1))
-        if den.is_zero:
-            continue
-        b = RatExpr(num, den)
-        bindings[table.symbols[i]] = b
-        ref_bindings[i] = (dict(b.num.terms), dict(b.den.terms))
-    result = substitute_poly(p, bindings)
+    bindings, ref_bindings = data.draw(bindings_over(table, out))
+    result = substitute_poly(p, bindings, out)
+    assert result.table is out
     if not rp:
         assert result.is_zero
         return
-    num, den = ref_substitute(rp, ref_bindings, len(table))
-    assert result == RatExpr(Poly(table, num), Poly(table, den))
+    num, den = ref_substitute(rp, ref_bindings, len(out), place(table, out))
+    assert result == RatExpr(Poly(out, num), Poly(out, den))
     assert_terms_contract(result.num)
     assert_terms_contract(result.den)
+
+
+@SETTINGS
+@given(st.data(), table_names, st.booleans())
+def test_one_substitution_serves_many_polynomials(data, name, other_table):
+    """A plan built once gives, polynomial after polynomial, what a plan
+    built for each call gives, and the reference: its cached powers grow
+    with the exponents drawn but change no result."""
+    table = TABLES[name]
+    out = OUT_TABLES[name] if other_table else table
+    bindings, ref_bindings = data.draw(bindings_over(table, out))
+    plan = Substitution(bindings, table, out)
+    for _ in range(3):
+        rp, p = data.draw(polys(table, max_exp=data.draw(st.integers(1, 4))))
+        result = substitute_poly(p, plan)
+        assert result == substitute_poly(p, bindings, out)
+        if rp:
+            num, den = ref_substitute(rp, ref_bindings, len(out), place(table, out))
+            assert result == RatExpr(Poly(out, num), Poly(out, den))
+        _, q = data.draw(polys(table, max_terms=2, max_exp=2))
+        if q.is_zero:
+            continue
+        e = RatExpr(p, q)
+        try:
+            fresh = substitute(e, bindings, out)
+        except SingularSubstitutionError:
+            with pytest.raises(SingularSubstitutionError):
+                substitute(e, plan)
+            continue
+        assert substitute(e, plan) == fresh
+
+
+def test_a_substitution_refuses_other_tables():
+    table, out = TABLES["five_dim"], OUT_TABLES["five_dim"]
+    plan = Substitution({"x": 2}, table, out)
+    other = TABLES["ham_4d"]
+    with pytest.raises(SymbolMismatchError):
+        substitute_poly(other.one, plan)
+    with pytest.raises(SymbolMismatchError):
+        substitute_poly(table.one, plan, table)
+    assert substitute_poly(table.one, plan, out) == RatExpr(out.one)
+    # an unbound symbol missing from the output table fails where it occurs
+    narrow = Substitution({}, table, SymbolTable([("y", "state")]))
+    assert substitute_poly(Poly.var(table, "y", 2), narrow).num.terms == (((2,), 1),)
+    with pytest.raises(SymbolMismatchError, match="'x' missing"):
+        substitute_poly(Poly.var(table, "x"), narrow)
+
+
+# every map of the registry and each of its variants
+MAP_VARIANTS = [
+    (mid, variant)
+    for mid in models.MAP_IDS
+    for variant in (("printed", "corrected") if mid in models.DISPUTED_MAP_IDS else ("printed",))
+]
+
+
+def _ref_quotient_substitute(e, ref_bindings, table, out):
+    """The reference's (numerator, denominator) of a quotient substituted."""
+    n = len(out)
+    num, num_den = ref_substitute(dict(e.num.terms), ref_bindings, n, place(table, out))
+    den, den_den = ref_substitute(dict(e.den.terms), ref_bindings, n, place(table, out))
+    return ref_mul(num, den_den), ref_mul(num_den, den)
+
+
+@pytest.mark.parametrize("map_id, variant", MAP_VARIANTS)
+def test_registry_plans_match_the_reference(map_id, variant):
+    """Each map's plans, the pullback bindings on every target right-hand
+    side and the eliminated bindings on the source's, give the reference
+    substitution's quotient, compared by cross-multiplication on Fractions."""
+    bmap = load_map(map_id, variant)
+    flow, target, bindings = verify._map_flow(bmap)
+    source = load_model(bmap.source)
+    cases = [(target, bindings, target.state, flow.table)]
+    if bmap.eliminated:
+        kept = [n for n in source.state if n not in bmap.eliminated]
+        cases.append((source, bmap.eliminated, kept, bmap.table))
+    for system, binding_set, names, out in cases:
+        table = system.table
+        plan = Substitution(binding_set, table, out)
+        ref_bindings = {
+            table.index(n): (dict(b.num.terms), dict(b.den.terms))
+            for n, b in binding_set.items() if n in table
+        }
+        for name in names:
+            result = substitute(system.rhs[name], plan)
+            assert result.table is out
+            num, den = _ref_quotient_substitute(system.rhs[name], ref_bindings, table, out)
+            assert ref_mul(dict(result.num.terms), den) == ref_mul(dict(result.den.terms), num)
 
 
 # the primes of the residue tests: two that divide some drawn denominators

@@ -32,6 +32,7 @@ from painleve_d32.ring import (
     Poly,
     RatExpr,
     RingError,
+    Substitution,
     SymbolTable,
     exact_polynomial_quotient,
     has_relation_symbols,
@@ -475,6 +476,40 @@ def test_second_order_fails_without_coupling():
     entries = dict(verify._residuals(perturbed.flow(), target, bindings))
     assert not is_identically_zero(entries["ydot"])
     assert not is_identically_zero(entries["wdot"])
+
+
+def test_each_binding_set_is_compiled_once(monkeypatch):
+    """The map residuals and the chart check build one Substitution per
+    binding set, however many components they substitute into."""
+    built, calls = [], []
+    init, substitute = Substitution.__init__, verify.substitute
+
+    def counted_init(self, bindings, *tables):
+        built.append(sorted(bindings))
+        init(self, bindings, *tables)
+
+    def counted_substitute(*args):
+        calls.append(args[1])
+        return substitute(*args)
+
+    monkeypatch.setattr(Substitution, "__init__", counted_init)
+    monkeypatch.setattr(verify, "substitute", counted_substitute)
+    flow, target, bindings = verify._map_flow(load_map("s0_5d"))
+    built.clear()
+    calls.clear()
+    entries = verify._residuals(flow, target, bindings)
+    assert len(entries) == len(calls) == 5
+    assert built == [sorted(bindings)]
+
+    built.clear()
+    calls.clear()
+    bmap = load_map("chart0")
+    assert check_chart("five_dim", "chart0").passed
+    forward = sorted(load_model("five_dim").state)
+    # forward, the eliminated bindings (none for a chart) and inverse, each
+    # substituted into the five states
+    assert built == [forward, sorted(bmap.eliminated), forward]
+    assert len(calls) == 3 * 5
 
 
 # -- the pushed field: an independent sympy oracle ----------------------------------------------
