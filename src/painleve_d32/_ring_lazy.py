@@ -117,9 +117,10 @@ def _coerce_binding(table: SymbolTable, value: object) -> RatExpr:
 class Substitution:
     """A binding set compiled once, for every polynomial substituted with it.
 
-    ``bindings`` maps names to values over ``out_table`` (defaults to
-    ``source_table``); names not in ``source_table`` are ignored.  Each value
-    is coerced once, and each binding is one of three kinds:
+    ``bindings`` maps names of ``source_table`` to values over ``out_table``
+    (defaults to ``source_table``); a name the source table lacks raises
+    :class:`SymbolMismatchError`.  Each value is coerced once, and each
+    binding is one of three kinds:
 
     * an identity, a symbol bound to itself by name in the output table, is
       dropped: the symbol passes through as an unbound one;
@@ -145,14 +146,15 @@ class Substitution:
     ):
         out = source_table if out_table is None else out_table
         self.source, self.out = source_table, out
-        self.names = frozenset(n for n in bindings if n in source_table)
+        unknown = [n for n in bindings if n not in source_table]
+        if unknown:
+            raise SymbolMismatchError(f"bindings {unknown} not in table {source_table.symbols}")
+        self.names = frozenset(bindings)
         # symbol index -> (numerator powers, denominator powers or None
         # where the denominator is 1), each list [1, b, ...]
         self._powers: dict[int, tuple[list[Poly], Optional[list[Poly]]]] = {}
         maps: dict[int, tuple[int, int]] = {}  # symbol index -> (key of m, c)
         for name, value in bindings.items():
-            if name not in source_table:
-                continue
             i = source_table.index(name)
             b = _coerce_binding(out, value)
             num, den = b.num, b.den

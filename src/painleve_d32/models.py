@@ -6,7 +6,9 @@ the verifier decides empirically which one satisfies the identities, and the
 registry never silently fixes anything.  Symmetries, charts, the 5d -> 4d
 reduction ``reduce_5d_4d`` and the second-order forms ``order2_xzw`` and
 ``order2_ham_4d`` are all registry maps; :mod:`.verify` certifies every one
-through the same pushed field.  A map's action on the parameters,
+through the same pushed field.  The invariant subsystems are data too, rows
+of :data:`RESTRICTIONS` built from their sources, and so is the Darboux
+divisor y of five_dim (:func:`load_divisor`).  A map's action on the parameters,
 eta and time is one :class:`ParameterAction`, ``BirationalMap.action``,
 which the residuals, :mod:`.weyl` and :mod:`.numeric` all apply.  The
 parameter normalization alpha0 + alpha1 + alpha2 = 1 applies wherever a
@@ -28,7 +30,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .ring import RatExpr, SymbolTable, has_relation_symbols, syms
+from .ring import RatExpr, SymbolMismatchError, SymbolTable, has_relation_symbols, syms
 from .syntax import render_ratexpr
 
 if TYPE_CHECKING:
@@ -46,10 +48,14 @@ class Hamiltonian(NamedTuple):
     """Polynomial Hamiltonian with its canonical pairing.
 
     Sign convention: d(coord)/du = +dH/d(mom), d(mom)/du = -dH/d(coord).
+    A coupled one equals the sum of its ``parts``, (system id, parameter
+    bindings) naming a system's Hamiltonian, plus its ``coupling``.
     """
 
     expr: RatExpr
     pairing: tuple[tuple[str, str], ...]
+    parts: tuple[tuple[str, Mapping[str, RatExpr]], ...] = ()
+    coupling: Optional[RatExpr] = None
 
 
 class VectorFieldSystem(NamedTuple):
@@ -184,6 +190,15 @@ class FirstIntegral(NamedTuple):
     lam: Fraction  # eigenvalue in D(expr) = lam * expr
 
 
+class DarbouxPolynomial(NamedTuple):
+    """D(expr) = cofactor*expr + remainder along the flow of the system."""
+
+    system_id: str
+    expr: RatExpr
+    cofactor: RatExpr
+    remainder: RatExpr
+
+
 class ParticularSolution(NamedTuple):
     id: str
     system_id: str
@@ -203,28 +218,6 @@ def _table_5d() -> SymbolTable:
     return SymbolTable(
         [("x", "state"), ("y", "state"), ("z", "state"), ("w", "state"),
          ("q", "state"), ("t", "independent")] + _ALPHAS + _ETA
-    )
-
-
-def _table_reduced() -> SymbolTable:
-    return SymbolTable(
-        [("x", "state"), ("z", "state"), ("w", "state"), ("q", "state"),
-         ("t", "independent"),
-         ("alpha0", "parameter"), ("alpha2", "parameter")] + _ETA
-    )
-
-
-def _table_xz() -> SymbolTable:
-    return SymbolTable(
-        [("x", "state"), ("z", "state"), ("t", "independent"),
-         ("alpha0", "parameter"), ("alpha2", "parameter")] + _ETA
-    )
-
-
-def _table_xzw() -> SymbolTable:
-    return SymbolTable(
-        [("x", "state"), ("z", "state"), ("w", "state"), ("t", "independent"),
-         ("alpha0", "parameter"), ("alpha2", "parameter")] + _ETA
     )
 
 
@@ -287,34 +280,23 @@ def _build_five_dim() -> VectorFieldSystem:
     return VectorFieldSystem("five_dim", T, rhs)
 
 
-def _build_reduced() -> VectorFieldSystem:
-    T = _table_reduced()
-    x, z, w, q, a0, a2, eta = syms(T, "x z w q alpha0 alpha2 eta")
-    rhs = {
-        "x": -(x * w - a2) * x + HALF,
-        "z": -(z * q - a0) * z - eta * HALF,
-        "w": (x * w - z * q - a2) * w,
-        "q": (z * q - x * w - a0) * q,
-    }
-    return VectorFieldSystem("reduced_alpha1_zero", T, rhs)
+# the invariant subsystems, (id, source, symbols set to 0): y = 0 is
+# invariant on the wall alpha1 = 0, and on it so are q = 0 and then w = 0
+RESTRICTIONS = (
+    ("reduced_alpha1_zero", "five_dim", ("y", "alpha1")),
+    ("xzw", "reduced_alpha1_zero", ("q",)),
+    ("linear_xz", "xzw", ("w",)),
+)
 
 
-def _build_linear_xz() -> VectorFieldSystem:
-    T = _table_xz()
-    x, z, a0, a2, eta = syms(T, "x z alpha0 alpha2 eta")
-    rhs = {"x": a2 * x + HALF, "z": a0 * z - eta * HALF}
-    return VectorFieldSystem("linear_xz", T, rhs)
-
-
-def _build_xzw() -> VectorFieldSystem:
-    T = _table_xzw()
-    x, z, w, a0, a2, eta = syms(T, "x z w alpha0 alpha2 eta")
-    rhs = {
-        "x": -(x * w - a2) * x + HALF,
-        "z": a0 * z - eta * HALF,
-        "w": (x * w - a2) * w,
-    }
-    return VectorFieldSystem("xzw", T, rhs)
+def _restrict(sid: str, source: VectorFieldSystem, zeros: Sequence[str]) -> VectorFieldSystem:
+    """The source with the symbols ``zeros`` set to 0 (:meth:`RatExpr.restricted`)."""
+    T = source.table
+    if not set(zeros) <= set(T.symbols):
+        raise SymbolMismatchError(f"{sid} sets {zeros} to 0, not all in table {T.symbols}")
+    table = SymbolTable((n, k) for n, k in zip(T.symbols, T.kinds) if n not in zeros)
+    rhs = {n: e.restricted(table) for n, e in source.rhs.items() if n not in zeros}
+    return VectorFieldSystem(sid, table, rhs)
 
 
 def _build_second_order_x() -> VectorFieldSystem:
@@ -345,7 +327,11 @@ def _build_ham_4d() -> VectorFieldSystem:
     )
     return VectorFieldSystem(
         "ham_4d", T, rhs,
-        hamiltonian=Hamiltonian(H, (("q1", "p1"), ("q2", "p2"))),
+        hamiltonian=Hamiltonian(
+            H, (("q1", "p1"), ("q2", "p2")),
+            parts=(("K1_sys", {"alpha": a2}), ("K2_sys", {"alpha": a1 + a2})),
+            coupling=-p1 * p2 / s,
+        ),
         singular_at_zero_indep=True,
     )
 
@@ -576,7 +562,7 @@ def _build_solutions(reg: "_Registry") -> dict[str, ParticularSolution]:
     out: dict[str, ParticularSolution] = {}
 
     # exponential solution of the linear x/z subsystem
-    TL = _table_xz().extend(
+    TL = reg.systems["linear_xz"].table.extend(
         [("C1", "constant"), ("C2", "constant"), ("E1", "generator"),
          ("E2", "generator")]
     )
@@ -646,12 +632,13 @@ class _Registry:
     def __init__(self) -> None:
         self.systems: dict[str, VectorFieldSystem] = {}
         for build in (
-            _build_five_dim, _build_reduced, _build_linear_xz, _build_xzw,
-            _build_second_order_x, _build_ham_4d, _build_k1, _build_k2,
-            _build_tilde_k2, _build_coupled_second_order,
+            _build_five_dim, _build_second_order_x, _build_ham_4d, _build_k1,
+            _build_k2, _build_tilde_k2, _build_coupled_second_order,
         ):
             sys_obj = build()
             self.systems[sys_obj.id] = sys_obj
+        for sid, source, zeros in RESTRICTIONS:
+            self.systems[sid] = _restrict(sid, self.systems[source], zeros)
 
         self.maps: dict[tuple[str, str], BirationalMap] = {}
         self.maps.update(_maps_5d(self.systems["five_dim"].table))
@@ -662,6 +649,8 @@ class _Registry:
         )
         self.maps.update(_maps_second_order(self))
         self.integrals = _build_integrals(self)
+        x, y, z, w, q, a1 = syms(self.systems["five_dim"].table, "x y z w q alpha1")
+        self.divisor = DarbouxPolynomial("five_dim", y, x * w + z * q - 1, a1 * w * q)
         self.solutions = _build_solutions(self)
 
 
@@ -705,6 +694,11 @@ def load_integral(integral_id: str) -> FirstIntegral:
     if integral_id not in reg.integrals:
         raise UnknownModelError(f"unknown integral id {integral_id!r}")
     return reg.integrals[integral_id]
+
+
+def load_divisor() -> DarbouxPolynomial:
+    """The Darboux polynomial y of five_dim: D(y) = (x*w + z*q - 1)*y + alpha1*w*q."""
+    return _registry().divisor
 
 
 def load_particular_solution(solution_id: str) -> ParticularSolution:

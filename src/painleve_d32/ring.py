@@ -19,8 +19,9 @@ cancellation of a common monomial factor, a monic denominator, and collapse
 to a polynomial when the denominator divides the numerator exactly.
 
 This module holds what building the registry runs: the symbol table, the
-polynomial and quotient arithmetic, exact division, the parameter
-relation's symbols and the compile cache of generated kernels (:func:`_code`).
+polynomial and quotient arithmetic, exact division, restriction to a
+smaller table, the parameter relation's symbols and the compile cache of
+generated kernels (:func:`_code`).
 Substitution, :func:`reduce_relation`, :func:`is_identically_zero`,
 evaluation at points, :class:`PointMap`, :class:`Derivation` and
 :func:`jacobian_determinant` live in :mod:`._ring_lazy`, which loads the
@@ -454,6 +455,18 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
+    def restricted(self, table: SymbolTable) -> "Poly":
+        """This polynomial over ``table``, each symbol the table lacks set to
+        0: a term that holds one is dropped, the others move by name."""
+        named = list(zip(self.table.symbols, self.table._shifts))
+        moves = [(s, table._units[table._index[n]]) for n, s in named if n in table]
+        dropped = sum(_FIELD << s for n, s in named if n not in table)
+        coeffs = {
+            sum(((k >> s) & _FIELD) * unit for s, unit in moves): c
+            for k, c in self._coeffs.items() if not k & dropped
+        }
+        return Poly._sorted(table, coeffs, self._den)
+
     def _shifted(self, key: int) -> "Poly":
         return Poly._make(
             self.table, {k - key: c for k, c in self._coeffs.items()}, self._den
@@ -611,6 +624,14 @@ class RatExpr:
         if not self.den.is_const:
             raise ValueError("expression has a nontrivial denominator")
         return self.num.scaled(1 / self.den.const_value())
+
+    def restricted(self, table: SymbolTable) -> "RatExpr":
+        """:meth:`Poly.restricted` of both parts; a vanishing denominator
+        raises :class:`SingularSubstitutionError`."""
+        den = self.den.restricted(table)
+        if den.is_zero:
+            raise SingularSubstitutionError("restriction made the denominator identically zero")
+        return RatExpr(self.num.restricted(table), den)
 
     # -- coercion and arithmetic ---------------------------------------------
     #

@@ -12,9 +12,10 @@ per check, and a new check is a new row.  Scopes, dispute resolutions, the
 raw variant checks of :func:`run_scope` and its selection by map are all
 derived from the rows.  Every map-shaped check reads one pushed field
 D(phi_i)/D(tau), tau the binding of the target's time: the symmetries, the
-5d -> 4d reduction, the second-order forms and the particular solutions
-certify D(phi_i)/D(tau) - F_i(bindings), and a chart's field, written in
-chart coordinates, must be polynomial.
+5d -> 4d reduction, the second-order forms, the particular solutions and
+the invariant subsystems' embeddings certify D(phi_i)/D(tau) -
+F_i(bindings), and a chart's field, written in chart coordinates, must be
+polynomial.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ from .ring import (
     reduce_relation,
     split_poly,
     substitute,
-    substitute_poly,
-    syms,
 )
 from .syntax import render_poly, render_ratexpr
 
@@ -288,26 +287,24 @@ def check_symmetry(
 # -- first integrals ----------------------------------------------------------------
 
 
-def check_integral_expr(
-    system_id: str, expr: RatExpr, lam: Fraction, label: str = "custom"
-) -> VerificationReport:
-    """Residual D(expr) - lam*expr along the flow of the system."""
-    sys_obj = load_model(system_id)
-    with _Timer() as tm:
-        resid = differentiate(expr, sys_obj.flow()) - lam * expr
-    return _finish(
-        f"integral:{system_id}:{label}", [("eigen", resid)], tm,
-        detail=f"lambda={lam}",
-    )
+def _darboux(system_id: str, expr: RatExpr, cofactor: Any, remainder: Any = 0) -> RatExpr:
+    """D(expr) - cofactor*expr - remainder along the flow of the system."""
+    return differentiate(expr, load_model(system_id).flow()) - cofactor * expr - remainder
 
 
 def check_first_integral(system_id: str, integral_id: str) -> VerificationReport:
+    """The Darboux residual of an integral: cofactor lambda, remainder 0."""
     integral = load_integral(integral_id)
     if integral.system_id != system_id:
         raise ValueError(
             f"integral {integral_id!r} belongs to {integral.system_id!r}"
         )
-    return check_integral_expr(system_id, integral.expr, integral.lam, integral_id)
+    with _Timer() as tm:
+        resid = _darboux(system_id, integral.expr, integral.lam)
+    return _finish(
+        f"integral:{system_id}:{integral_id}", [("eigen", resid)], tm,
+        detail=f"lambda={integral.lam}",
+    )
 
 
 # -- charts ----------------------------------------------------------------------------
@@ -402,28 +399,28 @@ def check_chart(
 def check_hamiltonian_consistency(system_id: str) -> VerificationReport:
     """rhs equals the signed partials of the stored Hamiltonian.
 
-    For the coupled system the Hamiltonian must additionally decompose as
-    K1 + K2 - p1*p2/s with the principal parts as stored for the subsystems.
+    A Hamiltonian with ``parts`` must also equal their sum plus its
+    ``coupling`` (ham_4d: K1 at alpha = alpha2, K2 at alpha = alpha1 +
+    alpha2, and -p1*p2/s), the residual ``composition``.
     """
     sys_obj = load_model(system_id)
-    if sys_obj.hamiltonian is None:
+    ham = sys_obj.hamiltonian
+    if ham is None:
         raise ValueError(f"system {system_id!r} carries no Hamiltonian")
     table = sys_obj.table
-    H = sys_obj.hamiltonian.expr
+    H = ham.expr
     with _Timer() as tm:
         entries = []
-        for coord, mom in sys_obj.hamiltonian.pairing:
+        for coord, mom in ham.pairing:
             dH_dmom = Derivation(table, {mom: 1}).of(H)
             dH_dcoord = Derivation(table, {coord: 1}).of(H)
             entries.append((f"d{coord}", sys_obj.rhs[coord] - dH_dmom))
             entries.append((f"d{mom}", sys_obj.rhs[mom] + dH_dcoord))
-        if system_id == "ham_4d":
-            k1 = load_model("K1_sys").hamiltonian.expr
-            k2 = load_model("K2_sys").hamiltonian.expr
-            a1, a2, p1, p2, s = syms(table, "alpha1 alpha2 p1 p2 s")
-            k1_part = substitute(k1, {"alpha": a2}, table=table)
-            k2_part = substitute(k2, {"alpha": a1 + a2}, table=table)
-            composed = k1_part + k2_part - p1 * p2 / s
+        if ham.parts:
+            composed = ham.coupling
+            for part_id, bindings in ham.parts:
+                part = load_model(part_id).hamiltonian.expr
+                composed = composed + substitute(part, bindings, table=table)
             entries.append(("composition", H - composed))
     return _finish(f"hamiltonian:{system_id}", entries, tm)
 
@@ -490,40 +487,23 @@ def check_particular_solution(solution_id: str) -> VerificationReport:
 
 
 def check_invariant_divisor() -> VerificationReport:
-    """y = 0 is flow-invariant exactly when alpha1 = 0.
+    """y = 0 is invariant on the wall alpha1 = 0, and so is each restriction.
 
-    Also certifies that the four-variable reduced system is the restriction
-    of the full system to y = 0, alpha1 = 0, component by component.
+    ``darboux`` is the divisor record's D(y) - K*y - R, K = x*w + z*q - 1 and
+    R = alpha1*w*q; each row of ``models.RESTRICTIONS`` then certifies its
+    embedding into the source, ``<restriction>:<state>``, by the residual of
+    a particular solution: states bound to themselves, zeroed symbols to 0.
     """
-    five = load_model("five_dim")
-    T5 = five.table
-    reduced = load_model("reduced_alpha1_zero")
+    divisor = models.load_divisor()
     with _Timer() as tm:
-        f_y = five.rhs["y"]
-        num_zero = substitute_poly(f_y.num, {"alpha1": 0}).as_poly()
-        y_poly = Poly.var(T5, "y")
-        quotient = exact_polynomial_quotient(num_zero, y_poly)
-        x, z, w, q, a1 = syms(T5, "x z w q alpha1")
-        expected_quotient = (x * w + z * q - 1).num
-        entries: list[tuple[str, RatExpr]] = []
-        if quotient is None:
-            entries.append(("alpha1_zero_divisible", f_y))
-        else:
-            entries.append(
-                ("alpha1_zero_divisible", RatExpr(quotient - expected_quotient))
-            )
-        restrict = Substitution({"y": 0, "alpha1": 0}, T5)
-        embed = Substitution({}, reduced.table, T5)
-        for name in reduced.state:
-            restricted = substitute(five.rhs[name], restrict)
-            expected = substitute(reduced.rhs[name], embed)
-            entries.append((f"restriction:{name}", restricted - expected))
-        # f_y = alpha1*w*q mod y, so y divides f_y only where alpha1 = 0
-        entries.append(
-            ("alpha1_free_not_divisible", substitute(f_y, {"y": 0}) - a1 * w * q)
-        )
-    detail = "" if quotient is None else f"quotient {render_poly(quotient)}"
-    return _finish("invariant_divisor", entries, tm, detail)
+        entries = [("darboux", _darboux(*divisor))]
+        for sid, source_id, zeros in models.RESTRICTIONS:
+            small = load_model(sid)
+            bindings = {**{n: RatExpr.sym(small.table, n) for n in small.state},
+                        **dict.fromkeys(zeros, RatExpr.const(small.table, 0))}
+            resids = _residuals(small.flow(), load_model(source_id), bindings)
+            entries += [(f"{sid}:{n}", resid) for n, resid in resids]
+    return _finish("invariant_divisor", entries, tm, f"cofactor {render_ratexpr(divisor.cofactor)}")
 
 
 # -- dispute resolution ------------------------------------------------------------------

@@ -20,10 +20,12 @@ from painleve_d32.models import (
 )
 from painleve_d32.ring import (
     RatExpr,
+    SymbolMismatchError,
     has_relation_symbols,
     substitute,
     syms,
 )
+from painleve_d32.syntax import render_ratexpr
 
 from conftest import sympy_of, sympy_read
 
@@ -219,6 +221,55 @@ def test_solution_bindings_printed_forms():
     }
     assert (rest.rules["x"] - rebased["x"]).is_zero
     assert (rest.rules["z"] - rebased["z"]).is_zero
+
+
+def test_restrictions_equal_the_substitution_of_zeros():
+    # each subsystem's table is its source's without the zeroed symbols, and
+    # each right-hand side is its source's with 0 substituted for them, on
+    # the lazy exact path the key filter replaces
+    for sid, source_id, zeros in models.RESTRICTIONS:
+        sub, source = load_model(sid), load_model(source_id)
+        assert sub.table.symbols == tuple(n for n in source.table.symbols if n not in zeros)
+        assert sub.state == tuple(n for n in source.state if n not in zeros)
+        for name in sub.state:
+            assert sub.rhs[name] == substitute(
+                source.rhs[name], dict.fromkeys(zeros, 0), table=sub.table
+            ), (sid, name)
+
+
+def test_a_restriction_of_a_missing_symbol_is_refused():
+    with pytest.raises(SymbolMismatchError, match="alpah1"):
+        models._restrict("typo", load_model("five_dim"), ("y", "alpah1"))
+
+
+def test_restrictions_and_divisor_match_a_sympy_oracle():
+    # sympy reads five_dim's rendered field and sets each row's symbols to 0
+    # itself; the rendered subsystems must be those fields, and the rendered
+    # divisor record must satisfy D(y) = K*y + R on the same read field
+    def read(sid):
+        sys_obj = load_model(sid)
+        return {n: sympy_read(render_ratexpr(e), sys_obj.table.symbols)
+                for n, e in sys_obj.rhs.items()}
+
+    oracle = {"five_dim": read("five_dim")}
+    for sid, source_id, zeros in models.RESTRICTIONS:
+        zero = {sp.Symbol(n): 0 for n in zeros}
+        oracle[sid] = {n: f.subs(zero) for n, f in oracle[source_id].items() if n not in zeros}
+        rendered = read(sid)
+        assert rendered.keys() == oracle[sid].keys(), sid
+        for name, f in rendered.items():
+            assert sp.expand(f - oracle[sid][name]) == 0, (sid, name)
+
+    divisor = models.load_divisor()
+    five = load_model(divisor.system_id)
+    f, K, R = (sympy_read(render_ratexpr(e), five.table.symbols)
+               for e in (divisor.expr, divisor.cofactor, divisor.remainder))
+    field = {sp.Symbol(n): g for n, g in oracle["five_dim"].items()}
+    field[sp.Symbol(five.indep)] = sp.Integer(1)
+    D_f = sum(sp.diff(f, v) * g for v, g in field.items())
+    assert sp.expand(D_f - K * f - R) == 0
+    # the remainder vanishes on the wall alpha1 = 0 and nowhere else identically
+    assert R != 0 and R.subs(sp.Symbol("alpha1"), 0) == 0
 
 
 def test_solution_bindings_cover_states():

@@ -21,6 +21,7 @@ from painleve_d32.ring import (
     RingError,
     SingularPointError,
     SingularSubstitutionError,
+    SymbolMismatchError,
     SymbolTable,
     ZeroDivisionExprError,
     differentiate,
@@ -36,7 +37,7 @@ from painleve_d32.ring import (
 from painleve_d32.syntax import render_ratexpr
 from painleve_d32.models import MAP_IDS, SYSTEM_IDS, load_map, load_model
 
-from conftest import random_poly, random_ratexpr, sympy_of, sympy_read
+from conftest import random_nonzero_poly, random_poly, random_ratexpr, sympy_of, sympy_read
 
 T = SymbolTable(
     [("x", "state"), ("z", "state"),
@@ -85,6 +86,46 @@ def test_substitute_examples():
     assert (image - (z5**2 * q5 - 2 * a05 * z5 + eta5) / z5).is_zero
     wide = T5.extend([("s", "generator")])
     assert substitute(z5 * q5, {}, table=wide).table is wide
+
+
+def test_bindings_refuse_names_missing_from_the_table():
+    # a misspelt name must not be dropped: x + y would come back unchanged
+    xy = SymbolTable([("x", "state"), ("y", "state")])
+    xv, yv = syms(xy, "x y")
+    with pytest.raises(SymbolMismatchError, match="'yy'"):
+        substitute(xv + yv, {"yy": 0})
+    with pytest.raises(SymbolMismatchError, match="'yy'"):
+        substitute_poly((xv + yv).num, {"x": 1, "yy": 0})
+
+
+def test_restriction_matches_the_substitution_of_zeros():
+    # Poly.restricted sets the symbols the smaller table lacks to 0 by
+    # dropping terms: the same as substituting 0 for them into that table
+    rng = random.Random(0x2E57)
+    table = SymbolTable([("x", "state"), ("y", "state"), ("t", "independent"),
+                         ("alpha1", "parameter"), ("eta", "constant")])
+    pairs = list(zip(table.symbols, table.kinds))
+    for _ in range(200):
+        zeros = {n: 0 for n in table.symbols if rng.random() < 0.4}
+        small = SymbolTable([(n, k) for n, k in pairs if n not in zeros])
+        p = random_poly(rng, table, max_terms=6, max_exp=3)
+        assert RatExpr(p.restricted(small)) == substitute_poly(p, zeros, table=small)
+        e = RatExpr(p, random_nonzero_poly(rng, table, max_terms=3, max_exp=2))
+        try:
+            expected = substitute(e, zeros, table=small)
+        except SingularSubstitutionError:
+            with pytest.raises(SingularSubstitutionError):
+                e.restricted(small)
+        else:
+            assert e.restricted(small) == expected
+    # a denominator that vanishes where y = eta = 0
+    xv, yv, etav = syms(table, "x y eta")
+    singular = xv / (yv * xv + etav)
+    small = SymbolTable([(n, k) for n, k in pairs if n not in ("y", "eta")])
+    with pytest.raises(SingularSubstitutionError):
+        substitute(singular, {"y": 0, "eta": 0}, table=small)
+    with pytest.raises(SingularSubstitutionError):
+        singular.restricted(small)
 
 
 def test_substitute_singular_denominator_names_binding():

@@ -21,6 +21,7 @@ from conftest import random_ratexpr, sympy_of, sympy_read
 from painleve_d32 import models, verify, weyl
 from painleve_d32.models import (
     SYSTEM_IDS,
+    FirstIntegral,
     Hamiltonian,
     VectorFieldSystem,
     load_integral,
@@ -33,6 +34,7 @@ from painleve_d32.ring import (
     RatExpr,
     RingError,
     Substitution,
+    SymbolMismatchError,
     SymbolTable,
     exact_polynomial_quotient,
     has_relation_symbols,
@@ -40,13 +42,12 @@ from painleve_d32.ring import (
     reduce_relation,
     syms,
 )
-from painleve_d32.syntax import render_ratexpr
+from painleve_d32.syntax import render_poly, render_ratexpr
 from painleve_d32.verify import (
     CapacityError,
     check_chart,
     check_first_integral,
     check_hamiltonian_consistency,
-    check_integral_expr,
     check_invariant_divisor,
     check_particular_solution,
     check_reduction_5d_to_4d,
@@ -216,11 +217,19 @@ def test_failed_witness_search_reports_its_attempts(monkeypatch):
     assert "witness" not in check_symmetry("five_dim", "s2_5d", "corrected").detail
 
 
-def test_constant_residual_records_its_empty_witness():
+def _registered_integral(monkeypatch, system_id, expr, lam) -> str:
+    """The id of ``expr`` registered as an integral of the system for one test."""
+    integral = FirstIntegral("custom", system_id, expr, Fraction(lam))
+    monkeypatch.setitem(models._registry().integrals, integral.id, integral)
+    return integral.id
+
+
+def test_constant_residual_records_its_empty_witness(monkeypatch):
     # a nonzero constant numerator over a table without the three alphas is
     # nonzero everywhere: the empty point is its witness, and it is recorded
     table = load_model("K1_sys").table
-    report = verify.check_integral_expr("K1_sys", RatExpr.const(table, 1), Fraction(1))
+    one = _registered_integral(monkeypatch, "K1_sys", RatExpr.const(table, 1), 1)
+    report = check_first_integral("K1_sys", one)
     assert not report.passed
     assert report.residuals == [("eigen", "-1")]
     assert report.witness_point == {}
@@ -380,10 +389,11 @@ def test_first_integrals():
         check_first_integral("ham_4d", "I1")
 
 
-def test_perturbed_integral_fails():
+def test_perturbed_integral_fails(monkeypatch):
     five = load_model("five_dim")
     y, w, q = syms(five.table, "y w q")
-    report = check_integral_expr("five_dim", y - 2 * w * q, Fraction(-1), "perturbed")
+    perturbed = _registered_integral(monkeypatch, "five_dim", y - 2 * w * q, -1)
+    report = check_first_integral("five_dim", perturbed)
     assert not report.passed
     assert report.witness_point is not None
 
@@ -394,8 +404,25 @@ def test_perturbed_integral_fails():
 def test_hamiltonian_consistency():
     for sid in ("ham_4d", "K1_sys", "K2_sys", "tildeK2_sys"):
         assert check_hamiltonian_consistency(sid).passed
+    assert [label for label, _ in check_hamiltonian_consistency("ham_4d").residuals] == [
+        "dq1", "dp1", "dq2", "dp2", "composition",
+    ]
     with pytest.raises(ValueError):
         check_hamiltonian_consistency("five_dim")
+
+
+def test_negated_coupling_fails_the_composition(monkeypatch):
+    ham = load_model("ham_4d")
+    H = ham.hamiltonian
+    mutant = ham._replace(hamiltonian=H._replace(coupling=-H.coupling))
+    monkeypatch.setitem(models._registry().systems, "ham_4d", mutant)
+    report = check_hamiltonian_consistency("ham_4d")
+    assert not report.passed
+    assert report.witness_point is not None
+    p1, p2, s = syms(ham.table, "p1 p2 s")
+    # H - (K1 + K2 + p1*p2/s) = -2*p1*p2/s
+    assert [label for label, text in report.residuals if text != "zero"] == ["composition"]
+    assert dict(report.residuals)["composition"] == render_poly((-2 * p1 * p2 / s).num)
 
 
 def test_reduction(monkeypatch):
@@ -689,8 +716,70 @@ def test_rest_wq_zero_solves_five_dim_for_every_alpha1(monkeypatch):
 def test_invariant_divisor():
     report = check_invariant_divisor()
     assert report.passed
-    assert report.detail == "quotient x*w + z*q - 1"
-    assert report.residuals[-1] == ("alpha1_free_not_divisible", "zero")
+    assert report.detail == "cofactor x*w + z*q - 1"
+    assert report.residuals == [("darboux", "zero")] + [
+        (f"{sid}:{name}", "zero")
+        for sid, source, _ in models.RESTRICTIONS for name in load_model(source).state
+    ]
+
+
+def _failing(report) -> dict[str, str]:
+    return {label: text for label, text in report.residuals if text != "zero"}
+
+
+def _rebuilt_registry(monkeypatch, **patches) -> None:
+    """A fresh registry, built with ``models`` attributes replaced, for one test."""
+    for name, value in patches.items():
+        monkeypatch.setattr(models, name, value)
+    monkeypatch.setattr(models, "_REGISTRY", None)
+
+
+def test_divisor_off_the_wall_fails_its_embedding(monkeypatch):
+    # with alpha1 left free, y' = alpha1*w*q on y = 0: y = 0 is not invariant
+    wall, *rest = models.RESTRICTIONS
+    _rebuilt_registry(monkeypatch, RESTRICTIONS=((*wall[:2], ("y",)), *rest))
+    report = check_invariant_divisor()
+    assert not report.passed
+    assert report.witness_point is not None
+    a1, w, q = syms(load_model("reduced_alpha1_zero").table, "alpha1 w q")
+    texts = {render_poly(reduce_relation((sign * a1 * w * q).num)) for sign in (1, -1)}
+    failing = _failing(report)
+    assert list(failing) == ["reduced_alpha1_zero:y"]
+    assert failing["reduced_alpha1_zero:y"] in texts
+
+
+def test_divisor_with_a_wrong_remainder_fails_the_darboux_line(monkeypatch):
+    divisor = models.load_divisor()
+    wrong = divisor._replace(remainder=2 * divisor.remainder)
+    monkeypatch.setattr(models._registry(), "divisor", wrong)
+    report = check_invariant_divisor()
+    assert not report.passed
+    assert report.witness_point is not None
+    assert list(_failing(report)) == ["darboux"]
+
+
+def test_a_perturbed_source_fails_the_restriction_below_it(monkeypatch):
+    # F_q + z survives q = 0 in reduced_alpha1_zero, so xzw is no longer
+    # invariant; the restrictions are rebuilt from the perturbed five_dim
+    build = models._build_five_dim
+
+    def perturbed():
+        five = build()
+        return five._replace(rhs={**five.rhs, "q": five.rhs["q"] + RatExpr.sym(five.table, "z")})
+
+    _rebuilt_registry(monkeypatch, _build_five_dim=perturbed)
+    report = check_invariant_divisor()
+    assert not report.passed
+    assert report.witness_point is not None
+    assert _failing(report) == {"xzw:q": "-z"}
+
+
+def test_a_misspelt_parameter_binding_is_refused(monkeypatch):
+    sol = verify.load_particular_solution("rest_wq_zero")
+    misspelt = sol._replace(param_bindings={"alpah1": RatExpr.const(sol.table, 0)})
+    monkeypatch.setattr(verify, "load_particular_solution", lambda solution_id: misspelt)
+    with pytest.raises(SymbolMismatchError, match="alpah1"):
+        check_particular_solution("rest_wq_zero")
 
 
 # -- the search oracle ----------------------------------------------------------------------------
@@ -731,11 +820,12 @@ def test_search_refuses_inexact_eigenvalues():
     assert len(found[0]) == 1 and all(f == found[0] for f in found)
 
 
-def test_search_cross_check_against_integral_checker():
-    for integral in first_integral_search("five_dim", 2, 0, (Fraction(-1),)):
-        assert check_integral_expr(
-            "five_dim", integral.expr, integral.lam, "search-hit"
-        ).passed
+def test_search_cross_check_against_integral_checker(monkeypatch):
+    found = first_integral_search("five_dim", 2, 0, (Fraction(-1),))
+    assert found
+    for integral in found:
+        hit = _registered_integral(monkeypatch, "five_dim", integral.expr, integral.lam)
+        assert check_first_integral("five_dim", hit).passed
 
 
 def test_search_guards(monkeypatch):
