@@ -699,10 +699,18 @@ def _eliminate(
     return pivots
 
 
+def _mod_p(v: int) -> Optional[int]:
+    """The canonical residue of ``v`` mod p, or None when it vanishes."""
+    return v % RANK_PRIME or None
+
+
+def _inverse_mod_p(v: int) -> int:
+    return pow(v, -1, RANK_PRIME)
+
+
 def _eliminate_mod_p(rows: list[dict[int, int]]) -> list[tuple[int, int, dict]]:
     """:func:`_eliminate` over Z/p: its pivots, as many as the rank mod p."""
-    p = RANK_PRIME
-    return _eliminate(rows, lambda v: v % p or None, lambda v: pow(v, -1, p))
+    return _eliminate(rows, _mod_p, _inverse_mod_p)
 
 
 def _subtract(row: dict, factor, prow: dict, skip: int, reduce: Callable) -> None:
@@ -731,6 +739,11 @@ def _exact(e: _Exact) -> Optional[_Exact]:
     if e.num.is_const and e.den.is_const:
         return e.num.const_value() / e.den.const_value()
     return e
+
+
+def _inverse(e: _Exact) -> _Exact:
+    """The inverse of a nonzero exact entry; of an int, a Fraction."""
+    return Fraction(1) / e
 
 
 def _simplicity(e: _Exact) -> tuple[int, int]:
@@ -763,8 +776,12 @@ def _nullspace(
          for c, v in row.items() if not v.is_zero}
         for row in rows
     ]
-    pivots = _eliminate(exact, _exact, lambda v: 1 / v, _simplicity)
-    basis = _reduced(_back_substitute(pivots, ncols))
+    pivots = _eliminate(exact, _exact, _inverse, _simplicity)
+    taken = {c for _, c, _ in pivots}
+    free = [f for f in range(ncols) if f not in taken]
+    basis = _reduced(
+        _back_substitute([(c, prow) for _, c, prow in pivots], free, _exact, _inverse)
+    )
     for vec in basis:
         for row in exact:
             if _total([v * vec[c] for c, v in row.items() if c in vec]) is not None:
@@ -777,19 +794,40 @@ def _nullspace(
 
 
 def _back_substitute(
-    pivots: list[tuple[int, int, dict]], ncols: int
-) -> list[dict[int, _Exact]]:
-    """One kernel vector per free column: one there, zero on the others."""
-    pivot_cols = {c for _, c, _ in pivots}
+    pivots: list[tuple[int, dict]], free: Iterable[int], reduce: Callable, inverse: Callable,
+) -> list[dict[int, Any]]:
+    """One kernel vector per free column, in one field.
+
+    ``pivots`` are the (column, row) pairs of an elimination in pivot order,
+    each row holding no column of an earlier pivot; ``reduce`` and
+    ``inverse`` are the field's, as in :func:`_eliminate`.  The vector of a
+    free column is one there and zero on the other free columns, and
+    back-substitution sets each pivot column from its row, the last pivot
+    first.  Only a pivot whose row holds a column already set can set a
+    nonzero, so those pivots alone are visited, latest first, from a heap.
+    """
+    # column -> the negated indices of the pivots whose rows hold it, so the
+    # heap pops the latest pivot first
+    holders: dict[int, list[int]] = {}
+    for k, (_, row) in enumerate(pivots):
+        for j in row:
+            holders.setdefault(j, []).append(-k)
     basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        vec: dict[int, _Exact] = {f: Fraction(1)}
-        for _, c, prow in reversed(pivots):
-            total = _total([v * vec[j] for j, v in prow.items() if j != c and j in vec])
-            if total is not None:
-                vec[c] = _exact(-total / prow[c])
+    for f in free:
+        vec = {f: 1}
+        heap = list(holders.get(f, ()))
+        queued = set(heap)
+        heapq.heapify(heap)
+        while heap:
+            c, row = pivots[-heapq.heappop(heap)]
+            # c is set by its own pivot alone, so it is not in vec yet
+            terms = [v * vec[j] for j, v in row.items() if j in vec]
+            if (total := reduce(sum(terms[1:], terms[0]))) is not None:
+                vec[c] = reduce(-total * inverse(row[c]))
+                for k in holders[c]:
+                    if k not in queued:
+                        queued.add(k)
+                        heapq.heappush(heap, k)
         basis.append(vec)
     return basis
 
@@ -808,7 +846,7 @@ def _reduced(basis: list[dict[int, _Exact]]) -> list[dict[int, _Exact]]:
         lead = max(c for vec in todo for c in vec)
         vec = todo.pop(next(i for i, v in enumerate(todo) if lead in v))
         if vec[lead] != 1:
-            inv = 1 / vec[lead]
+            inv = _inverse(vec[lead])
             vec = {c: _exact(v * inv) for c, v in vec.items()}
         for other in todo + list(done.values()):
             if lead in other:
@@ -909,34 +947,23 @@ def _assemble(
     return c_cells, b_cells
 
 
-def _rows(c_cells: _Cells, b_cells: _Cells, entry: Callable) -> dict[int, dict]:
-    """Nonzero rows of C - lam*B by row key, in key order: ``entry(c, b)``
-    is the value of a cell from its C and B cells (None where absent), or
-    None when it vanishes."""
+def _search_rows(
+    c_cells: _Cells, b_cells: _Cells, lam: Fraction
+) -> dict[int, dict[int, Poly]]:
+    """Nonzero rows of C - lam*B by row key, in key order, each cell c - lam*b."""
     rows = {}
     for key in sorted(c_cells.keys() | b_cells.keys()):
         crow, brow = c_cells.get(key, {}), b_cells.get(key, {})
         row = {}
         for col in sorted(crow.keys() | brow.keys()):
-            value = entry(crow.get(col), brow.get(col))
-            if value is not None:
-                row[col] = value
+            c, b = crow.get(col), brow.get(col)
+            if lam and b is not None:
+                c = b.scaled(-lam) if c is None else c - b.scaled(lam)
+            if c is not None and not c.is_zero:
+                row[col] = c
         if row:
             rows[key] = row
     return rows
-
-
-def _search_rows(
-    c_cells: _Cells, b_cells: _Cells, lam: Fraction
-) -> dict[int, dict[int, Poly]]:
-    """Nonzero rows of C - lam*B by row key, each cell c - lam*b."""
-
-    def entry(c: Optional[Poly], b: Optional[Poly]) -> Optional[Poly]:
-        if lam and b is not None:
-            c = b.scaled(-lam) if c is None else c - b.scaled(lam)
-        return None if c is None or c.is_zero else c
-
-    return _rows(c_cells, b_cells, entry)
 
 
 def _residue(lam: Fraction) -> Optional[int]:
@@ -947,104 +974,20 @@ def _residue(lam: Fraction) -> Optional[int]:
     return lam.numerator * pow(lam.denominator, -1, p) % p
 
 
-def _reducer(factor: list[tuple[int, int, dict]]) -> Callable[[dict], dict]:
-    """Reduction mod p of a row against the pivots of an elimination.
-
-    Each pivot row holds no column of an earlier pivot, so a row is reduced
-    by the pivots of the columns it has, taken in pivot order from a heap:
-    a pivot only brings in later pivot columns.  The reduced row lies on the
-    free columns; it is what eliminating the factor's rows together with the
-    row leaves of it.
-    """
-    p = RANK_PRIME
-    order = {c: k for k, (_, c, _) in enumerate(factor)}
-    steps = [(c, pow(prow[c], -1, p), prow) for _, c, prow in factor]
-
-    def reduce(row: dict[int, int]) -> dict[int, int]:
-        heap = [order[c] for c in row if c in order]
-        if not heap:
-            return row
-        row = dict(row)
-        heapq.heapify(heap)
-        while heap:
-            c, inv, prow = steps[heapq.heappop(heap)]
-            v = row.pop(c, None)
-            if v is None:  # cancelled, or queued twice
-                continue
-            f = v * inv % p
-            for j, w in prow.items():
-                old = row.get(j)
-                if old is None:
-                    if j != c:
-                        row[j] = -f * w % p
-                        if j in order:
-                            heapq.heappush(heap, order[j])
-                elif new := (old - f * w) % p:
-                    row[j] = new
-                else:
-                    del row[j]
-        return row
-
-    return reduce
-
-
-def _supports(
-    pivots: list[tuple[int, dict[int, int]]], free: Iterable[int]
-) -> list[set[int]]:
-    """The support of one kernel vector mod p per free column.
-
-    ``pivots`` are the (column, row) pairs of an elimination mod p in pivot
-    order, each row holding no column of an earlier pivot.  The vector of a
-    free column is one there and zero on the other free columns, and
-    back-substitution sets each pivot column from its row, the last pivot
-    first.  Only a pivot whose row holds a column already set can set a
-    nonzero, so those pivots alone are visited, latest first, from a heap.
-    """
-    p = RANK_PRIME
-    # column -> the negated indices of the pivots whose rows hold it, so the
-    # heap pops the latest pivot first
-    holders: dict[int, list[int]] = {}
-    for k, (_, row) in enumerate(pivots):
-        for j in row:
-            holders.setdefault(j, []).append(-k)
-    supports = []
-    for f in free:
-        vec = {f: 1}
-        heap = list(holders.get(f, ()))
-        queued = set(heap)
-        heapq.heapify(heap)
-        while heap:
-            c, row = pivots[-heapq.heappop(heap)]
-            # c is set by its own pivot alone, so it is not in vec yet
-            if total := sum(v * vec[j] for j, v in row.items() if j in vec) % p:
-                vec[c] = -total * pow(row[c], -1, p) % p
-                for k in holders[c]:
-                    if k not in queued:
-                        queued.add(k)
-                        heapq.heappush(heap, k)
-        supports.append(set(vec))
-    return supports
-
-
 class _Pencil:
     """C_p - lam*B_p with its eigenvalue-free rows eliminated once.
 
     The rows with no B cell are the same for every lambda.  They are
-    eliminated mod p once, into a factor.  Nearly all of its pivot rows are
-    single entries, and a column is *settled* when its pivot row is one
-    entry and no other factor row holds it: reducing a row against that
-    pivot deletes the column and touches no other, and no other pivot brings
-    it back.  So the C and B parts of every other row are built once from
-    their cells mod p with the settled columns left out, and only then
-    reduced against the factor's other, live pivots onto its free columns.
-    Reduction is linear, so red(C_p - lam*B_p) = red(C_p) - lam*red(B_p),
-    and one eigenvalue eliminates only that small pencil: the settled
-    columns, the live pivots and then the pencil's are an elimination of
-    the stacked rows C_p - lam*B_p.  Their number is its rank mod p, and
-    the columns none of them takes are the free columns of that
-    elimination.  A settled pivot sets its column to zero in every kernel
-    vector mod p and no other pivot reads it, so it is left out of the
-    pivots too.
+    eliminated mod p once.  Nearly all of the pivot rows are single entries,
+    and a column is *settled* when its pivot row is one entry and no other
+    pivot row holds it.  The other pivot rows, the *live* ones, are kept as
+    they stood, and none of them holds a settled column.  The C and B parts
+    of every other row are built once from their cells mod p with the
+    settled columns left out.  So the stacked rows C_p - lam*B_p span the
+    settled columns' unit vectors plus, apart from them, the live rows and
+    the pencil rows: one eigenvalue eliminates only those, and the settled
+    columns and its pivots number the rank mod p.  A settled column is zero
+    in every kernel vector mod p, so it is left out of the pivots.
     """
 
     def __init__(self, c_cells: _Cells, b_cells: _Cells):
@@ -1054,29 +997,26 @@ class _Pencil:
             for key in sorted(c_cells.keys() - b_cells.keys())
         ])
         held = {j for _, _, prow in factor if len(prow) > 1 for j in prow}
-        self.settled = {c for _, c, prow in factor if len(prow) == 1 and c not in held}
-        settled = self.settled
-        self.factor = [pivot for pivot in factor if pivot[1] not in settled]
-        reduce = _reducer(self.factor)
+        self.settled = settled = {
+            c for _, c, prow in factor if len(prow) == 1 and c not in held
+        }
+        self.live = [prow for _, c, prow in factor if c not in settled]
 
         def row(cells: dict) -> dict[int, int]:
-            return reduce({c: r for c, v in cells.items() if c not in settled and (r := v % p)})
+            return {c: r for c, v in cells.items() if c not in settled and (r := v % p)}
 
-        self.reduced = [
-            (row(c_cells.get(key, {})), row(b_cells[key])) for key in sorted(b_cells)
-        ]
+        self.rows = [(row(c_cells.get(key, {})), row(b_cells[key])) for key in sorted(b_cells)]
 
     def pivots(self, lam_p: int) -> list[tuple[int, dict[int, int]]]:
-        """The live pivots (column, row) of C_p - lam*B_p at lambda's residue
-        ``lam_p``, the factor's then the pencil's: with the settled columns,
-        one elimination mod p, each row as it stood when its pivot was
-        chosen."""
+        """The pivots (column, row) of the live rows and C_p - lam*B_p at
+        lambda's residue ``lam_p``, without the settled columns: one
+        elimination mod p, each row as it stood when its pivot was chosen."""
         p = RANK_PRIME
         rows = [
             {j: v for j in c.keys() | b.keys() if (v := (c.get(j, 0) - lam_p * b.get(j, 0)) % p)}
-            for c, b in self.reduced
+            for c, b in self.rows
         ]
-        return [(c, prow) for _, c, prow in self.factor + _eliminate_mod_p(rows)]
+        return [(c, prow) for _, c, prow in _eliminate_mod_p(self.live + rows)]
 
 
 class _SearchMatrix:
@@ -1122,15 +1062,16 @@ class _SearchMatrix:
     def kernel(self, lam: Fraction) -> list[dict[int, RatExpr]]:
         """Certified kernel of C - lam*B over Q(params).
 
-        The shared factor and this eigenvalue's reduced pencil eliminate
-        C_p - lam*B_p.  Its rank mod p is a lower bound on the exact rank,
-        so the kernel has at most as many dimensions as the elimination has
-        free columns: those neither a settled column nor taken by a live
-        pivot.  One vector mod p is back-substituted per free column through
-        the live pivots (:func:`_supports`), and the columns they touch
-        alone are solved exactly.  When that yields a vector per free
-        column, those vectors, zero elsewhere, are the kernel: each is
-        plugged back into every nonzero row, and the rank allows no more.
+        The settled columns and the pivots of this eigenvalue's stacked
+        elimination (:meth:`_Pencil.pivots`) eliminate C_p - lam*B_p.  Its
+        rank mod p is a lower bound on the exact rank, so the kernel has at
+        most as many dimensions as the elimination has free columns: those
+        neither settled nor taken by a pivot.  One vector mod p is
+        back-substituted per free column through those pivots
+        (:func:`_back_substitute`), and the columns they touch alone are
+        solved exactly.  When that yields a vector per free column, those
+        vectors, zero elsewhere, are the kernel: each is plugged back into
+        every nonzero row, and the rank allows no more.
         Otherwise (a lambda whose residue drops the rank, or a cell that
         vanishes mod p but not exactly), and when there is no usable point
         or residue mod p, every column is solved.
@@ -1142,7 +1083,8 @@ class _SearchMatrix:
             free = [c for c in range(len(self.columns)) if c not in taken]
             if not free:
                 return []
-            basis = self._solve(sorted(set().union(*_supports(pivots, free))), lam)
+            vecs = _back_substitute(pivots, free, _mod_p, _inverse_mod_p)
+            basis = self._solve(sorted(set().union(*vecs)), lam)
             if len(basis) == len(free):
                 return basis
         return self._solve(range(len(self.columns)), lam)
@@ -1177,23 +1119,23 @@ def first_integral_search(
     order of (total degree, exponent tuple), and only those of a returned
     integral's support are unpacked.  For each candidate eigenvalue the
     condition is an exact linear system; its solution space is returned as a
-    basis, with the trivial constant solutions removed and each generator
-    normalized so its leading coefficient, that of its last column, is one.
-    Every cell is a sum of shifted parameter parts of the cleared rules, as
-    a polynomial or as its image mod p.  The integer cells of the rows that
-    hold no eigenvalue are eliminated once per search; the columns of their
-    single-entry pivots are settled there, and each eigenvalue eliminates
-    only the rest of its rows, reduced against the factor's other pivots.
-    The columns no elimination pivots on are as many as the kernel's
-    dimension at most.  One kernel vector mod p per such column is
-    back-substituted, and only the columns they touch get polynomial cells,
-    whose rows are solved exactly and plugged back in: when that gives a
-    vector per free column, those are the kernel.  Only an eigenvalue this
-    cannot settle, such as one whose residue drops the rank, is solved the
-    same way on every column.  A bound below its minimum, an empty or
-    repeated list of eigenvalues, and a float or bool eigenvalue raise
-    ValueError; an ansatz larger than :data:`MONOMIAL_CAP` raises
-    CapacityError before any column is built.
+    basis in reduced form, whose every generator has leading coefficient,
+    that of its last column, one, with the trivial constant solution
+    removed.  Every cell is a sum of shifted parameter parts of the cleared
+    rules, as a polynomial or as its image mod p.  The integer cells of the
+    rows that hold no eigenvalue are eliminated once per search; the
+    columns of their single-entry pivots are settled there, and each
+    eigenvalue eliminates only the other pivot rows stacked on the rest of
+    its rows, without the settled columns.  The columns neither settled nor
+    taken by a pivot are as many as the kernel's dimension at most.  One
+    kernel vector mod p per such column is back-substituted, and only the
+    columns they touch get polynomial cells, whose rows are solved exactly
+    and plugged back in: when that gives a vector per free column, those
+    are the kernel.  Only an eigenvalue this cannot settle, such as one
+    whose residue drops the rank, is solved the same way on every column.
+    A bound below its minimum, an empty or repeated list of eigenvalues,
+    and a float or bool eigenvalue raise ValueError; an ansatz larger than
+    :data:`MONOMIAL_CAP` raises CapacityError before any column is built.
     """
     if state_degree_bound < 1:
         raise ValueError("state degree bound must be at least 1")
@@ -1223,15 +1165,11 @@ def first_integral_search(
         for vec in matrix.kernel(lam):
             if lam == 0:
                 vec.pop(0, None)  # column 0 is the constant monomial
-            support = sorted(c for c in vec if not vec[c].is_zero)
-            if not support:
+            if not vec:
                 continue
-            inv = vec[support[-1]]
             expr = RatExpr(Poly.zero(table))
-            for c in support:
-                expr = expr + (vec[c] / inv) * RatExpr(
-                    Poly(table, {matrix.monomial(c): Fraction(1)})
-                )
+            for c in sorted(vec):
+                expr = expr + vec[c] * RatExpr(Poly(table, {matrix.monomial(c): Fraction(1)}))
             results.append(
                 FirstIntegral(
                     id=f"search:{system_id}:deg{state_degree_bound}"

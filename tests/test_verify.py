@@ -1058,10 +1058,11 @@ def test_exact_markowitz_alone_matches_gauss_jordan(
 def test_nullspace_refuses_a_basis_that_fails_plug_back(monkeypatch):
     back_substitute = verify._back_substitute
 
-    def corrupt(pivots, ncols):
-        basis = back_substitute(pivots, ncols)
-        vec = basis[0]
-        vec[max(vec)] *= 2
+    def corrupt(pivots, free, reduce, inverse):
+        basis = back_substitute(pivots, free, reduce, inverse)
+        if reduce is verify._exact:  # the kernel mod p is left as it is
+            vec = basis[0]
+            vec[max(vec)] *= 2
         return basis
 
     monkeypatch.setattr(verify, "_back_substitute", corrupt)
@@ -1140,24 +1141,34 @@ def _split_keys(matrix):
 
 
 def _rows_mod_p(matrix, lam):
-    """Nonzero rows of C_p - lam*B_p by row key."""
+    """Nonzero rows of C_p - lam*B_p by row key, in key order."""
     p, lam_p = verify.RANK_PRIME, verify._residue(lam)
-    return verify._rows(*matrix.mod_p, lambda c, b: ((c or 0) - lam_p * (b or 0)) % p or None)
+    c_cells, b_cells = matrix.mod_p
+    rows = {}
+    for key in sorted(c_cells.keys() | b_cells.keys()):
+        crow, brow = c_cells.get(key, {}), b_cells.get(key, {})
+        row = {
+            c: v for c in sorted(crow.keys() | brow.keys())
+            if (v := (crow.get(c, 0) - lam_p * brow.get(c, 0)) % p)
+        }
+        if row:
+            rows[key] = row
+    return rows
 
 
-def _dense_supports(pivots, free):
-    """Reference supports: one vector mod p per free column, back-substituted
+def _dense_kernel_mod_p(pivots, free):
+    """Reference back-substitution: one vector mod p per free column, set
     through every pivot (column, row), the last pivot first."""
     p = verify.RANK_PRIME
-    supports = []
+    basis = []
     for f in free:
         vec = {f: 1}
         for c, row in reversed(pivots):
             total = sum(v * vec.get(j, 0) for j, v in row.items() if j != c) % p
             if total:
                 vec[c] = -total * pow(row[c], -1, p) % p
-        supports.append(set(vec))
-    return supports
+        basis.append(vec)
+    return basis
 
 
 def _restricted_rows(matrix, lam, cols):
@@ -1173,7 +1184,8 @@ def _restricted_rows(matrix, lam, cols):
 
 def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found):
     """Run a search and check its eliminations: mod p, the eigenvalue-free
-    rows once per search and the reduced pencil once per eigenvalue; exactly,
+    rows once per search and the live rows stacked on the pencil rows once
+    per eigenvalue; exactly,
     for an eigenvalue whose kernel mod p touches a nonzero exact cell, one
     elimination of the touched columns, and only for an eigenvalue that
     falls back (lambda = p) one more of every exact row."""
@@ -1191,23 +1203,25 @@ def _eliminations(monkeypatch, system_id, state_bound, indep_bound, lams, found)
     )
     assert bool(first_integral_search(system_id, state_bound, indep_bound, lams)) == found
     assert len(runs) == 1 + len(lams)
+    (free_rows, factor), *pencils = runs
     matrix = _matrix(system_id, state_bound, indep_bound)
     free_keys, pencil_keys = _split_keys(matrix)
-    (free_rows, factor), *pencils = runs
-    factor_cols = {c for _, c, _ in factor}
+    settled, live = matrix.pencil.settled, matrix.pencil.live
+    assert live == [row for _, c, row in factor if c not in settled]
     expected_calls = []
     for lam, (pencil_rows, pencil) in zip(lams, pencils):
         stacked = _rows_mod_p(matrix, lam)
         assert {k: row for k, row in zip(free_keys, free_rows) if row} == {
             k: row for k, row in stacked.items() if k in free_keys
         }
-        assert len(pencil_rows) == len(pencil_keys)
-        assert not any(factor_cols & row.keys() for row in pencil_rows)
-        assert len(factor) + len(pencil) == len(eliminate_mod_p(list(stacked.values())))
-        pivots = [(c, row) for _, c, row in factor + pencil]
-        taken = {c for c, _ in pivots}
+        assert pencil_rows[:len(live)] == live
+        assert len(pencil_rows) == len(live) + len(pencil_keys)
+        assert not any(settled & row.keys() for row in pencil_rows)
+        assert len(settled) + len(pencil) == len(eliminate_mod_p(list(stacked.values())))
+        pivots = [(c, row) for _, c, row in pencil]
+        taken = settled.union(c for c, _ in pivots)
         free = [c for c in range(len(matrix.columns)) if c not in taken]
-        cols = sorted(set().union(*_dense_supports(pivots, free)))
+        cols = sorted(set().union(*_dense_kernel_mod_p(pivots, free)))
         if rows := _restricted_rows(matrix, lam, cols):
             expected_calls.append((rows, len(cols)))
         if lam == verify.RANK_PRIME:
@@ -1258,36 +1272,41 @@ def _pencil_lambdas(state_bound, indep_bound):
 def test_shared_factor_matches_the_stacked_elimination_mod_p(
     system_id, state_bound, indep_bound
 ):
-    # the settled columns, the factor's live pivots and the reduced pencil's
-    # are an elimination of the stacked rows C_p - lam*B_p: together as many
-    # as their rank, no live pivot row holds a settled column, and once the
-    # settled columns are deleted the live pivot rows reduce every stacked
-    # row to nothing
+    # the settled columns and the pivots of the live rows stacked on the
+    # pencil rows are an elimination of the stacked rows C_p - lam*B_p:
+    # together as many as their rank, no live row or pivot row holds a
+    # settled column, and the settled columns' unit vectors and the pivot
+    # rows are independent and, stacked under the rows, leave their rank
     matrix = _matrix(system_id, state_bound, indep_bound)
     settled = matrix.pencil.settled
+    assert not any(settled & row.keys() for row in matrix.pencil.live)
+    units = [{c: 1} for c in settled]
     for lam in _pencil_lambdas(state_bound, indep_bound):
         rows = list(_rows_mod_p(matrix, lam).values())
         pivots = matrix.pencil.pivots(verify._residue(lam))
-        assert len(settled) + len(pivots) == len(verify._eliminate_mod_p(rows))
+        rank = len(verify._eliminate_mod_p(rows))
+        assert len(settled) + len(pivots) == rank
         assert not any(settled & row.keys() for _, row in pivots)
-        reduce = verify._reducer([(None, c, row) for c, row in pivots])
-        assert all(
-            reduce({c: v for c, v in row.items() if c not in settled}) == {} for row in rows
-        )
+        basis = units + [row for _, row in pivots]
+        assert len(verify._eliminate_mod_p(basis)) == rank
+        assert len(verify._eliminate_mod_p(rows + basis)) == rank
 
 
 def test_a_singleton_pivot_whose_column_an_earlier_row_holds_is_not_settled():
     # eigenvalue-free rows 0 and 1 leave no singleton: Markowitz pivots on
     # one of them, which leaves the other a single entry in a column the
     # first row holds.  Row 2 is a singleton no other row holds: settled.
-    # The pencil row's B part {0: 1} reduces through row 0's pivot into
-    # column 1, and only the singleton pivot there clears it again.
+    # Both Markowitz rows stay live, and the pencil row keeps column 1 and
+    # loses only the settled column 2; the pencil's elimination then takes
+    # the full rank, 3, with the settled column.
     c_cells = {0: {0: 1, 1: 1}, 1: {0: 1, 1: 2}, 2: {2: 5}, 3: {1: 3, 2: 1}}
     pencil = verify._Pencil(c_cells, {3: {0: 1}})
     assert pencil.settled == {2}
+    assert sorted(len(row) for row in pencil.live) == [1, 2]
+    assert not any(2 in row for row in pencil.live)
+    assert pencil.rows == [({1: 3}, {0: 1})]
     pivots = pencil.pivots(verify._residue(Fraction(-1)))
-    assert [(c, len(row)) for c, row in pivots] == [(0, 2), (1, 1)]
-    assert pencil.reduced == [({}, {})]
+    assert sorted(c for c, _ in pivots) == [0, 1]
 
 
 class _StaleLines:
@@ -1359,12 +1378,15 @@ def _random_sparse_rows(rng):
 
 
 def _check_peel(rows):
-    """The peeling elimination has the reference's rank, and its pivots
-    reduce every row to nothing."""
+    """The peeling elimination has the reference's rank, and its pivot rows
+    span the rows: they are independent, and stacked under the rows they
+    leave the reference rank as it was."""
     pivots = verify._eliminate_mod_p(rows)
-    assert len(pivots) == len(_markowitz_elimination_mod_p(rows))
-    reduce = verify._reducer(pivots)
-    assert all(reduce(row) == {} for row in rows)
+    rank = len(_markowitz_elimination_mod_p(rows))
+    assert len(pivots) == rank
+    prows = [prow for _, _, prow in pivots]
+    assert len(_markowitz_elimination_mod_p(prows)) == rank
+    assert len(_markowitz_elimination_mod_p(rows + prows)) == rank
 
 
 def test_singleton_chain_is_eliminated_with_no_arithmetic():
@@ -1391,6 +1413,36 @@ def test_peel_keeps_the_rank_of_random_sparse_matrices():
     rng = random.Random(29)
     for _ in range(300):
         _check_peel(_random_sparse_rows(rng))
+
+
+def test_one_back_substitution_solves_both_fields():
+    # the same seeded rows mod p and as Fractions: each vector is one at its
+    # free column, zero at the other free columns, holds no zero entry and
+    # satisfies every row, one vector per column no pivot takes
+    p = verify.RANK_PRIME
+    rng = random.Random(31)
+    for _ in range(300):
+        rows_p = _random_sparse_rows(rng)
+        rows_q = [{c: Fraction(v if v < p // 2 else v - p) for c, v in row.items()}
+                  for row in rows_p]
+        for rows, reduce, inverse in (
+            (rows_p, verify._mod_p, verify._inverse_mod_p),
+            (rows_q, verify._exact, verify._inverse),
+        ):
+            pivots = verify._eliminate(rows, reduce, inverse)
+            taken = {c for _, c, _ in pivots}
+            free = [c for c in range(12) if c not in taken]  # 12 columns at most
+            basis = verify._back_substitute(
+                [(c, prow) for _, c, prow in pivots], free, reduce, inverse
+            )
+            assert len(basis) == len(free)
+            for f, vec in zip(free, basis):
+                assert vec[f] == 1
+                assert not (vec.keys() & set(free)) - {f}
+                assert all(vec.values())
+                for row in rows:
+                    total = sum(v * vec.get(c, 0) for c, v in row.items())
+                    assert (total % p if reduce is verify._mod_p else total) == 0
 
 
 def test_markowitz_pivots_do_not_depend_on_empty_buckets():
@@ -1463,7 +1515,7 @@ def test_touched_columns_kernel_matches_the_full_exact_path(
     system_id, state_bound, indep_bound
 ):
     # the same vectors, structurally equal entry by entry, as eliminating
-    # every exact row; and the heap walk finds the supports a dense
+    # every exact row; and the heap walk finds the vectors mod p a dense
     # back-substitution over the same pivots finds.  Every search also takes
     # lambda = p and 2p, which fall back, and 1/p, which has no residue.
     p = verify.RANK_PRIME
@@ -1476,7 +1528,8 @@ def test_touched_columns_kernel_matches_the_full_exact_path(
         pivots = matrix.pencil.pivots(lam_p)
         taken = matrix.pencil.settled.union(c for c, _ in pivots)
         free = [c for c in range(len(matrix.columns)) if c not in taken]
-        assert verify._supports(pivots, free) == _dense_supports(pivots, free)
+        kernel_p = verify._back_substitute(pivots, free, verify._mod_p, verify._inverse_mod_p)
+        assert kernel_p == _dense_kernel_mod_p(pivots, free)
 
 
 @pytest.mark.parametrize(
@@ -1490,17 +1543,19 @@ def test_short_touched_columns_solve_falls_back(
     # solve on the touched columns comes up one vector short; the search then
     # eliminates every exact row and returns the same integrals
     expected = first_integral_search(system_id, state_bound, indep_bound, (lam,))
-    supports = verify._supports
+    back_substitute = verify._back_substitute
     dropped = []
 
-    def short(pivots, free):
-        found = supports(pivots, free)
+    def short(pivots, free, reduce, inverse):
+        found = back_substitute(pivots, free, reduce, inverse)
+        if reduce is not verify._mod_p:  # the exact solve is left as it is
+            return found
         pivot_cols = {c for c, _ in pivots}
-        c = min(c for support in found for c in support if c in pivot_cols)
+        c = min(c for vec in found for c in vec if c in pivot_cols)
         dropped.append(c)
-        return [support - {c} for support in found]
+        return [{j: v for j, v in vec.items() if j != c} for vec in found]
 
-    monkeypatch.setattr(verify, "_supports", short)
+    monkeypatch.setattr(verify, "_back_substitute", short)
     calls = []
     nullspace = verify._nullspace
 
