@@ -7,7 +7,10 @@ determinants live here.  A binding set is compiled once into a
 :class:`Substitution` plan, which every expression substituted with it
 shares: identities pass through, integer multiples of monomials become
 arithmetic on the packed keys, and the other bindings keep their powers on
-the plan.  :mod:`.ring` serves every name this
+the plan.  A :class:`Derivation` likewise compiles its rules once, cleared
+over one common denominator into integer rows, so that differentiating a
+polynomial is one accumulation on packed keys; a Jacobian entry is a plain
+partial derivative.  :mod:`.ring` serves every name this
 module defines (``ring._LAZY``) and binds them all in its own namespace the
 first time one is looked up there, so ``ring.substitute`` and
 ``from .ring import Derivation`` keep working and importing the package
@@ -15,7 +18,8 @@ does not compile this module.
 
 Like :mod:`.ring`, this module reads the packed format of :class:`Poly`.  A
 call from here to a function that the benchmark's layer trace wraps goes
-through ``ring``, where the trace rebinds it: ``ring.reduce_relation``.
+through ``ring``, where the trace rebinds it: ``ring.reduce_relation``,
+``ring.exact_polynomial_quotient``.
 """
 
 from __future__ import annotations
@@ -667,9 +671,17 @@ class Derivation:
     Symbols absent from the rule map have derivative zero; rational constants
     always differentiate to zero.  Exponential generators are ordinary
     symbols whose rule has the shape c*E.
+
+    The rules are compiled into a plan on first use, in two stages.
+    :attr:`cleared` clears the live (nonzero) rules over L, the product of
+    their distinct denominators: rule_i = N_i/L.  The first derivative taken
+    then holds each N_i as integer rows over one scale, so that for a
+    polynomial p the numerator A of D(p) = A/L, the sum of dp/dx_i * N_i, is
+    one integer accumulation over the terms of p, and D(N/M) is
+    (A*M - N*B)/(L*M^2), B the numerator of D(M), normalized once.
     """
 
-    __slots__ = ("table", "rules")
+    __slots__ = ("table", "rules", "_cleared", "_rows")
 
     def __init__(self, table: SymbolTable, rules: Mapping[str, object]):
         self.table = table
@@ -677,24 +689,72 @@ class Derivation:
         for name, value in rules.items():
             table.index(name)  # validates the symbol exists
             self.rules[name] = _coerce_binding(table, value)
+        self._cleared: Optional[tuple[Poly, dict[str, Poly]]] = None
+        # ([(field shift, unit key, [(key, int coefficient)]) per N_i], scale)
+        self._rows: Optional[tuple[list, int]] = None
+
+    @property
+    def cleared(self) -> tuple[Poly, dict[str, Poly]]:
+        """(L, {symbol: N_i}): the live rules cleared, rule_i = N_i/L, in rule
+        order, L the product of their distinct non-constant denominators."""
+        if self._cleared is None:
+            live = {n: r for n, r in self.rules.items() if not r.is_zero}
+            common = self.table.one
+            for den in dict.fromkeys(r.den for r in live.values() if not r.den.is_const):
+                common = common * den
+            self._cleared = common, {
+                n: r.num * (
+                    common if r.den.is_const
+                    else ring.exact_polynomial_quotient(common, r.den)
+                )
+                for n, r in live.items()
+            }
+        return self._cleared
+
+    def _numerator(self, p: Poly) -> Poly:
+        """A with D(p) = A/L: each term c*m of ``p`` adds c*e_i*(m/x_i)*N_i for
+        every symbol x_i of m with a live rule, by key arithmetic on the
+        integer rows of N_i."""
+        table = self.table
+        if p.table is not table:
+            raise SymbolMismatchError("differentiated expression over another table")
+        if self._rows is None:
+            numerators = self.cleared[1]
+            scale = math.lcm(*(n._den for n in numerators.values()))
+            rows = []
+            for name, n in numerators.items():
+                i, f = table.index(name), scale // n._den
+                rows.append((table._shifts[i], table._units[i],
+                             [(k, c * f) for k, c in n._coeffs.items()]))
+            self._rows = rows, scale
+        rows, scale = self._rows
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, c in p._coeffs.items():
+            for s, unit, items in rows:
+                e = (k >> s) & _FIELD
+                if e:
+                    base, f = k - unit, c * e
+                    for kk, v in items:
+                        kk += base
+                        acc[kk] = get(kk, 0) + f * v
+        result = Poly._sorted(table, acc, p._den * scale)
+        # as in Substitution.of_poly: the top field of a sum of keys bounds
+        # the true total degree
+        if result._coeffs:
+            table.check_degree(next(iter(result._coeffs)))
+        return result
 
     def of_poly(self, p: Poly) -> RatExpr:
-        total = RatExpr(Poly.zero(self.table))
-        for name, rule in self.rules.items():
-            if rule.is_zero:
-                continue
-            part = p.partial(name)
-            if part.is_zero:
-                continue
-            total = total + RatExpr(part) * rule
-        return total
+        return RatExpr(self._numerator(p), self.cleared[0])
 
     def of(self, e: RatExpr) -> RatExpr:
-        dn = self.of_poly(e.num)
-        if e.den.is_const:
-            return dn / e.den.const_value()
-        dd = self.of_poly(e.den)
-        return (dn * RatExpr(e.den) - RatExpr(e.num) * dd) / RatExpr(e.den * e.den)
+        n, m = e.num, e.den
+        a = self._numerator(n)
+        # a constant denominator is 1: construction makes it monic
+        if m.is_const:
+            return RatExpr(a, self.cleared[0])
+        return RatExpr(a * m - n * self._numerator(m), self.cleared[0] * (m * m))
 
 
 def differentiate(e: RatExpr, d: Derivation) -> RatExpr:
@@ -702,20 +762,30 @@ def differentiate(e: RatExpr, d: Derivation) -> RatExpr:
     return d.of(e)
 
 
+def partial_derivative(e: RatExpr, name: str) -> RatExpr:
+    """d(N/M)/d``name`` by one quotient rule on :meth:`Poly.partial`:
+    (N'*M - N*M')/M^2, or N' where M is 1."""
+    n, m = e.num, e.den
+    if m.is_const:
+        return RatExpr(n.partial(name))
+    return RatExpr(n.partial(name) * m - n * m.partial(name), m * m)
+
+
 def jacobian_determinant(maps: Sequence[RatExpr], var_names: Sequence[str]) -> RatExpr:
     """Exact determinant of the partial-derivative matrix of a map.
 
-    Uses cofactor expansion along the row with the most structural zeros;
-    fine for the 5x5 matrices that occur here.
+    Each entry is a :func:`partial_derivative`.  Uses cofactor expansion
+    along the row with the most structural zeros; fine for the 5x5 matrices
+    that occur here.  Repeated variable names raise :class:`ValueError`.
     """
     if len(maps) != len(var_names):
         raise ValueError("map length must equal number of variables")
     if not maps:
         raise ValueError("empty map")
-    table = maps[0].table
-    d_rules = {n: Derivation(table, {n: 1}) for n in var_names}
-    matrix = [[d_rules[n].of(phi) for n in var_names] for phi in maps]
-    return _det(matrix, table)
+    if len(set(var_names)) != len(var_names):
+        raise ValueError(f"repeated variable names in {list(var_names)}")
+    matrix = [[partial_derivative(phi, n) for n in var_names] for phi in maps]
+    return _det(matrix, maps[0].table)
 
 
 def _det(m: list[list[RatExpr]], table: SymbolTable) -> RatExpr:

@@ -23,10 +23,11 @@ polynomial and quotient arithmetic, exact division, restriction to a
 smaller table, the parameter relation's symbols and the compile cache of
 generated kernels (:func:`_code`).
 Substitution, :func:`reduce_relation`, :func:`is_identically_zero`,
-evaluation at points, :class:`PointMap`, :class:`Derivation` and
-:func:`jacobian_determinant` live in :mod:`._ring_lazy`, which loads the
-first time one of its names is looked up here (module ``__getattr__``,
-PEP 562) and then binds them all in this namespace.
+evaluation at points, :class:`PointMap`, :class:`Derivation`,
+:func:`partial_derivative` and :func:`jacobian_determinant` live in
+:mod:`._ring_lazy`, which loads the first time one of its names is looked
+up here (module ``__getattr__``, PEP 562) and then binds them all in this
+namespace.
 """
 
 from __future__ import annotations
@@ -406,9 +407,11 @@ class Poly:
     def scaled(self, c: RationalLike) -> "Poly":
         if type(c) is not int:
             c = Fraction(c)
-            p, q = c.numerator, c.denominator
-        else:
-            p, q = c, 1
+            return self._times(c.numerator, c.denominator)
+        return self._times(c, 1)
+
+    def _times(self, p: int, q: int) -> "Poly":
+        """This polynomial times p/q, a coprime pair with q > 0."""
         if not p:
             return Poly.zero(self.table)
         if p == q == 1:
@@ -574,9 +577,13 @@ class RatExpr:
                     den = den._shifted(common)
             lead = next(iter(den._coeffs.values()))
             if lead != den._den:
-                inv = Fraction(den._den, lead)
-                num = num.scaled(inv)
-                den = den.scaled(inv)
+                # scale by den._den/lead, reduced, its denominator positive
+                g = math.gcd(den._den, lead)
+                p, q = den._den // g, lead // g
+                if q < 0:
+                    p, q = -p, -q
+                num = num._times(p, q)
+                den = den._times(p, q)
             # after content cancellation a one-term denominator never divides
             # exactly; for multi-term ones the collapse attempt is what keeps
             # chained eliminations from swelling, and it bails out at the
@@ -801,7 +808,7 @@ _LAZY = frozenset({
     "evaluate", "_residue", "split_poly",
     "PointMap", "_COPRIME", "_POINT_GLOBALS", "_Pair", "_PairCode", "_minus", "_Term",
     "_output_value", "_horner", "_monomial",
-    "Derivation", "differentiate", "jacobian_determinant", "_det",
+    "Derivation", "differentiate", "partial_derivative", "jacobian_determinant", "_det",
 })
 __getattr__ = _lazy_getattr(globals(), "_ring_lazy", _LAZY)
 

@@ -50,9 +50,9 @@ from .ring import (
     Substitution,
     SymbolTable,
     differentiate,
-    exact_polynomial_quotient,
     has_relation_symbols,
     jacobian_determinant,
+    partial_derivative,
     reduce_relation,
     split_poly,
     substitute,
@@ -412,10 +412,8 @@ def check_hamiltonian_consistency(system_id: str) -> VerificationReport:
     with _Timer() as tm:
         entries = []
         for coord, mom in ham.pairing:
-            dH_dmom = Derivation(table, {mom: 1}).of(H)
-            dH_dcoord = Derivation(table, {coord: 1}).of(H)
-            entries.append((f"d{coord}", sys_obj.rhs[coord] - dH_dmom))
-            entries.append((f"d{mom}", sys_obj.rhs[mom] + dH_dcoord))
+            entries.append((f"d{coord}", sys_obj.rhs[coord] - partial_derivative(H, mom)))
+            entries.append((f"d{mom}", sys_obj.rhs[mom] + partial_derivative(H, coord)))
         if ham.parts:
             composed = ham.coupling
             for part_id, bindings in ham.parts:
@@ -871,7 +869,9 @@ def _search_parts(
     """The cleared rule numerators N_i and their common denominator L, split,
     and the ansatz columns as row keys.
 
-    The rule denominators are cleared once, into their product L.  Each
+    The flow's plan clears the rule denominators into their product L
+    (:attr:`Derivation.cleared`, which builds none of the plan's integer
+    rows).  Each
     N_i = rule_i*L and L itself are reduced by the normalization and split
     once per search into {row key: parameter part} (:func:`split_poly`).  A
     row key packs the exponents of the non-parameter symbols into one int,
@@ -884,14 +884,8 @@ def _search_parts(
     returned last.
     """
     table = sys_obj.table
-    rules = {n: r for n, r in sys_obj.flow().rules.items() if not r.is_zero}
-    common_den = Poly.const(table, 1)
-    for den in dict.fromkeys(r.den for r in rules.values() if not r.den.is_const):
-        common_den = common_den * den
-    cleared = {
-        n: reduce_relation(r.num * exact_polynomial_quotient(common_den, r.den))
-        for n, r in rules.items()
-    }
+    common_den, numerators = sys_obj.flow().cleared
+    cleared = {n: reduce_relation(p) for n, p in numerators.items()}
     base = reduce_relation(common_den)
     free = [
         i for i, kind in enumerate(table.kinds) if kind not in ("parameter", "constant")

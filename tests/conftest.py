@@ -71,3 +71,27 @@ def sympy_read(text: str, names) -> sp.Expr:
     )
     assert expr.free_symbols <= set(local.values()), text
     return expr
+
+
+def leibniz_of_poly(d, p: Poly) -> RatExpr:
+    """D(p) by the Leibniz loop, one RatExpr product and sum per live rule:
+    the reference the compiled plan of a :class:`Derivation` is tested
+    against."""
+    total = RatExpr(Poly.zero(d.table))
+    for name, rule in d.rules.items():
+        if rule.is_zero:
+            continue
+        part = p.partial(name)
+        if part.is_zero:
+            continue
+        total = total + RatExpr(part) * rule
+    return total
+
+
+def leibniz_of(d, e: RatExpr) -> RatExpr:
+    """D(N/M) by the quotient rule on :func:`leibniz_of_poly`'s results."""
+    dn = leibniz_of_poly(d, e.num)
+    if e.den.is_const:
+        return dn / e.den.const_value()
+    dd = leibniz_of_poly(d, e.den)
+    return (dn * RatExpr(e.den) - RatExpr(e.num) * dd) / RatExpr(e.den * e.den)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from conftest import random_ratexpr, sympy_of, sympy_read
+from conftest import leibniz_of, random_ratexpr, sympy_of, sympy_read
 from painleve_d32 import models, verify, weyl
 from painleve_d32.models import (
     SYSTEM_IDS,
@@ -39,6 +39,7 @@ from painleve_d32.ring import (
     exact_polynomial_quotient,
     has_relation_symbols,
     is_identically_zero,
+    jacobian_determinant,
     reduce_relation,
     syms,
 )
@@ -675,6 +676,48 @@ def test_solution_residuals_match_a_sympy_oracle(solution_id):
         if not _vanishes(resid, has_relation_symbols(sol.table)):
             nonzero.add(name)
     assert nonzero == set() == _golden_nonzero(f"solution:{solution_id}")
+
+
+# the maps with as many components as their table has states
+SQUARE_MAP_VARIANTS = [
+    (mid, variant) for mid, variant in MAP_VARIANTS
+    if len(load_map(mid, variant).var_map) == len(load_map(mid, variant).table.state_names)
+]
+
+
+@pytest.mark.parametrize("map_id, variant", SQUARE_MAP_VARIANTS)
+def test_jacobian_determinant_matches_a_sympy_oracle(map_id, variant):
+    bmap = load_map(map_id, variant)
+    states = bmap.table.state_names
+    comps = list(bmap.var_map.values())
+    matrix = sp.Matrix([[sp.diff(_sympy(c), sp.Symbol(v)) for v in states] for c in comps])
+    det = jacobian_determinant(comps, states)
+    assert _vanishes(_sympy(det) - matrix.det(method="berkowitz"), False)
+
+
+# -- the derivation plan against the Leibniz loop ------------------------------------------------
+
+
+def _assert_plan_matches_the_leibniz_loop(flow, exprs):
+    # every registry rule denominator is a monomial, so both routes reach the
+    # same normal form, term for term
+    assert all(r.den.term_count == 1 for r in flow.rules.values())
+    for e in exprs:
+        assert flow.of(e) == leibniz_of(flow, e), e
+
+
+@pytest.mark.parametrize("map_id, variant", MAP_VARIANTS)
+def test_map_flow_derivatives_match_the_leibniz_loop(map_id, variant):
+    flow, _, bindings = verify._map_flow(load_map(map_id, variant))
+    _assert_plan_matches_the_leibniz_loop(flow, bindings.values())
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_system_flow_derivatives_match_the_leibniz_loop(system_id):
+    sys_obj = load_model(system_id)
+    integrals = [load_integral(i) for i in models.INTEGRAL_IDS]
+    exprs = [*sys_obj.rhs.values(), *(i.expr for i in integrals if i.system_id == system_id)]
+    _assert_plan_matches_the_leibniz_loop(sys_obj.flow(), exprs)
 
 
 # -- solutions and the invariant divisor ---------------------------------------------------------
