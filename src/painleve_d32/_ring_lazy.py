@@ -434,8 +434,11 @@ def split_poly(p: Poly, indices: Sequence[int], width: int) -> dict[int, Poly]:
 class PointMap:
     """Rational expressions compiled for exact evaluation at rational points.
 
-    The map is one generated straight-line function, compiled once per text
-    (:func:`_code`).  It converts its inputs to ``Fraction`` on entry and
+    The map is one generated straight-line function on integer pairs,
+    :attr:`pairs`, compiled once per text (:func:`_code`).  It takes
+    ``(n0, d0, n1, d1, ...)`` in ``names`` order, each pair coprime with a
+    positive denominator, and returns its outputs the same way, so a chain
+    of maps passes its values along without a ``Fraction`` in between.  It
     writes each output in Horner form (:func:`_horner`):
 
     * an output whose denominator is a monomial is its numerator divided
@@ -449,40 +452,57 @@ class PointMap:
     written out on integer pairs, so every gcd works on operands of the
     size of the values it combines, and no gcd has to find the inputs'
     denominators again in one large sum.  Equal subexpressions are computed
-    once across outputs, and an output that is an input is that input.
+    once across outputs, and an output that is an input is that input's
+    pair.  Bit i of :attr:`moved` is set when output i is not the input at
+    position i, so a caller boxes only those outputs.
 
+    Calling the map itself takes any rationals and returns ``Fraction``s:
+    it converts once, runs :attr:`pairs` and boxes the moved outputs
+    (:meth:`box`); an output that is the input at its own position is that
+    input's value.
     ``names`` orders the inputs; every symbol occurring in an output must be
-    among them.  Calling with a vanishing denominator raises
-    :class:`SingularPointError`.
+    among them.  A vanishing denominator raises :class:`SingularPointError`,
+    and a wrong number of inputs ``ValueError``.
     """
 
-    __slots__ = ("_kernel",)
+    __slots__ = ("pairs", "moved")
 
     def __init__(self, exprs: Sequence[Union[RatExpr, Poly]], names: Sequence[str]):
         code = _PairCode(names)
-        outputs = [code.output(_output_value(code, e)) for e in exprs]
-        lines = [f"({''.join(n + ', ' for n in names)}) = _values"]
-        for name, (n, d) in code.inputs.items():
-            lines.append(f"if type({name}) is not _F: {name} = _F({name})")
-            lines.append(f"{n}, {d} = {name}.numerator, {name}.denominator")
-        lines += code.lines
-        lines += ["return (", *(f"    {o}," for o in outputs), ")"]
-        text = "def _kernel(_values):\n" + "".join(f"    {line}\n" for line in lines)
-        self._kernel = FunctionType(_code(text), _POINT_GLOBALS)
+        outputs = [_output_value(code, e) for e in exprs]
+        inputs = [code.input(name) for name in names]
+        self.moved = sum(
+            1 << i for i, a in enumerate(outputs) if i >= len(inputs) or a != inputs[i]
+        )
+        lines = [f"({''.join(f'{n}, {d}, ' for n, d in inputs)}) = _flat", *code.lines,
+                 "return (", *(f"    {n}, {d or 1}," for n, d in outputs), ")"]
+        text = "def _kernel(_flat):\n" + "".join(f"    {line}\n" for line in lines)
+        self.pairs = FunctionType(_code(text), _POINT_GLOBALS)
 
     def __call__(self, values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        return self._kernel(values)
+        values = [v if type(v) is Fraction else Fraction(v) for v in values]
+        flat = self.pairs([x for v in values for x in (v.numerator, v.denominator)])
+        return tuple(self.box(flat, self.moved, values))
+
+    @staticmethod
+    def box(flat: Sequence[int], moved: int, values: Sequence[Fraction]) -> list[Fraction]:
+        """The values of the pairs of ``flat``: a new ``Fraction`` of pair i
+        where bit i of ``moved`` is set, else ``values[i]``, the value of that
+        unmoved pair."""
+        return [
+            _COPRIME(flat[2 * i], flat[2 * i + 1]) if moved >> i & 1 else values[i]
+            for i in range(len(flat) // 2)
+        ]
 
 
-# source of a Fraction from a coprime pair with a positive denominator that
-# skips the public constructor's gcd: the private constructor Fraction's own
-# operators use, renamed in Python 3.12
-_COPRIME = (
-    "_F._from_coprime_ints({}, {})" if hasattr(Fraction, "_from_coprime_ints")
-    else "_F({}, {}, _normalize=False)"
+# a Fraction from a coprime pair with a positive denominator, without the
+# public constructor's gcd: the private constructor Fraction's own operators
+# use, renamed in Python 3.12
+_COPRIME = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(
+    Fraction, _normalize=False
 )
 _POINT_GLOBALS = {
-    "_F": Fraction, "_gcd": math.gcd, "_Singular": SingularPointError,
+    "_gcd": math.gcd, "_Singular": SingularPointError,
     "_MSG": "denominator vanishes at the evaluation point",
 }
 
@@ -496,27 +516,21 @@ class _PairCode:
 
     A pair is coprime with a positive denominator, as a ``Fraction`` is, and
     every operation keeps it so by ``Fraction``'s own reductions: Knuth's
-    cross gcds for a product, Henrici's for a sum.  Negation is free (a sign
-    on the numerator's source), and an operation already emitted on the same
-    pairs is not emitted again.
+    cross gcds for a product, Henrici's for a sum.  Input ``name`` is the
+    pair of locals ``_name_n, _name_d``; an output is the pair of sources it
+    was computed into, so an output that is an input can be told by its
+    pair.  Negation is free (a sign on the numerator's source), and an
+    operation already emitted on the same pairs is not emitted again.
     """
 
     def __init__(self, names: Sequence[str]):
         self.names = names
-        self.inputs: dict[str, _Pair] = {}
         self.lines: list[str] = []
         self._done: dict[tuple, _Pair] = {}
 
-    def input(self, name: str) -> _Pair:
-        if name not in self.inputs:
-            self.inputs[name] = (f"_{name}_n", f"_{name}_d")
-        return self.inputs[name]
-
-    def output(self, a: _Pair) -> str:
-        for name, pair in self.inputs.items():
-            if pair == a:
-                return name
-        return f"_F({a[0]})" if a[1] is None else _COPRIME.format(*a)
+    @staticmethod
+    def input(name: str) -> _Pair:
+        return (f"_{name}_n", f"_{name}_d")
 
     def _new(self, key: tuple, make) -> _Pair:
         if key not in self._done:

@@ -16,11 +16,12 @@ that a test replaces goes through ``weyl``, where they rebind it:
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
-from . import weyl
+from . import ring, weyl
 from .models import load_map, load_model
 from .ring import SingularPointError
 from .weyl import (
@@ -129,55 +130,86 @@ def _generator_kernel(letter: str, context: str) -> PointMap:
 def _point_image(word: GroupWord, point: PhasePoint) -> PhasePoint:
     """:func:`.weyl.apply_word_to_point`: exact image of a point, generator by generator.
 
-    The flat values (state, alpha0..2, eta, indep) pass through each
-    generator's kernel in turn, and one :class:`PhasePoint` is built from the
-    last.  Raises :class:`SingularPointError` naming the failing generator
-    when an intermediate denominator vanishes.
+    The empty word returns the point itself.  Otherwise the flat values
+    (state, alpha0..2, eta, indep) are unboxed once into integer pairs,
+    which pass through each generator's :attr:`.ring.PointMap.pairs` in
+    turn; only the coordinates that some letter moved (the union of the
+    kernels' ``moved`` masks) become new ``Fraction``s
+    (:meth:`.ring.PointMap.box`), and the others keep the point's own
+    values.  Raises :class:`SingularPointError` naming the failing
+    generator when an intermediate denominator vanishes.
     """
-    letters = list(word.letters)
+    if not word.letters:
+        return point
+    letters = word.letters
     if calibrate_convention() == "right-to-left":
         letters = letters[::-1]
     state = load_model(_SYSTEM_OF_CONTEXT[word.context]).state
     values = (*(point.state[n] for n in state), *point.alphas, point.eta, point.indep)
+    flat = [x for v in values for x in (v.numerator, v.denominator)]
+    moved = 0
     for letter in letters:
+        kernel = _generator_kernel(letter, word.context)
         try:
-            values = _generator_kernel(letter, word.context)(values)
+            flat = kernel.pairs(flat)
         except SingularPointError as exc:
             raise SingularPointError(f"generator {letter}: {exc}") from exc
+        moved |= kernel.moved
+    values = ring.PointMap.box(flat, moved, values)
     n = len(state)
     return PhasePoint(
         state=dict(zip(state, values)),
-        alphas=values[n:n + 3],
+        alphas=tuple(values[n:n + 3]),
         eta=values[n + 3],
         indep=values[n + 4],
     )
 
 
 def random_point(rng: random.Random, context: str) -> PhasePoint:
-    """Random exact point on the normalization hyperplane, away from zero."""
-    system = load_model(_SYSTEM_OF_CONTEXT[context])
+    """Random exact point on the normalization hyperplane, away from zero.
 
-    def frac() -> Fraction:
+    Each value is n/d, n nonzero in [-50, 50] and d in [1, 50], drawn by
+    ``randrange(a, b + 1)`` as ``randint(a, b)`` would; alpha1 = 1 - alpha0
+    - alpha2 is computed on the integer pairs."""
+    system = load_model(_SYSTEM_OF_CONTEXT[context])
+    randrange, box = rng.randrange, ring._COPRIME
+
+    def pair() -> tuple[int, int]:
         num = 0
         while num == 0:
-            num = rng.randint(-50, 50)
-        return Fraction(num, rng.randint(1, 50))
+            num = randrange(-50, 51)
+        den = randrange(1, 51)
+        g = math.gcd(num, den)
+        return num // g, den // g
 
-    a0, a2 = frac(), frac()
+    (n0, d0), (n2, d2) = pair(), pair()
+    # alpha1 = 1 - n0/d0 - n2/d2 = num/den, reduced by one gcd
+    num, den = d0 * d2 - n0 * d2 - n2 * d0, d0 * d2
+    g = math.gcd(num, den)
     return PhasePoint(
-        state={name: frac() for name in system.state},
-        alphas=(a0, 1 - a0 - a2, a2),
-        eta=frac(),
-        indep=frac(),
+        state={name: box(*pair()) for name in system.state},
+        alphas=(box(n0, d0), box(num // g, den // g), box(n2, d2)),
+        eta=box(*pair()),
+        indep=box(*pair()),
     )
 
 
+def _int(n: int) -> str:
+    """Decimal, or hexadecimal (``0x...``) where the decimal form would exceed
+    ``sys.get_int_max_str_digits()``; ``int(text, 0)`` reads back either."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
 def _frac(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    return f"{_int(v.numerator)}/{_int(v.denominator)}"
 
 
 def format_point(point: PhasePoint, context: str) -> str:
-    """Structured one-line dump with exact rationals as num/den pairs."""
+    """Structured one-line dump with exact rationals as num/den pairs, each
+    integer written exactly (:func:`_int`) whatever its size."""
     system = load_model(_SYSTEM_OF_CONTEXT[context])
     state = " ".join(f"{n}={_frac(point.state[n])}" for n in system.state)
     alphas = " ".join(

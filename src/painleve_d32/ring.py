@@ -82,24 +82,25 @@ class SymbolTable:
     how an exponent vector packs into one integer key (see :meth:`pack`).
     """
 
-    __slots__ = (
-        "symbols", "kinds", "_index", "_shifts", "_units", "_guards", "_cap", "one",
-    )
+    __slots__ = ("symbols", "kinds", "_of_kind", "_index", "_shifts", "_units", "_guards",
+                 "_cap", "one")
 
     def __init__(self, symbols: Iterable[tuple[str, str]]):
-        names = []
+        index: dict[str, int] = {}
         kinds = []
+        self._of_kind = of_kind = dict.fromkeys(SYMBOL_KINDS, ())
         for name, kind in symbols:
-            if kind not in SYMBOL_KINDS:
+            if kind not in of_kind:
                 raise ValueError(f"unknown symbol kind {kind!r} for {name!r}")
-            if name in names:
+            if name in index:
                 raise ValueError(f"duplicate symbol name {name!r}")
-            names.append(name)
+            index[name] = len(kinds)
             kinds.append(kind)
-        self.symbols: tuple[str, ...] = tuple(names)
+            of_kind[kind] += (name,)
+        self.symbols: tuple[str, ...] = tuple(index)
         self.kinds: tuple[str, ...] = tuple(kinds)
-        self._index = {name: i for i, name in enumerate(names)}
-        n = len(names)
+        self._index = index
+        n = len(kinds)
         degree_shift = EXPONENT_BITS * n
         # symbol i sits at _shifts[i]; _units[i] is the key of that symbol
         self._shifts = tuple(EXPONENT_BITS * (n - 1 - i) for i in range(n))
@@ -124,16 +125,15 @@ class SymbolTable:
         return self.kinds[self.index(name)]
 
     def names_of_kind(self, kind: str) -> tuple[str, ...]:
-        return tuple(n for n, k in zip(self.symbols, self.kinds) if k == kind)
+        return self._of_kind.get(kind, ())
 
     @property
     def state_names(self) -> tuple[str, ...]:
-        return self.names_of_kind("state")
+        return self._of_kind["state"]
 
     @property
     def indep_name(self) -> Optional[str]:
-        names = self.names_of_kind("independent")
-        return names[0] if names else None
+        return next(iter(self._of_kind["independent"]), None)
 
     def extend(self, extra: Iterable[tuple[str, str]]) -> "SymbolTable":
         """New table with extra symbols appended (original order preserved)."""

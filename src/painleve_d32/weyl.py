@@ -140,7 +140,7 @@ def apply_word_to_point(word: GroupWord, point: PhasePoint) -> PhasePoint:
 _LAZY = frozenset({
     "WordError", "_Word", "GroupWord", "parse_word", "TranslationShift",
     "translation_shift", "PhasePoint", "_generator_kernel", "_point_image",
-    "random_point", "_frac", "format_point",
+    "random_point", "_int", "_frac", "format_point",
     "RELATIONS", "_relation_holds_on_parameters", "_relation_holds_at_samples",
     "verify_group_relations", "translation_report",
 })

@@ -428,3 +428,36 @@ def test_group_orbit_defaults_to_four_steps(capsys):
     assert main(["group", "orbit", "s1 s2 s1 s0", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "step 4:" in out and "step 5:" not in out
+
+
+def test_group_orbit_writes_values_past_the_digit_limit(capsys):
+    # the values of this orbit outgrow the interpreter's integer-string
+    # limit after 13 steps; they are written in hexadecimal from there on
+    import random
+
+    from painleve_d32 import weyl
+    from painleve_d32.models import load_model
+
+    assert main(["group", "orbit", "s1 s2 s1 s0", "--steps", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 18
+    word = weyl.parse_word("s1 s2 s1 s0")
+    point = weyl.random_point(random.Random(weyl.DEFAULT_SEED), "th1")
+    indep = load_model("five_dim").indep
+    written = []
+    for step, line in enumerate(lines[1:]):
+        if step:
+            point = weyl.apply_word_to_point(word, point)
+        head, _, body = line.partition(": ")
+        assert head == f"step {step}"
+        fields = dict(field.split("=") for field in body.replace("|", " ").split())
+        alphas = dict(zip(("alpha0", "alpha1", "alpha2"), point.alphas))
+        expected = {**point.state, **alphas, "eta": point.eta, indep: point.indep}
+        assert fields.keys() == expected.keys()
+        for name, field in fields.items():
+            num, den = field.split("/")
+            value = expected[name]
+            assert (int(num, 0), int(den, 0)) == (value.numerator, value.denominator)
+            written += [num, den]
+    assert any(text.lstrip("-").startswith("0x") for text in written)
+    assert not any("0x" in line for line in lines[:14])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from painleve_d32 import ring, weyl
-from painleve_d32.models import DISPUTED_MAP_IDS, MAP_IDS, load_map
+from painleve_d32.models import DISPUTED_MAP_IDS, MAP_IDS, load_map, load_model
 from painleve_d32.ring import (
     PointMap,
     Poly,
@@ -348,6 +348,137 @@ def test_pi_words_match_reference():
         except SingularPointError:
             continue
         assert apply_word_to_point(word, point) == expected
+
+
+def _small_point(rng: random.Random, context: str) -> PhasePoint:
+    """A point of small values, zeros among them, where generators often divide
+    by zero; alpha1 = 1 - alpha0 - alpha2."""
+    state = load_model(weyl._SYSTEM_OF_CONTEXT[context]).state
+
+    def value() -> Fraction:
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    a0, a2 = value(), value()
+    alphas = (a0, 1 - a0 - a2, a2)
+    return PhasePoint({n: value() for n in state}, alphas, value(), value())
+
+
+def _reference_failure(word: GroupWord, point: PhasePoint):
+    """The reference image of ``point``, or the letter at which it is singular."""
+    for letter in word.letters:
+        try:
+            point = _reference_generator(point, letter, word.context)
+        except SingularPointError:
+            return letter
+    return point
+
+
+@pytest.mark.parametrize("context", ["th1", "th2"])
+def test_word_images_match_reference_on_random_words(context):
+    letters = sorted(weyl._GENERATOR_MAPS[context])
+    rng = random.Random(f"words:{context}")
+    singular = regular = 0
+    for i in range(300):
+        word = GroupWord(tuple(rng.choice(letters) for _ in range(i % 9)), context)
+        point = (_small_point if i % 2 else random_point)(rng, context)
+        expected = _reference_failure(word, point)
+        if isinstance(expected, str):
+            with pytest.raises(SingularPointError) as err:
+                apply_word_to_point(word, point)
+            assert str(err.value) == (
+                f"generator {expected}: denominator vanishes at the evaluation point"
+            )
+            singular += 1
+            continue
+        image = apply_word_to_point(word, point)
+        assert image == expected
+        for v in (*image.state.values(), *image.alphas, image.eta, image.indep):
+            assert type(v) is Fraction
+            assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+        # the empty word is the point, and a coordinate that every letter
+        # fixes keeps the point's own value
+        if not word.letters:
+            assert image is point
+        kept = set(_flat_values(point))
+        for letter in word.letters:
+            kept &= _fixed_names(letter, context)
+        for name in kept:
+            assert _flat_values(image)[name] is _flat_values(point)[name]
+        regular += 1
+    assert singular >= 30 and regular >= 100
+
+
+def _reference_random_point(rng: random.Random, context: str) -> PhasePoint:
+    state = load_model(weyl._SYSTEM_OF_CONTEXT[context]).state
+
+    def frac() -> Fraction:
+        num = 0
+        while num == 0:
+            num = rng.randint(-50, 50)
+        return Fraction(num, rng.randint(1, 50))
+
+    a0, a2 = frac(), frac()
+    return PhasePoint({n: frac() for n in state}, (a0, 1 - a0 - a2, a2), frac(), frac())
+
+
+@pytest.mark.parametrize("context", ["th1", "th2"])
+def test_random_point_matches_a_randint_reference(context):
+    for seed in (0, 1, 7, 20321, 4201):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            point = random_point(rng, context)
+            assert point == _reference_random_point(reference, context)
+            assert rng.getstate() == reference.getstate()
+            values = (*point.state.values(), *point.alphas, point.eta, point.indep)
+            for v in values:
+                assert type(v) is Fraction
+                assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+            assert sum(point.alphas) == 1
+
+
+def test_point_map_returns_an_inputs_own_value():
+    x, z, a = syms(PT, "x z a")
+    names = ("x", "z", "a")
+    # x and a stay, z is moved, a fourth output has no input at its position
+    kernel = PointMap([x, x * z, a, z], names)
+    assert kernel.moved == 0b1010
+    values = (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 9))
+    got = kernel(values)
+    assert got == (values[0], values[0] * values[1], values[2], values[1])
+    assert got[0] is values[0] and got[2] is values[2]
+    assert got[3] is not values[1]
+    # an int input is converted once and that Fraction is returned
+    got = kernel((4, 3, -1))
+    assert got == (4, 12, -1, 3) and all(type(v) is Fraction for v in got)
+    assert kernel.pairs((2, 3, -5, 7, 1, 9)) == (2, 3, -10, 21, 1, 9, -5, 7)
+
+
+def _flat_values(point: PhasePoint) -> dict:
+    alphas = dict(zip(("alpha0", "alpha1", "alpha2"), point.alphas))
+    return {**point.state, **alphas, "eta": point.eta, "indep": point.indep}
+
+
+def _fixed_names(letter: str, context: str) -> set[str]:
+    """The coordinates (named as :func:`_flat_values` names them) whose image
+    under the generator is the coordinate itself."""
+    system = load_model(weyl._SYSTEM_OF_CONTEXT[context])
+    bmap = load_map(weyl._GENERATOR_MAPS[context][letter], "resolved")
+    images = bmap.pullback_bindings(system.table, system.table)
+    return {
+        "indep" if n == system.indep else n
+        for n, e in images.items() if e == RatExpr.sym(system.table, n)
+    }
+
+
+@pytest.mark.parametrize("context", ["th1", "th2"])
+def test_generator_kernels_mark_exactly_the_coordinates_they_move(context):
+    state = load_model(weyl._SYSTEM_OF_CONTEXT[context]).state
+    names = (*state, "alpha0", "alpha1", "alpha2", "eta", "indep")
+    for letter in weyl._GENERATOR_MAPS[context]:
+        fixed = _fixed_names(letter, context)
+        kernel = weyl._generator_kernel(letter, context)
+        assert kernel.moved == sum(1 << i for i, n in enumerate(names) if n not in fixed)
+        assert fixed and len(fixed) < len(names), letter
 
 
 def test_parameter_action_apply_matches_matrix_product():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,20 @@ def test_normalization_preserved_along_orbits():
             except SingularPointError:
                 continue
             assert sum(image.alphas) == 1
+
+
+def test_format_point_is_exact_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer-string conversion is unlimited here")
+    # limit and limit + 1 decimal digits: the first is written in decimal
+    at, past = 10 ** (limit - 1), 10**limit
+    point = random_point(random.Random(2), "th1")._replace(
+        eta=Fraction(at, 3), indep=Fraction(-3, past)
+    )
+    line = weyl.format_point(point, "th1")
+    assert f" eta={at}/3 " in line and line.endswith(f"=-3/{past:#x}")
+    assert int(f"{past:#x}", 0) == past and sys.get_int_max_str_digits() == limit
 
 
 def test_singular_point_names_generator():
