@@ -7,14 +7,16 @@ determinants live here.  A binding set is compiled once into a
 :class:`Substitution` plan, which every expression substituted with it
 shares: identities pass through, integer multiples of monomials become
 arithmetic on the packed keys, and the other bindings keep their powers on
-the plan.  A :class:`Derivation` likewise compiles its rules once, cleared
-over one common denominator into integer rows, so that differentiating a
-polynomial is one accumulation on packed keys; a Jacobian entry is a plain
-partial derivative.  :mod:`.ring` serves every name this
-module defines (``ring._LAZY``) and binds them all in its own namespace the
-first time one is looked up there, so ``ring.substitute`` and
-``from .ring import Derivation`` keep working and importing the package
-does not compile this module.
+the plan.  The normalization alpha1 := 1 - alpha0 - alpha2 is one such plan
+per table, so substitution is the only engine that rewrites a polynomial.
+A :class:`Derivation` likewise compiles its rules once, cleared over one
+common denominator into integer rows, so that differentiating a polynomial
+is one accumulation on packed keys; a Jacobian entry is a plain partial
+derivative.  :mod:`.ring` serves every name this module defines
+(``ring._LAZY``) and binds them all in its own namespace the first time one
+is looked up there, so ``ring.substitute`` and ``from .ring import
+Derivation`` keep working and importing the package does not compile this
+module.
 
 Like :mod:`.ring`, this module reads the packed format of :class:`Poly`.  A
 call from here to a function that the benchmark's layer trace wraps goes
@@ -52,44 +54,26 @@ from .ring import (
 # -- the parameter relation ----------------------------------------------------
 
 
+@functools.cache
+def _normalization(table: SymbolTable) -> Substitution:
+    """The plan alpha1 := 1 - alpha0 - alpha2 over ``table``, built on first
+    use and kept with its powers of the binding for every later reduction."""
+    a0, a2 = (Poly.var(table, n) for n in _RELATION_KEEP)
+    return Substitution({RELATION_ELIMINATED: table.one - a0 - a2}, table)
+
+
 def reduce_relation(p: Poly) -> Poly:
     """Eliminate alpha1 := 1 - alpha0 - alpha2 where the table carries all three.
 
-    One linear expansion: the terms are grouped by their alpha1 exponent e,
-    and a term c*alpha1^e*m becomes c*m*(1 - alpha0 - alpha2)^e by adding
-    the keys of that power's terms to the key of m, with integer
-    coefficients over the denominator of ``p``.  The powers are built once
-    per call, up to the largest e.  A polynomial free of alpha1, or over a
-    table without all three alphas, is returned itself.
+    The reduction is the table's :func:`_normalization` plan: a polynomial
+    binding, so the result stays a polynomial over the denominator of
+    ``p``.  A polynomial free of alpha1 (the zero polynomial included), or
+    over a table without all three alphas, is returned itself.
     """
     t = p.table
-    if not has_relation_symbols(t):
+    if not has_relation_symbols(t) or not p.involves(RELATION_ELIMINATED):
         return p
-    i = t.index(RELATION_ELIMINATED)
-    s, unit = t._shifts[i], t._units[i]
-    top = max(((k >> s) & _FIELD for k in p._coeffs), default=0)
-    if not top:
-        return p
-    binding = [(0, 1), *((t._units[t.index(n)], -1) for n in _RELATION_KEEP)]
-    powers = [[(0, 1)]]
-    for _ in range(top):
-        power: dict[int, int] = {}
-        for k, c in powers[-1]:
-            for bk, bc in binding:
-                power[k + bk] = power.get(k + bk, 0) + c * bc
-        powers.append(list(power.items()))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for k, c in p._coeffs.items():
-        e = (k >> s) & _FIELD
-        if not e:
-            acc[k] = get(k, 0) + c
-            continue
-        k -= e * unit
-        for pk, pc in powers[e]:
-            pk += k
-            acc[pk] = get(pk, 0) + c * pc
-    return Poly._sorted(t, acc, p._den)
+    return _normalization(t).of_poly(p).num
 
 
 def is_identically_zero(e: RatExpr) -> bool:
@@ -189,22 +173,6 @@ class Substitution:
                 self._steps[i] = (out._units[out.index(name)], 1) if name in out else None
 
     @staticmethod
-    def _coerce(
-        bindings: Union["Substitution", Mapping[str, object]],
-        table: SymbolTable,
-        out_table: Optional[SymbolTable],
-    ) -> "Substitution":
-        """``bindings`` as a plan from ``table`` into ``out_table``: the plan
-        itself, or one built for this call."""
-        if not isinstance(bindings, Substitution):
-            return Substitution(bindings, table, out_table)
-        if table is not bindings.source:
-            raise SymbolMismatchError("substituted expression over another table than the plan's")
-        if out_table is not None and out_table is not bindings.out:
-            raise SymbolMismatchError("output table differs from the plan's")
-        return bindings
-
-    @staticmethod
     def _power(pows: list[Poly], e: int) -> Poly:
         """``pows[e]``, the list [1, b, b^2, ...] grown to it first."""
         while len(pows) <= e:
@@ -293,22 +261,6 @@ class Substitution:
         return prod
 
 
-def substitute_poly(
-    p: Poly,
-    bindings: Union[Substitution, Mapping[str, object]],
-    table: Optional[SymbolTable] = None,
-) -> RatExpr:
-    """Simultaneous substitution into a polynomial.
-
-    ``bindings`` is a :class:`Substitution` from ``p.table``, or a mapping
-    whose values live over ``table`` (defaults to ``p.table``), compiled for
-    this call.  Unbound symbols pass through and must exist by name in the
-    output table.  The result is assembled over a single common denominator
-    (:meth:`Substitution.of_poly`) to avoid denominator swell.
-    """
-    return Substitution._coerce(bindings, p.table, table).of_poly(p)
-
-
 def substitute(
     e: RatExpr,
     bindings: Union[Substitution, Mapping[str, object]],
@@ -316,13 +268,20 @@ def substitute(
 ) -> RatExpr:
     """Simultaneous substitution into a rational expression.
 
-    ``bindings`` is as for :func:`substitute_poly`; a plan built once serves
-    every expression substituted with it.  Raises
+    ``bindings`` is a :class:`Substitution` from ``e.table``, built once for
+    every expression substituted with it, or a mapping whose values live over
+    ``table`` (defaults to ``e.table``), compiled for this call.  Raises
     :class:`SingularSubstitutionError` if the substituted denominator is
     identically zero, naming the bindings involved.  With no bindings other
     than identities and no other output table, ``e`` itself is the result.
     """
-    plan = Substitution._coerce(bindings, e.table, table)
+    plan = bindings
+    if not isinstance(plan, Substitution):
+        plan = Substitution(bindings, e.table, table)
+    elif e.table is not plan.source:
+        raise SymbolMismatchError("substituted expression over another table than the plan's")
+    elif table is not None and table is not plan.out:
+        raise SymbolMismatchError("output table differs from the plan's")
     if not plan._steps and plan.out is plan.source:
         return e
     num = plan.of_poly(e.num)

@@ -233,18 +233,14 @@ RELATIONS: dict[str, list[tuple[str, tuple[str, ...], tuple[str, ...]]]] = {
         ("(s1 s2)^4", ("s1", "s2") * 4, ()),
         ("(s0 s2)^2", ("s0", "s2") * 2, ()),
     ],
-    "th2": [
-        ("s0^2", ("s0", "s0"), ()),
-        ("s1^2", ("s1", "s1"), ()),
-        ("s2^2", ("s2", "s2"), ()),
-        ("(s0 s1)^4", ("s0", "s1") * 4, ()),
-        ("(s1 s2)^4", ("s1", "s2") * 4, ()),
-        ("(s0 s2)^2", ("s0", "s2") * 2, ()),
-        ("pi^2", ("pi", "pi"), ()),
-        ("pi s0 pi = s2", ("pi", "s0", "pi"), ("s2",)),
-        ("pi s1 pi = s1", ("pi", "s1", "pi"), ("s1",)),
-    ],
 }
+# th2 adds the diagram automorphism pi to th1's Coxeter relations
+RELATIONS["th2"] = [
+    *RELATIONS["th1"],
+    ("pi^2", ("pi", "pi"), ()),
+    ("pi s0 pi = s2", ("pi", "s0", "pi"), ("s2",)),
+    ("pi s1 pi = s1", ("pi", "s1", "pi"), ("s1",)),
+]
 
 
 def _relation_holds_on_parameters(

@@ -25,10 +25,12 @@ trajectories are bit-identical to the per-symbol tableau loop.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
-not an error.  Non-finite input, a fixed step whose step count exceeds
-``MAX_FIXED_STEPS`` or rounds to 0, alphas whose sum is not 1, and a step,
-grid or parameter that does not apply to the mode or system, are refused
-with :class:`UsageError` before any step.
+not an error.  A right-hand side that overflows or divides by zero (a pole,
+where IEEE arithmetic would give inf) reads as inf in every component.
+Non-finite input, a fixed step whose step count exceeds ``MAX_FIXED_STEPS``
+or rounds to 0, alphas whose sum is not 1, and a step, grid or parameter
+that does not apply to the mode or system, are refused with
+:class:`UsageError` before any step.
 """
 
 from __future__ import annotations
@@ -232,13 +234,14 @@ _KERNEL_GLOBALS = {"_inf": math.inf}
 def _stage_lines(k: str, sources: Sequence[str]) -> list[str]:
     """Evaluate the right-hand side into ``{k}0, {k}1, ...``, once the state is bound.
 
-    An OverflowError in any component makes every component inf: read as an
+    An OverflowError or a ZeroDivisionError (a pole, where IEEE arithmetic
+    would give inf) in any component makes every component inf: read as an
     infinite local error, the step gets rejected and the blow-up guard
     decides once values are representable.
     """
     ks = [f"{k}{i}" for i in range(len(sources))]
     return ["try:", *(f"    {ki} = {src}" for ki, src in zip(ks, sources)),
-            "except OverflowError:", f"    {' = '.join(ks)} = _inf"]
+            "except (OverflowError, ZeroDivisionError):", f"    {' = '.join(ks)} = _inf"]
 
 
 def _dp_lines(indep: str, state_names: tuple[str, ...],
@@ -422,7 +425,7 @@ class _CompiledSystem:
         self.evals += 1
         try:
             return self._kernel(u, state)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             # the same rule as a stage of the generated step
             return [math.inf] * len(state)
 

@@ -22,12 +22,12 @@ This module holds what building the registry runs: the symbol table, the
 polynomial and quotient arithmetic, exact division, restriction to a
 smaller table, the parameter relation's symbols and the compile cache of
 generated kernels (:func:`_code`).
-Substitution, :func:`reduce_relation`, :func:`is_identically_zero`,
-evaluation at points, :class:`PointMap`, :class:`Derivation`,
-:func:`partial_derivative` and :func:`jacobian_determinant` live in
-:mod:`._ring_lazy`, which loads the first time one of its names is looked
-up here (module ``__getattr__``, PEP 562) and then binds them all in this
-namespace.
+Substitution, :func:`reduce_relation` (one substitution plan per table),
+:func:`is_identically_zero`, evaluation at points, :class:`PointMap`,
+:class:`Derivation`, :func:`partial_derivative` and
+:func:`jacobian_determinant` live in :mod:`._ring_lazy`, which loads the
+first time one of its names is looked up here (module ``__getattr__``, PEP
+562) and then binds them all in this namespace.
 """
 
 from __future__ import annotations
@@ -803,8 +803,8 @@ def _lazy_getattr(namespace: dict, half: str, names: frozenset):
 
 # every name _ring_lazy defines, served from here
 _LAZY = frozenset({
-    "reduce_relation", "is_identically_zero",
-    "_coerce_binding", "Substitution", "substitute_poly", "substitute",
+    "_normalization", "reduce_relation", "is_identically_zero",
+    "_coerce_binding", "Substitution", "substitute",
     "evaluate", "_residue", "split_poly",
     "PointMap", "_COPRIME", "_POINT_GLOBALS", "_Pair", "_PairCode", "_minus", "_Term",
     "_output_value", "_horner", "_monomial",

@@ -508,7 +508,9 @@ def check_invariant_divisor() -> VerificationReport:
 
 
 def resolve_disputed(map_id: str) -> VerificationReport:
-    """Run both variants of a disputed object; exactly one must verify.
+    """Run both variants of a disputed object; exactly one must verify, and
+    it must be the variant that ``models.load_map(map_id, "resolved")``
+    serves to every other caller of the alias.
 
     The check and its arguments come from the map's row of :data:`SUITE`.
     """
@@ -519,11 +521,14 @@ def resolve_disputed(map_id: str) -> VerificationReport:
         printed = check(*args, "printed")
         corrected = check(*args, "corrected")
     winners = [v for v, r in (("printed", printed), ("corrected", corrected)) if r.passed]
-    ok = len(winners) == 1
-    detail = (
-        f"resolved variant: {winners[0]}" if ok
-        else f"ambiguous resolution: {winners or 'neither variant verifies'}"
-    )
+    served = models.load_map(map_id, "resolved").variant
+    ok = winners == [served]
+    if len(winners) != 1:
+        detail = f"ambiguous resolution: {winners or 'neither variant verifies'}"
+    elif not ok:
+        detail = f"resolved variant: {winners[0]}, but the alias 'resolved' serves {served}"
+    else:
+        detail = f"resolved variant: {served}"
     return VerificationReport(
         check_id=f"resolve:{map_id}",
         status="pass" if ok else "fail",

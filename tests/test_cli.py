@@ -353,6 +353,20 @@ def test_integrate_overflowing_start_terminates(monkeypatch, capsys):
     assert "termination blow_up" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, termination", [
+    (["second_order_x", "--params", "alpha2=0.4", "--init", "0,1", "--span", "0,1"],
+     "step_underflow"),
+    (["second_order_x", "--params", "alpha2=0.4", "--init", "0,1", "--span", "0,1",
+      "--fixed-step", "0.01"], "blow_up"),
+    (["coupled_second_order", "--params", "alpha0=0.3,alpha2=0.4,eta=1",
+      "--init", "0,1,1,1", "--span", "1,2"], "step_underflow"),
+])
+def test_integrate_from_a_pole_terminates(argv, termination, capsys):
+    # x = 0 and y = 0 are poles: the first stage divides by zero
+    assert main(["integrate", *argv]) == 0
+    assert f"1 samples, termination {termination}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("bad", [
     ["--init", "nan,0.8,-0.3,0.5,-0.2"],
     ["--init", "inf,0.8,-0.3,0.5,-0.2"],

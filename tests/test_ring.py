@@ -21,9 +21,11 @@ from painleve_d32.ring import (
     RingError,
     SingularPointError,
     SingularSubstitutionError,
+    Substitution,
     SymbolMismatchError,
     SymbolTable,
     ZeroDivisionExprError,
+    _normalization,
     differentiate,
     evaluate,
     exact_polynomial_quotient,
@@ -32,7 +34,6 @@ from painleve_d32.ring import (
     partial_derivative,
     reduce_relation,
     substitute,
-    substitute_poly,
     syms,
 )
 from painleve_d32.syntax import render_ratexpr
@@ -85,7 +86,8 @@ def test_substitute_examples():
     exprs = [e for sid in SYSTEM_IDS for e in load_model(sid).rhs.values()]
     exprs += [e for mid in MAP_IDS for e in load_map(mid).var_map.values()]
     for e in exprs:
-        full = substitute_poly(e.num, {}) / substitute_poly(e.den, {})
+        plan = Substitution({}, e.table)
+        full = plan.of_poly(e.num) / plan.of_poly(e.den)
         assert substitute(e, {}) is e
         assert full == e
 
@@ -104,7 +106,7 @@ def test_bindings_refuse_names_missing_from_the_table():
     with pytest.raises(SymbolMismatchError, match="'yy'"):
         substitute(xv + yv, {"yy": 0})
     with pytest.raises(SymbolMismatchError, match="'yy'"):
-        substitute_poly((xv + yv).num, {"x": 1, "yy": 0})
+        Substitution({"x": 1, "yy": 0}, xy)
 
 
 def test_restriction_matches_the_substitution_of_zeros():
@@ -118,7 +120,7 @@ def test_restriction_matches_the_substitution_of_zeros():
         zeros = {n: 0 for n in table.symbols if rng.random() < 0.4}
         small = SymbolTable([(n, k) for n, k in pairs if n not in zeros])
         p = random_poly(rng, table, max_terms=6, max_exp=3)
-        assert RatExpr(p.restricted(small)) == substitute_poly(p, zeros, table=small)
+        assert RatExpr(p.restricted(small)) == Substitution(zeros, table, small).of_poly(p)
         e = RatExpr(p, random_nonzero_poly(rng, table, max_terms=3, max_exp=2))
         try:
             expected = substitute(e, zeros, table=small)
@@ -149,7 +151,7 @@ def test_bindings_and_rules_refuse_bool_and_float(value):
     with pytest.raises(TypeError, match="cannot coerce"):
         substitute(x * x, {"x": value})
     with pytest.raises(TypeError, match="cannot coerce"):
-        substitute_poly((x * x).num, {"x": value})
+        Substitution({"x": value}, T)
     with pytest.raises(TypeError, match="cannot coerce"):
         Derivation(T, {"x": value})
 
@@ -383,32 +385,63 @@ def test_relation_reduction_is_projection(seed):
 
 
 def _substituted_relation(p):
-    """Reference reduction: alpha1 bound to 1 - alpha0 - alpha2 through the
-    general substitution."""
+    """Reference reduction: alpha1 bound to 1 - alpha0 - alpha2 by a plan
+    built for this call."""
     t = p.table
-    binding = Poly.const(t, 1) - Poly.var(t, "alpha0") - Poly.var(t, "alpha2")
-    return substitute_poly(p, {"alpha1": RatExpr(binding)}).as_poly()
+    binding = t.one - Poly.var(t, "alpha0") - Poly.var(t, "alpha2")
+    return Substitution({"alpha1": binding}, t).of_poly(p).as_poly()
 
 
-FIVE_DIM = load_model("five_dim").table
-_five_dim_terms = st.dictionaries(
-    st.tuples(*(
-        st.integers(0, 4) if name == "alpha1" else st.integers(0, 2)
-        for name in FIVE_DIM.symbols
-    )),
-    st.fractions(min_value=-40, max_value=40, max_denominator=12),
-    max_size=8,
-)
+RELATION_TABLES = {name: load_model(name).table for name in ("five_dim", "ham_4d")}
+FIVE_DIM = RELATION_TABLES["five_dim"]
+
+
+def _relation_terms(table):
+    """Terms with alpha1 exponents 0-4 and rational coefficients."""
+    return st.dictionaries(
+        st.tuples(*(
+            st.integers(0, 4) if name == "alpha1" else st.integers(0, 2)
+            for name in table.symbols
+        )),
+        st.fractions(min_value=-40, max_value=40, max_denominator=12),
+        max_size=8,
+    )
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_five_dim_terms)
+@given(_relation_terms(FIVE_DIM))
 def test_relation_reduction_matches_the_substitution(terms):
     p = Poly(FIVE_DIM, terms)
     reduced = reduce_relation(p)
     assert reduced == _substituted_relation(p)
     if not p.involves("alpha1"):
         assert reduced is p
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data(), st.sampled_from(sorted(RELATION_TABLES)))
+def test_relation_reduction_matches_sympy(data, name):
+    table = RELATION_TABLES[name]
+    p = Poly(table, data.draw(_relation_terms(table)))
+    names = [sp.Symbol(n) for n in table.symbols]
+    a0, a1, a2 = (names[table.index(n)] for n in ("alpha0", "alpha1", "alpha2"))
+    want = sp.expand(sympy_of(p, names).subs(a1, 1 - a0 - a2))
+    assert sp.expand(sympy_of(reduce_relation(p), names) - want) == 0
+
+
+def test_one_normalization_plan_serves_every_reduction():
+    # the plan keeps its powers of the binding: reducing a high alpha1 power
+    # first and lower ones after, alternating between two tables, must give
+    # what a plan built for each call gives
+    rng = random.Random(0xA1)
+    _normalization.cache_clear()  # the first reduction builds the highest power
+    plans = {}
+    for e in (4, 1, 3, 0, 2, 4):
+        for name, table in RELATION_TABLES.items():
+            p = Poly.var(table, "alpha1", e) * random_nonzero_poly(rng, table, max_exp=1)
+            assert reduce_relation(p) == _substituted_relation(p)
+            plans.setdefault(name, _normalization(table))
+            assert _normalization(table) is plans[name]
 
 
 def test_relation_reduction_needs_all_three_alphas():
@@ -420,6 +453,8 @@ def test_relation_reduction_needs_all_three_alphas():
         assert reduce_relation(p) is p
     p = Poly.var(FIVE_DIM, "alpha0", 2) - Poly.const(FIVE_DIM, Fraction(1, 3))
     assert reduce_relation(p) is p
+    zero = Poly.zero(FIVE_DIM)
+    assert reduce_relation(zero) is zero
     # alpha1^2 = (1 - alpha0 - alpha2)^2, over the argument's denominator
     alpha1 = Poly.var(FIVE_DIM, "alpha1")
     a0, a2 = Poly.var(FIVE_DIM, "alpha0"), Poly.var(FIVE_DIM, "alpha2")

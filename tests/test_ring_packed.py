@@ -32,7 +32,6 @@ from painleve_d32.ring import (
     exact_polynomial_quotient,
     split_poly,
     substitute,
-    substitute_poly,
 )
 
 TABLES = {name: load_model(name).table for name in ("five_dim", "ham_4d")}
@@ -305,7 +304,7 @@ def test_substitute_matches_the_reference(data, name, other_table):
     out = OUT_TABLES[name] if other_table else table
     rp, p = data.draw(polys(table, max_exp=3))
     bindings, ref_bindings = data.draw(bindings_over(table, out))
-    result = substitute_poly(p, bindings, out)
+    result = Substitution(bindings, table, out).of_poly(p)
     assert result.table is out
     if not rp:
         assert result.is_zero
@@ -328,8 +327,8 @@ def test_one_substitution_serves_many_polynomials(data, name, other_table):
     plan = Substitution(bindings, table, out)
     for _ in range(3):
         rp, p = data.draw(polys(table, max_exp=data.draw(st.integers(1, 4))))
-        result = substitute_poly(p, plan)
-        assert result == substitute_poly(p, bindings, out)
+        result = plan.of_poly(p)
+        assert result == Substitution(bindings, table, out).of_poly(p)
         if rp:
             num, den = ref_substitute(rp, ref_bindings, len(out), place(table, out))
             assert result == RatExpr(Poly(out, num), Poly(out, den))
@@ -350,16 +349,16 @@ def test_a_substitution_refuses_other_tables():
     table, out = TABLES["five_dim"], OUT_TABLES["five_dim"]
     plan = Substitution({"x": 2}, table, out)
     other = TABLES["ham_4d"]
-    with pytest.raises(SymbolMismatchError):
-        substitute_poly(other.one, plan)
-    with pytest.raises(SymbolMismatchError):
-        substitute_poly(table.one, plan, table)
-    assert substitute_poly(table.one, plan, out) == RatExpr(out.one)
+    with pytest.raises(SymbolMismatchError, match="another table"):
+        substitute(RatExpr(other.one), plan)
+    with pytest.raises(SymbolMismatchError, match="output table"):
+        substitute(RatExpr(table.one), plan, table)
+    assert substitute(RatExpr(table.one), plan, out) == RatExpr(out.one)
     # an unbound symbol missing from the output table fails where it occurs
     narrow = Substitution({}, table, SymbolTable([("y", "state")]))
-    assert substitute_poly(Poly.var(table, "y", 2), narrow).num.terms == (((2,), 1),)
+    assert narrow.of_poly(Poly.var(table, "y", 2)).num.terms == (((2,), 1),)
     with pytest.raises(SymbolMismatchError, match="'x' missing"):
-        substitute_poly(Poly.var(table, "x"), narrow)
+        narrow.of_poly(Poly.var(table, "x"))
 
 
 # every map of the registry and each of its variants

@@ -201,6 +201,21 @@ def test_disputed_resolutions_agree():
     }
 
 
+@pytest.mark.parametrize("map_id", models.DISPUTED_MAP_IDS)
+def test_a_resolution_fails_where_the_alias_serves_the_other_variant(map_id, monkeypatch):
+    load_map = models.load_map
+
+    def printed_as_resolved(mid, variant="printed"):
+        return load_map(mid, "printed" if (mid, variant) == (map_id, "resolved") else variant)
+    monkeypatch.setattr(models, "load_map", printed_as_resolved)
+    report = resolve_disputed(map_id)
+    assert not report.passed
+    assert report.residuals == [("printed", "fail"), ("corrected", "pass")]
+    assert report.detail == (
+        "resolved variant: corrected, but the alias 'resolved' serves printed"
+    )
+
+
 def test_printed_s2_5d_fails_with_witness():
     report = check_symmetry("five_dim", "s2_5d", "printed")
     assert not report.passed
