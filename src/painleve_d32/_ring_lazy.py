@@ -26,6 +26,7 @@ through ``ring``, where the trace rebinds it: ``ring.reduce_relation``,
 
 from __future__ import annotations
 
+import builtins
 import functools
 import math
 from fractions import Fraction
@@ -460,8 +461,10 @@ class PointMap:
 _COPRIME = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(
     Fraction, _normalize=False
 )
+# a kernel's globals bind the builtins: on 3.12 a big-int division imports
+# _pylong, and the import reads __builtins__ from the running frame's globals
 _POINT_GLOBALS = {
-    "_gcd": math.gcd, "_Singular": SingularPointError,
+    "__builtins__": builtins, "_gcd": math.gcd, "_Singular": SingularPointError,
     "_MSG": "denominator vanishes at the evaluation point",
 }
 

@@ -11,17 +11,16 @@ by the map's own ``action``.
 
 Every kernel is Python source generated from the exact expressions and
 compiled once per distinct text; parameters are default arguments bound per
-call.  Each vector field gets one whole Dormand-Prince step with its
-right-hand side inlined in every stage, for adaptive and grid mode; one
-loop of such steps that runs a whole fixed-step integration; and one
-finite-difference residual loop over all samples.  Each integral gets one
-kernel f(indep, state) from :func:`compile_ratexpr`.  Every map, the 5d ->
-4d reduction included, takes one pushforward path: a kernel from the same
-sources loops over all samples and evaluates generators as exponentials.
-The step is written out instead of looping over the tableau, but in the
-loop's summation order (see :func:`_dp_lines`), and a negative coefficient
-is rendered as a subtraction, which IEEE arithmetic gives bit for bit; so
-trajectories are bit-identical to the per-symbol tableau loop.
+call.  Each vector field gets one loop per mode that runs a whole
+integration, step control and dense output included, with its right-hand
+side inlined in every stage, and one finite-difference residual loop.  Each
+integral gets one kernel f(indep, state) from :func:`compile_ratexpr`.
+Every map, the 5d -> 4d reduction included, takes one pushforward path: a
+kernel loops over all samples and evaluates generators as exponentials.
+Steps are written out in the summation order of a loop over the tableau
+(see :func:`_dp_lines`), and a negative coefficient is rendered as a
+subtraction, which IEEE arithmetic gives bit for bit; so trajectories are
+bit-identical to that loop's.
 
 Blow-up is expected behavior for these flows (movable singularities); a
 truncated trajectory with its termination reason recorded is valid output,
@@ -35,6 +34,7 @@ that does not apply to the mode or system, are refused with
 
 from __future__ import annotations
 
+import builtins
 import json
 import math
 from dataclasses import dataclass, replace
@@ -181,7 +181,7 @@ def compile_ratexpr(
     return _define(
         table, [indep, "_state"], {indep, *state_names},
         f"    {''.join(n + ', ' for n in state_names)}= _state\n"
-        f"    return [{', '.join(map(_source, exprs))}]\n", {},
+        f"    return [{', '.join(map(_source, exprs))}]\n", _KERNEL_GLOBALS,
     )(values)
 
 
@@ -228,7 +228,9 @@ _DP_D = (
     -1453857185 / 822651844, 69997945 / 29380423,
 )
 
-_KERNEL_GLOBALS = {"_inf": math.inf}
+# as the exact point kernels' globals, these bind the builtins, which an
+# import triggered inside a kernel reads
+_KERNEL_GLOBALS = {"__builtins__": builtins, "_inf": math.inf}
 
 
 def _stage_lines(k: str, sources: Sequence[str]) -> list[str]:
@@ -282,26 +284,20 @@ def _dp_lines(indep: str, state_names: tuple[str, ...],
 
 
 @cache
-def _step_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...],
-               stages: bool) -> str:
+def _step_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...]) -> str:
     """Body of one embedded step ``(_u, _y, _h)`` -> (y5, error_inf, max_state_norm, stages).
 
     See :func:`_dp_lines`.  A solution or error that is not finite reads as
-    an infinite error and norm.  The seven stage vectors are built only with
-    ``stages``; otherwise the last item is None.
+    an infinite error and norm.
     """
     n = range(len(state_names))
     setup, step, finite = _dp_lines(indep, state_names, sources)
-    k = "None"
-    if stages:
-        k = "[" + ", ".join(
-            f"[{', '.join(f'_k{s}_{i}' for i in n)}]" for s in range(1, 8)) + "]"
+    k = "[" + ", ".join(f"[{', '.join(f'_k{s}_{i}' for i in n)}]" for s in range(1, 8)) + "]"
     lines = [f"{''.join(f'_y{i}, ' for i in n)}= _y", *setup, *step,
              f"_y5 = [{', '.join(f'_y5_{i}' for i in n)}]",
-             f"_k = {k}",
              f"if {finite}:",
-             "    return _y5, _err, max(map(abs, _y5)), _k",
-             "return _y5, _inf, _inf, _k"]
+             f"    return _y5, _err, max(map(abs, _y5)), {k}",
+             f"return _y5, _inf, _inf, {k}"]
     return "".join(f"    {line}\n" for line in lines)
 
 
@@ -331,6 +327,87 @@ def _fixed_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ..
              "        return _i, 'blow_up'",
              f"    {ys} = {y5s}",
              "return _n, 'completed'"]
+    return "".join(f"    {line}\n" for line in lines)
+
+
+@cache
+def _adaptive_body(indep: str, state_names: tuple[str, ...], sources: tuple[str, ...],
+                   grid: bool) -> str:
+    """Body of an adaptive run ``(_u0, _y, _u1, _atol, _rtol, _times, _states[, _pts])``
+    -> (accepted, rejected, termination, h_min, h_max).
+
+    Steps of :func:`_dp_lines` from u0 to u1: the first is 1e-3, or the
+    span if shorter; one below ``MIN_STEP_FACTOR`` * max(1, |u|) ends the
+    run as "step_underflow", and one past u1 is cut to end there.  A trial
+    that is not finite has error ratio inf, one of ratio at most 1 is
+    accepted and sampled, and a sample above ``BLOWUP_NORM`` ends the run as
+    "blow_up".  Each trial scales h by SAFETY * ratio**-0.2 within
+    [GROW_MIN, GROW_MAX]; every max and min is written as the scan of
+    ``max`` and ``min``.  A sample is the step's end and solution or, with
+    ``grid``, each time of ``_pts`` the step reaches, valued by the pair's
+    dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6), which is
+    built only for such a step.
+    """
+    n = range(len(state_names))
+    setup, step, finite = _dp_lines(indep, state_names, sources)
+    ys = ", ".join(f"_y{i}" for i in n)
+    y5s = ", ".join(f"_y5_{i}" for i in n)
+    done = "return _acc, _rej, '{}', _hmin, _hmax"
+    scan = [f"_y{i}" for i in n][1:] + y5s.split(", ")
+    if grid:
+        # the interpolant's coefficients; the tail's sum is written out left
+        # to right, the order of ``sum`` on floats before Python 3.12
+        rows = [line for i in n for line in (
+            f"_c{i} = _y5_{i} - _y{i}", f"_b{i} = _h * _k1_{i} - _c{i}",
+            f"_d{i} = _c{i} - _h * _k7_{i} - _b{i}",
+            f"_t{i} = _h * (0.0" + "".join(
+                f" + {d!r} * _k{j}_{i}" for j, d in enumerate(_DP_D, 1) if d) + ")")]
+        dense = ", ".join(f"_y{i} + _x * (_c{i} + (1 - _x) * (_b{i} + _x * (_d{i}"
+                          f" + (1 - _x) * _t{i})))" for i in n)
+        reached = "_i < _n and (_end - _pts[_i]) * _h >= 0"
+        sample = ["_end = _u + _h", f"if {reached}:", *(f"    {line}" for line in rows),
+                  f"    while {reached}:",
+                  "        _g = _pts[_i]",
+                  "        _times.append(_g)",
+                  "        if _g == _end:",
+                  f"            _states.append([{y5s}])",
+                  "        else:",
+                  "            _x = (_g - _u) / _h",
+                  f"            _states.append([{dense}])",
+                  "        _i += 1",
+                  "_u += _h"]
+    else:
+        sample = ["_u += _h", "_times.append(_u)", f"_states.append([{y5s}])"]
+    lines = [f"{ys}, = _y", "_u = _u0", "_dir = 1.0 if _u1 > _u0 else -1.0",
+             "_h = abs(_u1 - _u0)", "_h = _dir * (1e-3 if 1e-3 < _h else _h)",
+             "_acc = _rej = 0", "_hmin, _hmax = _inf, 0.0",
+             *(["_i, _n = 1, len(_pts)"] if grid else []),
+             "while (_u1 - _u) * _dir > 0:",
+             "    _m = abs(_u)",
+             f"    if abs(_h) < {MIN_STEP_FACTOR!r} * (_m if _m > 1.0 else 1.0):",
+             f"        {done.format('step_underflow')}",
+             "    if (_u + _h - _u1) * _dir > 0:",
+             "        _h = _u1 - _u",
+             *(f"    {line}" for line in [*setup, *step]),
+             "    _s = abs(_y0)",
+             *(f"    if abs({v}) > _s: _s = abs({v})" for v in scan),
+             "    _scale = _atol + _rtol * _s",
+             f"    _ratio = _err / _scale if _scale > 0 and {finite} else _inf",
+             "    if _ratio <= 1.0:",
+             "        _acc += 1",
+             "        _m = abs(_h)",
+             "        if _m < _hmin: _hmin = _m",
+             "        if _m > _hmax: _hmax = _m",
+             *(f"        {line}" for line in sample),
+             f"        {ys} = {y5s}",
+             f"        if {' or '.join(f'abs(_y{i}) > {BLOWUP_NORM!r}' for i in n)}:",
+             f"            {done.format('blow_up')}",
+             "    else:",
+             "        _rej += 1",
+             f"    _f = {SAFETY!r} * (_ratio ** -0.2) if _ratio > 0 else {GROW_MAX!r}",
+             f"    _f = _f if _f > {GROW_MIN!r} else {GROW_MIN!r}",
+             f"    _h *= _f if _f < {GROW_MAX!r} else {GROW_MAX!r}",
+             done.format("completed")]
     return "".join(f"    {line}\n" for line in lines)
 
 
@@ -365,20 +442,15 @@ def _rhs_sources(rhs: tuple[RatExpr, ...]) -> tuple[str, ...]:
 class _CompiledSystem:
     """Vector field compiled from the sources of its right-hand side.
 
-    ``f(u, state)`` evaluates the right-hand side once; ``f.step(u, y, h)`` is
-    one whole Dormand-Prince step (:func:`_step_body`), which returns its
-    stages only if ``stages`` is true when it is first used (grid mode's
-    dense output reads them; :func:`integrate_system` clears it for the
-    other modes), ``f.fixed`` a whole fixed-step run (:func:`_fixed_body`)
-    and ``f.residual`` the loop of :func:`dynamics_residual`
-    (:func:`_residual_body`), each with the right-hand side inlined.  ``evals`` counts the evaluations that
-    ``__call__``, :func:`_rk_step` and :func:`_fixed_steps` make.
+    Each mode is one generated loop with the right-hand side inlined:
+    ``f.adaptive`` and ``f.grid`` (:func:`_adaptive_body`), ``f.fixed``
+    (:func:`_fixed_body`) and ``f.residual`` (:func:`_residual_body`).
+    ``evals`` counts the right-hand side evaluations of all calls.
 
-    No integrator path calls ``__call__`` or its ``_kernel``.  They stay
-    because the benchmark's layer trace (``bench/layertrace.py``) wraps
-    ``_CompiledSystem.__call__`` and :func:`_rk_step` by name, and its tests
-    evaluate the right-hand side through ``__call__``; only a change to the
-    benchmark can remove them.
+    No integrator path calls ``__call__``, ``f.step`` (:func:`_step_body`)
+    or :func:`_rk_step`: they stay as seams the benchmark's layer trace
+    (``bench/layertrace.py``) wraps by name, and the tests evaluate single
+    steps through them; only a change to the benchmark can remove them.
     """
 
     def __init__(self, system: VectorFieldSystem, params: Mapping[str, float]):
@@ -393,7 +465,6 @@ class _CompiledSystem:
         if bad:
             raise UsageError(f"non-finite parameter values: {bad}")
         self._system, self._params = system, params
-        self.stages = True
         self._sources = _rhs_sources(tuple(system.rhs[n] for n in system.state))
         self.evals = 0
 
@@ -405,7 +476,17 @@ class _CompiledSystem:
 
     @cached_property
     def step(self) -> Callable:
-        return self._bind(["_u", "_y", "_h"], _step_body, self.stages)
+        return self._bind(["_u", "_y", "_h"], _step_body)
+
+    @cached_property
+    def adaptive(self) -> Callable:
+        return self._bind(["_u0", "_y", "_u1", "_atol", "_rtol", "_times", "_states"],
+                          _adaptive_body, False)
+
+    @cached_property
+    def grid(self) -> Callable:
+        return self._bind(["_u0", "_y", "_u1", "_atol", "_rtol", "_times", "_states", "_pts"],
+                          _adaptive_body, True)
 
     @cached_property
     def fixed(self) -> Callable:
@@ -432,9 +513,10 @@ class _CompiledSystem:
 
 def _rk_step(
     f: _CompiledSystem, u: float, y: Sequence[float], h: float
-) -> tuple[list[float], float, float, Optional[list[list[float]]]]:
-    """One embedded step: returns (y5, error_inf, max_state_norm, stages);
-    the stages are None where ``f.stages`` was cleared."""
+) -> tuple[list[float], float, float, list[list[float]]]:
+    """One embedded step: returns (y5, error_inf, max_state_norm, stages).
+
+    A seam no integrator path calls; see :class:`_CompiledSystem`."""
     f.evals += 7
     return f.step(u, y, h)
 
@@ -447,58 +529,15 @@ def _fixed_steps(f: _CompiledSystem, u0: float, y: Sequence[float], h: float, n:
     return steps, termination
 
 
-def _interpolant(u: float, h: float, y: list, y5: list, k: list) -> Callable:
-    """Dense output of an accepted step: y5 at u + h, 4th order inside (u, u + h)."""
-    rows = []
-    for i, (a, b) in enumerate(zip(y, y5)):
-        diff = b - a
-        bspl = h * k[0][i] - diff
-        tail = h * sum(d * k[j][i] for j, d in enumerate(_DP_D) if d)
-        rows.append((a, diff, bspl, diff - h * k[6][i] - bspl, tail))
-
-    def at(t: float) -> list[float]:
-        if t == u + h:
-            return y5
-        s = (t - u) / h
-        return [a + s * (c2 + (1 - s) * (c3 + s * (c4 + (1 - s) * c5)))
-                for a, c2, c3, c4, c5 in rows]
-    return at
-
-
-def _adaptive_steps(f: _CompiledSystem, u0: float, y0: list[float], u1: float,
-                    tolerances: tuple[float, float], stats: dict):
-    """Yield each accepted step (u, h, y, y5, stages) from u0 to exactly u1.
-
-    Counts steps in ``stats``; an early stop sets stats["termination"].
-    """
-    abs_tol, rel_tol = tolerances
-    direction = 1.0 if u1 > u0 else -1.0
-    u, y = u0, y0
-    h = direction * min(abs(u1 - u0), 1e-3)
-    while (u1 - u) * direction > 0:
-        if abs(h) < MIN_STEP_FACTOR * max(1.0, abs(u)):
-            stats["termination"] = "step_underflow"
-            return
-        if (u + h - u1) * direction > 0:
-            h = u1 - u
-        y5, err, norm, k = _rk_step(f, u, y, h)
-        scale = abs_tol + rel_tol * max(map(abs, y + y5))
-        # a non-finite trial step must shrink h, never grow it
-        ratio = err / scale if scale > 0 and err < math.inf else math.inf
-        if ratio <= 1.0:
-            stats["accepted"] += 1
-            stats["h_min"] = min(stats["h_min"], abs(h))
-            stats["h_max"] = max(stats["h_max"], abs(h))
-            yield u, h, y, y5, k
-            u += h
-            y = y5
-            if norm > BLOWUP_NORM:
-                stats["termination"] = "blow_up"
-                return
-        else:
-            stats["rejected"] += 1
-        factor = SAFETY * (ratio ** -0.2) if ratio > 0 else GROW_MAX
-        h *= min(GROW_MAX, max(GROW_MIN, factor))
+def _adaptive_run(f: _CompiledSystem, u0: float, y: Sequence[float], u1: float,
+                  tolerances: tuple[float, float], times: list[float],
+                  states: list[list[float]], *grid: list[float]
+                  ) -> tuple[int, int, str, float, float]:
+    """An adaptive run from (u0, y) to u1, sampled at each step's end or on
+    the one ``grid``: (accepted, rejected, termination, h_min, h_max)."""
+    run = (f.grid if grid else f.adaptive)(u0, y, u1, *tolerances, times, states, *grid)
+    f.evals += 7 * (run[0] + run[1])
+    return run
 
 
 def integrate_system(
@@ -532,20 +571,15 @@ def integrate_system(
         raise UsageError("empty integration span")
     _check_domain(system, u0, u1)
     f = _CompiledSystem(system, params)
-    f.stages = mode == "grid"
     if has_relation_symbols(system.table):
         total = sum(float(params[n]) for n in ("alpha0", "alpha1", "alpha2"))
         if abs(total - 1) > 1e-9:
             raise UsageError(f"{system.id} needs alpha0 + alpha1 + alpha2 = 1, got {total!r}")
 
     times, states = [u0], [y]
-    stats = {"accepted": 0, "rejected": 0, "termination": "completed",
-             "h_min": math.inf, "h_max": 0.0}
-
     if mode == "adaptive":
-        for u, h, _, y5, _ in _adaptive_steps(f, u0, y, u1, tolerances, stats):
-            times.append(u + h)
-            states.append(y5)
+        accepted, rejected, termination, h_min, h_max = _adaptive_run(
+            f, u0, y, u1, tolerances, times, states)
     elif mode == "fixed":
         if step is None or not 0 < step < math.inf:
             raise UsageError(f"fixed mode needs a positive step, not {step}")
@@ -559,8 +593,8 @@ def integrate_system(
             )
         n = round(count)
         h = (u1 - u0) / n
-        stats["h_min"] = stats["h_max"] = abs(h)
-        stats["accepted"], stats["termination"] = _fixed_steps(f, u0, y, h, n, times, states)
+        rejected, h_min, h_max = 0, abs(h), abs(h)
+        accepted, termination = _fixed_steps(f, u0, y, h, n, times, states)
     elif mode == "grid":
         if grid is None or len(grid) < 2:
             raise UsageError("grid mode needs at least two sample times")
@@ -573,14 +607,8 @@ def integrate_system(
                 "grid must start at the span's start and stay inside the span"
             )
         times = [pts[0]]
-        i = 1
-        for accepted in _adaptive_steps(f, pts[0], y, pts[-1], tolerances, stats):
-            u, h = accepted[:2]
-            at = _interpolant(*accepted)
-            while i < len(pts) and (u + h - pts[i]) * h >= 0:
-                times.append(pts[i])
-                states.append(at(pts[i]))
-                i += 1
+        accepted, rejected, termination, h_min, h_max = _adaptive_run(
+            f, pts[0], y, pts[-1], tolerances, times, states, pts)
     else:
         raise UsageError(f"unknown output mode {mode!r}")
 
@@ -593,12 +621,12 @@ def integrate_system(
         abs_tol=abs_tol,
         rel_tol=rel_tol,
         mode=mode,
-        termination=stats["termination"],
-        steps_accepted=stats["accepted"],
-        steps_rejected=stats["rejected"],
+        termination=termination,
+        steps_accepted=accepted,
+        steps_rejected=rejected,
         rhs_evals=f.evals,
-        h_min=stats["h_min"] if stats["accepted"] else None,
-        h_max=stats["h_max"] if stats["accepted"] else None,
+        h_min=h_min if accepted else None,
+        h_max=h_max if accepted else None,
     )
 
 
@@ -692,7 +720,8 @@ def _compile_map(map_id: str, variant: str, state_names: tuple[str, ...]) -> Cal
         f"    for _i, ({indep}, _state) in enumerate(zip(_times, _states)):\n"
         + "".join(f"        {line}\n" for line in lines)
         + "    return _times_out, _states_out\n",
-        {"_exp": math.exp, "_FLOOR": DENOMINATOR_FLOOR, "_DomainError": DomainError,
+        {**_KERNEL_GLOBALS, "_exp": math.exp, "_FLOOR": DENOMINATOR_FLOOR,
+         "_DomainError": DomainError,
          "_MSG": f"map {map_id!r} nearly singular at sample {{}} in component {{}} "
                  "(|denominator| = {:.3e})"},
     )

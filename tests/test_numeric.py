@@ -185,27 +185,23 @@ def test_second_order_pushforward_satisfies_the_second_order_form(
     assert dynamics_residual(pushed, bmap.target, wrong) > 1e-2
 
 
-def test_grid_rejects_bad_grid_before_integrating(monkeypatch):
-    calls = []
-    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+def test_grid_rejects_bad_grid_before_integrating(steps_taken):
     for grid in ([0.0, 0.5, 0.2, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, math.nan, 1.0],
                  [0.0, 0.5, math.inf], [0.0]):
         with pytest.raises(UsageError):
             integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0),
                       mode="grid", grid=grid)
-    assert calls == []
+    assert steps_taken == []
 
 
-def test_grid_must_start_at_span_start_and_stay_inside(monkeypatch):
-    calls = []
-    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+def test_grid_must_start_at_span_start_and_stay_inside(steps_taken):
     for span, grid in (((0.0, 5.0), [2.0, 2.5, 3.0]),   # init state is at u = 0
                        ((0.0, 1.0), [0.0, 0.5, 1.5]),
                        ((1.0, 0.0), [1.0, 0.5, -0.5]),
                        ((1.0, 0.0), [1.0, 1.5])):
         with pytest.raises(UsageError):
             integrate("five_dim", PARAMS_5D, INIT_5D, span, mode="grid", grid=grid)
-    assert calls == []
+    assert steps_taken == []
 
 
 @pytest.mark.parametrize("system_id, params, init, span, integral", [
@@ -252,15 +248,24 @@ def test_grid_on_adaptive_step_ends_reproduces_the_run():
     assert grid.states == adaptive.states
     assert grid.steps_accepted == adaptive.steps_accepted
     assert grid.steps_rejected == adaptive.steps_rejected
+    # among interpolated times too, a grid time equal to a step's end takes
+    # the step's solution itself, not the interpolant there
+    mids = [(a + b) / 2 for a, b in zip(adaptive.times, adaptive.times[1:])]
+    mixed = integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0),
+                      mode="grid", grid=sorted(adaptive.times + mids))
+    assert repr(mixed.states[::2]) == repr(adaptive.states)
+    assert mixed.rhs_evals == adaptive.rhs_evals
 
 
-def test_every_step_goes_through_rk_step(monkeypatch):
-    # the benchmark's layer trace wraps _rk_step to count adaptive and grid
-    # steps; the stages evaluate the right-hand side inline, so rhs_evals is
-    # the record of them
-    steps = []
-    rk_step = numeric._rk_step
-    monkeypatch.setattr(numeric, "_rk_step", lambda *a: steps.append(a[3]) or rk_step(*a))
+def test_every_adaptive_and_grid_run_goes_through_adaptive_run(monkeypatch):
+    # adaptive and grid mode run the whole integration in one generated loop
+    # per system; no step goes through _rk_step, and the stages evaluate the
+    # right-hand side inline, so rhs_evals is the record of the trials
+    runs = []
+    adaptive_run = numeric._adaptive_run
+    monkeypatch.setattr(numeric, "_rk_step", _no_step)
+    monkeypatch.setattr(numeric, "_adaptive_run",
+                        lambda *a: runs.append(adaptive_run(*a)) or runs[-1])
     rejected = 0
     for init, span, kwargs in (
         (INIT_5D, (0.0, 1.0), {"tolerances": (1e-5, 1e-5)}),
@@ -268,31 +273,13 @@ def test_every_step_goes_through_rk_step(monkeypatch):
         (BLOW_5D, (0.0, 10.0), {"tolerances": (1e-8, 1e-8)}),
         (BLOW_5D, (0.0, 10.0), {"mode": "grid", "grid": [i / 10 for i in range(101)]}),
     ):
-        del steps[:]
+        del runs[:]
         traj = integrate("five_dim", PARAMS_5D, init, span, **kwargs)
-        assert len(steps) == traj.steps_accepted + traj.steps_rejected > 0
-        assert traj.rhs_evals == 7 * len(steps)
+        assert runs == [(traj.steps_accepted, traj.steps_rejected, traj.termination,
+                         traj.h_min, traj.h_max)]
+        assert traj.rhs_evals == 7 * (traj.steps_accepted + traj.steps_rejected) > 0
         rejected += traj.steps_rejected
     assert rejected > 0
-
-
-def test_only_grid_steps_build_their_stages(monkeypatch):
-    # the seven stage vectors feed grid mode's dense output alone: an
-    # adaptive step returns None in their place
-    stages = []
-    rk_step = numeric._rk_step
-
-    def spy(*args):
-        result = rk_step(*args)
-        stages.append(result[3])
-        return result
-
-    monkeypatch.setattr(numeric, "_rk_step", spy)
-    integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.5))
-    assert stages and all(k is None for k in stages)
-    del stages[:]
-    integrate("five_dim", PARAMS_5D, INIT_5D, (0.0, 0.5), mode="grid", grid=[0.0, 0.25, 0.5])
-    assert stages and all(len(k) == 7 and {len(s) for s in k} == {5} for k in stages)
 
 
 def test_every_fixed_step_goes_through_fixed_steps(monkeypatch):
@@ -433,14 +420,12 @@ def test_missing_parameters_is_usage_error():
                   tolerances=(0.0, 1e-9))
 
 
-def test_parameters_off_the_normalization_are_refused_before_any_step(monkeypatch):
-    calls = []
-    monkeypatch.setattr(numeric, "_rk_step", lambda *args: calls.append(args))
+def test_parameters_off_the_normalization_are_refused_before_any_step(steps_taken):
     off = {**PARAMS_5D, "alpha1": 0.9}
     for system_id, init in (("five_dim", INIT_5D), ("ham_4d", [0.1, 0.2, 0.3, 0.4])):
         with pytest.raises(UsageError, match="alpha0 \\+ alpha1 \\+ alpha2 = 1"):
             integrate(system_id, off, init, (0.5, 1.0))
-    assert calls == []
+    assert steps_taken == []
 
 
 def test_fixed_mode_reports_its_step():
@@ -460,40 +445,40 @@ def _no_step(*args):
 
 @pytest.fixture
 def steps_taken(monkeypatch):
-    """Calls of either stepping seam, ``_rk_step`` or ``_fixed_steps``; neither steps."""
+    """Calls of any stepping seam, ``_rk_step``, ``_adaptive_run`` or
+    ``_fixed_steps``; none steps."""
     calls = []
-    for seam in ("_rk_step", "_fixed_steps"):
+    for seam in ("_rk_step", "_adaptive_run", "_fixed_steps"):
         monkeypatch.setattr(numeric, seam, lambda *args: calls.append(args))
     return calls
 
 
-def _budgeted(rk_step, calls):
-    """``rk_step`` that fails, instead of hanging, after 10 000 steps."""
-    def counted(*args):
-        calls.append(args[3])
-        assert len(calls) <= 10_000, "the stepper is not converging"
-        return rk_step(*args)
-    return counted
+class _TrialBudget(float):
+    """An absolute tolerance that counts the trials reading it.
+
+    Step control adds the absolute tolerance once per trial step, in the
+    generated loop and in the reference alike; past 10 000 trials the
+    addition fails instead of the run hanging.
+    """
+
+    def __add__(self, other):
+        self.trials = getattr(self, "trials", 0) + 1
+        assert self.trials <= 10_000, "the stepper is not converging"
+        return float(self) + other
 
 
-@pytest.fixture
-def step_budget(monkeypatch):
-    calls = []
-    monkeypatch.setattr(numeric, "_rk_step", _budgeted(numeric._rk_step, calls))
-    return calls
-
-
-def test_overflowing_trial_steps_shrink_h(step_budget):
+def test_overflowing_trial_steps_shrink_h():
     # a non-finite trial step once read as ratio nan and grew h forever
+    budget = _TrialBudget(1e-8)
     traj = integrate("five_dim", PARAMS_5D, OVERFLOW_5D, (0.0, 1.0),
-                     tolerances=(1e-8, 1e-8))
+                     tolerances=(budget, 1e-8))
     assert traj.termination == "blow_up"
     assert 0.0 < traj.times[-1] < 0.01
     assert traj.steps_rejected > 0
-    assert len(step_budget) == traj.steps_accepted + traj.steps_rejected
+    assert budget.trials == traj.steps_accepted + traj.steps_rejected
 
 
-def test_a_start_on_a_pole_terminates(step_budget):
+def test_a_start_on_a_pole_terminates():
     # x = 0 is a pole of second_order_x: a division by zero once escaped the
     # generated step and the right-hand side
     params, start = {"alpha2": 0.4}, [0.0, 1.0]
@@ -501,7 +486,10 @@ def test_a_start_on_a_pole_terminates(step_budget):
     assert f(0.0, start) == [math.inf, math.inf]
     y5, err, norm, k = numeric._rk_step(f, 0.0, start, 1e-3)
     assert err == norm == math.inf and k[0] == [math.inf, math.inf]
-    adaptive = integrate("second_order_x", params, start, (0.0, 1.0))
+    budget = _TrialBudget(1e-10)
+    adaptive = integrate("second_order_x", params, start, (0.0, 1.0),
+                         tolerances=(budget, 1e-10))
+    assert budget.trials == adaptive.steps_rejected
     fixed = integrate("second_order_x", params, start, (0.0, 1.0), mode="fixed", step=0.01)
     assert (adaptive.termination, fixed.termination) == ("step_underflow", "blow_up")
     assert adaptive.states == fixed.states == [start]
@@ -623,6 +611,15 @@ class _ParentSystem:
             return [math.inf] * len(self.fns)
 
 
+def _sum(terms):
+    """Left to right from 0.0: the generated code's order, and that of ``sum``
+    on floats before Python 3.12, whose ``sum`` compensates the rounding."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _parent_rk_step(f, u, y, h):
     k = []
     for stage in range(7):
@@ -633,12 +630,12 @@ def _parent_rk_step(f, u, y, h):
                     ys[i] += h * a * k[j][i]
         k.append(f(u + numeric._DP_C[stage] * h, ys))
     y5 = [
-        yi + h * sum(b * k[j][i] for j, b in enumerate(numeric._DP_B5) if b)
+        yi + h * _sum(b * k[j][i] for j, b in enumerate(numeric._DP_B5) if b)
         for i, yi in enumerate(y)
     ]
     err = 0.0
     for i in range(len(y)):
-        e4 = sum((numeric._DP_B5[j] - numeric._DP_B4[j]) * k[j][i] for j in range(7))
+        e4 = _sum((numeric._DP_B5[j] - numeric._DP_B4[j]) * k[j][i] for j in range(7))
         err = max(err, abs(h * e4))
     if not all(map(math.isfinite, y5)) or not math.isfinite(err):
         return y5, math.inf, math.inf, k
@@ -658,6 +655,82 @@ def _parent_fixed_steps(f, u0, y, h, n, times, states):
         if norm > numeric.BLOWUP_NORM:
             return i + 1, "blow_up"
     return n, "completed"
+
+
+def _parent_interpolant(u, h, y, y5, k):
+    """Dense output of an accepted step: y5 at u + h, 4th order inside (u, u + h)."""
+    rows = []
+    for i, (a, b) in enumerate(zip(y, y5)):
+        diff = b - a
+        bspl = h * k[0][i] - diff
+        tail = h * _sum(d * k[j][i] for j, d in enumerate(numeric._DP_D) if d)
+        rows.append((a, diff, bspl, diff - h * k[6][i] - bspl, tail))
+
+    def at(t):
+        if t == u + h:
+            return y5
+        s = (t - u) / h
+        return [a + s * (c2 + (1 - s) * (c3 + s * (c4 + (1 - s) * c5)))
+                for a, c2, c3, c4, c5 in rows]
+    return at
+
+
+def _parent_adaptive_steps(f, u0, y0, u1, tolerances, stats):
+    """Yield each accepted step (u, h, y, y5, stages) from u0 to exactly u1,
+    one ``numeric._rk_step`` call per trial.
+
+    Counts steps in ``stats``; an early stop sets stats["termination"].
+    """
+    abs_tol, rel_tol = tolerances
+    direction = 1.0 if u1 > u0 else -1.0
+    u, y = u0, y0
+    h = direction * min(abs(u1 - u0), 1e-3)
+    while (u1 - u) * direction > 0:
+        if abs(h) < numeric.MIN_STEP_FACTOR * max(1.0, abs(u)):
+            stats["termination"] = "step_underflow"
+            return
+        if (u + h - u1) * direction > 0:
+            h = u1 - u
+        y5, err, norm, k = numeric._rk_step(f, u, y, h)
+        scale = abs_tol + rel_tol * max(map(abs, y + y5))
+        # a non-finite trial step must shrink h, never grow it
+        ratio = err / scale if scale > 0 and err < math.inf else math.inf
+        if ratio <= 1.0:
+            stats["accepted"] += 1
+            stats["h_min"] = min(stats["h_min"], abs(h))
+            stats["h_max"] = max(stats["h_max"], abs(h))
+            yield u, h, y, y5, k
+            u += h
+            y = y5
+            if norm > numeric.BLOWUP_NORM:
+                stats["termination"] = "blow_up"
+                return
+        else:
+            stats["rejected"] += 1
+        factor = numeric.SAFETY * (ratio ** -0.2) if ratio > 0 else numeric.GROW_MAX
+        h *= min(numeric.GROW_MAX, max(numeric.GROW_MIN, factor))
+
+
+def _parent_adaptive_run(f, u0, y, u1, tolerances, times, states, *grid):
+    """The parent's adaptive and grid modes: the Python loop above, sampled
+    at each step's end or, on a grid, by the interpolant of each step."""
+    stats = {"accepted": 0, "rejected": 0, "termination": "completed",
+             "h_min": math.inf, "h_max": 0.0}
+    i = 1
+    for accepted in _parent_adaptive_steps(f, u0, y, u1, tolerances, stats):
+        u, h, _, y5, _ = accepted
+        if not grid:
+            times.append(u + h)
+            states.append(y5)
+            continue
+        at = _parent_interpolant(*accepted)
+        pts = grid[0]
+        while i < len(pts) and (u + h - pts[i]) * h >= 0:
+            times.append(pts[i])
+            states.append(at(pts[i]))
+            i += 1
+    return (stats["accepted"], stats["rejected"], stats["termination"],
+            stats["h_min"], stats["h_max"])
 
 
 def _parent_drift(traj, integral_id):
@@ -727,16 +800,27 @@ def _parent_residual(traj, system_id, params):
     return worst
 
 
+def _budgeted(rk_step):
+    """``rk_step`` that fails, instead of hanging, after 10 000 steps."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        assert len(calls) <= 10_000, "the stepper is not converging"
+        return rk_step(*args)
+    return counted
+
+
 def _both_paths(monkeypatch, *args, **kwargs):
+    """The run on the parent's per-symbol path, which must converge within a
+    step budget, and then on the generated loops."""
     with monkeypatch.context() as m:
-        m.setattr(numeric, "_rk_step", _budgeted(numeric._rk_step, []))
-        fast = integrate(*args, **kwargs)
-    with monkeypatch.context() as m:
-        m.setattr(numeric, "_rk_step", _budgeted(_parent_rk_step, []))
+        m.setattr(numeric, "_rk_step", _budgeted(_parent_rk_step))
+        m.setattr(numeric, "_adaptive_run", _parent_adaptive_run)
         m.setattr(numeric, "_fixed_steps", _parent_fixed_steps)
         m.setattr(numeric, "_CompiledSystem", _ParentSystem)
         slow = integrate(*args, **kwargs)
-    return fast, slow
+    return integrate(*args, **kwargs), slow
 
 
 PARAMS_LIN = {"alpha0": 0.5, "alpha2": 0.45, "eta": 1.0}
@@ -914,6 +998,80 @@ def test_fixed_steps_reach_every_blow_up_rule():
         assert numeric._fixed_steps(f, 0.0, y, h, 50, times, states) == (1, "blow_up")
         assert states == ([y, y5] if finite_err else [y]) and f.evals == 14
     assert norm > numeric.BLOWUP_NORM
+
+
+@st.composite
+def adaptive_cases(draw):
+    system_id = draw(st.sampled_from(SYSTEM_IDS))
+    system = load_model(system_id)
+    params = _numeric_params(system, random.Random(draw(st.integers(0, 2**32 - 1))))
+    y = [draw(st.floats(-4.0, 4.0)) for _ in system.state]
+    if draw(st.booleans()):
+        # a pole of some systems, or a value whose square overflows
+        y[draw(st.integers(0, len(y) - 1))] = draw(st.sampled_from([0.0, 1e155, -3e160, 1e300]))
+    # the span stays >= 0.1: off the s = 0 locus of the 4d systems
+    u0 = draw(st.floats(0.5, 2.0))
+    u1 = u0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 0.4))
+    tolerances = tuple(10.0 ** -draw(st.floats(6.0, 12.0)) for _ in range(2))
+    grid = ()
+    if draw(st.booleans()):
+        fractions = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                                  max_size=30, unique=True))
+        grid = ([u0] + [u0 + f * (u1 - u0) for f in sorted(fractions)],)
+    return system_id, params, u0, y, u1, tolerances, grid
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(adaptive_cases())
+@example(("five_dim", PARAMS_5D, 0.0, OVERFLOW_5D, 1.0, (1e-8, 1e-8), ()))
+@example(("five_dim", PARAMS_5D, 0.0, BLOW_5D, 10.0, (1e-8, 1e-8),
+          ([i / 10 for i in range(101)],)))
+@example(("second_order_x", {"alpha2": 0.4}, 0.0, [0.0, 1.0], 1.0, (1e-10, 1e-10),
+          ([0.0, 0.5, 1.0],)))
+def test_generated_adaptive_runs_equal_the_reference_loop(case):
+    # the reference is the parent's Python loop over the same generated step,
+    # run first under a trial budget; the grid ends the run at its last time
+    system_id, params, u0, y, u1, (abs_tol, rel_tol), grid = case
+    u1 = grid[0][-1] if grid else u1
+    system = load_model(system_id)
+    outcomes = []
+    for run, tol in ((_parent_adaptive_run, _TrialBudget(abs_tol)),
+                     (numeric._adaptive_run, abs_tol)):
+        f = numeric._CompiledSystem(system, params)
+        times, states = [u0], [list(y)]
+        result = run(f, u0, list(y), u1, (tol, rel_tol), times, states, *grid)
+        assert f.evals == 7 * (result[0] + result[1])
+        outcomes.append(repr((result, times, states)))  # repr tells -0.0 from 0.0
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "grid"])
+@pytest.mark.parametrize("system_id, params, init, span, tol, termination", [
+    ("five_dim", PARAMS_5D, INIT_5D, (0.0, 1.0), 1e-10, "completed"),
+    ("five_dim", PARAMS_5D, BLOW_5D, (0.0, 10.0), 1e-8, "blow_up"),
+    # every trial overflows, so h shrinks below the floor
+    ("five_dim", PARAMS_5D, [1e300, 1.0, 1.0, -1.0, 1.0], (0.0, 1.0), 1e-8, "step_underflow"),
+    # a start on a pole (x = 0)
+    ("second_order_x", {"alpha2": 0.4}, [0.0, 1.0], (0.0, 1.0), 1e-10, "step_underflow"),
+], ids=["completed", "blow_up", "underflow_overflowing", "underflow_pole"])
+def test_adaptive_runs_reach_every_termination(
+    monkeypatch, mode, system_id, params, init, span, tol, termination
+):
+    kwargs = {"tolerances": (tol, tol)}
+    if mode == "grid":
+        kwargs.update(mode="grid", grid=[span[0] + i * (span[1] - span[0]) / 100
+                                         for i in range(101)])
+    fast, slow = _both_paths(monkeypatch, system_id, params, init, span, **kwargs)
+    assert repr(fast) == repr(slow)
+    assert fast.termination == termination
+    assert fast.rhs_evals == 7 * (fast.steps_accepted + fast.steps_rejected) > 0
+    if termination == "completed":
+        assert fast.times[-1] == span[1]
+    elif termination == "blow_up":
+        assert fast.times[-1] < span[1] and fast.steps_accepted > 0
+        assert mode == "grid" or max(map(abs, fast.states[-1])) > numeric.BLOWUP_NORM
+    else:
+        assert fast.steps_accepted == 0 and fast.states == [init] and fast.h_min is None
 
 
 def test_kernels_are_compiled_once_per_text(monkeypatch):

@@ -183,6 +183,21 @@ def test_kernel_reads_single_inputs_and_checks_bindings():
 PT = SymbolTable([("x", "state"), ("z", "state"), ("a", "parameter")])
 
 
+def test_kernel_matches_fraction_arithmetic_on_20_kbit_inputs():
+    # a 10 kbit factor shared by x's numerator and z's denominator makes the
+    # kernel's gcd reductions divide 20 kbit integers by 10 kbit ones, which
+    # Python 3.12 hands to its _pylong module: the import that triggers reads
+    # __builtins__ from the globals of the kernel's frame
+    rng = random.Random(20)
+    g = rng.getrandbits(10_000) | 1
+    x, z, a = (Fraction(rng.getrandbits(10_000) * m, rng.getrandbits(10_000) * n | 1)
+               for m, n in ((g, 1), (1, g), (1, 1)))
+    assert x.numerator.bit_length() > 19_000 and z.denominator.bit_length() > 19_000
+    X, Z, A = syms(PT, "x z a")
+    kernel = PointMap([X * Z, X + Z, X / Z, A * X * Z - X], ("x", "z", "a"))
+    assert kernel((x, z, a)) == (x * z, x + z, x / z, a * x * z - x)
+
+
 def _input_value(rng: random.Random):
     """An int or a Fraction: a kernel must not divide ints as floats."""
     if rng.random() < 0.4:
