@@ -800,27 +800,17 @@ def _parent_residual(traj, system_id, params):
     return worst
 
 
-def _budgeted(rk_step):
-    """``rk_step`` that fails, instead of hanging, after 10 000 steps."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args[3])
-        assert len(calls) <= 10_000, "the stepper is not converging"
-        return rk_step(*args)
-    return counted
-
-
-def _both_paths(monkeypatch, *args, **kwargs):
-    """The run on the parent's per-symbol path, which must converge within a
-    step budget, and then on the generated loops."""
+def _both_paths(monkeypatch, *args, tolerances=(1e-10, 1e-10), **kwargs):
+    """The run on the parent's per-symbol path, which must converge within
+    the trial budget, and then on the generated loops."""
+    abs_tol, rel_tol = tolerances
     with monkeypatch.context() as m:
-        m.setattr(numeric, "_rk_step", _budgeted(_parent_rk_step))
+        m.setattr(numeric, "_rk_step", _parent_rk_step)
         m.setattr(numeric, "_adaptive_run", _parent_adaptive_run)
         m.setattr(numeric, "_fixed_steps", _parent_fixed_steps)
         m.setattr(numeric, "_CompiledSystem", _ParentSystem)
-        slow = integrate(*args, **kwargs)
-    return integrate(*args, **kwargs), slow
+        slow = integrate(*args, tolerances=(_TrialBudget(abs_tol), rel_tol), **kwargs)
+    return integrate(*args, tolerances=tolerances, **kwargs), slow
 
 
 PARAMS_LIN = {"alpha0": 0.5, "alpha2": 0.45, "eta": 1.0}
