@@ -52,6 +52,50 @@ from .ring import (
     has_relation_symbols,
 )
 
+# -- the bodies of Poly's and SymbolTable's helpers ---------------------------------
+
+
+def _pack(table: SymbolTable, mono: Sequence[int]) -> int:
+    if len(mono) != len(table._units):
+        raise RingError(f"exponent vector {tuple(mono)} does not fit {table.symbols}")
+    key = 0
+    for e, unit in zip(mono, table._units):
+        if e < 0:
+            raise RingError(f"negative exponent in {tuple(mono)}")
+        key += e * unit
+    table.check_degree(key)
+    return key
+
+
+def _total_degree(p: Poly, names: Optional[Sequence[str]]) -> int:
+    if p.is_zero:
+        return -1
+    table = p.table
+    if names is None:
+        return next(iter(p._coeffs)) >> (EXPONENT_BITS * len(table))
+    shifts = [table._shifts[table.index(n)] for n in names]
+    return max(sum((k >> s) & _FIELD for s in shifts) for k in p._coeffs)
+
+
+def _occurring_names(p: Poly) -> tuple[str, ...]:
+    used = 0
+    for k in p._coeffs:
+        used |= k
+    table = p.table
+    return tuple(n for n, s in zip(table.symbols, table._shifts) if (used >> s) & _FIELD)
+
+
+def _partial(p: Poly, name: str) -> Poly:
+    i = p.table.index(name)
+    s, unit = p.table._shifts[i], p.table._units[i]
+    out = {}
+    for k, c in p._coeffs.items():
+        e = (k >> s) & _FIELD
+        if e:
+            out[k - unit] = c * e
+    return Poly._reduced(p.table, out, p._den)
+
+
 # -- the parameter relation ----------------------------------------------------
 
 
@@ -743,8 +787,8 @@ def partial_derivative(e: RatExpr, name: str) -> RatExpr:
     (N'*M - N*M')/M^2, or N' where M is 1."""
     n, m = e.num, e.den
     if m.is_const:
-        return RatExpr(n.partial(name))
-    return RatExpr(n.partial(name) * m - n * m.partial(name), m * m)
+        return RatExpr(_partial(n, name))
+    return RatExpr(_partial(n, name) * m - n * _partial(m, name), m * m)
 
 
 def jacobian_determinant(maps: Sequence[RatExpr], var_names: Sequence[str]) -> RatExpr:

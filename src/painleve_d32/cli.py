@@ -4,24 +4,31 @@ Exit codes: 0 all requested checks pass, 1 verification or domain failure,
 2 usage error or an unwritable ``--out``.  ``--format records`` emits
 line-delimited JSON records, one per check, suitable for golden files; text
 output is deterministic for a fixed seed apart from the timing fields.
-``verify`` loads with this module (the parser reads its scopes and
-variants); ``numeric`` loads only for ``integrate``.
+Each command loads only the layers it runs: ``verify`` loads for
+``verify`` (and, through the reports, for ``group relations``),
+``numeric`` only for ``integrate``, and ``json`` only where records or a
+trajectory's metadata are written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
-from . import models, verify, weyl
+from . import models, weyl
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_ORBIT_STEPS = 4
+
+# the parser's copies of verify.SCOPES and verify.VARIANTS, so that parsing
+# does not load verify; tests/test_cli.py pins them equal
+SCOPES = ("all", "symmetry", "charts", "integrals", "hamiltonian", "reduction",
+          "solutions", "search")
+VARIANTS = ("resolved", "printed", "corrected", "both")
 
 
 def _cannot_write(path: str, exc: OSError) -> int:
@@ -32,6 +39,8 @@ def _cannot_write(path: str, exc: OSError) -> int:
 def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> int:
     """Print the reports, then write them to ``out_path``; the exit code."""
     if fmt == "records":
+        import json
+
         lines = [json.dumps(r.to_record(), sort_keys=True) for r in reports]
     else:
         lines = [r.format_line() for r in reports]
@@ -49,6 +58,8 @@ def _emit_reports(reports, fmt: str, out_path: Optional[str]) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if args.map_id is not None and args.map_id not in models.MAP_IDS:
         print(f"unknown map {args.map_id!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -205,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("scope", nargs="?", default="all", choices=verify.SCOPES)
-    p_verify.add_argument("--variant", default="resolved", choices=tuple(verify.VARIANTS),
+    p_verify.add_argument("scope", nargs="?", default="all", choices=SCOPES)
+    p_verify.add_argument("--variant", default="resolved", choices=VARIANTS,
                           help="disputed-object policy (default: resolve both)")
     p_verify.add_argument("--map", dest="map_id", default=None,
                           help="only checks of this map id")

@@ -14,6 +14,15 @@ which the residuals, :mod:`.weyl` and :mod:`.numeric` all apply.  The
 parameter normalization alpha0 + alpha1 + alpha2 = 1 applies wherever a
 table carries all three alphas; no object carries a flag for it.
 
+This module holds what building the registry runs: the records, the
+symbol tables, the builders and the system and map loaders.  The
+integral, divisor and solution loaders, the bodies of
+``VectorFieldSystem.flow``, ``BirationalMap.param_images`` and
+``BirationalMap.pullback_bindings``, and the text dump
+:func:`dump_models` live in :mod:`._models_lazy`, which loads the first
+time one of its names is looked up here (module ``__getattr__``, PEP 562)
+and then binds them all in this namespace.
+
 Disputed objects:
 
 * ``s2_5d`` / ``chart2`` — the w-component prints ``2*alpha0/x + 1/x^2``
@@ -26,12 +35,12 @@ Disputed objects:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .ring import RatExpr, SymbolMismatchError, SymbolTable, has_relation_symbols, syms
-from .syntax import render_ratexpr
+from .ring import RatExpr, SymbolMismatchError, SymbolTable, _lazy_getattr, syms
 
 if TYPE_CHECKING:
     from .ring import Derivation
@@ -81,11 +90,7 @@ class VectorFieldSystem(NamedTuple):
 
     def flow(self) -> Derivation:
         """Derivation along the flow: states follow rhs, d(indep)/d(indep)=1."""
-        from .ring import Derivation  # the ring's lazy half, which set-up never runs
-
-        rules: dict[str, object] = dict(self.rhs)
-        rules[self.indep] = 1
-        return Derivation(self.table, rules)
+        return _models._flow(self)
 
 
 class ParameterAction(NamedTuple):
@@ -158,8 +163,7 @@ class BirationalMap(NamedTuple):
 
     def param_images(self, table: SymbolTable) -> dict[str, RatExpr]:
         """Images of the parameters as expressions over ``table``."""
-        params = [RatExpr.sym(table, name) for name in self.param_names]
-        return dict(zip(self.param_names, self.action.apply(params)))
+        return _models._param_images(self, table)
 
     def pullback_bindings(
         self, source_table: SymbolTable, target_table: SymbolTable
@@ -173,14 +177,7 @@ class BirationalMap(NamedTuple):
         name.  The target's time goes to the map's image of time: +-t for a
         symmetry, the generator s for the reduction.
         """
-        bindings: dict[str, RatExpr] = {n: e for n, e in self.var_map.items()}
-        bindings.update(self.param_images(source_table))
-        if "eta" in target_table:
-            bindings["eta"] = self.action.eta_sign * RatExpr.sym(source_table, "eta")
-        indep = target_table.indep_name
-        if indep is not None and indep in source_table:
-            bindings[indep] = self.action.indep_sign * RatExpr.sym(source_table, indep)
-        return bindings
+        return _models._pullback_bindings(self, source_table, target_table)
 
 
 class FirstIntegral(NamedTuple):
@@ -689,99 +686,16 @@ def load_map(map_id: str, variant: str = "printed") -> BirationalMap:
     return reg.maps[key]
 
 
-def load_integral(integral_id: str) -> FirstIntegral:
-    reg = _registry()
-    if integral_id not in reg.integrals:
-        raise UnknownModelError(f"unknown integral id {integral_id!r}")
-    return reg.integrals[integral_id]
+# -- the half loaded on first use ---------------------------------------------------
 
+# every name _models_lazy defines, served from here
+_LAZY = frozenset({
+    "_flow", "_param_images", "_pullback_bindings",
+    "load_integral", "load_divisor", "load_particular_solution",
+    "_render_symbols", "_dump_system", "_dump_map", "dump_models",
+})
+__getattr__ = _lazy_getattr(globals(), "_models_lazy", _LAZY)
 
-def load_divisor() -> DarbouxPolynomial:
-    """The Darboux polynomial y of five_dim: D(y) = (x*w + z*q - 1)*y + alpha1*w*q."""
-    return _registry().divisor
-
-
-def load_particular_solution(solution_id: str) -> ParticularSolution:
-    reg = _registry()
-    if solution_id not in reg.solutions:
-        raise UnknownModelError(f"unknown solution id {solution_id!r}")
-    return reg.solutions[solution_id]
-
-
-# -- serialization ----------------------------------------------------------------------
-
-
-def _render_symbols(table: SymbolTable) -> str:
-    return " ".join(f"{n}:{k}" for n, k in zip(table.symbols, table.kinds))
-
-
-def _dump_system(sys_obj: VectorFieldSystem) -> list[str]:
-    lines = [f"[system {sys_obj.id}]"]
-    lines.append(f"symbols: {_render_symbols(sys_obj.table)}")
-    normalized = has_relation_symbols(sys_obj.table)
-    lines.append(f"relation: {'alpha0+alpha1+alpha2=1' if normalized else 'none'}")
-    for name in sys_obj.state:
-        lines.append(f"rhs {name}: {render_ratexpr(sys_obj.rhs[name])}")
-    if sys_obj.hamiltonian is not None:
-        lines.append(f"hamiltonian: {render_ratexpr(sys_obj.hamiltonian.expr)}")
-        lines.append(
-            "pairing: "
-            + " ".join(f"{c}:{p}" for c, p in sys_obj.hamiltonian.pairing)
-        )
-    lines.append(f"singular_at_zero_indep: {str(sys_obj.singular_at_zero_indep).lower()}")
-    lines.append("[end]")
-    return lines
-
-
-def _dump_map(m: BirationalMap) -> list[str]:
-    lines = [f"[map {m.id} variant={m.variant}]"]
-    lines.append(f"context: {m.context or 'none'}")
-    lines.append(f"source: {m.source}")
-    lines.append(f"target: {m.target}")
-    lines.append(f"symbols: {_render_symbols(m.table)}")
-    for name in sorted(m.var_map):
-        lines.append(f"vars {name}: {render_ratexpr(m.var_map[name])}")
-    lines.append(f"params: {' '.join(m.param_names)}")
-    a = m.action
-    lines.append(
-        "matrix: " + " / ".join(" ".join(str(c) for c in row) for row in a.matrix)
-    )
-    lines.append("offset: " + " ".join(str(c) for c in a.offset))
-    lines.append(f"eta_sign: {a.eta_sign}")
-    lines.append(f"indep_sign: {a.indep_sign}")
-    lines.append("[end]")
-    return lines
-
-
-def dump_models() -> str:
-    """Serialize the whole registry to the canonical structured text form."""
-    reg = _registry()
-    lines: list[str] = []
-    for sid in SYSTEM_IDS:
-        lines.extend(_dump_system(reg.systems[sid]))
-    for mid in MAP_IDS:
-        variants = ["printed", "corrected"] if mid in DISPUTED_MAP_IDS else ["printed"]
-        for variant in variants:
-            m = reg.maps[(mid, variant)]
-            lines.extend(_dump_map(m))
-    for iid in INTEGRAL_IDS:
-        integral = reg.integrals[iid]
-        lines.append(f"[integral {integral.id}]")
-        lines.append(f"system: {integral.system_id}")
-        lines.append(f"symbols: {_render_symbols(reg.systems[integral.system_id].table)}")
-        lines.append(f"lambda: {integral.lam}")
-        lines.append(f"expr: {render_ratexpr(integral.expr)}")
-        lines.append("[end]")
-    for pid in SOLUTION_IDS:
-        sol = reg.solutions[pid]
-        lines.append(f"[solution {sol.id}]")
-        lines.append(f"system: {sol.system_id}")
-        lines.append(f"symbols: {_render_symbols(sol.table)}")
-        for name in sorted(sol.bindings):
-            lines.append(f"binding {name}: {render_ratexpr(sol.bindings[name])}")
-        for name in sorted(sol.rules):
-            lines.append(f"rule {name}: {render_ratexpr(sol.rules[name])}")
-        for name in sorted(sol.param_bindings):
-            lines.append(f"param {name}: {render_ratexpr(sol.param_bindings[name])}")
-        lines.append("[end]")
-    return "\n".join(lines) + "\n"
+# this module as an object: a method that calls into the lazy half looks the
+# name up here, so the first call loads it
+_models = sys.modules[__name__]

@@ -35,7 +35,6 @@ that does not apply to the mode or system, are refused with
 from __future__ import annotations
 
 import builtins
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -94,6 +93,8 @@ class Trajectory:
                 )
 
     def write_metadata(self, path: str) -> None:
+        import json  # only a written trajectory needs it
+
         meta = {
             "system_id": self.system_id,
             "params": self.params,

@@ -21,13 +21,18 @@ to a polynomial when the denominator divides the numerator exactly.
 This module holds what building the registry runs: the symbol table, the
 polynomial and quotient arithmetic, exact division, restriction to a
 smaller table, the parameter relation's symbols and the compile cache of
-generated kernels (:func:`_code`).
+generated kernels (:func:`_code`, which :mod:`.numeric` needs without the
+lazy half).
 Substitution, :func:`reduce_relation` (one substitution plan per table),
 :func:`is_identically_zero`, evaluation at points, :class:`PointMap`,
 :class:`Derivation`, :func:`partial_derivative` and
 :func:`jacobian_determinant` live in :mod:`._ring_lazy`, which loads the
 first time one of its names is looked up here (module ``__getattr__``, PEP
-562) and then binds them all in this namespace.
+562) and then binds them all in this namespace.  So do the bodies of the
+methods the set-up never calls, :meth:`SymbolTable.pack`,
+:meth:`Poly.total_degree`, :meth:`Poly.occurring_names`,
+:meth:`Poly.partial`, :meth:`Poly.evaluate` and :meth:`Poly.residue`:
+each method forwards to its body through this module.
 """
 
 from __future__ import annotations
@@ -146,15 +151,7 @@ class SymbolTable:
         one field per symbol, symbol 0 highest.  Raises :class:`RingError`
         for a vector of the wrong length, a negative exponent or a total
         degree of ``DEGREE_LIMIT`` or more."""
-        if len(mono) != len(self._units):
-            raise RingError(f"exponent vector {tuple(mono)} does not fit {self.symbols}")
-        key = 0
-        for e, unit in zip(mono, self._units):
-            if e < 0:
-                raise RingError(f"negative exponent in {tuple(mono)}")
-            key += e * unit
-        self.check_degree(key)
-        return key
+        return _ring._pack(self, mono)
 
     def unpack(self, key: int) -> Monomial:
         return tuple((key >> s) & _FIELD for s in self._shifts)
@@ -306,24 +303,15 @@ class Poly:
 
         Returns -1 for the zero polynomial.
         """
-        if self.is_zero:
-            return -1
-        table = self.table
-        if names is None:
-            return next(iter(self._coeffs)) >> (EXPONENT_BITS * len(table))
-        shifts = [table._shifts[table.index(n)] for n in names]
-        return max(sum((k >> s) & _FIELD for s in shifts) for k in self._coeffs)
+        return _ring._total_degree(self, names)
 
     def involves(self, name: str) -> bool:
         s = self.table._shifts[self.table.index(name)]
         return any((k >> s) & _FIELD for k in self._coeffs)
 
     def occurring_names(self) -> tuple[str, ...]:
-        used = 0
-        for k in self._coeffs:
-            used |= k
-        table = self.table
-        return tuple(n for n, s in zip(table.symbols, table._shifts) if (used >> s) & _FIELD)
+        """The symbols with a nonzero exponent in some term, in table order."""
+        return _ring._occurring_names(self)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -436,14 +424,7 @@ class Poly:
 
     def partial(self, name: str) -> "Poly":
         """Partial derivative with respect to one symbol."""
-        i = self.table.index(name)
-        s, unit = self.table._shifts[i], self.table._units[i]
-        out = {}
-        for k, c in self._coeffs.items():
-            e = (k >> s) & _FIELD
-            if e:
-                out[k - unit] = c * e
-        return Poly._reduced(self.table, out, self._den)
+        return _ring._partial(self, name)
 
     def evaluate(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Exact value at a rational point; every occurring symbol must be bound."""
@@ -809,6 +790,7 @@ _LAZY = frozenset({
     "PointMap", "_COPRIME", "_POINT_GLOBALS", "_Pair", "_PairCode", "_minus", "_Term",
     "_output_value", "_horner", "_monomial",
     "Derivation", "differentiate", "partial_derivative", "jacobian_determinant", "_det",
+    "_pack", "_total_degree", "_occurring_names", "_partial",
 })
 __getattr__ = _lazy_getattr(globals(), "_ring_lazy", _LAZY)
 

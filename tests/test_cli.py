@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from painleve_d32 import numeric, verify
+from painleve_d32 import cli, numeric, verify
 from painleve_d32.cli import main
 from painleve_d32.models import MAP_IDS
 
@@ -103,6 +103,25 @@ def test_verify_bad_scope_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["verify", "everything"])
     assert err.value.code == 2
+
+
+def test_parser_choices_are_verify_scopes_and_variants():
+    # the parser keeps copies so that parsing does not load verify
+    assert cli.SCOPES == verify.SCOPES
+    assert cli.VARIANTS == tuple(verify.VARIANTS)
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (["verify", "nosuch"], verify.SCOPES),
+    (["verify", "--variant", "nosuch"], tuple(verify.VARIANTS)),
+], ids=["scope", "variant"])
+def test_verify_bad_choice_names_the_valid_ones(argv, choices, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err_text
+    assert all(repr(choice) in err_text for choice in choices)
 
 
 def test_group_shift(capsys):

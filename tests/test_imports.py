@@ -1,4 +1,4 @@
-"""Import boundaries: what ``import painleve_d32`` and the set-up load.
+"""Import boundaries: what ``import painleve_d32``, the set-up and each command load.
 
 Each test runs in a fresh interpreter, because this test session has
 already imported every module of the package.
@@ -43,12 +43,14 @@ def _run(code: str):
 
 # the set-up's modules; each lazy half loads on the first use of one of its names
 SETUP_MODULES = ["painleve_d32", "painleve_d32.models", "painleve_d32.ring",
-                 "painleve_d32.syntax", "painleve_d32.weyl"]
+                 "painleve_d32.weyl"]
 RING_HALF, WEYL_HALF = "painleve_d32._ring_lazy", "painleve_d32._weyl_lazy"
+# only the models' half renders, so the renderer loads with it
+MODELS_HALF = ["painleve_d32._models_lazy", "painleve_d32.syntax"]
 
 
-def test_setup_loads_only_ring_syntax_models_and_weyl():
-    # and neither lazy half: the set-up never runs their code
+def test_setup_loads_only_ring_models_and_weyl():
+    # no lazy half and no renderer: the set-up never runs their code
     assert _run("print(json.dumps(loaded()))") == SETUP_MODULES
 
 
@@ -80,8 +82,11 @@ print(json.dumps(homes))
     assert sorted(homes) == sorted(painleve_d32.__all__)
     lazy = {name: home for name, home in homes.items()
             if home in ("painleve_d32.numeric", "painleve_d32.verify",
-                        "painleve_d32._ring_lazy", "painleve_d32._weyl_lazy")}
+                        "painleve_d32._models_lazy", "painleve_d32._ring_lazy",
+                        "painleve_d32._weyl_lazy")}
     assert lazy == {
+        "load_integral": "painleve_d32._models_lazy",
+        "load_particular_solution": "painleve_d32._models_lazy",
         "Derivation": "painleve_d32._ring_lazy",
         "differentiate": "painleve_d32._ring_lazy",
         "evaluate": "painleve_d32._ring_lazy",
@@ -117,12 +122,15 @@ assert weyl.apply_word_to_point(word, point) != point
 
 
 @pytest.mark.parametrize("order, halves", [
-    (["substitute", "apply_word_to_point"], [[RING_HALF], [RING_HALF, WEYL_HALF]]),
-    (["parse_word", "apply_word_to_point"], [[WEYL_HALF], [RING_HALF, WEYL_HALF]]),
+    (["substitute", "apply_word_to_point"],
+     [[RING_HALF], [RING_HALF, WEYL_HALF, *MODELS_HALF]]),
+    (["parse_word", "apply_word_to_point"],
+     [[WEYL_HALF], [RING_HALF, WEYL_HALF, *MODELS_HALF]]),
 ], ids=["ring_first", "weyl_first"])
 def test_each_lazy_half_loads_on_first_use(order, halves):
     # a ring name loads the ring's half alone and a word the Weyl layer's;
-    # a point action needs both, since its generator kernels are PointMaps
+    # a point action needs all three, since its generator kernels are
+    # PointMaps of the maps' pull-back bindings
     steps = _run("steps = [loaded()]\n" + "".join(
         FIRST_USES[use] + "\nsteps.append(loaded())\n" for use in order
     ) + "print(json.dumps(steps))")
@@ -142,7 +150,9 @@ def _defined(path: Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("host, half", [("ring", "_ring_lazy"), ("weyl", "_weyl_lazy")])
+@pytest.mark.parametrize("host, half", [
+    ("models", "_models_lazy"), ("ring", "_ring_lazy"), ("weyl", "_weyl_lazy"),
+])
 def test_each_lazy_half_is_served_whole_by_its_module(host, half):
     package = Path(painleve_d32.__file__).parent
     host_mod = importlib.import_module(f"painleve_d32.{host}")
@@ -176,6 +186,92 @@ print(json.dumps([isinstance(r, verify.VerificationReport) for r in reports]))
 
 
 def test_cli_import_leaves_numeric_unloaded():
+    # and verify: the parser keeps its own copies of the scopes and variants
     loaded = _run("import painleve_d32.cli\nprint(json.dumps(loaded()))")
-    assert "painleve_d32.cli" in loaded and "painleve_d32.verify" in loaded
-    assert "painleve_d32.numeric" not in loaded
+    assert loaded == sorted(SETUP_MODULES + ["painleve_d32.cli"])
+
+
+# moved names and records' methods, each a first use of the models' half
+MODELS_USES = {
+    "dump_models": "models.dump_models()",
+    "load_integral": "painleve_d32.load_integral('ywq')",
+    "load_divisor": "from painleve_d32.models import load_divisor; load_divisor()",
+    "flow": "models.load_model('five_dim').flow()",
+    "pullback_bindings": """
+bmap, table = models.load_map('s1_5d'), models.load_model('five_dim').table
+bmap.pullback_bindings(table, table)
+""",
+}
+
+
+@pytest.mark.parametrize("use", sorted(MODELS_USES))
+def test_models_half_loads_on_first_use_and_serves_every_moved_name(use):
+    before, after, served = _run(f"""
+before = loaded()
+{MODELS_USES[use]}
+after = loaded()
+half = sys.modules["painleve_d32._models_lazy"]
+served = all(getattr(models, name) is getattr(half, name) for name in models._LAZY)
+served &= painleve_d32.load_particular_solution is half.load_particular_solution
+print(json.dumps([before, after, served]))
+""")
+    assert before == SETUP_MODULES
+    assert after == sorted(SETUP_MODULES + MODELS_HALF + (
+        [RING_HALF] if use == "flow" else []))  # a flow is a ring Derivation
+    assert served
+
+
+CLI_RUN = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from painleve_d32 import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "painleve_d32")
+has_json = "json" in sys.modules
+import json
+print(json.dumps([code, loaded, has_json]))
+"""
+
+
+def _cli_modules(*argv: str) -> tuple[set[str], bool]:
+    """The package modules a fresh ``cli.main(argv)`` loads, and whether it
+    loads ``json``; the command must exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_RUN, SRC, *argv],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, loaded, has_json = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stdout
+    return {m.rpartition(".")[2] for m in loaded}, has_json
+
+
+def test_integrate_loads_numeric_without_verify_or_json():
+    loaded, has_json = _cli_modules(
+        "integrate", "five_dim", "--params", "alpha0=0.3,alpha1=0.25,alpha2=0.45,eta=0.7",
+        "--init", "0.4,0.8,-0.3,0.5,-0.2", "--span", "0,1",
+    )
+    assert "numeric" in loaded and "verify" not in loaded
+    assert not has_json
+
+
+def test_group_orbit_loads_neither_numeric_nor_verify_nor_json():
+    loaded, has_json = _cli_modules("group", "orbit", "s1 s2 s1 s0", "--steps", "1")
+    assert not loaded & {"numeric", "verify"}
+    assert not has_json
+
+
+def test_verify_all_loads_verify_without_numeric():
+    loaded, _ = _cli_modules("verify", "all")
+    assert "verify" in loaded and "numeric" not in loaded
+
+
+def test_dump_models_in_a_fresh_process_equals_the_golden_file():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); from painleve_d32 import cli; "
+         "sys.exit(cli.main(['--dump-models']))", SRC],
+        capture_output=True, timeout=120, check=True,
+    )
+    golden = Path(__file__).parent / "golden_models.txt"
+    assert done.stdout == golden.read_bytes()
