@@ -61,8 +61,7 @@ class GroupWord(_Word):
     __slots__ = ()
 
     def __new__(cls, letters: tuple[str, ...], context: str) -> GroupWord:
-        if context not in CONTEXTS:
-            raise WordError(f"unknown context {context!r}")
+        cls._check_context(context)
         for letter in letters:
             if letter not in _GENERATOR_MAPS[context]:
                 raise WordError(
@@ -72,6 +71,13 @@ class GroupWord(_Word):
 
     def __str__(self) -> str:
         return " ".join(self.letters) if self.letters else "(empty)"
+
+    @staticmethod
+    def _check_context(context: str) -> None:
+        if context not in CONTEXTS:
+            raise WordError(
+                f"unknown context {context!r}; known contexts: {', '.join(CONTEXTS)}"
+            )
 
 
 def parse_word(text: str, context: Optional[str] = None) -> GroupWord:
@@ -168,24 +174,33 @@ def _point_image(word: GroupWord, point: PhasePoint) -> PhasePoint:
 def random_point(rng: random.Random, context: str) -> PhasePoint:
     """Random exact point on the normalization hyperplane, away from zero.
 
-    Each value is n/d, n nonzero in [-50, 50] and d in [1, 50], drawn by
-    ``randrange(a, b + 1)`` as ``randint(a, b)`` would; alpha1 = 1 - alpha0
-    - alpha2 is computed on the integer pairs."""
+    Each value is n/d with n nonzero in [-50, 50] and d in [1, 50]: the
+    values of ``rng.randint(-50, 50)``, redrawn while zero, and of
+    ``rng.randint(1, 50)``.  They are drawn as ``randint`` draws them on a
+    :class:`random.Random`, from ``rng.getrandbits``: a value below m takes
+    ``m.bit_length()`` bits and is redrawn while it is not below m.  So the
+    points, and the generator's state after each, are those of ``randint``,
+    without its argument checks.  alpha1 = 1 - alpha0 - alpha2 is computed
+    on the integer pairs.  An unknown context raises :class:`WordError`."""
+    GroupWord._check_context(context)
     system = load_model(_SYSTEM_OF_CONTEXT[context])
-    randrange, box = rng.randrange, ring._COPRIME
+    bits, gcd, box = rng.getrandbits, math.gcd, ring._COPRIME
 
     def pair() -> tuple[int, int]:
-        num = 0
-        while num == 0:
-            num = randrange(-50, 51)
-        den = randrange(1, 51)
-        g = math.gcd(num, den)
+        num = bits(7)  # 50 + n, below 101; n = 0 is redrawn
+        while num > 100 or num == 50:
+            num = bits(7)
+        den = bits(6)  # d - 1, below 50
+        while den > 49:
+            den = bits(6)
+        num, den = num - 50, den + 1
+        g = gcd(num, den)
         return num // g, den // g
 
     (n0, d0), (n2, d2) = pair(), pair()
     # alpha1 = 1 - n0/d0 - n2/d2 = num/den, reduced by one gcd
     num, den = d0 * d2 - n0 * d2 - n2 * d0, d0 * d2
-    g = math.gcd(num, den)
+    g = gcd(num, den)
     return PhasePoint(
         state={name: box(*pair()) for name in system.state},
         alphas=(box(n0, d0), box(num // g, den // g), box(n2, d2)),
@@ -291,12 +306,17 @@ def verify_group_relations(
 
     Parameter-level verdicts are exact integer identities (including the eta
     and time signs); map-level verdicts evaluate both sides at ``sample_count``
-    random exact rational points and are labeled as sampled.
+    random exact rational points and are labeled as sampled.  A
+    ``sample_count`` that is not an ``int`` (``bool`` included) raises
+    ``TypeError``, and one below 1 ``ValueError``.
     """
     from .verify import VerificationReport, _Timer
 
+    # bool is an int, but True samples is no count
+    if type(sample_count) is not int:
+        raise TypeError(f"sample_count must be an int, not {sample_count!r}")
     if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+        raise ValueError(f"sample_count must be at least 1, not {sample_count}")
     convention = calibrate_convention()
     rng = random.Random(seed)
     reports = []

@@ -3,7 +3,11 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -449,6 +453,72 @@ def test_random_point_matches_a_randint_reference(context):
                 assert type(v) is Fraction
                 assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
             assert sum(point.alphas) == 1
+
+
+def _sweep(monkeypatch, draw, seed: int, samples: int, singular_every: int = 0):
+    """Untimed records of the relation sweep that draws through ``draw``, and
+    the points it drew; every ``singular_every``-th draw has its state and
+    time zeroed, as a pole."""
+    points, draws = [], itertools.count()
+
+    def recorded(rng, context):
+        point = draw(rng, context)
+        if singular_every and not next(draws) % singular_every:
+            zero = Fraction(0)
+            point = point._replace(state=dict.fromkeys(point.state, zero), indep=zero)
+        points.append(point)
+        return point
+
+    monkeypatch.setattr(weyl, "random_point", recorded)
+    reports = weyl.verify_group_relations(sample_count=samples, seed=seed)
+    records = [{k: v for k, v in r.to_record().items() if k != "millis"} for r in reports]
+    return records, points
+
+
+# seeds 5 and 12 draw one singular point each
+@pytest.mark.parametrize("seed", [1, 5, 12, 20321])
+def test_relation_sweep_matches_the_randint_reference(monkeypatch, seed):
+    drawn = _sweep(monkeypatch, random_point, seed, 20)
+    assert _sweep(monkeypatch, _reference_random_point, seed, 20) == drawn
+
+
+def test_relation_sweep_with_singular_draws_matches_the_randint_reference(monkeypatch):
+    drawn = _sweep(monkeypatch, random_point, 3, 5, singular_every=3)
+    assert _sweep(monkeypatch, _reference_random_point, 3, 5, singular_every=3) == drawn
+    records = drawn[0]
+    assert all(r["status"] == "pass" for r in records)
+    assert sum(not r["detail"].endswith(", 0 resamples") for r in records) > 5
+
+
+def _coprime_pair(rng: random.Random, bits: int) -> tuple[int, int]:
+    n, d = rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1
+    g = math.gcd(n, d)
+    return rng.choice((1, -1)) * (n // g), d // g
+
+
+def test_coprime_constructor_cannot_be_told_from_fraction():
+    """``ring._COPRIME`` builds the ``Fraction`` that ``Fraction(n, d)`` builds
+    from a coprime pair with a positive denominator, on the running Python."""
+    rng = random.Random(20321)
+    pairs = [(0, 1), (1, 1), (-1, 1), (-7, 3)]
+    pairs += [_coprime_pair(rng, bits) for bits in (6, 64, 2048, 8000) for _ in range(10)]
+    ops = (operator.add, operator.mul, operator.truediv)
+    for (n, d), (m, e) in zip(pairs, pairs[1:] + pairs[:1]):
+        got, want = ring._COPRIME(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (n, d)
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want) and str(got) == str(want)
+        for other in (ring._COPRIME(m, e), Fraction(m, e), 3):
+            for op in ops:
+                if op is not operator.truediv or other:
+                    result = op(got, other)
+                    assert type(result) is Fraction and result == op(want, other)
+                if op is not operator.truediv or n:
+                    result = op(other, got)
+                    assert type(result) is Fraction and result == op(other, want)
+        for twin in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert type(twin) is Fraction and twin == want and repr(twin) == repr(want)
 
 
 def test_point_map_returns_an_inputs_own_value():

@@ -90,6 +90,15 @@ def test_direct_word_construction_is_validated():
     assert GroupWord(letters=("pi",), context="th2") == parse_word("pi")
 
 
+def test_random_point_refuses_an_unknown_context():
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(WordError, match="unknown context 'th3'; known contexts: th1, th2"):
+        random_point(rng, "th3")
+    # nothing was drawn
+    assert rng.getstate() == state
+
+
 def test_records_are_immutable():
     word = parse_word("s1 s2 s1 s0")
     point = random_point(random.Random(1), "th1")
@@ -131,6 +140,15 @@ def test_relation_detail_counts_resamples(monkeypatch):
     assert reports[0].check_id == "relation:th1:s0^2" and reports[0].passed
     assert reports[0].detail == "3 samples, seed 1, left-to-right, 1 resamples"
     assert all(r.detail.endswith(", 0 resamples") for r in reports[1:])
+
+
+@pytest.mark.parametrize("count, error, message", [
+    *((c, TypeError, f"an int, not {c!r}") for c in (2.5, 3.0, True, False, "3", None)),
+    *((c, ValueError, f"at least 1, not {c}") for c in (0, -1)),
+])
+def test_relations_refuse_a_sample_count_that_is_no_count(count, error, message):
+    with pytest.raises(error, match=f"^sample_count must be {message}$"):
+        verify_group_relations(count, 1)
 
 
 def test_translation_report():
