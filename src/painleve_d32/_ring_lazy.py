@@ -501,16 +501,15 @@ class PointMap:
 
 def _COPRIME(numerator: int, denominator: int, /, _new=object.__new__) -> Fraction:
     """A ``Fraction`` from a coprime pair with a positive denominator, without
-    the public constructor's gcd and argument checks: the two-slot fill of
-    the private constructor that Fraction's own operators use from Python
-    3.12 on, which takes this name there."""
+    the public constructor's gcd and argument checks: the two-slot fill that
+    Fraction's own operators make through ``Fraction._from_coprime_ints``
+    from Python 3.12 on, used on every version."""
     value = _new(Fraction)
     value._numerator = numerator
     value._denominator = denominator
     return value
 
 
-_COPRIME = getattr(Fraction, "_from_coprime_ints", _COPRIME)
 # a kernel's globals bind the builtins: on 3.12 a big-int division imports
 # _pylong, and the import reads __builtins__ from the running frame's globals
 _POINT_GLOBALS = {

@@ -180,7 +180,10 @@ def random_point(rng: random.Random, context: str) -> PhasePoint:
     :class:`random.Random`, from ``rng.getrandbits``: a value below m takes
     ``m.bit_length()`` bits and is redrawn while it is not below m.  So the
     points, and the generator's state after each, are those of ``randint``,
-    without its argument checks.  alpha1 = 1 - alpha0 - alpha2 is computed
+    without its argument checks, on a :class:`random.Random` or a subclass
+    that keeps its ``getrandbits``-based ``_randbelow``, as on CPython
+    3.10-3.13; a subclass that overrides ``random()`` alone draws otherwise
+    under ``randint``.  alpha1 = 1 - alpha0 - alpha2 is computed
     on the integer pairs.  An unknown context raises :class:`WordError`."""
     GroupWord._check_context(context)
     system = load_model(_SYSTEM_OF_CONTEXT[context])
