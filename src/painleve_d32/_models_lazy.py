@@ -1,14 +1,14 @@
 """The half of the registry that the set-up never runs.
 
 The integral, divisor and solution loaders, the flow derivation of a
-system, a map's images of the parameters and its pull-back bindings, and
-the canonical text dump of the whole registry (:func:`dump_models`) live
-here; only the dump renders, so :mod:`.syntax` loads with this module.
-:mod:`.models` serves every name this module defines (``models._LAZY``) and
-binds them all in its own namespace the first time one is looked up there,
-so ``models.dump_models`` and ``from .models import load_integral`` keep
-working, and ``VectorFieldSystem.flow``, ``BirationalMap.param_images`` and
-``BirationalMap.pullback_bindings`` reach their bodies here through it.
+system, a map's pull-back bindings (the parameters' images among them),
+and the canonical text dump of the whole registry (:func:`dump_models`)
+live here; only the dump renders, so :mod:`.syntax` loads with this module.
+:mod:`.models` serves whatever this module defines, binding each name in
+its own namespace on its first lookup there, so ``models.dump_models`` and
+``from .models import load_integral`` keep working, and
+``VectorFieldSystem.flow`` and ``BirationalMap.pullback_bindings`` reach
+their bodies here through it.
 """
 
 from __future__ import annotations
@@ -40,16 +40,12 @@ def _flow(system: VectorFieldSystem) -> ring.Derivation:
     return ring.Derivation(system.table, rules)
 
 
-def _param_images(bmap: BirationalMap, table: SymbolTable) -> dict[str, RatExpr]:
-    params = [RatExpr.sym(table, name) for name in bmap.param_names]
-    return dict(zip(bmap.param_names, bmap.action.apply(params)))
-
-
 def _pullback_bindings(
     bmap: BirationalMap, source_table: SymbolTable, target_table: SymbolTable
 ) -> dict[str, RatExpr]:
     bindings: dict[str, RatExpr] = dict(bmap.var_map)
-    bindings.update(_param_images(bmap, source_table))
+    params = [RatExpr.sym(source_table, name) for name in bmap.param_names]
+    bindings.update(zip(bmap.param_names, bmap.action.apply(params)))
     if "eta" in target_table:
         bindings["eta"] = bmap.action.eta_sign * RatExpr.sym(source_table, "eta")
     indep = target_table.indep_name

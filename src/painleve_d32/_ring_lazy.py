@@ -12,11 +12,10 @@ per table, so substitution is the only engine that rewrites a polynomial.
 A :class:`Derivation` likewise compiles its rules once, cleared over one
 common denominator into integer rows, so that differentiating a polynomial
 is one accumulation on packed keys; a Jacobian entry is a plain partial
-derivative.  :mod:`.ring` serves every name this module defines
-(``ring._LAZY``) and binds them all in its own namespace the first time one
-is looked up there, so ``ring.substitute`` and ``from .ring import
-Derivation`` keep working and importing the package does not compile this
-module.
+derivative.  :mod:`.ring` serves whatever this module defines,
+binding each name in its own namespace on its first lookup there, so
+``ring.substitute`` and ``from .ring import Derivation`` keep working and
+importing the package does not compile this module.
 
 Like :mod:`.ring`, this module reads the packed format of :class:`Poly`.  A
 call from here to a function that the benchmark's layer trace wraps goes
@@ -86,6 +85,7 @@ def _occurring_names(p: Poly) -> tuple[str, ...]:
 
 
 def _partial(p: Poly, name: str) -> Poly:
+    """Partial derivative with respect to one symbol."""
     i = p.table.index(name)
     s, unit = p.table._shifts[i], p.table._units[i]
     out = {}
@@ -460,10 +460,6 @@ class PointMap:
     pair.  Bit i of :attr:`moved` is set when output i is not the input at
     position i, so a caller boxes only those outputs.
 
-    Calling the map itself takes any rationals and returns ``Fraction``s:
-    it converts once, runs :attr:`pairs` and boxes the moved outputs
-    (:meth:`box`); an output that is the input at its own position is that
-    input's value.
     ``names`` orders the inputs; every symbol occurring in an output must be
     among them.  A vanishing denominator raises :class:`SingularPointError`,
     and a wrong number of inputs ``ValueError``.
@@ -482,11 +478,6 @@ class PointMap:
                  "return (", *(f"    {n}, {d or 1}," for n, d in outputs), ")"]
         text = "def _kernel(_flat):\n" + "".join(f"    {line}\n" for line in lines)
         self.pairs = FunctionType(_code(text), _POINT_GLOBALS)
-
-    def __call__(self, values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        values = [v if type(v) is Fraction else Fraction(v) for v in values]
-        flat = self.pairs([x for v in values for x in (v.numerator, v.denominator)])
-        return tuple(self.box(flat, self.moved, values))
 
     @staticmethod
     def box(flat: Sequence[int], moved: int, values: Sequence[Fraction]) -> list[Fraction]:
@@ -788,7 +779,7 @@ def differentiate(e: RatExpr, d: Derivation) -> RatExpr:
 
 
 def partial_derivative(e: RatExpr, name: str) -> RatExpr:
-    """d(N/M)/d``name`` by one quotient rule on :meth:`Poly.partial`:
+    """d(N/M)/d``name`` by one quotient rule on :func:`_partial`:
     (N'*M - N*M')/M^2, or N' where M is 1."""
     n, m = e.num, e.den
     if m.is_const:

@@ -3,9 +3,8 @@
 Words (:class:`GroupWord`, :func:`parse_word`), translation shifts, exact
 point actions (:func:`_point_image`, the work of
 :func:`.weyl.apply_word_to_point`), the sampled relation check and the
-translation report live here.  :mod:`.weyl` serves every name this module
-defines (``weyl._LAZY``) and binds them all in its own namespace the first
-time one is looked up there.
+translation report live here.  :mod:`.weyl` serves whatever this module
+defines, binding each name in its own namespace on its first lookup there.
 
 A call from here to a function that the benchmark's layer trace wraps or
 that a test replaces goes through ``weyl``, where they rebind it:

@@ -17,11 +17,10 @@ table carries all three alphas; no object carries a flag for it.
 This module holds what building the registry runs: the records, the
 symbol tables, the builders and the system and map loaders.  The
 integral, divisor and solution loaders, the bodies of
-``VectorFieldSystem.flow``, ``BirationalMap.param_images`` and
-``BirationalMap.pullback_bindings``, and the text dump
-:func:`dump_models` live in :mod:`._models_lazy`, which loads the first
-time one of its names is looked up here (module ``__getattr__``, PEP 562)
-and then binds them all in this namespace.
+``VectorFieldSystem.flow`` and ``BirationalMap.pullback_bindings``, and
+the text dump :func:`dump_models` live in :mod:`._models_lazy`, which
+loads the first time a name this module lacks is looked up here (module
+``__getattr__``, PEP 562): this module serves whatever the half defines.
 
 Disputed objects:
 
@@ -160,10 +159,6 @@ class BirationalMap(NamedTuple):
     def table(self) -> SymbolTable:
         """The table the map is written over."""
         return next(iter(self.var_map.values())).table
-
-    def param_images(self, table: SymbolTable) -> dict[str, RatExpr]:
-        """Images of the parameters as expressions over ``table``."""
-        return _models._param_images(self, table)
 
     def pullback_bindings(
         self, source_table: SymbolTable, target_table: SymbolTable
@@ -688,13 +683,7 @@ def load_map(map_id: str, variant: str = "printed") -> BirationalMap:
 
 # -- the half loaded on first use ---------------------------------------------------
 
-# every name _models_lazy defines, served from here
-_LAZY = frozenset({
-    "_flow", "_param_images", "_pullback_bindings",
-    "load_integral", "load_divisor", "load_particular_solution",
-    "_render_symbols", "_dump_system", "_dump_map", "dump_models",
-})
-__getattr__ = _lazy_getattr(globals(), "_models_lazy", _LAZY)
+__getattr__ = _lazy_getattr(globals(), "_models_lazy")
 
 # this module as an object: a method that calls into the lazy half looks the
 # name up here, so the first call loads it

@@ -27,12 +27,13 @@ Substitution, :func:`reduce_relation` (one substitution plan per table),
 :func:`is_identically_zero`, evaluation at points, :class:`PointMap`,
 :class:`Derivation`, :func:`partial_derivative` and
 :func:`jacobian_determinant` live in :mod:`._ring_lazy`, which loads the
-first time one of its names is looked up here (module ``__getattr__``, PEP
-562) and then binds them all in this namespace.  So do the bodies of the
+first time a name this module lacks is looked up here (module
+``__getattr__``, PEP 562): this module serves whatever the half defines,
+binding each name here on its first lookup.  So do the bodies of the
 methods the set-up never calls, :meth:`SymbolTable.pack`,
 :meth:`Poly.total_degree`, :meth:`Poly.occurring_names`,
-:meth:`Poly.partial`, :meth:`Poly.evaluate` and :meth:`Poly.residue`:
-each method forwards to its body through this module.
+:meth:`Poly.evaluate` and :meth:`Poly.residue`: each method forwards to
+its body through this module.
 """
 
 from __future__ import annotations
@@ -422,10 +423,6 @@ class Poly:
 
     # -- calculus and evaluation -------------------------------------------
 
-    def partial(self, name: str) -> "Poly":
-        """Partial derivative with respect to one symbol."""
-        return _ring._partial(self, name)
-
     def evaluate(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Exact value at a rational point; every occurring symbol must be bound."""
         return _ring.evaluate(self, point)
@@ -763,36 +760,27 @@ def _code(text: str) -> CodeType:
 # -- the half loaded on first use ---------------------------------------------------
 
 
-def _lazy_getattr(namespace: dict, half: str, names: frozenset):
+def _lazy_getattr(namespace: dict, half: str):
     """The module ``__getattr__`` (PEP 562) of the module whose globals are
-    ``namespace``: the first lookup of any of ``names`` imports the sibling
-    module ``half`` and binds them all in ``namespace``, so later lookups
-    read that binding (or whatever has replaced it)."""
+    ``namespace``, which serves whatever the sibling module ``half`` binds.
+
+    A name the module lacks is looked up in ``half``, imported on the first
+    such lookup, and bound in ``namespace``, so later lookups read that
+    binding (or whatever has replaced it).  A dunder name is never looked
+    up there: ``__path__``, ``__all__`` or ``__wrapped__`` loads no half.
+    """
 
     def __getattr__(name: str):
-        if name not in names:
-            raise AttributeError(
-                f"module {namespace['__name__']!r} has no attribute {name!r}"
-            )
-        module = importlib.import_module(f".{half}", namespace["__package__"])
-        for key in names:
-            namespace.setdefault(key, getattr(module, key))
-        return namespace[name]
+        if not (name.startswith("__") and name.endswith("__")):
+            served = vars(importlib.import_module(f".{half}", namespace["__package__"]))
+            if name in served:
+                return namespace.setdefault(name, served[name])
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
 
     return __getattr__
 
 
-# every name _ring_lazy defines, served from here
-_LAZY = frozenset({
-    "_normalization", "reduce_relation", "is_identically_zero",
-    "_coerce_binding", "Substitution", "substitute",
-    "evaluate", "_residue", "split_poly",
-    "PointMap", "_COPRIME", "_POINT_GLOBALS", "_Pair", "_PairCode", "_minus", "_Term",
-    "_output_value", "_horner", "_monomial",
-    "Derivation", "differentiate", "partial_derivative", "jacobian_determinant", "_det",
-    "_pack", "_total_degree", "_occurring_names", "_partial",
-})
-__getattr__ = _lazy_getattr(globals(), "_ring_lazy", _LAZY)
+__getattr__ = _lazy_getattr(globals(), "_ring_lazy")
 
 # this module as an object: a method that calls into the lazy half looks the
 # name up here, so the first call loads it and a rebound name is seen

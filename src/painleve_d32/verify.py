@@ -178,9 +178,7 @@ def _finish(
 # -- degree / polynomiality -----------------------------------------------------
 
 
-def check_vector_field_degree(
-    system_id: str, expected: Optional[int] = None
-) -> VerificationReport:
+def check_vector_field_degree(system_id: str, expected: int) -> VerificationReport:
     """Total state-degree of the right-hand sides (they must be polynomial)."""
     sys_obj = load_model(system_id)
     with _Timer() as tm:
@@ -194,14 +192,13 @@ def check_vector_field_degree(
                     )
             degrees[name] = rhs.num.total_degree(sys_obj.state)
         max_deg = max(degrees.values())
-        ok = expected is None or max_deg == expected
+        ok = max_deg == expected
     return VerificationReport(
         check_id=f"degree:{system_id}",
         status="pass" if ok else "fail",
         residuals=[(n, f"degree {d}") for n, d in degrees.items()],
         duration_ms=tm.ms,
-        detail=f"max state degree {max_deg}"
-        + (f", expected {expected}" if expected is not None else ""),
+        detail=f"max state degree {max_deg}, expected {expected}",
     )
 
 

@@ -23,9 +23,10 @@ the composition of generator actions it needs, and the two functions the
 benchmark's layer trace wraps here, :func:`parameter_action` and
 :func:`apply_word_to_point`.  Words, translation shifts, the work of the
 point actions, the relation check and the translation report live in
-:mod:`._weyl_lazy`, which loads the first time one of its names is looked
-up here (module ``__getattr__``, PEP 562) and then binds them all in this
-namespace; its report functions import :mod:`.verify` when called.
+:mod:`._weyl_lazy`, which loads the first time a name this module lacks
+is looked up here (module ``__getattr__``, PEP 562): this module serves
+whatever the half defines.  Its report functions import :mod:`.verify`
+when called.
 """
 
 from __future__ import annotations
@@ -136,15 +137,7 @@ def apply_word_to_point(word: GroupWord, point: PhasePoint) -> PhasePoint:
 
 # -- the half loaded on first use ---------------------------------------------------
 
-# every name _weyl_lazy defines, served from here
-_LAZY = frozenset({
-    "WordError", "_Word", "GroupWord", "parse_word", "TranslationShift",
-    "translation_shift", "PhasePoint", "_generator_kernel", "_point_image",
-    "random_point", "_int", "_frac", "format_point",
-    "RELATIONS", "_relation_holds_on_parameters", "_relation_holds_at_samples",
-    "verify_group_relations", "translation_report",
-})
-__getattr__ = _lazy_getattr(globals(), "_weyl_lazy", _LAZY)
+__getattr__ = _lazy_getattr(globals(), "_weyl_lazy")
 
 # this module as an object: its attribute lookups reach __getattr__
 _weyl = sys.modules[__name__]

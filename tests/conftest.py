@@ -10,7 +10,7 @@ import pytest
 import sympy as sp
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
-from painleve_d32.ring import Poly, RatExpr, SymbolTable
+from painleve_d32.ring import Poly, RatExpr, SymbolTable, _partial
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +81,7 @@ def leibniz_of_poly(d, p: Poly) -> RatExpr:
     for name, rule in d.rules.items():
         if rule.is_zero:
             continue
-        part = p.partial(name)
+        part = _partial(p, name)
         if part.is_zero:
             continue
         total = total + RatExpr(part) * rule

@@ -54,6 +54,31 @@ def test_setup_loads_only_ring_models_and_weyl():
     assert _run("print(json.dumps(loaded()))") == SETUP_MODULES
 
 
+def test_hosts_serve_no_dunder_and_name_the_host_for_an_unknown_name():
+    # a host serves only what its half defines, and never a dunder name, so
+    # the lookups of import machinery and introspection load no half
+    missing, after, messages = _run("""
+from painleve_d32 import ring
+hosts = (ring, models, weyl)
+missing = [not hasattr(host, name) for host in hosts
+           for name in ("__path__", "__all__", "__wrapped__")]
+for host in hosts:
+    exec(f"from {host.__name__} import *", {})
+after = loaded()
+messages = []
+for host in hosts:
+    try:
+        host.no_such_name
+    except AttributeError as exc:
+        messages.append(str(exc))
+print(json.dumps([missing, after, messages]))
+""")
+    assert missing == [True] * 9
+    assert after == SETUP_MODULES
+    assert messages == [f"module 'painleve_d32.{host}' has no attribute 'no_such_name'"
+                        for host in ("ring", "models", "weyl")]
+
+
 def test_setup_loads_neither_dataclasses_nor_inspect():
     # the registry and Weyl records are NamedTuples: dataclasses would pull
     # in inspect, ast, dis and tokenize, and exec code for every class
@@ -137,10 +162,14 @@ def test_each_lazy_half_loads_on_first_use(order, halves):
     assert steps == [SETUP_MODULES] + [sorted(SETUP_MODULES + h) for h in halves]
 
 
-def _defined(path: Path) -> set[str]:
-    """The names a module's source binds at top level, imports aside."""
+PACKAGE = Path(painleve_d32.__file__).parent
+
+
+def _defined(module: str) -> set[str]:
+    """The names the package module ``module``'s source binds at top level,
+    imports aside."""
     names = set()
-    for node in ast.parse(path.read_text()).body:
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
@@ -154,12 +183,12 @@ def _defined(path: Path) -> set[str]:
     ("models", "_models_lazy"), ("ring", "_ring_lazy"), ("weyl", "_weyl_lazy"),
 ])
 def test_each_lazy_half_is_served_whole_by_its_module(host, half):
-    package = Path(painleve_d32.__file__).parent
+    # the half's source is the only list of the names its host serves
     host_mod = importlib.import_module(f"painleve_d32.{host}")
     half_mod = importlib.import_module(f"painleve_d32.{half}")
-    assert host_mod._LAZY == _defined(package / f"{half}.py")
-    assert not host_mod._LAZY & _defined(package / f"{host}.py")
-    for name in host_mod._LAZY:
+    served = _defined(half)
+    assert served and not served & _defined(host)
+    for name in served:
         assert getattr(host_mod, name) is getattr(half_mod, name), name
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         host_mod.no_such_name
@@ -211,7 +240,8 @@ before = loaded()
 {MODELS_USES[use]}
 after = loaded()
 half = sys.modules["painleve_d32._models_lazy"]
-served = all(getattr(models, name) is getattr(half, name) for name in models._LAZY)
+served = all(getattr(models, name) is getattr(half, name)
+             for name in {sorted(_defined("_models_lazy"))})
 served &= painleve_d32.load_particular_solution is half.load_particular_solution
 print(json.dumps([before, after, served]))
 """)

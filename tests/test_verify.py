@@ -380,8 +380,8 @@ def test_chart_fields_equal_transformed_family():
         inverse = {
             n: syms(T, n)[0] - corrections[n] for n in five.state
         }
-        param_bind = smap.param_images(T)
-        param_bind["eta"] = smap.action.eta_sign * syms(T, "eta")[0]
+        images = smap.pullback_bindings(T, T)
+        param_bind = {p: images[p] for p in (*smap.param_names, "eta")}
         if signs:
             param_bind.update(
                 {n: signs[n] * syms(T, n)[0] for n in five.state}
